@@ -168,11 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     policies_cmd.add_argument("--app-scale", type=int, default=12,
                               help="application-kernel scale per run")
     policies_cmd.add_argument("--base-seed", type=int, default=0)
-    policies_cmd.add_argument(
-        "--backend", choices=SystemConfig.KNOWN_BACKENDS,
-        default="reference",
-        help="event-core backend for every grid cell (bit-identical; "
-             "batched is faster at high CPU counts)")
     _engine_opts(policies_cmd)
 
     sched_cmd = sub.add_parser(
@@ -208,11 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sched_cmd.add_argument("--app-scale", type=int, default=12,
                            help="application-kernel scale per run")
     sched_cmd.add_argument("--base-seed", type=int, default=0)
-    sched_cmd.add_argument(
-        "--backend", choices=SystemConfig.KNOWN_BACKENDS,
-        default="reference",
-        help="event-core backend for every grid cell (bit-identical; "
-             "batched is faster at high CPU counts)")
     _engine_opts(sched_cmd)
 
     trend_cmd = sub.add_parser(
@@ -255,16 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="quarter-size workloads (CI smoke)")
     perf_cmd.add_argument("--repeats", type=int, default=3,
                           help="runs per workload; best wall time wins")
-    perf_cmd.add_argument("--backend", choices=SystemConfig.KNOWN_BACKENDS,
-                          default="reference",
-                          help="kernel backend to measure "
-                               "(default reference)")
-    perf_cmd.add_argument("--ab", action="store_true",
-                          help="measure both backends interleaved in one "
-                               "process; records batched rows and the "
-                               "speedup table under config.backends and "
-                               "fails on any cross-backend fingerprint "
-                               "mismatch")
     perf_cmd.add_argument("--out", type=str, default=None,
                           help="write the BENCH-schema payload to this "
                                "path (e.g. BENCH_perf.json)")
@@ -355,10 +335,6 @@ def _build_parser() -> argparse.ArgumentParser:
     runner.add_argument("--migrate", action="store_true",
                         help="with --sched: let threads run on any "
                              "slot instead of a pinned home slot")
-    runner.add_argument("--backend", choices=SystemConfig.KNOWN_BACKENDS,
-                        default="reference",
-                        help="event-core backend (bit-identical results; "
-                             "REPRO_KERNEL_BACKEND overrides)")
     _engine_opts(runner)
 
     replay_cmd = sub.add_parser(
@@ -756,7 +732,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             "policies", policies=policies, workloads=workloads,
             processor_counts=list(args.procs), seeds=args.seeds,
             ops=args.ops, app_scale=args.app_scale,
-            base_seed=args.base_seed, backend=args.backend), args)
+            base_seed=args.base_seed), args)
         grid = PolicyGridResult.from_dict(job.result)
         if args.json:
             print(json.dumps(job.result, indent=2))
@@ -797,7 +773,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             workloads=workloads, num_cpus=args.cpus,
             threads_per_cpu=args.threads_per_cpu, migrate=args.migrate,
             seeds=args.seeds, ops=args.ops, app_scale=args.app_scale,
-            base_seed=args.base_seed, backend=args.backend), args)
+            base_seed=args.base_seed), args)
         grid = SchedGridResult.from_dict(job.result)
         if args.json:
             print(json.dumps(job.result, indent=2))
@@ -851,8 +827,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         workload_args = ({SIZE_PARAM[args.workload]: args.ops}
                          if args.ops is not None else {})
         config = SystemConfig(num_cpus=args.cpus, scheme=scheme,
-                              seed=args.seed,
-                              kernel_backend=args.backend)
+                              seed=args.seed)
         if args.sched:
             from repro.sched import KNOWN_SCHEDULERS
             if args.sched not in KNOWN_SCHEDULERS:
@@ -923,8 +898,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 print(f"perf: {exc}", file=sys.stderr)
                 return 2
         job = submit(JobSpec.perf(quick=args.quick, repeats=args.repeats,
-                                  baseline=baseline,
-                                  backend=args.backend, ab=args.ab))
+                                  baseline=baseline))
         payload = job.result
         if args.out:
             from pathlib import Path
@@ -934,26 +908,22 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             print(perf.render_table(payload))
-        if args.ab:
-            mismatches = perf.check_backend_fingerprints(payload)
-            for mismatch in mismatches:
-                print(f"backend divergence: {mismatch}", file=sys.stderr)
-            if mismatches:
-                return 1
         if args.check:
             try:
                 reference = perf.load_reference(args.check)
             except (FileNotFoundError, json.JSONDecodeError) as exc:
                 print(f"perf: {exc}", file=sys.stderr)
                 return 2
-            failures = perf.check_throughput(payload, reference,
-                                             max_drop=args.max_drop)
+            failures = (perf.check_shape(payload, reference)
+                        + perf.check_throughput(payload, reference,
+                                                max_drop=args.max_drop))
             for failure in failures:
                 print(f"perf regression: {failure}", file=sys.stderr)
             if failures:
                 return 1
             print(f"perf check vs {args.check}: ok "
-                  f"(events/sec within {args.max_drop:.0%})")
+                  f"(run shape unchanged, events/sec within "
+                  f"{args.max_drop:.0%})")
         return 0
 
     if args.command == "cache":

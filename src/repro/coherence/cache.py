@@ -79,11 +79,6 @@ class CacheArray:
         self._use_clock = 0
         # Lines that must not be evicted (pending miss / obligation).
         self._pinned: set[int] = set()
-        # Optional flat permission index (repro.sim.fastpath.FlatL1Index)
-        # attached by the batched backend's FastProcessor; None under the
-        # reference backend so the sync points below cost one attribute
-        # test on the (rare) install/evict/drop roads.
-        self._flat = None
 
     # ------------------------------------------------------------------
     # Address mapping
@@ -144,11 +139,6 @@ class CacheArray:
         existing = self.lookup(line_addr)
         if existing is not None:
             existing.state = state
-            flat = self._flat
-            if flat is not None:  # inlined FlatL1Index.update (hot site)
-                slot = flat.slot_of.get(line_addr)
-                if slot is not None:
-                    flat.flags[slot] = state.flat_bits
             return existing
         line = Line(addr=line_addr, state=state)
         self._install(line)
@@ -161,8 +151,6 @@ class CacheArray:
         if len(cache_set) >= self._assoc:
             victim = self._choose_victim(cache_set)
             del cache_set[victim.addr]
-            if self._flat is not None:
-                self._flat.remove(victim.addr)
             if victim.state.valid:
                 displaced = self.victim.insert(victim)
                 if displaced is not None and displaced.accessed:
@@ -171,8 +159,6 @@ class CacheArray:
                 if displaced is not None:
                     self._notify_eviction(displaced)
         cache_set[line.addr] = line
-        if self._flat is not None:
-            self._flat.add(line)
 
     def _choose_victim(self, cache_set: dict[int, Line]) -> Line:
         candidates = [l for l in cache_set.values()
@@ -211,5 +197,3 @@ class CacheArray:
         """Remove a line entirely (post-invalidation tidy-up)."""
         self._sets[self.set_index(line_addr)].pop(line_addr, None)
         self.victim.remove(line_addr)
-        if self._flat is not None:
-            self._flat.remove(line_addr)

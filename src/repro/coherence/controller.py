@@ -243,21 +243,6 @@ class CacheController:
         line = self.cache.lookup(line_addr)
         return line is not None and line.state.writable
 
-    def _set_state(self, line: Line, state: State) -> None:
-        """Change a resident line's MOESI state.
-
-        Every in-place state write funnels through here so the batched
-        backend's flat permission index (``cache._flat``, see
-        :mod:`repro.sim.fastpath`) stays coherent; under the reference
-        backend the flat index is None and this is a plain assignment.
-        """
-        line.state = state
-        flat = self.cache._flat
-        if flat is not None:  # inlined FlatL1Index.update (hot funnel)
-            slot = flat.slot_of.get(line.addr)
-            if slot is not None:
-                flat.flags[slot] = state.flat_bits
-
     def mark_accessed(self, line_addr: int, written: bool) -> None:
         """Set the transaction access bits at an access's effect point."""
         if not self.speculating:
@@ -726,7 +711,7 @@ class CacheController:
         self._clear_link(request.line)
         if line is not None and line.state.valid:
             was_accessed = line.accessed
-            self._set_state(line, State.INVALID)
+            line.state = State.INVALID
             line.clear_speculative()
             if self.speculating and was_accessed:
                 self.upgrade_violations[request.line] += 1
@@ -756,7 +741,7 @@ class CacheController:
         self.chains.pop(request.line, None)
         line = self.cache.lookup(request.line)
         if line is not None:
-            self._set_state(line, State.MODIFIED)
+            line.state = State.MODIFIED
         if self.monitor is not None:
             self.monitor.on_line_state(self, request.line)
         self._finish_request(request, list(mshr.waiters),
@@ -787,7 +772,7 @@ class CacheController:
             self._resource_overflow(request.line)
             line = self.cache.install(request.line, grant)
         if mshr.fill_invalid:
-            self._set_state(line, State.INVALID)
+            line.state = State.INVALID
         elif (self.speculating and mshr.in_txn
                 and (request.ts is None or request.ts == self.current_ts)):
             # A transactional fill is part of the access set the moment it
@@ -852,12 +837,12 @@ class CacheController:
                       and (request.kind.is_write or line.spec_written))
         if line is not None and line.state.valid:
             if request.kind is ReqKind.GETX:
-                self._set_state(line, State.INVALID)
+                line.state = State.INVALID
                 line.clear_speculative()
                 self._clear_link(request.line)
                 self._wake_watchers(request.line)
             else:
-                self._set_state(line, State.OWNED)
+                line.state = State.OWNED
         if self.mshrs.get(request.line) is None \
                 and not self.deferred.has_line(request.line):
             # Keep the line pinned while further deferred entries for it

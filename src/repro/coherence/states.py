@@ -26,9 +26,7 @@ class State(enum.Enum):
     * ``valid`` -- any state but INVALID;
     * ``owned`` -- this cache is the line's owner (must supply data);
     * ``writable`` -- a store may complete without a bus transaction;
-    * ``dirty`` -- eviction requires a writeback;
-    * ``flat_bits`` -- the permission mask (bit 0 valid, bit 1 writable)
-      stored per slot by the flat L1 index (:mod:`repro.sim.fastpath`).
+    * ``dirty`` -- eviction requires a writeback.
     """
 
     MODIFIED = "M"
@@ -43,7 +41,6 @@ for _s in State:
     _s.owned = _s in (State.MODIFIED, State.OWNED, State.EXCLUSIVE)
     _s.writable = _s in (State.MODIFIED, State.EXCLUSIVE)
     _s.dirty = _s in (State.MODIFIED, State.OWNED)
-    _s.flat_bits = (1 if _s.valid else 0) | (2 if _s.writable else 0)
 del _s
 
 

@@ -262,30 +262,11 @@ class SystemConfig:
     # Preemptive scheduling overlay (repro.sched); off by default so
     # existing configs keep one pinned thread per processor.
     sched: SchedConfig = field(default_factory=SchedConfig)
-    # Event-core backend: "reference" is the original single-event heapq
-    # dispatch loop, kept verbatim; "batched" is the cycle-batched
-    # calendar queue plus the flat-array coherence fast path
-    # (repro.sim.fastpath).  The two are bit-identical -- same dispatch
-    # order, same fingerprints -- which the cross-backend equivalence
-    # suite pins; the choice is purely a throughput knob.  The
-    # REPRO_KERNEL_BACKEND environment variable overrides this field at
-    # machine-build time for whole-process A/B runs (see
-    # repro.sim.kernel.resolve_backend).
-    kernel_backend: str = "reference"
-
-    #: Valid kernel_backend values; mirrors repro.sim.kernel.KNOWN_BACKENDS
-    #: (a unit test keeps the two in sync -- importing the kernel here
-    #: would make the config module depend on the simulator).
-    KNOWN_BACKENDS = ("reference", "batched")
 
     def with_scheduler(self, scheduler: str, **knobs) -> "SystemConfig":
         """A copy of this config under a different scheduler setup."""
         return replace(self, sched=replace(self.sched, scheduler=scheduler,
                                            **knobs))
-
-    def with_backend(self, backend: str) -> "SystemConfig":
-        """A copy of this config under a different kernel backend."""
-        return replace(self, kernel_backend=backend)
 
     def with_scheme(self, scheme: SyncScheme) -> "SystemConfig":
         """A copy of this config under a different sync scheme."""
@@ -314,10 +295,6 @@ class SystemConfig:
             raise ValueError("need at least one processor")
         if self.protocol not in ("snoop", "directory"):
             raise ValueError(f"bad protocol {self.protocol}")
-        if self.kernel_backend not in self.KNOWN_BACKENDS:
-            raise ValueError(
-                f"bad kernel_backend {self.kernel_backend!r}; "
-                f"known: {list(self.KNOWN_BACKENDS)}")
         if (self.scheme is SyncScheme.TLR_STRICT_TS
                 and self.spec.single_block_relaxation):
             self.spec = replace(self.spec, single_block_relaxation=False)

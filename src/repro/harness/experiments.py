@@ -582,7 +582,6 @@ def policy_grid(policies: Optional[Sequence[str]] = None,
                 ops: int = 96,
                 app_scale: int = 12,
                 base_seed: int = 0,
-                backend: str = "reference",
                 config: Optional[SystemConfig] = None, *,
                 jobs: int = 1,
                 timeout: Optional[float] = None,
@@ -596,13 +595,11 @@ def policy_grid(policies: Optional[Sequence[str]] = None,
     serializability oracle, the policy-aware deferral-order monitor and
     the starvation watchdog all judge every run.  ``ops`` sizes the
     microbenchmarks; ``app_scale`` sizes the application kernels.
-    ``backend`` selects the event-core backend for every cell (the
-    backends are bit-identical, so this only affects wall time).
     """
     del retries  # verification failures are findings, never retried
     from repro.verify import VerifyOptions, verify_specs
     global _LAST_TELEMETRY
-    base = (config or SystemConfig()).with_backend(backend)
+    base = config or SystemConfig()
     policies = tuple(policies) if policies else DEFAULT_POLICY_GRID_POLICIES
     workloads = (tuple(workloads) if workloads
                  else DEFAULT_POLICY_GRID_WORKLOADS)
@@ -755,7 +752,6 @@ def sched_grid(schedulers: Optional[Sequence[str]] = None,
                ops: int = 96,
                app_scale: int = 12,
                base_seed: int = 0,
-               backend: str = "reference",
                config: Optional[SystemConfig] = None, *,
                jobs: int = 1,
                timeout: Optional[float] = None,
@@ -776,7 +772,7 @@ def sched_grid(schedulers: Optional[Sequence[str]] = None,
     del retries  # verification failures are findings, never retried
     from repro.verify import VerifyOptions, verify_specs
     global _LAST_TELEMETRY
-    base = (config or SystemConfig()).with_backend(backend)
+    base = config or SystemConfig()
     schedulers = (tuple(schedulers) if schedulers
                   else DEFAULT_SCHED_GRID_SCHEDULERS)
     quanta = tuple(quanta) if quanta else DEFAULT_SCHED_GRID_QUANTA

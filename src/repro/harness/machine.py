@@ -21,8 +21,7 @@ from repro.cpu.processor import Processor
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.runtime.env import ThreadEnv
 from repro.runtime.program import ValidationError, Workload
-from repro.sim.fastpath import FastProcessor
-from repro.sim.kernel import BatchedSimulator, Simulator, resolve_backend
+from repro.sim.kernel import Simulator
 from repro.sim.rng import LatencyPerturber, RandomStreams
 from repro.sim.stats import SimStats
 from repro.sync.locks import TestAndTestAndSetLock
@@ -37,16 +36,7 @@ class Machine:
         self.config = config
         self.streams = RandomStreams(config.seed)
         self.stats = SimStats()
-        # Event-core backend (config knob, overridable by the
-        # REPRO_KERNEL_BACKEND environment variable).  Both backends are
-        # bit-identical -- pinned by the cross-backend equivalence suite
-        # -- so this only selects the dispatch machinery, never the
-        # simulated behaviour.
-        self.kernel_backend = resolve_backend(config.kernel_backend)
-        if self.kernel_backend == "batched":
-            self.sim = BatchedSimulator(max_cycles=config.max_cycles)
-        else:
-            self.sim = Simulator(max_cycles=config.max_cycles)
+        self.sim = Simulator(max_cycles=config.max_cycles)
         if config.schedule_chaos > 0:
             # Schedule-exploration mode: perturb same-cycle event order
             # with a seeded random priority (see Simulator.set_choice_hook).
@@ -79,18 +69,13 @@ class Machine:
         # scheduler off nothing ever calls them.
         self.sched_engine = None
         self.sched_listeners: list = []
-        # The batched backend pairs the calendar-queue kernel with the
-        # flat-array L1 fast path; both specialisations are pinned
-        # bit-identical to the reference by the equivalence suite.
-        processor_cls = (FastProcessor if self.kernel_backend == "batched"
-                         else Processor)
         for cpu_id in range(config.num_cpus):
             controller = CacheController(cpu_id, self.sim, self.bus,
                                          self.datanet, config,
                                          self.stats.cpu(cpu_id))
-            processor = processor_cls(cpu_id, self.sim, controller,
-                                      self.store, config,
-                                      self.stats.cpu(cpu_id))
+            processor = Processor(cpu_id, self.sim, controller,
+                                  self.store, config,
+                                  self.stats.cpu(cpu_id))
             self.controllers.append(controller)
             self.processors.append(processor)
 

@@ -3,7 +3,8 @@
 The golden-fingerprint tests pin *what* the simulator computes; this
 module measures *how fast*.  It drives the three hottest configurations
 from the profiling work -- the Figure 9 single-counter sweep point, the
-Figure 10 linked-list point, and one contention-policy grid cell --
+Figure 10 linked-list point, and one contention-policy grid cell -- and
+a 64-CPU directory-protocol scale point
 directly on a :class:`~repro.harness.machine.Machine` (bypassing the
 sweep engine, so ``Simulator.events_fired`` is observable) and reports,
 per workload:
@@ -27,17 +28,11 @@ measurement time live under ``config`` (``baseline``/``speedup``),
 which trend deliberately skips -- they describe the machine that wrote
 the artifact, not the commit under test.
 
-Backend A/B (``run_perf(ab=True)``) measures both kernel backends
-*interleaved in-process* -- reference rep, batched rep, reference rep,
-... -- so slow machine-state drift (thermal, cache, scheduler) hits
-both sides equally; process-to-process comparisons on shared hardware
-show +-15% noise, which would swamp the effect being measured.  The
-top-level ``results`` block always holds the reference rows (keeping
-``repro trend`` comparable against pre-A/B artifacts); batched rows
-and the speedup table land under ``config["backends"]`` /
-``config["speedup_batched_vs_reference"]``.  Because the backends are
-bit-identical, every A/B artifact doubles as an equivalence proof:
-:func:`check_backend_fingerprints` is the CI hard gate.
+Checking against a reference payload (``repro perf --check REF``) has
+two gates: :func:`check_shape` hard-fails on any change to a workload's
+deterministic shape (fingerprint, events, cycles), and
+:func:`check_throughput` fails when events/sec dropped beyond a noise
+tolerance.
 """
 
 from __future__ import annotations
@@ -71,12 +66,9 @@ _SIZES = {"full": {"fig09_single_counter": 2048,
 def perf_specs(quick: bool = False) -> dict[str, RunSpec]:
     """The measured workloads, name -> :class:`RunSpec`.
 
-    The specs are backend-neutral (reference by default);
-    :func:`measure_spec` applies a backend override so A/B mode can
-    reuse one spec for both sides.  ``big_machine`` is the scale point
-    the batched backend targets: 64 CPUs contending on the linked list
-    over the directory protocol, where the per-cycle bucket dispatch
-    amortizes across many same-cycle events.
+    ``big_machine`` is the scale point: 64 CPUs contending on the
+    linked list over the directory protocol, where the kernel queue is
+    deepest and same-cycle events are most numerous.
     """
     sizes = _SIZES["quick" if quick else "full"]
     cfg = SystemConfig(num_cpus=8, scheme=SyncScheme.TLR, seed=0)
@@ -108,22 +100,25 @@ def _peak_rss_kb() -> Optional[int]:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-def _measure_once(spec: RunSpec, config: SystemConfig) -> tuple:
+def _measure_once(spec: RunSpec) -> tuple:
     """One timed run on a fresh machine: (wall, events, cycles, fp)."""
     workload = spec.build_workload()
-    machine = Machine(config)
+    machine = Machine(spec.config)
     start = time.perf_counter()
     stats = machine.run_workload(workload, validate=spec.validate)
     wall = time.perf_counter() - start
     fingerprint = result_fingerprint(RunResult(
-        config=config, workload_name=workload.name,
+        config=spec.config, workload_name=workload.name,
         stats=stats, store=machine.store))
     return wall, machine.sim.events_fired, stats.total_cycles, fingerprint
 
 
-def _row(samples: list) -> dict:
-    """Best-wall summary row from ``_measure_once`` samples."""
-    best_wall, events, cycles, fingerprint = min(samples)
+def measure_spec(spec: RunSpec, repeats: int = 3) -> dict:
+    """Run ``spec`` ``repeats`` times on fresh machines; report the
+    best wall time (least-noise estimator for a deterministic job) and
+    the run's deterministic shape."""
+    best_wall, events, cycles, fingerprint = min(
+        _measure_once(spec) for _ in range(max(1, repeats)))
     return {
         "wall_s": round(best_wall, 6),
         "events": events,
@@ -134,86 +129,28 @@ def _row(samples: list) -> dict:
     }
 
 
-def measure_spec(spec: RunSpec, repeats: int = 3,
-                 backend: Optional[str] = None) -> dict:
-    """Run ``spec`` ``repeats`` times on fresh machines; report the
-    best wall time (least-noise estimator for a deterministic job) and
-    the run's deterministic shape.  ``backend`` overrides the spec's
-    kernel backend when given."""
-    config = (spec.config if backend is None
-              else spec.config.with_backend(backend))
-    samples = [_measure_once(spec, config)
-               for _ in range(max(1, repeats))]
-    return _row(samples)
-
-
-def measure_ab(spec: RunSpec, repeats: int = 3) -> dict[str, dict]:
-    """Interleaved A/B of one spec: backend -> best-of-``repeats`` row.
-
-    Repeats alternate reference/batched within a single process so both
-    backends sample the same machine state; see the module docstring
-    for why sequential per-backend loops are not trustworthy.
-    """
-    samples: dict[str, list] = {b: [] for b in SystemConfig.KNOWN_BACKENDS}
-    configs = {b: spec.config.with_backend(b)
-               for b in SystemConfig.KNOWN_BACKENDS}
-    for _ in range(max(1, repeats)):
-        for backend, config in configs.items():
-            samples[backend].append(_measure_once(spec, config))
-    return {backend: _row(rows) for backend, rows in samples.items()}
-
-
 def run_perf(quick: bool = False, repeats: int = 3,
-             baseline: Optional[dict] = None,
-             backend: str = "reference", ab: bool = False) -> dict:
+             baseline: Optional[dict] = None) -> dict:
     """Measure every perf workload; returns a BENCH-schema payload.
 
     ``baseline`` is an earlier ``run_perf`` payload (e.g. measured on
     the parent commit on the same machine); when given, per-workload
     speedups are recorded under ``config`` for human consumption.
-
-    ``backend`` selects the kernel backend for the top-level
-    ``results`` rows.  ``ab=True`` measures *both* backends interleaved
-    instead: ``results`` then holds the reference rows (so ``repro
-    trend`` stays comparable against pre-A/B artifacts) while the
-    batched rows and the per-workload speedup table land under
-    ``config["backends"]`` / ``config["speedup_batched_vs_reference"]``.
     """
     specs = perf_specs(quick=quick)
     total_start = time.perf_counter()
-    backends_block: dict[str, dict[str, dict]] = {}
-    if ab:
-        per_spec = {name: measure_ab(spec, repeats=repeats)
-                    for name, spec in specs.items()}
-        results = {name: rows["reference"]
-                   for name, rows in per_spec.items()}
-        for other in SystemConfig.KNOWN_BACKENDS:
-            if other != "reference":
-                backends_block[other] = {
-                    name: rows[other] for name, rows in per_spec.items()}
-    else:
-        results = {name: measure_spec(spec, repeats=repeats,
-                                      backend=backend)
-                   for name, spec in specs.items()}
+    results = {name: measure_spec(spec, repeats=repeats)
+               for name, spec in specs.items()}
     payload = stamp_schema({
         "bench": "perf",
         "config": {
             "quick": quick,
             "repeats": repeats,
-            "backend": "ab" if ab else backend,
             "workload_sizes": dict(_SIZES["quick" if quick else "full"]),
         },
         "results": results,
         "wall_seconds": round(time.perf_counter() - total_start, 3),
     })
-    if backends_block:
-        payload["config"]["backends"] = backends_block
-        batched = backends_block.get("batched", {})
-        payload["config"]["speedup_batched_vs_reference"] = {
-            name: round(row["events_per_sec"]
-                        / results[name]["events_per_sec"], 3)
-            for name, row in batched.items()
-            if results.get(name, {}).get("events_per_sec")}
     if baseline is not None:
         base_results = baseline.get("results", {})
         speedups = {}
@@ -269,65 +206,41 @@ def check_throughput(current: dict, reference: dict,
     return failures
 
 
-def check_backend_fingerprints(payload: dict) -> list[str]:
-    """Failures where an A/B payload's backends disagree behaviourally.
+def check_shape(current: dict, reference: dict) -> list[str]:
+    """Failures where a workload's deterministic shape -- fingerprint,
+    events or cycles -- differs from the reference payload.
 
-    The kernel backends are contractually bit-identical; a fingerprint
-    mismatch between the reference rows (``results``) and any backend
-    block under ``config["backends"]`` means the batched core diverged
-    from the reference semantics.  CI treats any entry here as a hard
-    failure -- unlike throughput, there is no noise tolerance.
+    The shape is identical on every machine, so unlike throughput there
+    is no noise tolerance: any difference means the simulation changed.
+    Payloads measured at different workload sizes (a full run against a
+    quick artifact) are not comparable and yield no failures.
     """
+    sizes = current.get("config", {}).get("workload_sizes")
+    if sizes != reference.get("config", {}).get("workload_sizes"):
+        return []
     failures = []
-    reference = payload.get("results", {})
-    for backend, rows in payload.get("config", {}).get(
-            "backends", {}).items():
-        for name, row in rows.items():
-            ref_row = reference.get(name)
-            if ref_row is None:
-                continue
-            if row.get("fingerprint") != ref_row.get("fingerprint"):
-                failures.append(
-                    f"{name}: backend {backend!r} fingerprint "
-                    f"{row.get('fingerprint', '')[:16]} != reference "
-                    f"{ref_row.get('fingerprint', '')[:16]}")
-            if (row.get("events"), row.get("cycles")) != (
-                    ref_row.get("events"), ref_row.get("cycles")):
-                failures.append(
-                    f"{name}: backend {backend!r} run shape "
-                    f"({row.get('events')} ev / {row.get('cycles')} cyc) "
-                    f"!= reference ({ref_row.get('events')} ev / "
-                    f"{ref_row.get('cycles')} cyc)")
+    ref_results = reference.get("results", {})
+    for name, row in current.get("results", {}).items():
+        ref_row = ref_results.get(name)
+        if ref_row is None:
+            continue
+        for key in ("fingerprint", "events", "cycles"):
+            if row.get(key) != ref_row.get(key):
+                failures.append(f"{name}: {key} {row.get(key)} != "
+                                f"reference {ref_row.get(key)}")
     return failures
-
-
-def _table_rows(results: dict, lines: list[str]) -> None:
-    for name, row in results.items():
-        lines.append(
-            f"{name:<24} {row['events_per_sec']:>12,} "
-            f"{row['wall_s']:>9.3f} {row['events']:>9,} "
-            f"{row['cycles']:>9,}  {row['fingerprint'][:16]}")
 
 
 def render_table(payload: dict) -> str:
     """Human-readable summary of a perf payload."""
     config = payload.get("config", {})
-    backends = config.get("backends", {})
-    header = (f"{'workload':<24} {'events/s':>12} {'wall_s':>9} "
-              f"{'events':>9} {'cycles':>9}  fingerprint")
-    lines = []
-    if backends:
-        lines.append("backend: reference")
-    lines.append(header)
-    _table_rows(payload.get("results", {}), lines)
-    for backend, rows in backends.items():
-        lines.append(f"backend: {backend}")
-        lines.append(header)
-        _table_rows(rows, lines)
-    ab_speedups = config.get("speedup_batched_vs_reference")
-    if ab_speedups:
-        pretty = ", ".join(f"{k}: {v:.2f}x" for k, v in ab_speedups.items())
-        lines.append(f"batched vs reference (interleaved A/B): {pretty}")
+    lines = [f"{'workload':<24} {'events/s':>12} {'wall_s':>9} "
+             f"{'events':>9} {'cycles':>9}  fingerprint"]
+    for name, row in payload.get("results", {}).items():
+        lines.append(
+            f"{name:<24} {row['events_per_sec']:>12,} "
+            f"{row['wall_s']:>9.3f} {row['events']:>9,} "
+            f"{row['cycles']:>9,}  {row['fingerprint'][:16]}")
     speedups = config.get("speedup_events_per_sec")
     if speedups:
         pretty = ", ".join(f"{k}: {v:.2f}x" for k, v in speedups.items())

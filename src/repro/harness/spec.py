@@ -47,11 +47,14 @@ from repro.workloads.microbench import (linked_list, multiple_counter,
 # v7: RunResult metrics grew the ``profile`` section (repro.obs.profile
 #     per-lock contention profiles, conflict matrix, profile.* families);
 #     cached v6 payloads would come back without it.
-# v8: SystemConfig grew ``kernel_backend`` (reference | batched event
-#     core).  The backends are bit-identical -- pinned by the
-#     cross-backend equivalence suite -- but the serialized config image
-#     changed shape, so pre-v8 cache keys no longer match.
-FINGERPRINT_VERSION = 8
+# v8: SystemConfig grew an event-core backend field (reference |
+#     batched, bit-identical), so the serialized config image changed
+#     shape and pre-v8 cache keys no longer match.
+# v9: the batched event core is gone: the config image lost the backend
+#     field and the metrics lost the kernel batch-size histogram and the
+#     backend entry under ``meta``.  Simulated behaviour is unchanged;
+#     :func:`config_from_dict` still accepts (and ignores) the v8 key.
+FINGERPRINT_VERSION = 9
 
 
 # ----------------------------------------------------------------------
@@ -175,9 +178,8 @@ def config_from_dict(data: dict) -> SystemConfig:
         # Pre-v6 images have no "sched" key; the default is the off
         # switch, which is behaviourally identical to what they ran.
         sched=SchedConfig(**(data.get("sched") or {})),
-        # Pre-v8 images have no "kernel_backend" key; the reference
-        # backend is what they ran (and batched is bit-identical anyway).
-        kernel_backend=data.get("kernel_backend", "reference"),
+        # v8 images also carry the retired event-core backend key; both
+        # of its values ran the same simulation, so it is ignored.
     )
 
 

@@ -28,11 +28,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.obs.metrics import (DEPTH_BUCKETS, LATENCY_BUCKETS, RETRY_BUCKETS,
                                MetricsRegistry)
 
-#: Batch-size buckets mirror the kernel's power-of-two slot layout
-#: (``kernel_stats()["batch_sizes"]`` keys are ``2**i - 1`` upper
-#: bounds); 0 = an all-cancelled bucket drained without dispatching.
-BATCH_BUCKETS = (0, 1, 3, 7, 15, 31, 63, 127, 255, 511, 1023)
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.coherence.controller import CacheController
     from repro.coherence.messages import BusRequest, Marker, Probe
@@ -207,15 +202,10 @@ class MachineMetrics:
                 stats.total("elisions_committed"))
             self.registry.counter("txn.lock_fallbacks").inc(
                 stats.total("lock_fallbacks"))
-            kernel = machine.sim.kernel_stats()
             self.registry.counter("sim.kernel.events").inc(
                 machine.sim.events_fired)
             self.registry.counter("sim.kernel.compactions").inc(
-                kernel["compactions"])
-            batch_hist = self.registry.histogram("sim.kernel.batch_size",
-                                                 BATCH_BUCKETS)
-            for upper, count in sorted(kernel["batch_sizes"].items()):
-                batch_hist.observe_many(upper, count)
+                machine.sim.compactions)
             engine = getattr(machine, "sched_engine", None)
             if engine is not None:
                 # Per-thread (not per-CPU) latency attribution: how many
@@ -235,6 +225,5 @@ class MachineMetrics:
             payload["meta"] = {
                 "policy": machine.controllers[0].policy.name,
                 "scheme": machine.config.scheme.value,
-                "kernel_backend": machine.sim.backend,
             }
         return payload

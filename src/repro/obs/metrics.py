@@ -96,23 +96,6 @@ class Histogram:
         else:
             self.counts[index] += 1
 
-    def observe_many(self, value, count: int) -> None:
-        """Fold ``count`` identical observations in one call (imports
-        pre-aggregated tallies, e.g. the kernel's batch-size slots)."""
-        if count <= 0:
-            return
-        self.count += count
-        self.sum += value * count
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        index = bisect.bisect_left(self.buckets, value)
-        if index == len(self.buckets):
-            self.overflow += count
-        else:
-            self.counts[index] += count
-
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0

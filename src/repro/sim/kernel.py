@@ -33,40 +33,12 @@ cheap without changing any observable ordering:
 from __future__ import annotations
 
 import heapq
-import os
 import sys
 from typing import Any, Callable, Optional
 
 # Lazy-cancel compaction fires when at least this many dead events are
 # queued *and* they outnumber half the heap.
 COMPACT_DEAD_MIN = 64
-
-#: Selectable event-core backends (SystemConfig.KNOWN_BACKENDS mirrors
-#: this tuple; a unit test keeps the two in sync).
-KNOWN_BACKENDS = ("reference", "batched")
-
-#: Batch-size histogram granularity: index i counts drained cycle
-#: batches of size in [2**(i-1)+1 .. 2**i] (index 0 = empty batches,
-#: which only occur when every event in a bucket was cancelled).
-BATCH_HIST_SLOTS = 12
-
-
-def resolve_backend(configured: str = "reference") -> str:
-    """Resolve the effective kernel backend.
-
-    The ``REPRO_KERNEL_BACKEND`` environment variable wins over the
-    config field so a whole process tree (CI matrix leg, sweep workers)
-    can be flipped without touching serialized configs; both backends
-    are bit-identical, so the override can never change a result, only
-    its wall-clock.
-    """
-    env = os.environ.get("REPRO_KERNEL_BACKEND", "").strip()
-    if env:
-        if env not in KNOWN_BACKENDS:
-            raise ValueError(f"bad REPRO_KERNEL_BACKEND {env!r}; "
-                             f"known: {list(KNOWN_BACKENDS)}")
-        return env
-    return configured or "reference"
 
 
 class SimulationError(Exception):
@@ -168,9 +140,6 @@ class Simulator:
     the kernel's own test suite.
     """
 
-    #: Backend name (see :data:`KNOWN_BACKENDS`); subclasses override.
-    backend = "reference"
-
     def __init__(self, max_cycles: Optional[int] = None, *,
                  recycle_events: bool = True,
                  compact_dead_min: Optional[int] = COMPACT_DEAD_MIN,
@@ -205,8 +174,8 @@ class Simulator:
         #: When on, fired events are recycled *after* dispatch and their
         #: refcount is audited first -- slower, for tests only.
         self.debug_handles = debug_handles
-        #: Observational batching/compaction telemetry, published by
-        #: repro.obs as ``sim.kernel.*`` (never part of any fingerprint).
+        #: Observational compaction telemetry, published by repro.obs as
+        #: ``sim.kernel.compactions`` (never part of any fingerprint).
         self.compactions = 0
 
     # ------------------------------------------------------------------
@@ -420,433 +389,6 @@ class Simulator:
         """Number of live events still queued (cancelled ones excluded)."""
         return sum(1 for entry in self._queue if entry[3].alive)
 
-    def kernel_stats(self) -> dict:
-        """Observational batching/compaction telemetry (repro.obs feeds
-        this into the ``sim.kernel.*`` metric family).  The reference
-        backend dispatches one event at a time, so its batch-size
-        histogram is empty."""
-        return {"backend": self.backend,
-                "compactions": self.compactions,
-                "batch_sizes": {}}
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Simulator t={self.now} queued={len(self._queue)} "
-                f"fired={self._events_fired}>")
-
-
-class BatchedSimulator(Simulator):
-    """Cycle-batched calendar-queue event core.
-
-    Same contract as :class:`Simulator` -- same dispatch order, same
-    hook semantics, same errors -- with a different queue organisation:
-    events land in per-cycle *buckets* (a dict of lists keyed by time)
-    and the heap holds only the populated cycle times, so it is a sparse
-    index rather than the event store.  :meth:`run` drains one cycle's
-    whole batch in a single inner loop, which removes the per-event heap
-    sift, the ``(time, prio, seq, event)`` key-tuple allocation, and the
-    scheduler re-entry for same-cycle cascades (a bus grant fanning out
-    to N snoop handlers appends to the live batch instead of sifting
-    through the global heap).
-
-    Ordering contract (pinned by the cross-backend equivalence suite and
-    by the RPRL record log, which fingerprints the dispatch order):
-
-    * batches drain in ascending time order (the sparse heap);
-    * within a batch, events fire in ``(prio, seq)`` order.  With no
-      choice hook every prio is 0, so append order *is* seq order and
-      the batch needs no sorting at all; with a choice hook the batch is
-      kept as a ``(prio, seq, event)`` heap;
-    * an event scheduled for the *current* cycle during its drain joins
-      the live batch and fires after all earlier-seq same-cycle events
-      -- exactly where the reference heap would have popped it.
-
-    Lazy cancellation is accounted at bucket granularity: cancelled
-    events still in undrained buckets are dropped (and their handles'
-    storage recycled) when their bucket comes up, instead of surviving
-    to per-event dispatch checks; only a cancellation that lands *inside*
-    the currently draining batch is caught by the dispatch-time check.
-    """
-
-    backend = "batched"
-
-    def __init__(self, max_cycles: Optional[int] = None, *,
-                 recycle_events: bool = True,
-                 compact_dead_min: Optional[int] = COMPACT_DEAD_MIN,
-                 debug_handles: bool = False):
-        super().__init__(max_cycles, recycle_events=recycle_events,
-                         compact_dead_min=compact_dead_min,
-                         debug_handles=debug_handles)
-        #: time -> list of events scheduled for that cycle (undrained).
-        self._buckets: dict[int, list[Event]] = {}
-        #: Sparse index: heap of populated cycle times.  A time may
-        #: appear more than once after a compaction emptied its bucket
-        #: and a later schedule repopulated it; stale entries are
-        #: skipped at drain time.
-        self._times: list[int] = []
-        #: Total queued events (live + cancelled), mirroring what
-        #: ``len(_queue)`` is to the reference backend.
-        self._qsize = 0
-        # The batch currently draining: FIFO list (no choice hook) or a
-        # (prio, seq, event) heap; ``_active_time`` routes same-cycle
-        # schedules into it.
-        self._active_fifo: Optional[list[Event]] = None
-        self._active_heap: Optional[list] = None
-        self._active_time: Optional[int] = None
-        #: Batch-size histogram: slot i counts drained batches of
-        #: 2**(i-1)+1 .. 2**i events (slot 0: all-cancelled batches).
-        self._batch_hist = [0] * BATCH_HIST_SLOTS
-
-    # ------------------------------------------------------------------
-    # Scheduling
-    # ------------------------------------------------------------------
-    def schedule(self, delay: int, fn: Callable[..., None], *args: Any,
-                 label: str = "") -> Event:
-        """Same contract as :meth:`Simulator.schedule`; lands the event
-        in its cycle bucket (or the live batch for same-cycle
-        cascades)."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self._seq += 1
-        seq = self._seq
-        choice = self._choice
-        prio = choice(label) if choice is not None else 0
-        time = self.now + delay
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.prio = prio
-            event.seq = seq
-            event.fn = fn
-            event.args = args
-            event.alive = True
-            event.label = label
-        else:
-            event = Event(time, seq, fn, args, label, prio=prio)
-            event.sim = self
-        self._qsize += 1
-        # Branch order is by observed frequency: append to an existing
-        # bucket, then same-cycle cascade (its bucket was popped by the
-        # drain loop, so .get misses), then a brand-new bucket.
-        bucket = self._buckets.get(time)
-        if bucket is not None:
-            bucket.append(event)
-        elif time == self._active_time:
-            # Same-cycle cascade: join the batch being drained.
-            if self._active_heap is not None:
-                heapq.heappush(self._active_heap, (prio, seq, event))
-            else:
-                self._active_fifo.append(event)
-        else:
-            self._buckets[time] = [event]
-            heapq.heappush(self._times, time)
-        return event
-
-    # ------------------------------------------------------------------
-    # Lazy-cancel compaction (bucket-granular)
-    # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        self._dead += 1
-        threshold = self._compact_dead_min
-        if (threshold is not None and self._dead >= threshold
-                and 2 * self._dead >= self._qsize):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild undrained buckets without dead events.
-
-        Only whole buckets are filtered; a cancelled event inside the
-        currently draining batch stays where it is (the dispatch-time
-        alive check reaps it), so ``_dead`` keeps counting exactly those
-        stragglers.  Compacted-away events are *not* recycled: their
-        handles were cancelled externally and may still be held.
-        """
-        buckets = self._buckets
-        removed = 0
-        for time in list(buckets):
-            bucket = buckets[time]
-            live = [event for event in bucket if event.alive]
-            if len(live) != len(bucket):
-                removed += len(bucket) - len(live)
-                if live:
-                    buckets[time] = live
-                else:
-                    # The time stays in the sparse index; the drain loop
-                    # skips stale entries.
-                    del buckets[time]
-        self._dead -= removed
-        self._qsize -= removed
-        self.compactions += 1
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
-    def run(self, until: Optional[int] = None) -> int:
-        """Drain the calendar queue batch by batch.
-
-        Semantics are identical to :meth:`Simulator.run` (the docstring
-        there is the contract); every limit comparison happens at batch
-        granularity because all events of a batch share one timestamp.
-        """
-        limit = self.max_cycles
-        if until is not None:
-            limit = until if limit is None else min(limit, until)
-        # One float compare replaces the ``limit is not None and ...``
-        # pair on every batch; the raise path below re-reads ``limit``.
-        horizon = float("inf") if limit is None else limit
-        buckets = self._buckets
-        pop_bucket = buckets.pop
-        times = self._times
-        heappop = heapq.heappop
-        trace = self._trace
-        dispatch = self.on_dispatch
-        debug = self.debug_handles
-        getrefcount = sys.getrefcount
-        free = self._free if self._recycle else None
-        # With no hooks and recycling on (the perf configuration) the
-        # inner loop specialises away the per-event hook checks; the
-        # hook bindings are sampled at run() entry, exactly like the
-        # reference loop's local aliases.
-        plain = (trace is None and dispatch is None and not debug
-                 and free is not None)
-        hist = self._batch_hist
-        fired = 0
-        try:
-            while times:
-                time = times[0]
-                bucket = pop_bucket(time, None)
-                if bucket is None:
-                    # Stale index entry (bucket emptied by compaction).
-                    heappop(times)
-                    continue
-                if time > horizon:
-                    buckets[time] = bucket
-                    self.now = limit
-                    if until is not None and (self.max_cycles is None
-                                              or until <= self.max_cycles):
-                        return limit
-                    raise SimulationError(
-                        f"cycle budget exhausted at {limit} cycles with "
-                        f"{self._qsize - self._dead} pending events; "
-                        f"blocked actors: {self._incomplete_actors()!r}")
-                heappop(times)
-                self.now = time
-                if self._dead:
-                    # Bucket-drain cancellation reaping: drop events
-                    # cancelled while this bucket waited, recycling them
-                    # exactly as the reference pop loop would have.  The
-                    # allocation-free scan runs first -- pending dead
-                    # events usually live in *other* buckets.
-                    for event in bucket:
-                        if not event.alive:
-                            live = [e for e in bucket if e.alive]
-                            ndead = len(bucket) - len(live)
-                            self._dead -= ndead
-                            self._qsize -= ndead
-                            if free is not None:
-                                for e in bucket:
-                                    if not e.alive:
-                                        e.fn = e.args = None
-                                        free.append(e)
-                            bucket = live
-                            break
-                start = fired
-                if self._choice is None:
-                    # FIFO fast path: every prio is 0, so append order is
-                    # (prio, seq) order and same-cycle cascades extend
-                    # the live list in place (a list iterator picks up
-                    # appends made during iteration).  ``index`` counts
-                    # consumed events for queue-size accounting and for
-                    # the exception-path restore; the active-batch
-                    # markers stay set between buckets -- no callback
-                    # can run between drains to observe them.
-                    self._active_fifo = bucket
-                    self._active_time = time
-                    index = 0
-                    try:
-                        if plain:
-                            for event in bucket:
-                                index += 1
-                                if event.alive:
-                                    fired += 1
-                                    fn = event.fn
-                                    args = event.args
-                                    event.fn = event.args = None
-                                    free.append(event)
-                                    fn(*args)
-                                    if self._choice is not None:
-                                        # A callback installed a choice
-                                        # hook mid-batch: hand the
-                                        # remainder to the heap path so
-                                        # new prios order correctly.
-                                        self._active_fifo = None
-                                        rest = bucket[index:]
-                                        self._qsize -= index
-                                        index = 0
-                                        bucket = ()
-                                        fired += self._drain_prio(
-                                            rest, time, free)
-                                        break
-                                else:
-                                    self._dead -= 1
-                                    event.fn = event.args = None
-                                    free.append(event)
-                        else:
-                            for event in bucket:
-                                index += 1
-                                if not event.alive:
-                                    self._dead -= 1
-                                    if free is not None:
-                                        event.fn = event.args = None
-                                        free.append(event)
-                                    continue
-                                fired += 1
-                                fn = event.fn
-                                args = event.args
-                                if trace is not None:  # pragma: no cover
-                                    trace(time, event.label)
-                                if dispatch is not None:
-                                    dispatch(time, event.label)
-                                if free is not None and not debug:
-                                    event.fn = event.args = None
-                                    free.append(event)
-                                fn(*args)
-                                if debug:
-                                    # Same audit as the reference loop;
-                                    # the batch list still holds the
-                                    # event, standing in for the
-                                    # reference's popped entry tuple.
-                                    if getrefcount(event) > 3:
-                                        raise HandleLeakError(
-                                            f"event {event!r} still "
-                                            f"referenced after firing "
-                                            f"at t={time}; a hook or "
-                                            f"holder kept a recyclable "
-                                            f"handle")
-                                    if free is not None:
-                                        event.fn = event.args = None
-                                        free.append(event)
-                                if self._choice is not None:
-                                    self._active_fifo = None
-                                    rest = bucket[index:]
-                                    self._qsize -= index
-                                    index = 0
-                                    bucket = ()
-                                    fired += self._drain_prio(rest, time,
-                                                              free)
-                                    break
-                    except BaseException:
-                        # Keep the undispatched remainder resumable, as
-                        # the reference heap would (events handed to
-                        # _drain_prio restore themselves).
-                        rest = bucket[index:]
-                        if rest:
-                            buckets[time] = rest
-                            heapq.heappush(times, time)
-                        raise
-                    finally:
-                        self._qsize -= index
-                else:
-                    self._active_time = time
-                    fired += self._drain_prio(bucket, time, free)
-                batch_fired = fired - start
-                hist[batch_fired.bit_length()
-                     if batch_fired < 2048 else BATCH_HIST_SLOTS - 1] += 1
-        finally:
-            self._events_fired += fired
-            self._active_fifo = None
-            self._active_heap = None
-            self._active_time = None
-        stuck = self._incomplete_actors()
-        if stuck:
-            raise DeadlockError(
-                f"event queue drained at cycle {self.now} but "
-                f"{len(stuck)} actor(s) incomplete: "
-                + ", ".join(repr(a) for a in stuck))
-        return self.now
-
-    def _drain_prio(self, events: list[Event], time: int,
-                    free: Optional[list[Event]]) -> int:
-        """Drain one batch in (prio, seq) order via a per-batch heap
-        (the choice-hook path; with unique seqs this reproduces exactly
-        what the reference global heap would pop)."""
-        heap = [(event.prio, event.seq, event) for event in events]
-        heapq.heapify(heap)
-        self._active_heap = heap
-        heappop = heapq.heappop
-        trace = self._trace
-        dispatch = self.on_dispatch
-        debug = self.debug_handles
-        getrefcount = sys.getrefcount
-        batch_fired = 0
-        popped = 0
-        try:
-            while heap:
-                entry = heappop(heap)
-                popped += 1
-                event = entry[2]
-                if not event.alive:
-                    self._dead -= 1
-                    if free is not None:
-                        event.fn = event.args = None
-                        free.append(event)
-                    continue
-                batch_fired += 1
-                fn = event.fn
-                args = event.args
-                if trace is not None:  # pragma: no cover - debug hook
-                    trace(time, event.label)
-                if dispatch is not None:
-                    dispatch(time, event.label)
-                if free is not None and not debug:
-                    event.fn = event.args = None
-                    free.append(event)
-                fn(*args)
-                if debug:
-                    # ``entry`` keeps the tuple alive so the expected
-                    # refcount matches the reference loop's audit.
-                    if getrefcount(event) > 3:
-                        raise HandleLeakError(
-                            f"event {event!r} still referenced after "
-                            f"firing at t={time}; a hook or holder kept "
-                            f"a recyclable handle")
-                    if free is not None:
-                        event.fn = event.args = None
-                        free.append(event)
-        except BaseException:
-            # Count the partial batch (run()'s accounting never sees
-            # it) and keep the remainder resumable in stored
-            # (prio, seq) order, as the reference heap would.
-            self._events_fired += batch_fired
-            if heap:
-                rest = [entry[2] for entry in sorted(heap)]
-                self._buckets[time] = rest
-                heapq.heappush(self._times, time)
-            raise
-        finally:
-            self._active_heap = None
-            self._qsize -= popped
-        return batch_fired
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def pending(self) -> int:
-        """Number of live events still queued (cancelled ones excluded)."""
-        return self._qsize - self._dead
-
-    def kernel_stats(self) -> dict:
-        # Slot i of the histogram counts batches of 2**(i-1) .. 2**i - 1
-        # dispatched events; keys are the slot upper bounds.
-        sizes = {}
-        for slot, count in enumerate(self._batch_hist):
-            if count:
-                upper = 0 if slot == 0 else 2 ** slot - 1
-                sizes[upper] = count
-        return {"backend": self.backend,
-                "compactions": self.compactions,
-                "batch_sizes": sizes}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<BatchedSimulator t={self.now} queued={self._qsize} "
                 f"fired={self._events_fired}>")

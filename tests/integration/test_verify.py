@@ -30,11 +30,15 @@ def _spec(workload="single-counter", scheme=SyncScheme.TLR, num_cpus=4,
 
 
 class TestVerifyRun:
-    @pytest.mark.parametrize("workload", ["single-counter",
-                                          "multiple-counter",
-                                          "linked-list"])
-    def test_clean_tlr_run_passes(self, workload):
-        result, _ = verify_run(_spec(workload))
+    @pytest.mark.parametrize("workload, overrides", [
+        pytest.param("single-counter", {}, id="single-counter"),
+        pytest.param("multiple-counter", {}, id="multiple-counter"),
+        pytest.param("linked-list", {}, id="linked-list"),
+        pytest.param("linked-list", {"protocol": "directory", "seed": 1},
+                     id="linked-list-directory"),
+    ])
+    def test_clean_tlr_run_passes(self, workload, overrides):
+        result, _ = verify_run(_spec(workload, **overrides))
         assert result.ok, result.headline()
         assert result.num_txns > 0
 

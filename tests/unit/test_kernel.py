@@ -4,9 +4,7 @@ import random
 
 import pytest
 
-from repro.sim.kernel import (KNOWN_BACKENDS, BatchedSimulator,
-                              DeadlockError, Simulator, SimulationError,
-                              resolve_backend)
+from repro.sim.kernel import DeadlockError, Simulator, SimulationError
 
 
 def test_events_fire_in_time_order():
@@ -277,6 +275,29 @@ class TestCompaction:
             handle.cancel()
         assert len(sim._queue) == 4 and sim.pending() == 1
 
+    def test_pending_tracks_lazy_cancels(self):
+        sim = Simulator(compact_dead_min=None)
+        handles = [sim.schedule(t, lambda: None) for t in range(1, 6)]
+        assert sim.pending() == 5
+        for handle in handles[:3]:
+            handle.cancel()
+        assert sim.pending() == 2
+        handles[0].cancel()  # idempotent: must not double-count
+        assert sim.pending() == 2
+        sim.run()
+        assert sim.pending() == 0
+        assert sim.events_fired == 2
+
+    def test_compaction_counter_and_purge(self):
+        sim = Simulator(compact_dead_min=1)
+        handles = [sim.schedule(t, lambda: None) for t in range(1, 5)]
+        for handle in handles[:3]:
+            handle.cancel()
+        assert sim.compactions > 0
+        assert sim.pending() == 1
+        sim.run()
+        assert sim.events_fired == 1
+
     def test_compaction_preserves_time_prio_seq_order(self):
         def drive(sim):
             fired = []
@@ -329,10 +350,8 @@ class TestReplayPurity:
         sim.run()
         return trace
 
-    @pytest.mark.parametrize("sim_cls", [Simulator, BatchedSimulator])
     @pytest.mark.parametrize("seed", range(5))
-    def test_random_schedule_replays_identically_across_flags(
-            self, seed, sim_cls):
+    def test_random_schedule_replays_identically_across_flags(self, seed):
         configs = [
             dict(),                                      # defaults
             dict(recycle_events=False),
@@ -340,88 +359,8 @@ class TestReplayPurity:
             dict(compact_dead_min=None),
             dict(recycle_events=False, compact_dead_min=1),
         ]
-        traces = [self._drive(sim_cls(**kwargs), seed)
+        traces = [self._drive(Simulator(**kwargs), seed)
                   for kwargs in configs]
         assert traces[0]  # non-trivial scenario
         for trace in traces[1:]:
             assert trace == traces[0]
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_batched_trace_matches_reference(self, seed):
-        assert self._drive(BatchedSimulator(), seed) \
-            == self._drive(Simulator(), seed)
-
-
-# ----------------------------------------------------------------------
-# The batched calendar-queue backend
-# ----------------------------------------------------------------------
-class TestBatchedBackend:
-    def test_resolve_backend_prefers_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batched")
-        assert resolve_backend("reference") == "batched"
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", "bogus")
-        with pytest.raises(ValueError):
-            resolve_backend("reference")
-        monkeypatch.delenv("REPRO_KERNEL_BACKEND")
-        assert resolve_backend("batched") == "batched"
-        assert resolve_backend() == "reference"
-
-    def test_known_backends_match_config_mirror(self):
-        from repro.harness.config import SystemConfig
-        assert SystemConfig.KNOWN_BACKENDS == KNOWN_BACKENDS
-
-    def test_pending_tracks_lazy_cancels(self):
-        sim = BatchedSimulator(compact_dead_min=None)
-        handles = [sim.schedule(t, lambda: None) for t in range(1, 6)]
-        assert sim.pending() == 5
-        for handle in handles[:3]:
-            handle.cancel()
-        assert sim.pending() == 2
-        handles[0].cancel()  # idempotent: must not double-count
-        assert sim.pending() == 2
-        sim.run()
-        assert sim.pending() == 0
-        assert sim.events_fired == 2
-
-    def test_compaction_counter_and_purge(self):
-        sim = BatchedSimulator(compact_dead_min=1)
-        handles = [sim.schedule(t, lambda: None) for t in range(1, 5)]
-        for handle in handles[:3]:
-            handle.cancel()
-        assert sim.compactions > 0
-        assert sim.pending() == 1
-        sim.run()
-        assert sim.events_fired == 1
-
-    def test_kernel_stats_batch_histogram(self):
-        sim = BatchedSimulator()
-        for _ in range(5):           # one 5-wide batch at t=3
-            sim.schedule(3, lambda: None)
-        sim.schedule(9, lambda: None)  # one singleton batch
-        sim.run()
-        stats = sim.kernel_stats()
-        assert stats["backend"] == "batched"
-        # Slot upper bounds are 2**i - 1: the 5-batch lands in the
-        # 4..7 slot (key 7), the singleton in the 1 slot.
-        assert stats["batch_sizes"] == {1: 1, 7: 1}
-        assert sim.events_fired == 6
-
-    def test_reference_kernel_stats_shape(self):
-        sim = Simulator()
-        sim.schedule(1, lambda: None)
-        sim.run()
-        stats = sim.kernel_stats()
-        assert stats["backend"] == "reference"
-        assert stats["batch_sizes"] == {}
-
-    def test_run_until_boundary_matches_reference(self):
-        def drive(sim):
-            fired = []
-            for t in (2, 4, 4, 6):
-                sim.schedule(t, fired.append, t)
-            sim.run(until=4)
-            mid = (list(fired), sim.now)
-            sim.run()
-            return mid, fired, sim.now
-
-        assert drive(BatchedSimulator()) == drive(Simulator())

@@ -1,5 +1,6 @@
 """Tests for the simulator-throughput harness (``repro perf``)."""
 
+import copy
 import json
 
 import pytest
@@ -14,8 +15,7 @@ def quick_payload():
     simulation dominates the test's cost)."""
     baseline = {"results": {"fig09_single_counter":
                             {"events_per_sec": 1000, "wall_s": 1.0}}}
-    return perf.run_perf(quick=True, repeats=1, baseline=baseline,
-                         ab=True)
+    return perf.run_perf(quick=True, repeats=1, baseline=baseline)
 
 
 class TestSpecs:
@@ -31,12 +31,6 @@ class TestSpecs:
         spec = perf.perf_specs()["big_machine"]
         assert spec.config.num_cpus == 64
         assert spec.config.protocol == "directory"
-
-    def test_specs_are_backend_neutral(self):
-        # measure_spec applies the backend override; the specs stay on
-        # the default so one spec serves both sides of an A/B.
-        for spec in perf.perf_specs().values():
-            assert spec.config.kernel_backend == "reference"
 
     def test_quick_sizes_are_smaller(self):
         full = perf.perf_specs(quick=False)
@@ -141,50 +135,42 @@ class TestThroughputCheck:
                                      self._payload(100)) == []
 
 
-class TestBackendAB:
-    def test_results_hold_reference_rows(self, quick_payload):
-        # Trend compatibility: the top-level block is always the
-        # reference backend, A/B extras live under config.
-        assert quick_payload["config"]["backend"] == "ab"
-        assert set(quick_payload["config"]["backends"]) == {"batched"}
+class TestShapeCheck:
+    @pytest.fixture
+    def tampered(self, quick_payload):
+        reference = copy.deepcopy(quick_payload)
+        reference["results"]["big_machine"]["fingerprint"] = "deadbeef" * 8
+        return reference
 
-    def test_backends_are_bit_identical(self, quick_payload):
-        assert perf.check_backend_fingerprints(quick_payload) == []
-        batched = quick_payload["config"]["backends"]["batched"]
-        for name, row in quick_payload["results"].items():
-            assert batched[name]["fingerprint"] == row["fingerprint"]
-            assert batched[name]["events"] == row["events"]
+    def test_identical_shape_passes(self, quick_payload):
+        assert perf.check_shape(quick_payload,
+                                copy.deepcopy(quick_payload)) == []
 
-    def test_speedup_table_recorded(self, quick_payload):
-        speedups = quick_payload["config"]["speedup_batched_vs_reference"]
-        assert set(speedups) == set(quick_payload["results"])
-        for name, ratio in speedups.items():
-            batched = quick_payload["config"]["backends"]["batched"][name]
-            reference = quick_payload["results"][name]
-            assert ratio == pytest.approx(
-                batched["events_per_sec"] / reference["events_per_sec"],
-                abs=0.002)
-
-    def test_fingerprint_mismatch_is_reported(self, quick_payload):
-        import copy
-        broken = copy.deepcopy(quick_payload)
-        row = broken["config"]["backends"]["batched"]["big_machine"]
-        row["fingerprint"] = "deadbeef" * 8
-        row["events"] += 1
-        failures = perf.check_backend_fingerprints(broken)
-        assert len(failures) == 2  # fingerprint + run shape
+    def test_fingerprint_mismatch_is_reported(self, quick_payload,
+                                              tampered):
+        tampered["results"]["big_machine"]["events"] += 1
+        failures = perf.check_shape(quick_payload, tampered)
+        assert len(failures) == 2  # fingerprint + events
         assert all("big_machine" in failure for failure in failures)
 
-    def test_single_backend_payload_has_no_ab_block(self):
-        payload = {"results": {"w": {"fingerprint": "x"}}, "config": {}}
-        assert perf.check_backend_fingerprints(payload) == []
+    def test_other_workload_sizes_are_not_compared(self, quick_payload,
+                                                   tampered):
+        tampered["config"]["workload_sizes"]["big_machine"] += 1
+        assert perf.check_shape(quick_payload, tampered) == []
 
-    def test_measure_spec_backend_override(self):
-        spec = perf.perf_specs(quick=True)["policy_grid_cell"]
-        rows = {b: perf.measure_spec(spec, repeats=1, backend=b)
-                for b in ("reference", "batched")}
-        assert rows["reference"]["fingerprint"] \
-            == rows["batched"]["fingerprint"]
+    def test_cli_check_fails_on_tampered_fingerprint(
+            self, quick_payload, tampered, tmp_path, monkeypatch, capsys):
+        from repro.cli import main as cli_main
+        monkeypatch.setattr(perf, "run_perf",
+                            lambda **_: copy.deepcopy(quick_payload))
+        clean = tmp_path / "clean.json"
+        clean.write_text(json.dumps(quick_payload))
+        bad = tmp_path / "tampered.json"
+        bad.write_text(json.dumps(tampered))
+        argv = ["perf", "--quick", "--repeats", "1", "--check"]
+        assert cli_main(argv + [str(clean)]) == 0
+        assert cli_main(argv + [str(bad)]) == 1
+        assert "big_machine: fingerprint" in capsys.readouterr().err
 
 
 class TestReferenceLoading:
@@ -206,16 +192,3 @@ class TestRendering:
         for name in perf.perf_specs():
             assert name in text
         assert "speedup vs recorded baseline" in text
-
-    def test_table_shows_both_backend_blocks(self, quick_payload):
-        text = perf.render_table(quick_payload)
-        assert "backend: reference" in text
-        assert "backend: batched" in text
-        assert "batched vs reference (interleaved A/B)" in text
-
-    def test_single_backend_table_has_no_backend_headers(self):
-        payload = {"results": {"w": {
-            "events_per_sec": 10, "wall_s": 1.0, "events": 10,
-            "cycles": 5, "fingerprint": "ab" * 32}}, "config": {}}
-        text = perf.render_table(payload)
-        assert "backend:" not in text

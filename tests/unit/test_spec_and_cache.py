@@ -70,6 +70,16 @@ class TestSpecSerialization:
         assert again == cfg
         assert again.spec.single_block_relaxation is False
 
+    @pytest.mark.parametrize("backend", ["reference", "batched"])
+    def test_v8_config_image_with_backend_key_still_loads(self, backend):
+        # Clients written against v8 still post config images carrying
+        # the retired event-core backend field; both values ran the same
+        # simulation, so the key is ignored.
+        cfg = SystemConfig(num_cpus=4, seed=3)
+        image = config_to_dict(cfg)
+        assert config_from_dict({**image, "kernel_backend": backend}) \
+            == config_from_dict(image) == cfg
+
     def test_scheme_string_forms(self):
         for scheme in SyncScheme:
             assert scheme_from_str(scheme_to_str(scheme)) is scheme

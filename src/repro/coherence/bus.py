@@ -27,6 +27,7 @@ from repro.coherence.states import State
 from repro.harness.config import BusConfig
 from repro.sim.kernel import Simulator
 from repro.sim.stats import SimStats
+from repro.sim.taps import MachineTaps
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.coherence.controller import CacheController
@@ -70,10 +71,12 @@ class LineDirectory:
 class Bus:
     """The ordered broadcast address network."""
 
-    def __init__(self, sim: Simulator, config: BusConfig, stats: SimStats):
+    def __init__(self, sim: Simulator, config: BusConfig, stats: SimStats,
+                 taps: Optional[MachineTaps] = None):
         self.sim = sim
         self.config = config
         self.stats = stats
+        self.taps = taps if taps is not None else MachineTaps()
         self.directory = LineDirectory()
         self.controllers: dict[int, "CacheController"] = {}
         self.memory: Optional["MemoryController"] = None
@@ -110,7 +113,14 @@ class Bus:
     # Issue / cancel / complete
     # ------------------------------------------------------------------
     def issue(self, request: BusRequest) -> None:
-        """Queue a request for arbitration."""
+        """Queue a request for arbitration (the ``request`` tap fires on
+        the *requesting* CPU: the bus has none)."""
+        if self.taps.request:
+            self.taps.request.fire(self.sim.now, request.requester,
+                                   (request,), self)
+        self._enqueue(request)
+
+    def _enqueue(self, request: BusRequest) -> None:
         self._queue.append(request)
         self._pump()
 

@@ -49,6 +49,7 @@ from repro.tlr.deferral import ChainState, DeferredQueue
 from repro.harness.config import SystemConfig
 from repro.sim.kernel import Simulator
 from repro.sim.stats import CpuStats
+from repro.sim.taps import MachineTaps
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.coherence.bus import Bus
@@ -73,7 +74,7 @@ class CacheController:
 
     def __init__(self, cpu_id: int, sim: Simulator, bus: "Bus",
                  datanet: "DataNetwork", config: SystemConfig,
-                 stats: CpuStats):
+                 stats: CpuStats, taps: MachineTaps):
         self.cpu_id = cpu_id
         self.sim = sim
         self.bus = bus
@@ -110,12 +111,8 @@ class CacheController:
             lambda reason, line: None
         self.on_conflict_ts: Callable[[Optional[Timestamp]], None] = \
             lambda ts: None
-        # Optional invariant monitor (repro.verify.monitors); None in
-        # normal runs so the hot path pays only an attribute test.
-        self.monitor = None
-        # Optional metrics collector (repro.obs.MachineMetrics), gated
-        # the same way.
-        self.obs = None
+        # The machine's observation seam (repro.sim.taps).
+        self.taps = taps
         # LL/SC link register.
         self._link: Optional[int] = None
         bus.attach(self)
@@ -171,8 +168,8 @@ class CacheController:
         self.chains[line_addr] = ChainState()
         self.cache.pin(line_addr)
         self.bus.issue(request)
-        if self.obs is not None:
-            self.obs.on_request_issued(self, request)
+        if self.taps.issued:
+            self.taps.issued.emit(self, request)
         if self.tlr_enabled:
             # Watch every miss, not just transactional ones: a restarted
             # transaction may merge onto a request issued outside the
@@ -305,6 +302,8 @@ class CacheController:
     def enter_speculation(self, ts: Optional[Timestamp]) -> None:
         """``start_defer``: the processor enters lock-free transaction
         mode.  ``ts`` is the TLR timestamp, or None under plain SLE."""
+        if self.taps.txn_begin:
+            self.taps.txn_begin.emit(self, ts)
         self.speculating = True
         self.current_ts = ts
         self._spec_touched.clear()
@@ -316,14 +315,23 @@ class CacheController:
         store *before* calling this, so deferred requesters observe
         post-commit values.
         """
+        taps = self.taps
+        if taps.commit:
+            taps.commit.emit(self)
         self._exit_speculation()
+        if taps.commit_post:
+            taps.commit_post.emit(self)
 
     def abort_speculation(self) -> None:
         """Processor-initiated abort (resource fallback, deschedule):
         give up retained ownership, discard tracking state."""
-        if not self.speculating:
-            return
-        self._exit_speculation()
+        taps = self.taps
+        if taps.abort:
+            taps.abort.emit(self)
+        if self.speculating:
+            self._exit_speculation()
+        if taps.abort_post:
+            taps.abort_post.emit(self)
 
     def _exit_speculation(self) -> None:
         for line in self._speculative_lines():
@@ -474,12 +482,15 @@ class CacheController:
 
     def handle_nack(self, request: BusRequest) -> None:
         """Our request was refused: back off and re-arbitrate."""
+        taps = self.taps
+        if taps.nack:
+            taps.nack.emit(self, request)
         mshr = self.mshrs.get(request.line)
         if mshr is None or mshr.request.req_id != request.req_id:
             return
         self.stats.nacks_received += 1
-        if self.obs is not None:
-            self.obs.on_nack(self, request)
+        if taps.nacked:
+            taps.nacked.emit(self, request)
         self.policy.on_nacked(request)
         if request.abort_on_nack:
             flag = request.abort_on_nack
@@ -518,6 +529,9 @@ class CacheController:
         """The bus forwarded a request to us: we were the line's
         order-owner at the request's order point and must (eventually)
         supply data."""
+        taps = self.taps
+        if taps.forward:
+            taps.forward.emit(self, request)
         line_addr = request.line
         mshr = self.mshrs.get(line_addr)
         line = self.cache.lookup(line_addr)
@@ -529,6 +543,8 @@ class CacheController:
             # early from a leftover shared copy would reorder it ahead of
             # our exclusive request -- a lost update.
             self._chain_behind_miss(mshr, request)
+            if taps.forward_post:
+                taps.forward_post.emit(self, request)
             return
         # Remaining pending case: an *unordered* upgrade with valid data.
         # The incoming request was ordered first, so it must be served
@@ -544,6 +560,8 @@ class CacheController:
                 f"cpu{self.cpu_id}: forwarded {request!r} for a line we "
                 "neither hold nor await -- protocol invariant broken")
         self._resolve_obligation(request, line)
+        if taps.forward_post:
+            taps.forward_post.emit(self, request)
 
     def _resolve_obligation(self, request: BusRequest, line: Line) -> None:
         """Decide and act on an obligation we can satisfy with data."""
@@ -603,14 +621,17 @@ class CacheController:
                               request.ts, request.requester)
 
     def _defer(self, request: BusRequest) -> None:
+        taps = self.taps
+        if taps.defer:
+            taps.defer.emit(self, request)
         self.deferred.push(request, self.sim.now)
         self.cache.pin(request.line)
         self.stats.requests_deferred += 1
-        if self.monitor is not None:
-            self.monitor.on_defer(self, request)
-        if self.obs is not None:
-            self.obs.on_defer(self, request)
+        if taps.deferred:
+            taps.deferred.emit(self, request)
         self._send_marker(request)
+        if taps.defer_post:
+            taps.defer_post.emit(self, request)
 
     def _send_marker(self, request: BusRequest) -> None:
         marker = Marker(line=request.line, sender=self.cpu_id,
@@ -618,8 +639,8 @@ class CacheController:
         target = self.bus.controllers.get(request.requester)
         if target is not None:
             self.stats.markers_sent += 1
-            if self.obs is not None:
-                self.obs.on_marker_sent(self, marker)
+            if self.taps.marker_sent:
+                self.taps.marker_sent.emit(self, marker)
             label = (f"marker {request.line:#x}" if self.sim.verbose_labels
                      else "marker")
             self.datanet.send_control(target.handle_marker, marker,
@@ -657,15 +678,15 @@ class CacheController:
             return
         self.stats.probes_sent += 1
         probe = Probe(line=line_addr, ts=ts, origin=origin)
-        if self.obs is not None:
-            self.obs.on_probe_sent(self, probe)
+        if self.taps.probe_sent:
+            self.taps.probe_sent.emit(self, probe)
         label = (f"probe {line_addr:#x}" if self.sim.verbose_labels
                  else "probe")
         self.datanet.send_control(target.handle_probe, probe, label=label)
 
     def handle_marker(self, marker: Marker) -> None:
-        if self.obs is not None:
-            self.obs.on_marker(self, marker)
+        if self.taps.marker:
+            self.taps.marker.emit(self, marker)
         chain = self.chains.get(marker.line)
         if chain is None:
             return  # The miss already completed; the chain is gone.
@@ -673,8 +694,9 @@ class CacheController:
             self._send_probe(marker.sender, marker.line, ts, origin=-1)
 
     def handle_probe(self, probe: Probe) -> None:
-        if self.obs is not None:
-            self.obs.on_probe(self, probe)
+        taps = self.taps
+        if taps.probe:
+            taps.probe.emit(self, probe)
         mshr = self.mshrs.get(probe.line)
         if mshr is not None:
             # Mid-chain: forward the conflict upstream; if it also beats
@@ -685,11 +707,12 @@ class CacheController:
                 mshr.pass_through = True
                 self._handle_loss("probe-lost-pending", probe.line, probe.ts,
                                   probe.origin)
-            return
-        if self._conflicts_with_ts(probe.line, probe.ts):
+        elif self._conflicts_with_ts(probe.line, probe.ts):
             self.stats.probe_losses += 1
             self._handle_loss("probe-lost", probe.line, probe.ts,
                               probe.origin)
+        if taps.probe_post:
+            taps.probe_post.emit(self, probe)
 
     def _conflicts_with_ts(self, line_addr: int,
                            ts: Optional[Timestamp]) -> bool:
@@ -707,6 +730,9 @@ class CacheController:
     def handle_invalidation(self, request: BusRequest) -> None:
         """We hold a shared copy being invalidated.  Invalidations cannot
         be deferred (Section 3.1.2): speculating sharers misspeculate."""
+        taps = self.taps
+        if taps.invalidation:
+            taps.invalidation.emit(self, request)
         line = self.cache.lookup(request.line)
         self._clear_link(request.line)
         if line is not None and line.state.valid:
@@ -731,9 +757,11 @@ class CacheController:
                     self._handle_loss("invalidated-in-flight", request.line,
                                       request.ts,
                                       request.requester)
-        if self.monitor is not None:
-            self.monitor.on_line_state(self, request.line)
+        if taps.line_state:
+            taps.line_state.emit(self, request.line)
         self._wake_watchers(request.line)
+        if taps.invalidation_post:
+            taps.invalidation_post.emit(self, request)
 
     def upgrade_granted(self, request: BusRequest) -> None:
         """Our UPG completed at its order point (no data needed)."""
@@ -742,8 +770,8 @@ class CacheController:
         line = self.cache.lookup(request.line)
         if line is not None:
             line.state = State.MODIFIED
-        if self.monitor is not None:
-            self.monitor.on_line_state(self, request.line)
+        if self.taps.line_state:
+            self.taps.line_state.emit(self, request.line)
         self._finish_request(request, list(mshr.waiters),
                              list(mshr.successors),
                              pass_through=mshr.pass_through)
@@ -754,11 +782,17 @@ class CacheController:
 
     def handle_data(self, request: BusRequest) -> None:
         """The fill for our outstanding request arrived."""
+        taps = self.taps
+        if taps.data:
+            taps.data.emit(self, request)
         mshr = self.mshrs.get(request.line)
         if mshr is None or mshr.request.req_id != request.req_id:
-            return  # Stale delivery (request superseded); ignore.
-        if self.obs is not None:
-            self.obs.on_data(self, request)
+            # Stale delivery (request superseded); ignore.
+            if taps.data_post:
+                taps.data_post.emit(self, request)
+            return
+        if taps.filled:
+            taps.filled.emit(self, request)
         self.mshrs.release(request.line)
         self.chains.pop(request.line, None)
         grant = request.grant_state
@@ -783,12 +817,14 @@ class CacheController:
             if request.kind is ReqKind.GETX:
                 line.spec_written = True
             self._spec_touched[request.line] = line
-        if self.monitor is not None:
-            self.monitor.on_line_state(self, request.line)
+        if taps.line_state:
+            taps.line_state.emit(self, request.line)
         self._wake_watchers(request.line)
         self._finish_request(request, list(mshr.waiters),
                              list(mshr.successors),
                              pass_through=mshr.pass_through)
+        if taps.data_post:
+            taps.data_post.emit(self, request)
 
     def _finish_request(self, request: BusRequest,
                         waiters: list[Callable[[], None]],
@@ -824,8 +860,9 @@ class CacheController:
     # ------------------------------------------------------------------
     def _service_obligation(self, request: BusRequest) -> None:
         """Supply data for ``request`` and adjust our local state."""
-        if self.obs is not None:
-            self.obs.on_obligation_serviced(self, request)
+        taps = self.taps
+        if taps.service:
+            taps.service.emit(self, request)
         line = self.cache.lookup(request.line)
         # The serve decision may have been made an event earlier, before
         # a restarted transaction re-touched the line.  Losing a line the
@@ -848,39 +885,44 @@ class CacheController:
             # Keep the line pinned while further deferred entries for it
             # remain queued, so an eviction cannot race their service.
             self.cache.unpin(request.line)
-        if self.monitor is not None:
-            self.monitor.on_line_state(self, request.line)
+        if taps.line_state:
+            taps.line_state.emit(self, request.line)
         self.bus.deliver_data(request, self.cpu_id)
         if lose_after:
             self.on_conflict_ts(request.ts)
             self._handle_loss("conflict-at-service", request.line,
                               request.ts, request.requester)
+        if taps.service_post:
+            taps.service_post.emit(self, request)
 
     def _handle_loss(self, reason: str, line_addr: int,
                      incoming_ts: Optional[Timestamp],
-                     aborter: int = -1) -> None:
+                     aborter: Optional[int] = None) -> None:
         """We lost a conflict: give up retained ownership (service the
         deferred queue in order), clear speculative state, restart.
 
-        ``aborter`` is the cpu id whose request/probe caused the loss
-        (-1 when unattributable, e.g. relaxation revocation).  It is
-        consumed only by tap observers (the abort-attribution profiler)
-        via the ``loss`` tap arguments; nothing on the simulation path
-        reads it.  Call sites must pass it *positionally*: the tap shim
-        forwards only positional arguments to consumers.
+        ``aborter`` is the cpu id whose request/probe caused the loss.
+        It is consumed only by ``loss`` subscribers (the abort-
+        attribution profiler); nothing on the simulation path reads it.
+        An unattributable loss (relaxation revocation) omits it, and
+        its ``loss`` args are the first three only.
         """
-        if not self.speculating:
-            return
-        if self.monitor is not None:
-            self.monitor.on_loss(self, reason, line_addr, incoming_ts)
-        for spec_line in self._speculative_lines():
-            spec_line.clear_speculative()
-        self._spec_touched.clear()
-        self.speculating = False
-        self.current_ts = None
-        self._service_deferred()
-        self.stats.misspeculations += 1
-        self.on_misspeculation(reason, line_addr)
+        taps = self.taps
+        args = ((reason, line_addr, incoming_ts) if aborter is None
+                else (reason, line_addr, incoming_ts, aborter))
+        if taps.loss:
+            taps.loss.emit(self, *args)
+        if self.speculating:
+            for spec_line in self._speculative_lines():
+                spec_line.clear_speculative()
+            self._spec_touched.clear()
+            self.speculating = False
+            self.current_ts = None
+            self._service_deferred()
+            self.stats.misspeculations += 1
+            self.on_misspeculation(reason, line_addr)
+        if taps.loss_post:
+            taps.loss_post.emit(self, *args)
 
     def _resource_overflow(self, line_addr: int) -> None:
         """A fill found no victim: drop speculation (resource fallback)."""

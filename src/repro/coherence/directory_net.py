@@ -33,6 +33,7 @@ from repro.harness.config import DirectoryConfig
 from repro.sim.kernel import Simulator
 from repro.sim.rng import LatencyPerturber
 from repro.sim.stats import SimStats
+from repro.sim.taps import MachineTaps
 
 
 class DirectoryInterconnect(Bus):
@@ -40,11 +41,12 @@ class DirectoryInterconnect(Bus):
 
     def __init__(self, sim: Simulator, config: DirectoryConfig,
                  stats: SimStats,
-                 perturber: LatencyPerturber | None = None):
+                 perturber: LatencyPerturber | None = None,
+                 taps: MachineTaps | None = None):
         # The Bus constructor expects a BusConfig-shaped object; the
         # DirectoryConfig provides the attributes Bus actually touches
         # (snoop_latency is unused on this path).
-        super().__init__(sim, config, stats)
+        super().__init__(sim, config, stats, taps)
         self.dir_config = config
         self.perturber = perturber
         self._home_free = [0] * config.num_homes
@@ -52,7 +54,7 @@ class DirectoryInterconnect(Bus):
     # ------------------------------------------------------------------
     # Issue path: unordered network to the home, serialized there
     # ------------------------------------------------------------------
-    def issue(self, request: BusRequest) -> None:
+    def _enqueue(self, request: BusRequest) -> None:
         latency = self.dir_config.request_latency
         if self.perturber is not None:
             latency = self.perturber.perturb(latency)

@@ -44,6 +44,7 @@ from repro.cpu.writebuffer import WriteBuffer, WriteBufferOverflow
 from repro.harness.config import SystemConfig
 from repro.sim.kernel import Simulator
 from repro.sim.stats import CpuStats
+from repro.sim.taps import MachineTaps
 from repro.sle.elision import SpeculationManager
 
 _PENDING = object()
@@ -55,13 +56,15 @@ class Processor:
 
     def __init__(self, cpu_id: int, sim: Simulator,
                  controller: CacheController, store: ValueStore,
-                 config: SystemConfig, stats: CpuStats):
+                 config: SystemConfig, stats: CpuStats, taps: MachineTaps):
         self.cpu_id = cpu_id
         self.sim = sim
         self.controller = controller
         self.store = store
         self.config = config
         self.stats = stats
+        # The machine's observation seam (repro.sim.taps).
+        self.taps = taps
         self.write_buffer = WriteBuffer(config.spec.write_buffer_entries)
         self.rmw = RmwPredictor(entries=config.spec.rmw_predictor_entries,
                                 enabled=config.spec.rmw_predictor_enabled)
@@ -81,14 +84,6 @@ class Processor:
         self._pending_timer = None
         self.misspec_penalty = config.spec.misspec_penalty
         self._restart_streak = 0
-        # Observers called at each atomic commit with
-        # (cycle, cpu_id, {addr: value}) -- the committed write set.
-        # Used by linearizability checkers and analysis tools; empty in
-        # normal runs.
-        self.commit_listeners: list = []
-        # Optional metrics collector (repro.obs.MachineMetrics); None in
-        # normal runs so restarts pay only an attribute test.
-        self.obs = None
         # Optional completion callback (the repro.sched engine refills a
         # freed CPU slot immediately instead of waiting for its next
         # timer tick); None unless a scheduler is attached.
@@ -267,11 +262,21 @@ class Processor:
 
     # -- helpers --------------------------------------------------------
     def _arch_read(self, addr: int) -> int:
-        if self.spec.active:
-            buffered = self.write_buffer.read(addr)
-            if buffered is not None:
-                return buffered
-        return self.store.read(addr)
+        if not self.spec.active:
+            return self.store.read(addr)
+        buffered = self.write_buffer.read(addr)
+        if buffered is not None:
+            return buffered  # read-your-own-write: not an observation
+        value = self.store.read(addr)
+        if self.taps.arch_read:
+            self.taps.arch_read.emit(self, addr, value)
+        return value
+
+    def _arch_write(self, addr: int, value: int) -> None:
+        """A non-speculative store's architectural effect."""
+        self.store.write(addr, value)
+        if self.taps.plain_write:
+            self.taps.plain_write.emit(self, addr, value)
 
     def _charge_wait(self, issue_time: int, is_lock: bool) -> None:
         self.stats.charge_stall(self.sim.now - issue_time, is_lock)
@@ -412,7 +417,7 @@ class Processor:
                 return False
             self.controller.mark_accessed(line, written=True)
         else:
-            self.store.write(op.addr, op.value)
+            self._arch_write(op.addr, op.value)
         self._train_store(op.addr)
         return True
 
@@ -520,7 +525,7 @@ class Processor:
                 return False
             self.controller.mark_accessed(line, written=True)
         else:
-            self.store.write(op.addr, op.value)
+            self._arch_write(op.addr, op.value)
         return True
 
     # -- atomics ------------------------------------------------------
@@ -567,7 +572,7 @@ class Processor:
                 self.write_buffer.write(op.addr, new)
                 self.controller.mark_accessed(line, written=True)
             else:
-                self.store.write(op.addr, new)
+                self._arch_write(op.addr, new)
         elif self.spec.active:
             self.controller.mark_accessed(line, written=True)
         return old
@@ -614,10 +619,11 @@ class Processor:
     # ------------------------------------------------------------------
     def commit_transaction(self) -> None:
         """Atomic commit of the current lock-free transaction."""
-        if self.commit_listeners:
-            snapshot = self.write_buffer.snapshot()
-            for listener in self.commit_listeners:
-                listener(self.sim.now, self.cpu_id, snapshot)
+        taps = self.taps
+        if taps.txn_commit:
+            taps.txn_commit.emit(self)
+        if taps.write_set:
+            taps.write_set.emit(self, self.write_buffer.snapshot())
         self.write_buffer.drain(self.store)
         self.controller.commit_speculation()
         self.spec.on_commit()
@@ -635,6 +641,9 @@ class Processor:
 
     def _on_misspeculation(self, reason: str, line_addr: int) -> None:
         """Controller (or self) reports the speculation died."""
+        taps = self.taps
+        if taps.misspec:
+            taps.misspec.emit(self, reason, line_addr)
         if not self.spec.active:
             return
         self.epoch += 1
@@ -667,7 +676,7 @@ class Processor:
             step = self.config.spec.restart_backoff_step
             backoff = self.misspec_penalty + step * min(
                 self._restart_streak - 1, 15)
-        if self.obs is not None:
-            self.obs.on_restart(self, reason, backoff, self._restart_streak)
+        if taps.restart:
+            taps.restart.emit(self, reason, backoff, self._restart_streak)
         self.sim.schedule(backoff, self._advance, None, signal,
                           label=self._label_restart)

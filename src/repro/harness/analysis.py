@@ -63,9 +63,9 @@ class CommitLog:
     @classmethod
     def attach(cls, machine: "Machine") -> "CommitLog":
         log = cls()
-        for processor in machine.processors:
-            processor.commit_listeners.append(
-                lambda t, cpu, wb: log.entries.append((t, cpu, wb)))
+        machine.taps.subscribe(lambda time, cpu, kind, args, obj:
+                               log.entries.append((time, cpu, args[0])),
+                               "write-set")
         return log
 
     def footprint_histogram(self) -> Counter:

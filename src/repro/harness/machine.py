@@ -24,6 +24,7 @@ from repro.runtime.program import ValidationError, Workload
 from repro.sim.kernel import Simulator
 from repro.sim.rng import LatencyPerturber, RandomStreams
 from repro.sim.stats import SimStats
+from repro.sim.taps import MachineTaps
 from repro.sync.locks import TestAndTestAndSetLock
 from repro.sync.mcs import McsLock, QnodeAllocator
 from repro.workloads.common import AddressSpace
@@ -36,7 +37,9 @@ class Machine:
         self.config = config
         self.streams = RandomStreams(config.seed)
         self.stats = SimStats()
-        self.sim = Simulator(max_cycles=config.max_cycles)
+        # The one observation seam (repro.sim.taps), shared by everything.
+        self.taps = MachineTaps()
+        self.sim = Simulator(max_cycles=config.max_cycles, taps=self.taps)
         if config.schedule_chaos > 0:
             # Schedule-exploration mode: perturb same-cycle event order
             # with a seeded random priority (see Simulator.set_choice_hook).
@@ -48,9 +51,10 @@ class Machine:
                                      config.latency_jitter)
         if config.protocol == "directory":
             self.bus = DirectoryInterconnect(self.sim, config.directory,
-                                             self.stats, perturber)
+                                             self.stats, perturber,
+                                             self.taps)
         else:
-            self.bus = Bus(self.sim, config.bus, self.stats)
+            self.bus = Bus(self.sim, config.bus, self.stats, self.taps)
         self.datanet = DataNetwork(self.sim, config.memory, self.stats,
                                    perturber)
         self.memory = MemoryController(
@@ -64,18 +68,14 @@ class Machine:
         self.envs: list[ThreadEnv] = []
         # Preemptive-scheduler overlay (repro.sched): constructed inside
         # run_workload when config.sched is enabled, None otherwise.
-        # Observers (the flight recorder) append (time, kind, slot,
-        # thread) callbacks to sched_listeners at attach time; with the
-        # scheduler off nothing ever calls them.
         self.sched_engine = None
-        self.sched_listeners: list = []
         for cpu_id in range(config.num_cpus):
             controller = CacheController(cpu_id, self.sim, self.bus,
                                          self.datanet, config,
-                                         self.stats.cpu(cpu_id))
+                                         self.stats.cpu(cpu_id), self.taps)
             processor = Processor(cpu_id, self.sim, controller,
                                   self.store, config,
-                                  self.stats.cpu(cpu_id))
+                                  self.stats.cpu(cpu_id), self.taps)
             self.controllers.append(controller)
             self.processors.append(processor)
 

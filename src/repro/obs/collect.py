@@ -1,11 +1,8 @@
 """MachineMetrics: the collector the simulated machine publishes into.
 
-Attachment follows the verify layer's ``monitor`` pattern: every
-:class:`~repro.coherence.controller.CacheController` and
-:class:`~repro.cpu.processor.Processor` carries an ``obs`` attribute
-that is ``None`` in normal runs; :meth:`MachineMetrics.attach` points
-them all at one collector, and each hook site pays a single attribute
-test when collection is off.
+:meth:`MachineMetrics.attach` subscribes one handler per consumed kind
+on the machine's observation seam (:mod:`repro.sim.taps`); an emit
+point nobody subscribes to costs its component one truth test.
 
 Sampling is **event-driven**, never timer-driven: a periodic
 self-rescheduling sampler event would keep the kernel's queue non-empty
@@ -29,9 +26,6 @@ from repro.obs.metrics import (DEPTH_BUCKETS, LATENCY_BUCKETS, RETRY_BUCKETS,
                                MetricsRegistry)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.coherence.controller import CacheController
-    from repro.coherence.messages import BusRequest, Marker, Probe
-    from repro.cpu.processor import Processor
     from repro.harness.machine import Machine
 
 
@@ -74,111 +68,113 @@ class MachineMetrics:
         self._restart_streak = reg.histogram("restart.streak", RETRY_BUCKETS)
 
     def attach(self, machine: "Machine") -> "MachineMetrics":
-        """Point every controller and processor at this collector.
-        Call before ``run_workload``."""
+        """Subscribe to the machine's emit points (idempotent).  Call
+        before ``run_workload``."""
         self._machine = machine
-        for controller in machine.controllers:
-            controller.obs = self
-        for processor in machine.processors:
-            processor.obs = self
+        subscribe = machine.taps.subscribe
+        subscribe(self.on_request_issued, "issued")
+        subscribe(self.on_defer, "defer", post=True)
+        subscribe(self.on_obligation_serviced, "service")
+        subscribe(self.on_nack, "nacked")
+        subscribe(self.on_data, "filled")
+        subscribe(self.on_marker_sent, "marker-sent")
+        subscribe(self.on_marker, "marker")
+        subscribe(self.on_probe_sent, "probe-sent")
+        subscribe(self.on_probe, "probe")
+        subscribe(self.on_restart, "restart")
+        subscribe(self.on_sched_preempt, "preempt")
+        subscribe(self.on_sched_migrate, "migrate")
         return self
 
     # ------------------------------------------------------------------
-    # Controller hooks
+    # Controller points (``args[0]`` is the message, ``obj`` the
+    # controller)
     # ------------------------------------------------------------------
-    def on_request_issued(self, controller: "CacheController",
-                          request: "BusRequest") -> None:
+    def on_request_issued(self, time, cpu, kind, args, obj) -> None:
         """A miss left for the bus (first issue; NACK reissues keep the
         original start so miss.latency covers the whole retry loop)."""
         self._requests_issued.inc()
-        self._miss_open.setdefault(request.req_id, controller.sim.now)
+        self._miss_open.setdefault(args[0].req_id, time)
 
-    def on_defer(self, controller: "CacheController",
-                 request: "BusRequest") -> None:
-        depth = len(controller.deferred)
+    def on_defer(self, time, cpu, kind, args, obj) -> None:
+        """After a deferral (the request is in the holder's queue)."""
+        depth = len(obj.deferred)
         self._defer_count.inc()
         self._defer_depth_hist.observe(depth)
         self._defer_depth_gauge.set(depth)
-        self._defer_open.setdefault(request.req_id, controller.sim.now)
+        self._defer_open.setdefault(args[0].req_id, time)
 
-    def on_obligation_serviced(self, controller: "CacheController",
-                               request: "BusRequest") -> None:
-        started = self._defer_open.pop(request.req_id, None)
+    def on_obligation_serviced(self, time, cpu, kind, args, obj) -> None:
+        started = self._defer_open.pop(args[0].req_id, None)
         if started is not None:
             self._defer_serviced.inc()
-            self._defer_latency.observe(controller.sim.now - started)
+            self._defer_latency.observe(time - started)
 
-    def on_nack(self, controller: "CacheController",
-                request: "BusRequest") -> None:
+    def on_nack(self, time, cpu, kind, args, obj) -> None:
         """Our own request came back refused (requester side)."""
         self._nack_received.inc()
-        self._nack_retries[request.req_id] += 1
+        self._nack_retries[args[0].req_id] += 1
 
-    def on_data(self, controller: "CacheController",
-                request: "BusRequest") -> None:
+    def on_data(self, time, cpu, kind, args, obj) -> None:
         """The fill arrived: close the miss and its retry tally."""
-        issued = self._miss_open.pop(request.req_id, None)
+        req_id = args[0].req_id
+        issued = self._miss_open.pop(req_id, None)
         if issued is not None:
-            self._miss_latency.observe(controller.sim.now - issued)
-        self._nack_retries_hist.observe(
-            self._nack_retries.pop(request.req_id, 0))
+            self._miss_latency.observe(time - issued)
+        self._nack_retries_hist.observe(self._nack_retries.pop(req_id, 0))
 
-    def on_marker_sent(self, controller: "CacheController",
-                       marker: "Marker") -> None:
+    def on_marker_sent(self, time, cpu, kind, args, obj) -> None:
         self._marker_sent.inc()
-        self._marker_open.setdefault(marker.req_id, []) \
-            .append(controller.sim.now)
+        self._marker_open.setdefault(args[0].req_id, []).append(time)
 
-    def on_marker(self, controller: "CacheController",
-                  marker: "Marker") -> None:
-        sends = self._marker_open.get(marker.req_id)
+    def on_marker(self, time, cpu, kind, args, obj) -> None:
+        sends = self._marker_open.get(args[0].req_id)
         if sends:
             self._marker_received.inc()
-            self._marker_latency.observe(controller.sim.now - sends.pop(0))
+            self._marker_latency.observe(time - sends.pop(0))
 
-    def on_probe_sent(self, controller: "CacheController",
-                      probe: "Probe") -> None:
+    def on_probe_sent(self, time, cpu, kind, args, obj) -> None:
+        probe = args[0]
         self._probe_sent.inc()
         self._probe_open.setdefault((probe.line, probe.ts, probe.origin),
-                                    []).append(controller.sim.now)
+                                    []).append(time)
 
-    def on_probe(self, controller: "CacheController",
-                 probe: "Probe") -> None:
+    def on_probe(self, time, cpu, kind, args, obj) -> None:
+        probe = args[0]
         sends = self._probe_open.get((probe.line, probe.ts, probe.origin))
         if sends:
             self._probe_received.inc()
-            self._probe_latency.observe(controller.sim.now - sends.pop(0))
+            self._probe_latency.observe(time - sends.pop(0))
 
     # ------------------------------------------------------------------
-    # Processor hook
+    # Processor point
     # ------------------------------------------------------------------
-    def on_restart(self, processor: "Processor", reason: str,
-                   backoff: int, streak: int) -> None:
+    def on_restart(self, time, cpu, kind, args, obj) -> None:
         """A speculation died and its restart was paced ``backoff``
         cycles out after ``streak`` consecutive losses."""
+        _reason, backoff, streak = args
         self._restart_count.inc()
         self._restart_backoff.observe(backoff)
         self._restart_streak.observe(streak)
 
     # ------------------------------------------------------------------
-    # Scheduler hooks (repro.sched)
+    # Scheduler points (repro.sched)
     # ------------------------------------------------------------------
     # Resolved lazily (get-or-create at event time) rather than in
     # __init__: with the scheduler off nothing fires, so scheduler-off
     # metrics payloads carry no sched.* instruments at all.
-    def on_sched_preempt(self, slot: int, thread: int, ran: int,
-                         aborted: bool) -> None:
-        """A timer interrupt preempted ``thread`` after ``ran`` on-CPU
+    def on_sched_preempt(self, time, slot, kind, args, obj) -> None:
+        """A timer interrupt preempted a thread after ``ran`` on-CPU
         cycles; ``aborted`` when it was speculating (context-switch
         abort, the paper's stress mode)."""
+        _thread, ran, aborted = args
         self.registry.counter("sched.preemptions").inc()
         self.registry.histogram("sched.timeslice",
                                 LATENCY_BUCKETS).observe(ran)
         if aborted:
             self.registry.counter("sched.context_switch_aborts").inc()
 
-    def on_sched_migrate(self, thread: int, from_slot: int,
-                         to_slot: int) -> None:
+    def on_sched_migrate(self, time, slot, kind, args, obj) -> None:
         self.registry.counter("sched.migrations").inc()
 
     # ------------------------------------------------------------------

@@ -293,7 +293,7 @@ class TxnTapFolder:
       fires ``misspec`` and stays open -- identical live and post-hoc.
     """
 
-    #: Tap kinds the folder consumes; everything else is ignored.
+    #: Tap kinds the folder subscribes to.
     KINDS = frozenset({"txn-begin", "txn-commit", "misspec", "loss",
                        "defer", "service"})
 
@@ -372,9 +372,8 @@ class LockProfiler:
         self._folder = TxnTapFolder(self.builder)
 
     def attach(self, machine: "Machine") -> "LockProfiler":
-        from repro.sim.taps import MachineTaps
         self._folder.attach_machine(machine)
-        MachineTaps.ensure(machine).add_consumer(self._folder)
+        machine.taps.subscribe(self._folder.on_tap, *TxnTapFolder.KINDS)
         return self
 
     def snapshot(self) -> dict:

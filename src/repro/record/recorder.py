@@ -1,16 +1,17 @@
 """The flight recorder: capture one run as a binary record log.
 
-:class:`FlightRecorder` is a pure observer assembled from two existing
-zero-cost instrumentation surfaces:
+:class:`FlightRecorder` is a pure observer subscribed to the machine's
+observation seam (:mod:`repro.sim.taps`):
 
-* the kernel's ``on_dispatch`` hook (every fired event, with its cheap
-  low-cardinality label -- installing it does *not* flip
+* the kernel's ``dispatch`` point (every fired event, with its cheap
+  low-cardinality label -- subscribing does *not* flip
   ``verbose_labels``, so call sites compute exactly what they compute
   in an unrecorded run and the schedule is pinned bit-identical);
-* the shared machine tap layer (:class:`repro.sim.taps.MachineTaps`)
-  for bus transactions, coherence handlers, deferral edits and
-  transaction begin/commit/abort/restart, including post-call state
-  reads through the side-effect-free ``cache.peek``.
+* the tap vocabulary for bus transactions, coherence handlers, deferral
+  edits and transaction begin/commit/abort/restart, plus the post-call
+  points, where it reads coherence state through the side-effect-free
+  ``cache.peek``;
+* the scheduler's ``sched`` point (switch-in/out/migration).
 
 Two normalizations keep logs byte-reproducible across processes:
 request ids come from a process-global counter, so the recorder maps
@@ -31,19 +32,20 @@ from repro.harness.runner import RunResult, result_fingerprint
 from repro.harness.spec import FINGERPRINT_VERSION, RunSpec
 from repro.record.format import (DEFER_DRAIN, DEFER_PUSH, LOG_SCHEMA,
                                  STATE_ABSENT, STATE_NAMES, LogWriter)
-from repro.sim.taps import MachineTaps
-from repro.sim.trace import _line_of_args
+from repro.sim.taps import TAP_KINDS
+from repro.sim.trace import _line_of_args, _ref_of_args
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.machine import Machine
 
-#: Tap kinds after which a cache line's coherence state may have
-#: changed; the recorder re-reads the touched line post-call and logs a
-#: state record when it moved.
+#: Post-call kinds after which a cache line's coherence state may have
+#: changed; the recorder re-reads the touched line and logs a state
+#: record when it moved.
 _STATE_KINDS = frozenset({"data", "invalidation", "forward", "probe",
                           "service", "loss"})
 
-#: Tap kinds after which the deferral queue's depth may have changed.
+#: Post-call kinds after which the deferral queue's depth may have
+#: changed.
 _DEFER_KINDS = frozenset({"defer", "service", "commit", "abort", "loss"})
 
 _STATE_INDEX = {name: index for index, name in enumerate(STATE_NAMES)}
@@ -143,30 +145,36 @@ class FlightRecorder:
     # Attachment
     # ------------------------------------------------------------------
     def attach(self, machine: "Machine") -> "FlightRecorder":
-        """Install the kernel dispatch hook and register on the shared
-        tap layer.  Call before ``run_workload``."""
+        """Subscribe to the machine's observation seam.  Call before
+        ``run_workload``."""
         from repro.obs.profile import TxnTapFolder
 
         self._machine = machine
-        machine.sim.on_dispatch = self._on_dispatch
-        taps = MachineTaps.ensure(machine).add_consumer(self)
-        # The txn folder runs *after* the raw-tap consumer above, so
-        # each OP_TXN record lands right behind the OP_TAP record of
+        taps = machine.taps
+        taps.subscribe(self._on_dispatch, "dispatch")
+        taps.subscribe(self.on_tap, *TAP_KINDS)
+        taps.subscribe(self.on_tap_post, *(_STATE_KINDS | _DEFER_KINDS),
+                       post=True)
+        # The txn folder subscribes *after* the raw-tap writer above,
+        # so each OP_TXN record lands right behind the OP_TAP record of
         # the event it folds -- a deterministic interleaving the
         # post-hoc profiler relies on.
-        taps.add_consumer(
-            TxnTapFolder(_TxnWriterSink(self)).attach_machine(machine))
+        self._folder = TxnTapFolder(_TxnWriterSink(self))
+        taps.subscribe(self._folder.attach_machine(machine).on_tap,
+                       *TxnTapFolder.KINDS)
         # Scheduler switch-in/out/migration events (repro.sched) become
         # OP_SCHED records.  With the scheduler off (the default) the
-        # engine is never constructed, nothing ever calls the listener,
-        # and the record stream is byte-identical to a pre-sched log.
-        machine.sched_listeners.append(self._on_sched)
+        # engine is never constructed, the point never fires, and the
+        # record stream is byte-identical to a pre-sched log.
+        taps.subscribe(self._on_sched, "sched")
         return self
 
     # ------------------------------------------------------------------
-    # Kernel dispatch hook
+    # Kernel dispatch point
     # ------------------------------------------------------------------
-    def _on_dispatch(self, time: int, label: str) -> None:
+    def _on_dispatch(self, time: int, cpu: int, kind: str, args: tuple,
+                     obj: object) -> None:
+        label = args[0]
         label_id = self._label_ids.get(label)
         if label_id is None:
             # First token only: drops per-request reprs (verbose runs)
@@ -176,7 +184,7 @@ class FlightRecorder:
         self._writer.dispatch(time, label_id)
 
     # ------------------------------------------------------------------
-    # Machine taps
+    # Machine points
     # ------------------------------------------------------------------
     def _drop(self, kind: str) -> bool:
         if self.capacity is not None and self._writer.records >= self.capacity:
@@ -205,25 +213,15 @@ class FlightRecorder:
         if kind_id is None:
             kind_id = self._writer.intern(kind)
             self._kind_ids[kind] = kind_id
-        if kind == "request":
-            request = args[0]
-            line: Optional[int] = request.line
-            ref = self._ref_id(request.req_id)
-        else:
-            line = _line_of_args(args, kind)
-            ref = None
-            for arg in args:
-                req_id = getattr(arg, "req_id", None)
-                if isinstance(req_id, int):
-                    ref = self._ref_id(req_id)
-                    break
-        self._writer.tap(time, cpu, kind_id, line, ref)
+        self._writer.tap(time, cpu, kind_id, _line_of_args(args, kind),
+                         self._ref_id(_ref_of_args(args)))
 
-    def _on_sched(self, time: int, kind: int, slot: int,
-                  thread: int) -> None:
+    def _on_sched(self, time: int, slot: int, kind: str, args: tuple,
+                  obj: object) -> None:
         if self._drop("sched"):
             return
-        self._writer.sched(time, kind, slot, thread)
+        sched_kind, thread = args
+        self._writer.sched(time, sched_kind, slot, thread)
 
     def on_tap_post(self, time: int, cpu: int, kind: str, args: tuple,
                     obj: object) -> None:
@@ -268,8 +266,11 @@ class FlightRecorder:
         self._writer.end(sim.now if sim is not None else 0,
                          sim.events_fired if sim is not None else 0,
                          fingerprint)
-        if sim is not None and sim.on_dispatch == self._on_dispatch:
-            sim.on_dispatch = None
+        if sim is not None:
+            # Nothing may follow END: a finished recorder observes no more.
+            sim.taps.unsubscribe(self._on_dispatch, self.on_tap,
+                                 self.on_tap_post, self._folder.on_tap,
+                                 self._on_sched)
         if isinstance(self._buffer, io.BytesIO):
             return self._buffer.getvalue()
         return b""

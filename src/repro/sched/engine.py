@@ -35,13 +35,14 @@ Mechanism notes (the invariants tests rely on):
   the trade-off.
 * **Accounting.**  Preemption/migration/context-switch-abort totals go
   to ``stats.extra`` (only ever written when an event actually
-  happens) and to the obs registry via the attached
-  ``MachineMetrics``; per-thread on-CPU cycles accumulate in
-  :attr:`oncpu` for per-thread latency attribution at finalize.
-* **Record.**  Listeners (``machine.sched_listeners``) receive
-  ``(time, kind, slot, thread)`` for every switch-in/out/migration;
-  the flight recorder turns them into ``OP_SCHED`` records so replay
-  can answer "who was on CPU at cycle T".
+  happens) and to the machine's ``preempt``/``migrate`` emit points
+  (the metrics collector's ``sched.*`` families); per-thread on-CPU
+  cycles accumulate in :attr:`oncpu` for per-thread latency
+  attribution at finalize.
+* **Record.**  The ``sched`` emit point carries ``(kind, thread)`` on
+  the slot for every switch-in/out/migration; the flight recorder
+  turns them into ``OP_SCHED`` records so replay can answer "who was
+  on CPU at cycle T".
 """
 
 from __future__ import annotations
@@ -72,8 +73,7 @@ class SchedEngine:
                                    cfg.quantum)
         self.migrate = cfg.migrate
         self.stats = machine.stats
-        self.listeners = machine.sched_listeners
-        self.obs = None                     # MachineMetrics, if attached
+        self.taps = machine.taps
 
         self.running: list[Optional[int]] = [None] * self.slots
         self.ran_since: list[int] = [0] * self.slots
@@ -101,7 +101,6 @@ class SchedEngine:
         """Park every thread, fill the slots, arm the timers.  Called
         by ``Machine.run_workload`` after programs are attached and
         before the simulation runs."""
-        self.obs = getattr(self.machine.processors[0], "obs", None)
         for thread in range(self.num_threads):
             proc = self.machine.processors[thread]
             proc.on_finish = self._on_thread_finish
@@ -164,8 +163,9 @@ class SchedEngine:
             self.context_switch_aborts += 1
             self.stats.extra["sched.context_switch_aborts"] += 1
         self._emit(SCHED_OUT, slot, thread)
-        if self.obs is not None:
-            self.obs.on_sched_preempt(slot, thread, ran, was_speculating)
+        if self.taps.preempt:
+            self.taps.preempt.fire(self.sim.now, slot,
+                                   (thread, ran, was_speculating), self)
 
     def _dispatch(self, slot: int, initial: bool = False) -> None:
         thread = self.core.pick(slot, self._eligible[slot])
@@ -178,8 +178,9 @@ class SchedEngine:
             self.migrations += 1
             self.stats.extra["sched.migrations"] += 1
             self._emit(SCHED_MIGRATE, slot, thread)
-            if self.obs is not None:
-                self.obs.on_sched_migrate(thread, prev, slot)
+            if self.taps.migrate:
+                self.taps.migrate.fire(self.sim.now, slot, (thread, prev),
+                                       self)
         self.last_slot[thread] = slot
         self.running[slot] = thread
         self.thread_slot[thread] = slot
@@ -216,8 +217,8 @@ class SchedEngine:
     # ------------------------------------------------------------------
 
     def _emit(self, kind: int, slot: int, thread: int) -> None:
-        for listener in self.listeners:
-            listener(self.sim.now, kind, slot, thread)
+        if self.taps.sched:
+            self.taps.sched.fire(self.sim.now, slot, (kind, thread), self)
 
     def snapshot(self) -> dict:
         """Accounting summary for obs finalize and tests."""

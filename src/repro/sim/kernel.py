@@ -24,10 +24,10 @@ cheap without changing any observable ordering:
   dead; when dead events exceed both an absolute floor and half the heap,
   the queue is rebuilt without them.  (time, prio, seq) keys are unique,
   so re-heapifying cannot change pop order.
-* **Hoisted hooks.**  The per-event trace check and heap accessors are
-  bound once per :meth:`Simulator.run` call, and ``verbose_labels`` tells
-  callers whether anyone (tracer or choice hook) will ever look at an
-  event label, letting hot call sites skip f-string construction.
+* **Hoisted hooks.**  The ``dispatch`` emit point and heap accessors
+  are bound once per :meth:`Simulator.run` call, and ``verbose_labels``
+  tells callers whether a choice hook will ever look at an event label,
+  letting hot call sites skip f-string construction.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from __future__ import annotations
 import heapq
 import sys
 from typing import Any, Callable, Optional
+
+from repro.sim.taps import MachineTaps
 
 # Lazy-cancel compaction fires when at least this many dead events are
 # queued *and* they outnumber half the heap.
@@ -138,9 +140,13 @@ class Simulator:
     optimizations for testing; both defaults are observationally pure
     (identical event order) and there is no reason to change them outside
     the kernel's own test suite.
+
+    ``taps`` is the machine's observation seam, whose ``dispatch``
+    point fires per event (a standalone kernel gets a private one).
     """
 
     def __init__(self, max_cycles: Optional[int] = None, *,
+                 taps: Optional[MachineTaps] = None,
                  recycle_events: bool = True,
                  compact_dead_min: Optional[int] = COMPACT_DEAD_MIN,
                  debug_handles: bool = False):
@@ -155,21 +161,17 @@ class Simulator:
         self.max_cycles = max_cycles
         self._actors: list[Any] = []
         self._choice: Optional[Callable[[str], int]] = None
-        self._trace: Optional[Callable[[int, str], None]] = None
-        #: True when a tracer or choice hook may read event labels; hot
-        #: call sites consult this to skip building descriptive labels.
+        #: True when a choice hook may read event labels; hot call sites
+        #: consult this to skip building descriptive labels.
         self.verbose_labels = False
         self._free: list[Event] = []
         self._recycle = recycle_events
         self._compact_dead_min = compact_dead_min
         self._dead = 0
-        #: Pure observation hook ``fn(cycle, label)`` fired for every
-        #: dispatched event.  Unlike :attr:`trace` it does NOT flip
-        #: :attr:`verbose_labels`: consumers (the flight recorder) see
-        #: the cheap low-cardinality labels, and attaching one cannot
-        #: change what any call site computes -- the schedule with the
-        #: hook on is bit-identical to the schedule with it off.
-        self.on_dispatch: Optional[Callable[[int, str], None]] = None
+        #: ``taps.dispatch`` subscribers (the flight recorder) see the
+        #: cheap labels: subscribing leaves :attr:`verbose_labels` alone,
+        #: so the observed schedule is bit-identical to the bare one.
+        self.taps = taps if taps is not None else MachineTaps()
         #: Handle-lifetime checking (see :class:`HandleLeakError`).
         #: When on, fired events are recycled *after* dispatch and their
         #: refcount is audited first -- slower, for tests only.
@@ -191,22 +193,6 @@ class Simulator:
     def events_fired(self) -> int:
         """Total number of events executed so far (for reporting)."""
         return self._events_fired
-
-    @property
-    def trace(self) -> Optional[Callable[[int, str], None]]:
-        """Raw per-event debug hook ``fn(cycle, label)``.
-
-        Installing it (or a choice hook) flips :attr:`verbose_labels` so
-        call sites start producing descriptive labels.  The hook binding
-        is sampled at each :meth:`run` call, not per event.
-        """
-        return self._trace
-
-    @trace.setter
-    def trace(self, fn: Optional[Callable[[int, str], None]]) -> None:
-        self._trace = fn
-        self.verbose_labels = (self._trace is not None
-                               or self._choice is not None)
 
     def schedule(self, delay: int, fn: Callable[..., None], *args: Any,
                  label: str = "") -> Event:
@@ -252,8 +238,7 @@ class Simulator:
         different but fully reproducible legal ordering.
         """
         self._choice = fn
-        self.verbose_labels = (self._trace is not None
-                               or self._choice is not None)
+        self.verbose_labels = fn is not None
 
     # ------------------------------------------------------------------
     # Lazy-cancel compaction
@@ -314,8 +299,7 @@ class Simulator:
             limit = until if limit is None else min(limit, until)
         queue = self._queue
         pop = heapq.heappop
-        trace = self._trace
-        dispatch = self.on_dispatch
+        dispatch = self.taps.dispatch
         debug = self.debug_handles
         getrefcount = sys.getrefcount
         free = self._free if self._recycle else None
@@ -346,10 +330,8 @@ class Simulator:
                 fired += 1
                 fn = event.fn
                 args = event.args
-                if trace is not None:  # pragma: no cover - debug hook
-                    trace(time, event.label)
-                if dispatch is not None:
-                    dispatch(time, event.label)
+                if dispatch:
+                    dispatch.fire(time, -1, (event.label,), self)
                 if free is not None and not debug:
                     # Recycle *before* dispatch so callbacks that schedule
                     # reuse this very object; the handle contract (valid

@@ -1,161 +1,153 @@
-"""Shared machine event taps: one set of wrappers, many consumers.
+"""The machine's observation seam: declared emit points, per-kind subscribers.
 
-The span tracer (:mod:`repro.sim.trace`) and the flight recorder
-(:mod:`repro.record`) both need to observe the same controller,
-processor and bus entry points.  Before this module each observer
-wrapped the methods itself, so attaching two observers stacked two
-layers of shims in attachment order -- workable but wasteful, and it
-made post-call observation (reading a line's coherence state *after*
-the handler mutated it) impossible to share.
+Every observer -- metrics collector, lock profiler, tracer, flight
+recorder, footprint recorder, invariant monitors, commit log -- sees the
+machine through one :class:`MachineTaps`, which ``Machine.__init__``
+hands to the kernel, the interconnect, every cache controller and
+processor, and the scheduler engine.  Each component fires its declared
+points by name at the moment the event happens::
 
-:class:`MachineTaps` installs **one** wrapper per hooked method and fans
-each call out to every registered consumer:
+    if taps.defer:
+        taps.defer.emit(self, request)
 
-* ``on_tap(time, cpu, kind, args, obj)`` fires before the original
-  method runs (the classic tracer instant);
-* ``on_tap_post(time, cpu, kind, args, obj)`` (optional) fires after it
-  returns, with ``obj`` the hooked component -- this is where the
-  recorder reads post-mutation coherence state via the side-effect-free
-  ``cache.peek``.
+A :class:`Point` is the list of one kind's subscribers, falsy while
+empty, so an unobserved point costs one truth test.  Observers never
+replace component attributes, so a handle a component bound at
+construction (a cached ``store.write``, the controller's
+``on_misspeculation``) cannot route around them.
 
-Consumers are pure observers: they must not schedule events, draw
-random numbers or mutate machine state, which is what keeps
-taps-attached runs bit-identical to bare runs (the golden-fingerprint
-tests pin this).  The tap layer itself follows the same zero-cost
-discipline as ``repro.obs``: nothing is wrapped until the first
-consumer attaches.
+Subscribers are called ``fn(time, cpu, kind, args, obj)``: ``cpu`` is
+the acting CPU (the requester for ``request``, the slot for scheduler
+points, -1 for ``dispatch``), ``args`` the payload tuple and ``obj`` the
+firing component.  Subscribers of one point run in subscription order
+and must be pure observers -- no scheduling, no random draws, no machine
+mutation -- which keeps observed runs bit-identical to bare ones.
+
+The tap vocabulary (:data:`TAP_KINDS`) fires on handler entry, before
+any early return, with the handler's positional arguments; the kinds in
+:data:`POST_KINDS` fire again (``post=True``) on every return path.  The
+other points, with their ``args``: ``issued``/``nacked``/``filled``
+(request; a live miss left for the bus, was refused, was filled),
+``marker-sent``/``probe-sent`` (message), ``restart`` (reason, backoff,
+streak), ``line-state`` (line) after a coherence state change,
+``deferred`` (request) once queued, ``arch-read``/``plain-write`` (addr,
+value) for a speculative read served by memory and a non-speculative
+store, ``write-set`` (write set) at commit before the drain, ``sched``
+(SCHED_IN/OUT/MIGRATE, thread), ``preempt`` (thread, ran,
+was_speculating), ``migrate`` (thread, from_slot) and ``dispatch``
+(event label).
 """
 
 from __future__ import annotations
 
-import functools
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import Callable
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.harness.machine import Machine
+#: The tap vocabulary: the kinds the tracer and the flight recorder log.
+TAP_KINDS = ("forward", "invalidation", "data", "marker", "probe", "nack",
+             "defer", "service", "loss", "commit", "abort", "txn-begin",
+             "txn-commit", "misspec", "request")
 
-
-#: Hooked controller methods -> tap kind.  The kinds are the tracer's
-#: historical vocabulary; the recorder interns the same strings.
-CONTROLLER_HOOKS = {
-    "handle_forward": "forward",
-    "handle_invalidation": "invalidation",
-    "handle_data": "data",
-    "handle_marker": "marker",
-    "handle_probe": "probe",
-    "handle_nack": "nack",
-    "_defer": "defer",
-    "_service_obligation": "service",
-    "_handle_loss": "loss",
-    "commit_speculation": "commit",
-    "abort_speculation": "abort",
-    "enter_speculation": "txn-begin",
-}
-
-#: Hooked processor methods -> tap kind.
-PROCESSOR_HOOKS = {
-    "commit_transaction": "txn-commit",
-    "_on_misspeculation": "misspec",
-}
+#: Tap kinds that also fire after the handler returns.
+POST_KINDS = ("forward", "invalidation", "data", "probe", "service",
+              "loss", "defer", "commit", "abort")
 
 
-@runtime_checkable
-class TapConsumer(Protocol):  # pragma: no cover - typing aid
-    def on_tap(self, time: int, cpu: int, kind: str, args: tuple,
-               obj: object) -> None: ...
+class Point(list):
+    """One emit point: its subscribers, falsy while there are none."""
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str):
+        super().__init__()
+        self.kind = kind
+
+    def fire(self, time: int, cpu: int, args: tuple, obj: object) -> None:
+        kind = self.kind
+        for fn in self:
+            fn(time, cpu, kind, args, obj)
+
+    def emit(self, component, *args) -> None:
+        """:meth:`fire` for a CPU-owned component (cache controller,
+        processor): the time and cpu are its own (inlined, not a call)."""
+        time = component.sim.now
+        cpu = component.cpu_id
+        kind = self.kind
+        for fn in self:
+            fn(time, cpu, kind, args, component)
 
 
 class MachineTaps:
-    """The per-machine tap fanout.  Use :meth:`ensure`, not the
-    constructor: a machine carries at most one tap layer."""
+    """One machine's emit points, one attribute per point."""
 
-    def __init__(self, machine: "Machine"):
-        self.machine = machine
-        self._consumers: list = []
-        self._post: list = []
+    def __init__(self) -> None:
+        # Tap vocabulary: cache controller.
+        self.forward = Point("forward")
+        self.invalidation = Point("invalidation")
+        self.data = Point("data")
+        self.marker = Point("marker")
+        self.probe = Point("probe")
+        self.nack = Point("nack")
+        self.defer = Point("defer")
+        self.service = Point("service")
+        self.loss = Point("loss")
+        self.commit = Point("commit")
+        self.abort = Point("abort")
+        self.txn_begin = Point("txn-begin")
+        # Tap vocabulary: processor and bus.
+        self.txn_commit = Point("txn-commit")
+        self.misspec = Point("misspec")
+        self.request = Point("request")
+        # Post-call moments (POST_KINDS).
+        self.forward_post = Point("forward")
+        self.invalidation_post = Point("invalidation")
+        self.data_post = Point("data")
+        self.probe_post = Point("probe")
+        self.service_post = Point("service")
+        self.loss_post = Point("loss")
+        self.defer_post = Point("defer")
+        self.commit_post = Point("commit")
+        self.abort_post = Point("abort")
+        # Telemetry.
+        self.issued = Point("issued")
+        self.nacked = Point("nacked")
+        self.filled = Point("filled")
+        self.marker_sent = Point("marker-sent")
+        self.probe_sent = Point("probe-sent")
+        self.restart = Point("restart")
+        # Invariant checks.
+        self.line_state = Point("line-state")
+        self.deferred = Point("deferred")
+        # Footprint.
+        self.arch_read = Point("arch-read")
+        self.plain_write = Point("plain-write")
+        self.write_set = Point("write-set")
+        # Scheduler and kernel.
+        self.sched = Point("sched")
+        self.preempt = Point("preempt")
+        self.migrate = Point("migrate")
+        self.dispatch = Point("dispatch")
+        self._pre: dict[str, Point] = {}
+        self._post: dict[str, Point] = {}
+        for name, point in vars(self).items():
+            if isinstance(point, Point):
+                table = self._post if name.endswith("_post") else self._pre
+                table[point.kind] = point
 
-    # ------------------------------------------------------------------
-    # Attachment
-    # ------------------------------------------------------------------
-    @classmethod
-    def ensure(cls, machine: "Machine") -> "MachineTaps":
-        """The machine's tap layer, installing the wrappers on first
-        use.  Must be called before ``run_workload``."""
-        taps = getattr(machine, "taps", None)
-        if taps is None:
-            taps = cls(machine)
-            taps._install()
-            machine.taps = taps
-        return taps
+    def subscribe(self, fn: Callable, *kinds: str,
+                  post: bool = False) -> None:
+        """Call ``fn`` at every firing of each of ``kinds`` (their
+        post-call points with ``post``).  Subscribing a subscriber
+        twice is a no-op, so re-attaching an observer never double
+        counts.  An undeclared kind raises ``KeyError``."""
+        table = self._post if post else self._pre
+        for kind in kinds:
+            point = table[kind]
+            if fn not in point:
+                point.append(fn)
 
-    def add_consumer(self, consumer) -> "MachineTaps":
-        """Register ``consumer`` for every subsequent tap firing.
-        Consumers fire in registration order; one with an
-        ``on_tap_post`` method also receives post-call notifications."""
-        self._consumers.append(consumer)
-        if hasattr(consumer, "on_tap_post"):
-            self._post.append(consumer)
-        return self
-
-    def _install(self) -> None:
-        machine = self.machine
-        for controller in machine.controllers:
-            for method, kind in CONTROLLER_HOOKS.items():
-                self._wrap(controller, method, kind)
-        for processor in machine.processors:
-            for method, kind in PROCESSOR_HOOKS.items():
-                self._wrap(processor, method, kind)
-            # The controller captured the *bound* _on_misspeculation in
-            # Processor.__init__, before the shim above replaced the
-            # attribute -- so controller-initiated losses (conflict
-            # aborts, capacity overflow) would bypass the "misspec" tap
-            # entirely.  Re-point the callback at the shim so every
-            # abort path fires; the shim only fans out to pure
-            # observers before calling the original, so untapped
-            # behavior is unchanged.
-            processor.controller.on_misspeculation = \
-                processor._on_misspeculation
-        self._wrap_issue(machine.bus)
-
-    def _wrap(self, obj, method_name: str, kind: str) -> None:
-        original = getattr(obj, method_name)
-        cpu = getattr(obj, "cpu_id", -1)
-        sim = obj.sim
-        consumers = self._consumers   # live lists: later add_consumer
-        post = self._post             # registrations are seen by shims
-
-        @functools.wraps(original)
-        def shim(*args, **kwargs):
-            now = sim.now
-            for consumer in consumers:
-                consumer.on_tap(now, cpu, kind, args, obj)
-            result = original(*args, **kwargs)
-            if post:
-                for consumer in post:
-                    consumer.on_tap_post(now, cpu, kind, args, obj)
-            return result
-
-        setattr(obj, method_name, shim)
-
-    def _wrap_issue(self, bus) -> None:
-        """The bus has no cpu identity; each issued request is
-        attributed to the *requesting* CPU."""
-        original = bus.issue
-        sim = bus.sim
-        consumers = self._consumers
-        post = self._post
-
-        @functools.wraps(original)
-        def shim(request):
-            now = sim.now
-            for consumer in consumers:
-                consumer.on_tap(now, request.requester, "request",
-                                (request,), bus)
-            result = original(request)
-            if post:
-                for consumer in post:
-                    consumer.on_tap_post(now, request.requester, "request",
-                                         (request,), bus)
-            return result
-
-        bus.issue = shim
+    def unsubscribe(self, *fns: Callable) -> None:
+        """Remove each of ``fns`` from every point it subscribed to."""
+        for point in (*self._pre.values(), *self._post.values()):
+            for fn in fns:
+                if fn in point:
+                    point.remove(fn)

@@ -6,12 +6,11 @@ filtering by line or CPU, and renders a readable interleaving -- the
 tool that found most protocol bugs during this reproduction's own
 development, packaged for users debugging their workloads.
 
-Attach with :meth:`Tracer.attach`; it registers on the machine's shared
-tap layer (:class:`repro.sim.taps.MachineTaps`), which wraps the
-relevant controller and processor entry points non-invasively (no hooks
-are needed in the hot path when tracing is off).  The flight recorder
-(:mod:`repro.record`) rides the same taps, so attaching both installs
-one set of wrappers, and each consumer keeps its own drop accounting.
+Attach with :meth:`Tracer.attach`; it subscribes to the tap vocabulary
+on the machine's observation seam (:mod:`repro.sim.taps`), whose emit
+points cost one truth test each while tracing is off.  The flight
+recorder (:mod:`repro.record`) subscribes to the same points, and each
+subscriber keeps its own drop accounting.
 
 Besides instant events the tracer pairs matching begin/end instants
 into **span events** (:class:`SpanEvent`):
@@ -36,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from repro.sim.taps import CONTROLLER_HOOKS, MachineTaps
+from repro.sim.taps import TAP_KINDS
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.machine import Machine
@@ -99,10 +98,6 @@ class Tracer:
     :attr:`dropped_by_kind` either way.
     """
 
-    #: Kept as a class attribute for backward compatibility; the
-    #: authoritative mapping lives in :mod:`repro.sim.taps`.
-    CONTROLLER_HOOKS = CONTROLLER_HOOKS
-
     def __init__(self, capacity: int = 100_000, ring: bool = False):
         self.capacity = capacity
         self.ring = ring
@@ -120,20 +115,15 @@ class Tracer:
     # Attachment
     # ------------------------------------------------------------------
     def attach(self, machine: "Machine") -> "Tracer":
-        """Register on the machine's shared tap layer (installing it if
-        this is the first consumer).  Call before ``run_workload``."""
+        """Subscribe to the machine's tap vocabulary (idempotent).
+        Call before ``run_workload``."""
         self._machine = machine
-        MachineTaps.ensure(machine).add_consumer(self)
+        machine.taps.subscribe(self.on_tap, *TAP_KINDS)
         return self
 
     def on_tap(self, time: int, cpu: int, kind: str, args: tuple,
                obj: object) -> None:
-        """Tap-consumer entry point (see :class:`MachineTaps`)."""
-        if kind == "request":
-            request = args[0]
-            self.record(time, cpu, kind, request.line, repr(request),
-                        ref=request.req_id)
-            return
+        """Subscriber entry point (see :mod:`repro.sim.taps`)."""
         # loss/misspec carry the restart reason first; threading it
         # through lets txn spans say *why* they aborted.
         reason = (args[0] if kind in ("loss", "misspec") and args
@@ -336,10 +326,10 @@ class Tracer:
         return len(events)
 
 
-#: Hooked methods that carry a bare-``int`` cache line at a known
-#: positional index (every other hook's line rides on a message
-#: object's ``.line`` attribute).  ``_handle_loss(reason, line, ts)``
-#: and ``_on_misspeculation(reason, line)`` both carry it second.
+#: Tap kinds that carry a bare-``int`` cache line at a known position
+#: in ``args`` (every other kind's line rides on a message object's
+#: ``.line`` attribute).  ``loss`` (reason, line, ts, aborter) and
+#: ``misspec`` (reason, line) both carry it second.
 _INT_LINE_POS = {"loss": 1, "misspec": 1}
 
 

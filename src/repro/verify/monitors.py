@@ -59,7 +59,6 @@ from repro.coherence.messages import beats
 from repro.sim.kernel import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.coherence.controller import CacheController
     from repro.harness.machine import Machine
 
 
@@ -82,7 +81,8 @@ class Violation:
 
 
 class MonitorSuite:
-    """Invariant monitors wired into every cache controller.
+    """Invariant monitors subscribed to every cache controller's
+    ``line-state``, ``deferred`` and ``loss`` emit points.
 
     Attach *before* ``run_workload``::
 
@@ -110,8 +110,10 @@ class MonitorSuite:
     # Attachment
     # ------------------------------------------------------------------
     def attach(self) -> "MonitorSuite":
-        for controller in self.machine.controllers:
-            controller.monitor = self
+        taps = self.machine.taps
+        taps.subscribe(self.on_line_state, "line-state")
+        taps.subscribe(self.on_defer, "deferred")
+        taps.subscribe(self.on_loss, "loss")
         if self.machine.config.scheme.is_tlr:
             self._schedule_watchdog()
         return self
@@ -125,10 +127,10 @@ class MonitorSuite:
             raise InvariantViolation(str(violation))
 
     # ------------------------------------------------------------------
-    # Hook: line state changed somewhere -- MOESI compatibility
+    # Point: line state changed somewhere -- MOESI compatibility
     # ------------------------------------------------------------------
-    def on_line_state(self, controller: "CacheController",
-                      line_addr: int) -> None:
+    def on_line_state(self, time, cpu, kind, args, controller) -> None:
+        line_addr = args[0]
         self.checks += 1
         writable: list[int] = []
         owners: list[int] = []
@@ -156,9 +158,10 @@ class MonitorSuite:
                        f"hold valid copies")
 
     # ------------------------------------------------------------------
-    # Hook: a controller deferred an incoming request
+    # Point: a controller deferred an incoming request
     # ------------------------------------------------------------------
-    def on_defer(self, controller: "CacheController", request) -> None:
+    def on_defer(self, time, cpu, kind, args, controller) -> None:
+        request = args[0]
         self.checks += 1
         self._check_defer_legal(controller, request)
         self._check_waits_for_acyclic(controller, request)
@@ -273,11 +276,13 @@ class MonitorSuite:
         return None
 
     # ------------------------------------------------------------------
-    # Hook: a speculation lost a conflict (statistics only)
+    # Point: a speculation lost a conflict (statistics only)
     # ------------------------------------------------------------------
-    def on_loss(self, controller, reason: str, line_addr: int,
-                incoming_ts) -> None:
-        self.losses += 1
+    def on_loss(self, time, cpu, kind, args, controller) -> None:
+        # The ``loss`` tap fires on entry, before the handler's
+        # not-speculating early return; count only real losses.
+        if controller.speculating:
+            self.losses += 1
 
     # ------------------------------------------------------------------
     # Starvation watchdog

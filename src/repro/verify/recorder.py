@@ -6,13 +6,13 @@ set it published, and its commit instant -- plus the chronological log
 of every non-transactional architectural write, so the whole run can be
 replayed against a sequential reference.
 
-:class:`FootprintRecorder` collects all of that **non-invasively**, in
-the style of :meth:`repro.sim.trace.Tracer.attach`: it wraps the
-processors' architectural-read path and commit entry point and the
-machine's :class:`~repro.coherence.memory.ValueStore` write path with
-recording shims.  Nothing in the hot path changes when no recorder is
-attached, and the wrapped run is bit-identical to an unwrapped one (the
-shims only observe).
+:class:`FootprintRecorder` collects all of that **non-invasively** from
+three of the processors' emit points on the machine's observation seam
+(:mod:`repro.sim.taps`): ``arch-read`` (a speculative read served by
+architectural memory), ``plain-write`` (a non-speculative store) and
+``write-set`` (a commit's write set, before the drain).  An unobserved
+point costs one truth test, and the recorded run is bit-identical to an
+unrecorded one (the recorder only observes).
 
 Epoch tagging gives failure atomicity for free: read observations carry
 the processor's squash epoch, and a commit keeps only observations from
@@ -22,7 +22,7 @@ exactly as the hardware discards them.
 
 from __future__ import annotations
 
-import functools
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
@@ -95,97 +95,67 @@ class FootprintRecorder:
         self.committed: list[CommittedTxn] = []
         self.log: list[tuple] = []
         self.plain_writes = 0
-        self._machine: Optional["Machine"] = None
         # Per-cpu read observations of the *current* speculative attempt.
-        self._pending: dict[int, list[ReadObservation]] = {}
+        self._pending: defaultdict[int, list[ReadObservation]] = \
+            defaultdict(list)
         # addr / line -> txn id of the last committed transactional
         # writer, or None after a non-transactional write.
         self._last_writer: dict[int, Optional[int]] = {}
         self._last_line_writer: dict[int, Optional[int]] = {}
         # line -> number of plain writes seen (the line's current era).
         self._line_era: dict[int, int] = {}
-        self._in_commit = False
 
     # ------------------------------------------------------------------
     # Attachment
     # ------------------------------------------------------------------
     def attach(self, machine: "Machine") -> "FootprintRecorder":
-        """Wrap the machine's processors and value store with recording
-        shims.  Call before ``run_workload``."""
-        self._machine = machine
-        for processor in machine.processors:
-            self._wrap_processor(processor)
-        self._wrap_store(machine)
+        """Subscribe to the machine's footprint points (idempotent).
+        Call before ``run_workload``."""
+        taps = machine.taps
+        taps.subscribe(self._on_read, "arch-read")
+        taps.subscribe(self._on_commit, "write-set")
+        taps.subscribe(self._on_plain_write, "plain-write")
         return self
 
-    def _wrap_processor(self, processor) -> None:
-        cpu = processor.cpu_id
+    def _on_read(self, time, cpu, kind, args, processor) -> None:
+        addr, value = args
+        line = line_of(addr)
+        pending = self._pending[cpu]
+        if pending and pending[-1].epoch != processor.epoch:
+            # A restart squashed the previous attempt's reads.
+            pending.clear()
+        pending.append(ReadObservation(
+            addr=addr, value=value, line=line,
+            writer=self._last_writer.get(addr),
+            line_writer=self._last_line_writer.get(line),
+            epoch=processor.epoch, time=time,
+            era=self._line_era.get(line, 0)))
+
+    def _on_commit(self, time, cpu, kind, args, processor) -> None:
+        # Fired before the drain, which reads and writes nothing this
+        # recorder tracks -- so provenance can move to the commit now.
+        writes = args[0]
+        epoch = processor.epoch
+        reads = [obs for obs in self._pending[cpu] if obs.epoch == epoch]
         self._pending[cpu] = []
-        original_read = processor._arch_read
-        original_commit = processor.commit_transaction
+        txn = CommittedTxn(txn_id=len(self.committed), cpu=cpu,
+                           ts=processor.controller.current_ts,
+                           commit_time=time, reads=reads, writes=writes,
+                           line_eras={
+                               line_of(addr): self._line_era.get(
+                                   line_of(addr), 0)
+                               for addr in writes})
+        self.committed.append(txn)
+        self.log.append((COMMIT, txn.txn_id))
+        for addr in writes:
+            self._last_writer[addr] = txn.txn_id
+            self._last_line_writer[line_of(addr)] = txn.txn_id
 
-        @functools.wraps(original_read)
-        def arch_read(addr: int):
-            value = original_read(addr)
-            if (processor.spec.active
-                    and processor.write_buffer.read(addr) is None):
-                pending = self._pending[cpu]
-                if pending and pending[-1].epoch != processor.epoch:
-                    # A restart squashed the previous attempt's reads.
-                    pending.clear()
-                pending.append(ReadObservation(
-                    addr=addr, value=value, line=line_of(addr),
-                    writer=self._last_writer.get(addr),
-                    line_writer=self._last_line_writer.get(line_of(addr)),
-                    epoch=processor.epoch, time=processor.sim.now,
-                    era=self._line_era.get(line_of(addr), 0)))
-            return value
-
-        @functools.wraps(original_commit)
-        def commit_transaction():
-            # Snapshot *before* the original drains the write buffer.
-            ts = processor.controller.current_ts
-            writes = processor.write_buffer.snapshot()
-            epoch = processor.epoch
-            reads = [obs for obs in self._pending[cpu]
-                     if obs.epoch == epoch]
-            self._pending[cpu] = []
-            txn = CommittedTxn(txn_id=len(self.committed), cpu=cpu, ts=ts,
-                               commit_time=processor.sim.now,
-                               reads=reads, writes=writes,
-                               line_eras={
-                                   line_of(addr): self._line_era.get(
-                                       line_of(addr), 0)
-                                   for addr in writes})
-            self.committed.append(txn)
-            self.log.append((COMMIT, txn.txn_id))
-            self._in_commit = True
-            try:
-                original_commit()
-            finally:
-                self._in_commit = False
-            for addr in writes:
-                self._last_writer[addr] = txn.txn_id
-                self._last_line_writer[line_of(addr)] = txn.txn_id
-
-        processor._arch_read = arch_read
-        processor.commit_transaction = commit_transaction
-
-    def _wrap_store(self, machine: "Machine") -> None:
-        store = machine.store
-        sim = machine.sim
-        original_write = store.write
-
-        @functools.wraps(original_write)
-        def write(addr: int, value) -> None:
-            original_write(addr, value)
-            if self._in_commit:
-                return  # commit drains are logged as one atomic entry
-            self.plain_writes += 1
-            self.log.append((PLAIN_WRITE, sim.now, addr, value))
-            self._last_writer[addr] = None
-            self._last_line_writer[line_of(addr)] = None
-            line = line_of(addr)
-            self._line_era[line] = self._line_era.get(line, 0) + 1
-
-        store.write = write
+    def _on_plain_write(self, time, cpu, kind, args, processor) -> None:
+        addr, value = args
+        line = line_of(addr)
+        self.plain_writes += 1
+        self.log.append((PLAIN_WRITE, time, addr, value))
+        self._last_writer[addr] = None
+        self._last_line_writer[line] = None
+        self._line_era[line] = self._line_era.get(line, 0) + 1

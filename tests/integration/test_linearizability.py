@@ -1,10 +1,11 @@
 """Linearizability of TLR commits (the paper's Figure 1 claim).
 
 Critical sections overlap in physical time, but each must appear to be
-inserted atomically and instantly into one global order.  The commit
-listeners expose each transaction's commit instant and committed write
-set; replaying the commit log in commit order against a sequential
-model verifies the global order exists and matches commit time.
+inserted atomically and instantly into one global order.  The
+processors' ``write-set`` emit point exposes each transaction's commit
+instant and committed write set; replaying the commit log in commit
+order against a sequential model verifies the global order exists and
+matches commit time.
 """
 
 import pytest
@@ -20,9 +21,9 @@ HEAD_OFFSET, TAIL_OFFSET = 1, 2  # relative line layout; read from meta
 
 def _attach_log(machine: Machine):
     log = []
-    for processor in machine.processors:
-        processor.commit_listeners.append(
-            lambda t, cpu, wb: log.append((t, cpu, wb)))
+    machine.taps.subscribe(
+        lambda t, cpu, kind, args, obj: log.append((t, cpu, args[0])),
+        "write-set")
     return log
 
 

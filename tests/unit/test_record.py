@@ -240,7 +240,7 @@ class TestDebugHandles:
 
     def test_recycling_still_audited_under_recorder(self):
         """A full recorded machine run in debug mode: the recorder's
-        on_dispatch hook must not retain any Event."""
+        dispatch subscriber must not retain any Event."""
         spec = _spec(ops=24)
         machine = Machine(spec.config)
         machine.sim.debug_handles = True

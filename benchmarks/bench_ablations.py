@@ -34,7 +34,7 @@ def _cfg(num_cpus=8, scheme=SyncScheme.TLR, **spec_overrides):
     return cfg
 
 
-def test_ablation_retention_policy(benchmark):
+def test_ablation_retention_policy():
     def sweep():
         out = {}
         for policy in ("defer", "nack"):
@@ -45,19 +45,18 @@ def test_ablation_retention_policy(benchmark):
             out[f"{policy}/nacks"] = result.stats.total("nacks_sent")
         return out
 
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    result = sweep()
     emit("ablation-retention-policy", "\n".join(
         f"{k:<18}{v}" for k, v in result.items()))
-    bench_json("ablation_retention_policy", benchmark,
+    bench_json("ablation_retention_policy",
                config={"num_cpus": 8, "ops": 512 * scale(),
                        "policies": ["defer", "nack"]},
                results=dict(result))
-    benchmark.extra_info.update(result)
     assert result["defer/nacks"] == 0
     assert result["nack/nacks"] > 0
 
 
-def test_ablation_single_block_relaxation(benchmark):
+def test_ablation_single_block_relaxation():
     def sweep():
         out = {}
         for relaxed in (True, False):
@@ -68,18 +67,17 @@ def test_ablation_single_block_relaxation(benchmark):
             out[f"{key}/restarts"] = result.stats.restarts
         return out
 
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    result = sweep()
     emit("ablation-single-block-relaxation", "\n".join(
         f"{k:<18}{v}" for k, v in result.items()))
-    bench_json("ablation_single_block_relaxation", benchmark,
+    bench_json("ablation_single_block_relaxation",
                config={"num_cpus": 8, "ops": 512 * scale()},
                results=dict(result))
-    benchmark.extra_info.update(result)
     assert result["relaxed/restarts"] < result["strict/restarts"]
     assert result["relaxed/cycles"] <= result["strict/cycles"]
 
 
-def test_ablation_write_buffer_capacity(benchmark):
+def test_ablation_write_buffer_capacity():
     def sweep():
         out = {}
         # cholesky's common columns write 12 lines and its tall columns
@@ -95,20 +93,19 @@ def test_ablation_write_buffer_capacity(benchmark):
                 "elisions_committed")
         return out
 
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    result = sweep()
     emit("ablation-write-buffer", "\n".join(
         f"{k:<18}{v}" for k, v in result.items()))
-    bench_json("ablation_write_buffer", benchmark,
+    bench_json("ablation_write_buffer",
                config={"num_cpus": 8, "write_buffer_entries": [8, 16, 64]},
                results=dict(result))
-    benchmark.extra_info.update(result)
     # With an 8-line buffer every column update overflows, the elision
     # predictor learns the column locks are hopeless, and far fewer
     # sections commit lock-free than with the paper's 64-line buffer.
     assert result["wb64/elided"] > result["wb8/elided"]
 
 
-def test_ablation_restart_backoff(benchmark):
+def test_ablation_restart_backoff():
     def sweep():
         out = {}
         for step in (0, 20, 60):
@@ -119,19 +116,18 @@ def test_ablation_restart_backoff(benchmark):
             out[f"backoff{step}/restarts"] = result.stats.restarts
         return out
 
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    result = sweep()
     emit("ablation-restart-backoff", "\n".join(
         f"{k:<22}{v}" for k, v in result.items()))
-    bench_json("ablation_restart_backoff", benchmark,
+    bench_json("ablation_restart_backoff",
                config={"num_cpus": 8, "ops": 512 * scale(),
                        "backoff_steps": [0, 20, 60]},
                results=dict(result))
-    benchmark.extra_info.update(result)
     # Backoff suppresses the restart storm under strict timestamps.
     assert result["backoff20/restarts"] < result["backoff0/restarts"]
 
 
-def test_ablation_data_network_bandwidth(benchmark):
+def test_ablation_data_network_bandwidth():
     """Sensitivity to data-network bandwidth: the paper's network is
     pipelined (unlimited); throttling deliveries slows the data-hungry
     BASE lock storms more than TLR's queued transfers."""
@@ -146,20 +142,19 @@ def test_ablation_data_network_bandwidth(benchmark):
                 out[f"bw{interval}/{scheme.value}"] = result.cycles
         return out
 
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    result = sweep()
     emit("ablation-data-bandwidth", "\n".join(
         f"{k:<28}{v}" for k, v in result.items()))
-    bench_json("ablation_data_bandwidth", benchmark,
+    bench_json("ablation_data_bandwidth",
                config={"num_cpus": 8, "ops": 512 * scale(),
                        "bandwidth_intervals": [0, 4, 16]},
                results=dict(result))
-    benchmark.extra_info.update(result)
     # Throttling never speeds anything up.
     assert result["bw16/BASE"] >= result["bw0/BASE"]
     assert result["bw16/BASE+SLE+TLR"] >= result["bw0/BASE+SLE+TLR"]
 
 
-def test_ablation_untimestamped_policy(benchmark):
+def test_ablation_untimestamped_policy():
     def sweep():
         out = {}
         for policy in ("defer", "abort"):
@@ -169,11 +164,10 @@ def test_ablation_untimestamped_policy(benchmark):
             out[f"{policy}/restarts"] = result.stats.restarts
         return out
 
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    result = sweep()
     emit("ablation-untimestamped-policy", "\n".join(
         f"{k:<18}{v}" for k, v in result.items()))
-    bench_json("ablation_untimestamped_policy", benchmark,
+    bench_json("ablation_untimestamped_policy",
                config={"num_cpus": 4, "ops": 256 * scale(),
                        "policies": ["defer", "abort"]},
                results=dict(result))
-    benchmark.extra_info.update(result)

@@ -12,16 +12,13 @@ from repro.harness.report import dict_table
 from conftest import bench_json, emit, scale
 
 
-def test_figure7(benchmark):
-    result = benchmark.pedantic(
-        figure7_queue_on_data,
-        kwargs={"num_cpus": 4, "total_increments": 256 * scale()},
-        rounds=1, iterations=1)
+def test_figure7():
+    result = figure7_queue_on_data(num_cpus=4,
+                                   total_increments=256 * scale())
     emit("figure7-queue-on-data", dict_table(result))
-    bench_json("fig07_queue", benchmark,
+    bench_json("fig07_queue",
                config={"num_cpus": 4, "total_increments": 256 * scale()},
                results=dict(result))
-    benchmark.extra_info.update(result)
     assert result["elisions_committed"] == result["critical_sections"] \
         or result["restarts"] < result["critical_sections"] // 4
     assert result["deferrals"] > 0

@@ -14,21 +14,16 @@ from conftest import (bench_json, emit, engine_kwargs, processor_counts,
                       scale, sweep_results)
 
 
-def test_figure8(benchmark):
-    result = benchmark.pedantic(
-        figure8_multiple_counter,
-        kwargs={"total_increments": 1024 * scale(),
-                "processor_counts": processor_counts(),
-                **engine_kwargs()},
-        rounds=1, iterations=1)
+def test_figure8():
+    result = figure8_multiple_counter(total_increments=1024 * scale(),
+                                      processor_counts=processor_counts(),
+                                      **engine_kwargs())
     emit("figure8-multiple-counter",
          sweep_table(result) + "\n\n" + ascii_series(result))
-    bench_json("fig08_multiple_counter", benchmark,
+    bench_json("fig08_multiple_counter",
                config={"total_increments": 1024 * scale(),
                        "processor_counts": list(processor_counts())},
                results=sweep_results(result))
-    for scheme, series in result.series.items():
-        benchmark.extra_info[scheme.value] = series
     # Shape assertions (the paper's qualitative claims).
     n = result.processor_counts[-1]
     assert result.cycles(SyncScheme.TLR, n) == result.cycles(SyncScheme.SLE, n)

@@ -16,21 +16,16 @@ from conftest import (bench_json, emit, engine_kwargs, processor_counts,
                       scale, sweep_results)
 
 
-def test_figure9(benchmark):
-    result = benchmark.pedantic(
-        figure9_single_counter,
-        kwargs={"total_increments": 512 * scale(),
-                "processor_counts": processor_counts(),
-                **engine_kwargs()},
-        rounds=1, iterations=1)
+def test_figure9():
+    result = figure9_single_counter(total_increments=512 * scale(),
+                                    processor_counts=processor_counts(),
+                                    **engine_kwargs())
     emit("figure9-single-counter",
          sweep_table(result) + "\n\n" + ascii_series(result))
-    bench_json("fig09_single_counter", benchmark,
+    bench_json("fig09_single_counter",
                config={"total_increments": 512 * scale(),
                        "processor_counts": list(processor_counts())},
                results=sweep_results(result))
-    for scheme, series in result.series.items():
-        benchmark.extra_info[scheme.value] = series
     n = result.processor_counts[-1]
     tlr = result.cycles(SyncScheme.TLR, n)
     assert tlr < result.cycles(SyncScheme.BASE, n)

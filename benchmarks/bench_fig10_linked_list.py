@@ -13,21 +13,16 @@ from conftest import (bench_json, emit, engine_kwargs, processor_counts,
                       scale, sweep_results)
 
 
-def test_figure10(benchmark):
-    result = benchmark.pedantic(
-        figure10_linked_list,
-        kwargs={"total_ops": 512 * scale(),
-                "processor_counts": processor_counts(),
-                **engine_kwargs()},
-        rounds=1, iterations=1)
+def test_figure10():
+    result = figure10_linked_list(total_ops=512 * scale(),
+                                  processor_counts=processor_counts(),
+                                  **engine_kwargs())
     emit("figure10-linked-list",
          sweep_table(result) + "\n\n" + ascii_series(result))
-    bench_json("fig10_linked_list", benchmark,
+    bench_json("fig10_linked_list",
                config={"total_ops": 512 * scale(),
                        "processor_counts": list(processor_counts())},
                results=sweep_results(result))
-    for scheme, series in result.series.items():
-        benchmark.extra_info[scheme.value] = series
     n = result.processor_counts[-1]
     tlr = result.cycles(SyncScheme.TLR, n)
     assert tlr < result.cycles(SyncScheme.BASE, n)

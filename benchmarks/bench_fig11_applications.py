@@ -15,22 +15,17 @@ from repro.harness.report import figure11_table, speedup_summary
 from conftest import bench_json, emit, engine_kwargs
 
 
-def test_figure11(benchmark):
-    results = benchmark.pedantic(figure11_applications,
-                                 kwargs={"num_cpus": 16, **engine_kwargs()},
-                                 rounds=1, iterations=1)
+def test_figure11():
+    results = figure11_applications(num_cpus=16, **engine_kwargs())
     emit("figure11-applications",
          figure11_table(results) + "\n" + speedup_summary(results))
-    bench_json("fig11_applications", benchmark,
+    bench_json("fig11_applications",
                config={"num_cpus": 16},
                results={name: {
                    "cycles": {s.value: c for s, c in app.cycles.items()},
                    "speedups_over_base": {
                        s.value: app.speedup(s) for s in app.cycles},
                } for name, app in results.items()})
-    for name, app in results.items():
-        benchmark.extra_info[name] = {
-            scheme.value: cycles for scheme, cycles in app.cycles.items()}
     # Paper-shape assertions.
     for name, app in results.items():
         assert app.speedup(SyncScheme.TLR) > 0.97, (

@@ -20,14 +20,11 @@ WORKLOADS = ("single-counter", "linked-list", "ocean-cont")
 PROCS = (2, 4, 8)
 
 
-def test_policy_grid(benchmark):
-    grid = benchmark.pedantic(
-        policy_grid,
-        kwargs={"policies": POLICIES, "workloads": WORKLOADS,
-                "processor_counts": PROCS, "seeds": 2,
-                "ops": 96 * scale(), "app_scale": 12 * scale(),
-                **engine_kwargs()},
-        rounds=1, iterations=1)
+def test_policy_grid():
+    grid = policy_grid(policies=POLICIES, workloads=WORKLOADS,
+                       processor_counts=PROCS, seeds=2,
+                       ops=96 * scale(), app_scale=12 * scale(),
+                       **engine_kwargs())
     emit("policy-grid", policy_grid_table(grid))
 
     cycles = {key: cell["cycles"] for key, cell in grid.cells.items()}
@@ -39,7 +36,7 @@ def test_policy_grid(benchmark):
                 other = cycles[f"{policy}/{workload}/{n}"]
                 if ts and other:
                     speedups[f"{policy}/{workload}/{n}"] = other / ts
-    bench_json("policies", benchmark,
+    bench_json("policies",
                config={"policies": list(POLICIES),
                        "workloads": list(WORKLOADS),
                        "processor_counts": list(PROCS),
@@ -53,8 +50,6 @@ def test_policy_grid(benchmark):
                         # deferral-depth / retry / latency histograms.
                         "metrics": {key: cell["metrics"]
                                     for key, cell in grid.cells.items()}})
-    for key, value in cycles.items():
-        benchmark.extra_info[key] = value
 
     # Every cell must pass the oracle + monitors -- a policy that wins
     # cycles by breaking serializability doesn't get on the board.

@@ -35,12 +35,10 @@ def _cells(ops):
     return keys, specs
 
 
-def test_profile_hot_cells(benchmark):
+def test_profile_hot_cells():
     ops = 96 * scale()
     keys, specs = _cells(ops)
-    outcomes, _ = benchmark.pedantic(
-        parallel.execute, args=(specs,), kwargs=engine_kwargs(),
-        rounds=1, iterations=1)
+    outcomes, _ = parallel.execute(specs, **engine_kwargs())
 
     rows = ["cell                        attempts commits aborts "
             "cycles-lost defer-wait hottest-lock"]
@@ -58,14 +56,12 @@ def test_profile_hot_cells(benchmark):
                     f"{t['deferral_cycles']:>10} {hottest}")
     emit("profile-hot-cells", "\n".join(rows))
 
-    bench_json("profile", benchmark,
+    bench_json("profile",
                config={"policies": list(POLICIES),
                        "workloads": list(WORKLOADS),
                        "num_cpus": NUM_CPUS, "ops": ops},
                results={"totals": totals, "critical_path": paths,
                         "conflicts": matrices})
-    for key in keys:
-        benchmark.extra_info[key] = totals[key]["commit_rate"]
 
     # The deferral policy queues where the nack policy restarts, so it
     # never aborts more -- and every cell actually contends.

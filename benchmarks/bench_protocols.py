@@ -15,7 +15,7 @@ from repro.workloads.microbench import linked_list, single_counter
 from conftest import bench_json, emit, scale
 
 
-def test_protocol_comparison(benchmark):
+def test_protocol_comparison():
     def sweep():
         out = {}
         for protocol in ("snoop", "directory"):
@@ -28,10 +28,10 @@ def test_protocol_comparison(benchmark):
                     out[f"{protocol}/{name}/{scheme.value}"] = result.cycles
         return out
 
-    result = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    result = sweep()
     emit("protocol-comparison", "\n".join(
         f"{k:<36}{v}" for k, v in result.items()))
-    bench_json("protocols", benchmark,
+    bench_json("protocols",
                config={"num_cpus": 8, "ops": 512 * scale(),
                        "protocols": ["snoop", "directory"]},
                results={"cycles": dict(result),
@@ -40,7 +40,6 @@ def test_protocol_comparison(benchmark):
                             / result[f"{p}/{w}/BASE+SLE+TLR"]
                             for p in ("snoop", "directory")
                             for w in ("single", "list")}})
-    benchmark.extra_info.update(result)
     for protocol in ("snoop", "directory"):
         for name in ("single", "list"):
             assert (result[f"{protocol}/{name}/BASE+SLE+TLR"]

@@ -22,19 +22,16 @@ CPUS = 4
 THREADS_PER_CPU = 2
 
 
-def test_sched_grid(benchmark):
-    grid = benchmark.pedantic(
-        sched_grid,
-        kwargs={"schedulers": SCHEDULERS, "quanta": QUANTA,
-                "policies": POLICIES, "workloads": WORKLOADS,
-                "num_cpus": CPUS, "threads_per_cpu": THREADS_PER_CPU,
-                "seeds": 2, "ops": 96 * scale(),
-                "app_scale": 12 * scale(), **engine_kwargs()},
-        rounds=1, iterations=1)
+def test_sched_grid():
+    grid = sched_grid(schedulers=SCHEDULERS, quanta=QUANTA,
+                      policies=POLICIES, workloads=WORKLOADS,
+                      num_cpus=CPUS, threads_per_cpu=THREADS_PER_CPU,
+                      seeds=2, ops=96 * scale(),
+                      app_scale=12 * scale(), **engine_kwargs())
     emit("sched-grid", sched_grid_table(grid))
 
     cycles = {key: cell["cycles"] for key, cell in grid.cells.items()}
-    bench_json("sched", benchmark,
+    bench_json("sched",
                config={"schedulers": list(SCHEDULERS),
                        "quanta": list(QUANTA),
                        "policies": list(POLICIES),
@@ -57,8 +54,6 @@ def test_sched_grid(benchmark):
                             for key, cell in grid.cells.items()},
                         "summaries": {key: cell["summary"]
                                       for key, cell in grid.cells.items()}})
-    for key, value in cycles.items():
-        benchmark.extra_info[key] = value
 
     # Every cell must pass the oracle + monitors even under mid-CS
     # preemption -- that is the point of the experiment.

@@ -13,15 +13,11 @@ from repro.harness.report import dict_table
 from conftest import bench_json, emit, engine_kwargs
 
 
-def test_coarse_vs_fine(benchmark):
-    result = benchmark.pedantic(table_coarse_vs_fine,
-                                kwargs={"num_cpus": 16, **engine_kwargs()},
-                                rounds=1, iterations=1)
+def test_coarse_vs_fine():
+    result = table_coarse_vs_fine(num_cpus=16, **engine_kwargs())
     emit("table-coarse-vs-fine", dict_table(result))
-    bench_json("tab_coarse_vs_fine", benchmark,
+    bench_json("tab_coarse_vs_fine",
                config={"num_cpus": 16}, results=dict(result))
-    benchmark.extra_info.update(
-        {k: v for k, v in result.items() if isinstance(v, (int, float))})
     assert result["speedup_tlr_coarse_over_base_fine"] > 1.3
     assert result["speedup_tlr_coarse_over_tlr_fine"] > 1.0
     assert result["coarse/BASE"] > 2 * result["fine/BASE"]

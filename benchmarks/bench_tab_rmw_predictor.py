@@ -12,15 +12,12 @@ from repro.harness.report import dict_table
 from conftest import bench_json, emit, engine_kwargs
 
 
-def test_rmw_predictor(benchmark):
-    result = benchmark.pedantic(table_rmw_predictor,
-                                kwargs={"num_cpus": 16, **engine_kwargs()},
-                                rounds=1, iterations=1)
+def test_rmw_predictor():
+    result = table_rmw_predictor(num_cpus=16, **engine_kwargs())
     emit("table-rmw-predictor", dict_table(result, "BASE / BASE-no-opt"))
-    bench_json("tab_rmw_predictor", benchmark,
+    bench_json("tab_rmw_predictor",
                config={"num_cpus": 16},
                results={"speedups_base_over_base_noopt": dict(result)})
-    benchmark.extra_info.update(result)
     # The predictor never hurts and helps at least one application.
     assert all(speedup > 0.95 for speedup in result.values())
     assert any(speedup > 1.02 for speedup in result.values())

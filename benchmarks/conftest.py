@@ -2,12 +2,13 @@
 
 Each benchmark regenerates one of the paper's tables or figures: it runs
 the experiment sweep, prints the same rows/series the paper reports (so
-``pytest benchmarks/ --benchmark-only -s`` reproduces the evaluation on
-a terminal), attaches the numbers as ``extra_info`` for machine
-consumption, writes a text artifact under ``benchmarks/out/``, and
-drops a machine-readable ``BENCH_<name>.json`` at the repo root via
-:func:`bench_json` (schema: the sweep's configuration knobs, the raw
-per-point results, and the measured wall time).
+``PYTHONPATH=src python -m pytest benchmarks -q -s`` reproduces the
+evaluation on a terminal), writes a text artifact under
+``benchmarks/out/``, and drops a machine-readable ``BENCH_<name>.json``
+at the repo root via :func:`bench_json` (schema: the sweep's
+configuration knobs and the raw per-point results).  The results are
+simulated cycles; nothing here times the simulator -- ``bench/run.py``
+does that.
 
 Scale knobs: ``REPRO_BENCH_SCALE`` (default 1) multiplies workload
 sizes; ``REPRO_BENCH_FULL=1`` switches to the full processor-count sweep
@@ -16,7 +17,7 @@ sizes; ``REPRO_BENCH_FULL=1`` switches to the full processor-count sweep
 Engine knobs: ``REPRO_BENCH_JOBS`` (default 1) fans each sweep's
 independent runs out over worker processes (results are bit-identical
 to serial); ``REPRO_BENCH_CACHE=1`` enables the on-disk result cache
-(off by default so benchmark timings always measure real simulation).
+(off by default so every run really simulates).
 """
 
 from __future__ import annotations
@@ -79,19 +80,12 @@ def sweep_results(result) -> dict:
     return out
 
 
-def bench_json(name: str, benchmark, config: dict, results: dict) -> None:
+def bench_json(name: str, config: dict, results: dict) -> None:
     """Write ``BENCH_<name>.json`` at the repo root.
 
     ``config`` holds the sweep's knobs (scale, processor counts, seeds,
     ...), ``results`` the raw numbers (per-point cycles / speedups).
-    The measured wall time comes from pytest-benchmark's stats when
-    available (``None`` under ``--benchmark-disable``).
     """
-    try:
-        wall = float(benchmark.stats.stats.mean)
-    except Exception:
-        wall = None
-    payload = {"bench": name, "config": config, "results": results,
-               "wall_seconds": wall}
+    payload = {"bench": name, "config": config, "results": results}
     path = REPO_ROOT / f"BENCH_{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

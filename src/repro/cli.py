@@ -238,29 +238,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--all-metrics", action="store_true",
         help="with --history: include metrics that never changed")
 
-    perf_cmd = sub.add_parser(
-        "perf", help="measure simulator throughput (events/sec, wall "
-                     "seconds, peak RSS) on the profiled hot workloads")
-    perf_cmd.add_argument("--quick", action="store_true",
-                          help="quarter-size workloads (CI smoke)")
-    perf_cmd.add_argument("--repeats", type=int, default=3,
-                          help="runs per workload; best wall time wins")
-    perf_cmd.add_argument("--out", type=str, default=None,
-                          help="write the BENCH-schema payload to this "
-                               "path (e.g. BENCH_perf.json)")
-    perf_cmd.add_argument("--baseline", type=str, default=None,
-                          help="an earlier perf payload (file or git "
-                               "ref) to record speedups against")
-    perf_cmd.add_argument("--check", type=str, default=None,
-                          metavar="REF|PATH",
-                          help="fail if events/sec dropped more than "
-                               "--max-drop vs this reference payload")
-    perf_cmd.add_argument("--max-drop", type=float, default=0.25,
-                          help="allowed relative events/sec drop for "
-                               "--check (default 0.25)")
-    perf_cmd.add_argument("--json", action="store_true",
-                          help="emit the payload as JSON on stdout")
-
     cache_cmd = sub.add_parser(
         "cache", help="inspect or clean the on-disk result cache")
     cache_cmd.add_argument("--cache-dir", type=str, default=None,
@@ -887,44 +864,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.command == "profile":
         return _do_profile(args)
-
-    if args.command == "perf":
-        from repro.harness import perf
-        baseline = None
-        if args.baseline:
-            try:
-                baseline = perf.load_reference(args.baseline)
-            except (FileNotFoundError, json.JSONDecodeError) as exc:
-                print(f"perf: {exc}", file=sys.stderr)
-                return 2
-        job = submit(JobSpec.perf(quick=args.quick, repeats=args.repeats,
-                                  baseline=baseline))
-        payload = job.result
-        if args.out:
-            from pathlib import Path
-            Path(args.out).write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            print(perf.render_table(payload))
-        if args.check:
-            try:
-                reference = perf.load_reference(args.check)
-            except (FileNotFoundError, json.JSONDecodeError) as exc:
-                print(f"perf: {exc}", file=sys.stderr)
-                return 2
-            failures = (perf.check_shape(payload, reference)
-                        + perf.check_throughput(payload, reference,
-                                                max_drop=args.max_drop))
-            for failure in failures:
-                print(f"perf regression: {failure}", file=sys.stderr)
-            if failures:
-                return 1
-            print(f"perf check vs {args.check}: ok "
-                  f"(run shape unchanged, events/sec within "
-                  f"{args.max_drop:.0%})")
-        return 0
 
     if args.command == "cache":
         from repro.harness.cache import ResultCache

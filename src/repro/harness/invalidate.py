@@ -15,9 +15,9 @@ change: a fingerprint-neutral edit re-runs nothing; a bump of
 :data:`~repro.harness.spec.FINGERPRINT_VERSION` (or a config change)
 re-runs exactly the affected cells.
 
-Artifacts whose cells this module cannot reconstruct (machine-bound
-perf measurements, the ablation grids with bespoke config surgery) are
-reported as skipped rather than silently ignored.
+Artifacts whose cells this module cannot reconstruct (the ablation
+grids with bespoke config surgery) are reported as skipped rather than
+silently ignored.
 """
 
 from __future__ import annotations
@@ -148,10 +148,8 @@ def plan(repo: Union[str, Path] = ".", cache=True) -> list[ArtifactPlan]:
         bench = payload.get("bench", "?")
         planner = PLANNERS.get(bench)
         if planner is None:
-            reason = ("machine-bound measurement" if bench == "perf"
-                      else "no cell planner")
             plans.append(ArtifactPlan(artifact=path.name, bench=bench,
-                                      skipped=reason))
+                                      skipped="no cell planner"))
             continue
         specs = planner(payload.get("config") or {},
                         payload.get("results") or {})

@@ -1,7 +1,7 @@
 """Transport-agnostic job execution: ``submit(JobSpec) -> JobResult``.
 
 This is the single choke point every front end routes work through.
-The CLI subcommands (``repro run``/``figure9``/``verify``/``perf``) and
+The CLI subcommands (``repro run``/``figure9``/``verify``/``sched``) and
 the HTTP service (``repro serve``) both build a
 :class:`~repro.harness.spec.JobSpec` and call :func:`submit`; neither
 has a private execution path, so a job behaves identically whether it
@@ -16,9 +16,8 @@ Two layers of caching apply:
 * **job level** -- a *completed* job's full :class:`JobResult` is
   stored under ``job-<fingerprint>``; an identical later submission is
   replayed from disk without touching the engine at all (zero
-  simulations, zero cell-cache reads).  Perf jobs are exempt
-  (:attr:`JobSpec.cacheable`): they measure the machine, not a
-  deterministic outcome.
+  simulations, zero cell-cache reads).  Every job kind is
+  deterministic, so every completed job is replayable.
 
 In-flight coalescing (two concurrent submissions of the same
 fingerprint share one execution) lives a layer up, in
@@ -126,10 +125,6 @@ def _execute_job(spec: JobSpec, *, jobs: int, timeout: Optional[float],
         return ({"ok": not isinstance(outcome, parallel.FailedRun),
                  "outcome": outcome.to_dict()},
                 telemetry.to_dict())
-    if spec.kind == "perf":
-        # Lazy import: perf is a leaf module the hot path never needs.
-        from repro.harness import perf
-        return perf.run_perf(**dict(spec.params)), None
     # "sweep", "verify" and "sched" all run a registered experiment;
     # verify/sched are their own kinds because their params/result
     # contracts are distinct, not because they execute differently.
@@ -186,7 +181,7 @@ def submit(spec: JobSpec, *, jobs: int = 1,
     """
     store = resolve_cache(cache)
     fingerprint = spec.fingerprint()
-    if store is not None and spec.cacheable:
+    if store is not None:
         payload = store.get(JOB_CACHE_PREFIX + fingerprint)
         if payload is not None:
             try:
@@ -208,7 +203,7 @@ def submit(spec: JobSpec, *, jobs: int = 1,
     artifacts = collect_artifacts(payload)
     if artifacts:
         result.extra["artifacts"] = artifacts
-    if store is not None and spec.cacheable:
+    if store is not None:
         store.put(JOB_CACHE_PREFIX + fingerprint, result.to_dict())
     if store is not None:
         store.persist_counters()  # keep `repro cache --stats` truthful

@@ -61,7 +61,7 @@ FINGERPRINT_VERSION = 9
 # Result-payload schema stamping
 # ----------------------------------------------------------------------
 #: Version of every result ``to_dict`` payload (RunResult, SweepResult,
-#: AppResult, VerifyResult, PolicyGridResult, perf payloads, JobResult).
+#: AppResult, VerifyResult, PolicyGridResult, JobResult).
 #: The v4 fingerprint bump documents the hazard this solves: a cached or
 #: HTTP-transported payload whose schema silently drifted used to come
 #: back with fields quietly dropped.  Now every payload carries an
@@ -251,15 +251,15 @@ JOBSPEC_SCHEMA = 1
 #: The kinds of work a job can describe.  ``run`` wraps one
 #: :class:`RunSpec`; ``sweep`` names a registered experiment plus its
 #: parameters (covers the figure/table sweeps and the policy grid);
-#: ``verify`` is the verification suite; ``perf`` a throughput
-#: measurement; ``sched`` the preemptive-scheduler grid (its own kind
-#: so the service can route and rate it separately from sweeps).
-JOB_KINDS = ("run", "sweep", "verify", "perf", "sched")
+#: ``verify`` is the verification suite; ``sched`` the
+#: preemptive-scheduler grid (its own kind so the service can route and
+#: rate it separately from sweeps).
+JOB_KINDS = ("run", "sweep", "verify", "sched")
 
 
 @dataclass
 class JobSpec:
-    """One unit of work -- run, sweep, verify or perf -- as a single
+    """One unit of work -- run, sweep, verify or sched -- as a single
     serializable, fingerprintable envelope.
 
     This is the API the CLI and the ``repro serve`` HTTP service share:
@@ -317,12 +317,6 @@ class JobSpec:
         return cls(kind="verify", params=params)
 
     @classmethod
-    def perf(cls, **params) -> "JobSpec":
-        """A throughput-measurement job (see
-        :func:`repro.harness.perf.run_perf`)."""
-        return cls(kind="perf", params=params)
-
-    @classmethod
     def sched(cls, **params) -> "JobSpec":
         """A preemptive-scheduler grid job (see
         :func:`repro.harness.experiments.sched_grid`).  ``config`` may
@@ -331,14 +325,7 @@ class JobSpec:
             params["config"] = config_to_dict(params["config"])
         return cls(kind="sched", params=params)
 
-    # -- properties -----------------------------------------------------
-    @property
-    def cacheable(self) -> bool:
-        """Whether a completed result may be replayed for an identical
-        later submission.  Perf jobs measure the machine they run on,
-        not a deterministic outcome, so they are never replayed."""
-        return self.kind != "perf"
-
+    # -- accessors ------------------------------------------------------
     def run_spec(self) -> "RunSpec":
         """The wrapped :class:`RunSpec` (``kind == "run"`` only)."""
         if self.kind != "run":

@@ -178,7 +178,7 @@ class TestServeArtifacts:
         log = tmp_path / "record-x-s0.rlog"
         log.write_bytes(b"\x00\x01binary log bytes")
         queue = JobQueue(workers=1)
-        job = Job("j-artifact", JobSpec.perf(quick=True), "fp")
+        job = Job("j-artifact", JobSpec.verify(), "fp")
         job.state = "done"
         job.result = JobResult(
             kind="verify", fingerprint="fp",

@@ -139,12 +139,17 @@ class TestServeEndToEnd:
             urllib.request.urlopen(base + "/jobs/j999999")
         assert notfound.value.code == 404
 
-        bad = urllib.request.Request(base + "/jobs", data=b"not json",
-                                     headers={"Content-Type":
-                                              "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as badreq:
-            urllib.request.urlopen(bad)
-        assert badreq.value.code == 400
+        unknown_kind = json.dumps({"schema": 1, "kind": "perf",
+                                   "params": {}}).encode()
+        for body, names in ((b"not json", "bad job spec"),
+                            (unknown_kind, "unknown job kind 'perf'")):
+            bad = urllib.request.Request(base + "/jobs", data=body,
+                                         headers={"Content-Type":
+                                                  "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as badreq:
+                urllib.request.urlopen(bad)
+            assert badreq.value.code == 400
+            assert names in json.load(badreq.value)["error"]
 
 
 class TestCoalescing:

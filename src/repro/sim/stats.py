@@ -163,7 +163,7 @@ class SimStats:
         return stats
 
     def summary(self) -> dict:
-        """A flat dict convenient for tables and ``extra_info``."""
+        """A flat dict convenient for tables and JSON artifacts."""
         return {
             "total_cycles": self.total_cycles,
             "bus_transactions": self.bus_transactions,

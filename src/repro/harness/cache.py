@@ -95,7 +95,7 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
+                fh.write(json.dumps(payload))
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -206,7 +206,7 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(merged, fh)
+                fh.write(json.dumps(merged))
             os.replace(tmp, self._stats_path())
         except BaseException:
             try:

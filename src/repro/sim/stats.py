@@ -13,7 +13,7 @@ charged the stall, classified by whether it targets a lock variable.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 @dataclass
@@ -72,7 +72,7 @@ class CpuStats:
 
     def to_dict(self) -> dict:
         """A JSON-serializable snapshot (counters as plain dicts)."""
-        data = asdict(self)
+        data = {name: getattr(self, name) for name in _CPU_FIELDS}
         data["restart_reasons"] = dict(self.restart_reasons)
         return data
 
@@ -81,6 +81,12 @@ class CpuStats:
         data = dict(data)
         data["restart_reasons"] = Counter(data.get("restart_reasons") or {})
         return cls(**data)
+
+
+#: ``CpuStats`` field names in declaration order: every counter is a
+#: scalar except ``restart_reasons``, so ``to_dict`` copies by name
+#: instead of recursively deep-copying the record.
+_CPU_FIELDS = tuple(f.name for f in fields(CpuStats))
 
 
 @dataclass

@@ -321,8 +321,8 @@ class Tracer:
             payload.append({**common, "ph": "b", "ts": span.begin})
             payload.append({**common, "ph": "e", "ts": span.end})
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"traceEvents": payload, "displayTimeUnit": "ms"},
-                      fh)
+            fh.write(json.dumps({"traceEvents": payload,
+                                 "displayTimeUnit": "ms"}))
         return len(events)
 
 

@@ -46,6 +46,28 @@ class TestRetries:
         assert attempts == [5, 5 + parallel.SEED_BUMP]
         assert telemetry.retries == 1 and telemetry.failures == 0
 
+    def test_retried_cell_replays_its_retry_metadata(self, monkeypatch,
+                                                     tmp_path):
+        real = parallel._simulate
+        attempts = []
+
+        def flaky(spec):
+            attempts.append(spec.config.seed)
+            if len(attempts) == 1:
+                raise SimulationError("synthetic livelock")
+            return real(spec)
+
+        monkeypatch.setattr(parallel, "_simulate", flaky)
+        specs = [_spec(seed=5), _spec(seed=6)]
+        cold, cold_tel = execute(specs, jobs=1, cache=tmp_path)
+        warm, warm_tel = execute(specs, jobs=1, cache=tmp_path)
+        assert (cold_tel.retries, cold_tel.simulated) == (1, 2)
+        assert (warm_tel.cache_hits, warm_tel.simulated) == (2, 0)
+        assert [o.to_dict() for o in warm] == [o.to_dict() for o in cold]
+        assert warm[0].attempts == 2
+        assert warm[0].seed_used == 5 + parallel.SEED_BUMP
+        assert (warm[1].attempts, warm[1].seed_used) == (1, 6)
+
     def test_exhausted_retries_yield_failed_run(self, monkeypatch):
         monkeypatch.setattr(
             parallel, "_simulate",

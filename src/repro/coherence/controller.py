@@ -639,8 +639,6 @@ class CacheController:
         target = self.bus.controllers.get(request.requester)
         if target is not None:
             self.stats.markers_sent += 1
-            if self.taps.marker_sent:
-                self.taps.marker_sent.emit(self, marker)
             label = (f"marker {request.line:#x}" if self.sim.verbose_labels
                      else "marker")
             self.datanet.send_control(target.handle_marker, marker,
@@ -678,8 +676,6 @@ class CacheController:
             return
         self.stats.probes_sent += 1
         probe = Probe(line=line_addr, ts=ts, origin=origin)
-        if self.taps.probe_sent:
-            self.taps.probe_sent.emit(self, probe)
         label = (f"probe {line_addr:#x}" if self.sim.verbose_labels
                  else "probe")
         self.datanet.send_control(target.handle_probe, probe, label=label)

@@ -54,7 +54,12 @@ from repro.workloads.microbench import (linked_list, multiple_counter,
 #     field and the metrics lost the kernel batch-size histogram and the
 #     backend entry under ``meta``.  Simulated behaviour is unchanged;
 #     :func:`config_from_dict` still accepts (and ignores) the v8 key.
-FINGERPRINT_VERSION = 9
+# v10: the metrics lost the one-hop flight-time pairing (the marker
+#     and probe received counters and flight-time histograms); the
+#     sent, NACK and deferral counters are read from the CPU stats.
+#     Simulated behaviour is unchanged; cached v9 payloads would replay
+#     the dropped families.
+FINGERPRINT_VERSION = 10
 
 
 # ----------------------------------------------------------------------

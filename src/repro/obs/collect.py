@@ -10,7 +10,10 @@ and turn a genuine deadlock (queue drained with incomplete actors) into
 a max-cycles livelock diagnostic.  Deferral-queue depth is therefore
 observed at each push -- every change of the queue passes through a
 hook anyway -- and latencies are measured by pairing the open/close
-events (request->data, defer->service, marker/probe send->receive).
+events (request->data, defer->service).  Counts the machine already
+keeps in :class:`~repro.sim.stats.CpuStats` (probes and markers sent,
+NACKs received, requests deferred) are read from it in
+:meth:`MachineMetrics.finalize`, not counted again per event.
 
 The collector only *reads* simulation state; it schedules nothing and
 mutates nothing, so attaching it cannot change a run's fingerprint
@@ -39,29 +42,17 @@ class MachineMetrics:
         self._miss_open: dict[int, int] = {}          # req_id -> issue time
         self._defer_open: dict[int, int] = {}         # req_id -> defer time
         self._nack_retries: TallyCounter = TallyCounter()  # req_id -> nacks
-        self._marker_open: dict[int, list[int]] = {}  # req_id -> send times
-        self._probe_open: dict[tuple, list[int]] = {}  # (line,ts,origin)
         # The hook-path instruments, resolved once: per-event
         # get-or-create registry lookups were visible in profiles.
         reg = self.registry
         self._requests_issued = reg.counter("requests.issued")
-        self._defer_count = reg.counter("defer.count")
         self._defer_depth_hist = reg.histogram("defer.queue_depth",
                                                DEPTH_BUCKETS)
         self._defer_depth_gauge = reg.gauge("defer.queue_depth")
-        self._defer_serviced = reg.counter("defer.serviced")
         self._defer_latency = reg.histogram("defer.latency", LATENCY_BUCKETS)
-        self._nack_received = reg.counter("nack.received")
         self._miss_latency = reg.histogram("miss.latency", LATENCY_BUCKETS)
         self._nack_retries_hist = reg.histogram("nack.retries_per_request",
                                                 RETRY_BUCKETS)
-        self._marker_sent = reg.counter("marker.sent")
-        self._marker_received = reg.counter("marker.received")
-        self._marker_latency = reg.histogram("marker.latency",
-                                             LATENCY_BUCKETS)
-        self._probe_sent = reg.counter("probe.sent")
-        self._probe_received = reg.counter("probe.received")
-        self._probe_latency = reg.histogram("probe.latency", LATENCY_BUCKETS)
         self._restart_count = reg.counter("restart.count")
         self._restart_backoff = reg.histogram("restart.backoff",
                                               LATENCY_BUCKETS)
@@ -77,10 +68,6 @@ class MachineMetrics:
         subscribe(self.on_obligation_serviced, "service")
         subscribe(self.on_nack, "nacked")
         subscribe(self.on_data, "filled")
-        subscribe(self.on_marker_sent, "marker-sent")
-        subscribe(self.on_marker, "marker")
-        subscribe(self.on_probe_sent, "probe-sent")
-        subscribe(self.on_probe, "probe")
         subscribe(self.on_restart, "restart")
         subscribe(self.on_sched_preempt, "preempt")
         subscribe(self.on_sched_migrate, "migrate")
@@ -99,7 +86,6 @@ class MachineMetrics:
     def on_defer(self, time, cpu, kind, args, obj) -> None:
         """After a deferral (the request is in the holder's queue)."""
         depth = len(obj.deferred)
-        self._defer_count.inc()
         self._defer_depth_hist.observe(depth)
         self._defer_depth_gauge.set(depth)
         self._defer_open.setdefault(args[0].req_id, time)
@@ -107,12 +93,10 @@ class MachineMetrics:
     def on_obligation_serviced(self, time, cpu, kind, args, obj) -> None:
         started = self._defer_open.pop(args[0].req_id, None)
         if started is not None:
-            self._defer_serviced.inc()
             self._defer_latency.observe(time - started)
 
     def on_nack(self, time, cpu, kind, args, obj) -> None:
         """Our own request came back refused (requester side)."""
-        self._nack_received.inc()
         self._nack_retries[args[0].req_id] += 1
 
     def on_data(self, time, cpu, kind, args, obj) -> None:
@@ -122,29 +106,6 @@ class MachineMetrics:
         if issued is not None:
             self._miss_latency.observe(time - issued)
         self._nack_retries_hist.observe(self._nack_retries.pop(req_id, 0))
-
-    def on_marker_sent(self, time, cpu, kind, args, obj) -> None:
-        self._marker_sent.inc()
-        self._marker_open.setdefault(args[0].req_id, []).append(time)
-
-    def on_marker(self, time, cpu, kind, args, obj) -> None:
-        sends = self._marker_open.get(args[0].req_id)
-        if sends:
-            self._marker_received.inc()
-            self._marker_latency.observe(time - sends.pop(0))
-
-    def on_probe_sent(self, time, cpu, kind, args, obj) -> None:
-        probe = args[0]
-        self._probe_sent.inc()
-        self._probe_open.setdefault((probe.line, probe.ts, probe.origin),
-                                    []).append(time)
-
-    def on_probe(self, time, cpu, kind, args, obj) -> None:
-        probe = args[0]
-        sends = self._probe_open.get((probe.line, probe.ts, probe.origin))
-        if sends:
-            self._probe_received.inc()
-            self._probe_latency.observe(time - sends.pop(0))
 
     # ------------------------------------------------------------------
     # Processor point
@@ -184,6 +145,7 @@ class MachineMetrics:
         """Fold in end-of-run state (per-policy telemetry, outcome
         counters) and export the registry as a JSON-able dict."""
         machine = machine or self._machine
+        self.registry.counter("defer.serviced").inc(self._defer_latency.count)
         if machine is not None:
             for controller in machine.controllers:
                 for key, value in controller.policy.telemetry().items():
@@ -194,6 +156,13 @@ class MachineMetrics:
             # is recorded there but never paced through the hook.
             for reason, count in stats.reason_totals().items():
                 self.registry.counter(f"restart.reason.{reason}").inc(count)
+            # Each of these stats is incremented beside the emit point
+            # it would otherwise be counted at.
+            for name, stat in (("probe.sent", "probes_sent"),
+                               ("marker.sent", "markers_sent"),
+                               ("nack.received", "nacks_received"),
+                               ("defer.count", "requests_deferred")):
+                self.registry.counter(name).inc(stats.total(stat))
             self.registry.counter("txn.commits").inc(
                 stats.total("elisions_committed"))
             self.registry.counter("txn.lock_fallbacks").inc(

@@ -28,14 +28,18 @@ any early return, with the handler's positional arguments; the kinds in
 :data:`POST_KINDS` fire again (``post=True``) on every return path.  The
 other points, with their ``args``: ``issued``/``nacked``/``filled``
 (request; a live miss left for the bus, was refused, was filled),
-``marker-sent``/``probe-sent`` (message), ``restart`` (reason, backoff,
-streak), ``line-state`` (line) after a coherence state change,
-``deferred`` (request) once queued, ``arch-read``/``plain-write`` (addr,
-value) for a speculative read served by memory and a non-speculative
-store, ``write-set`` (write set) at commit before the drain, ``sched``
-(SCHED_IN/OUT/MIGRATE, thread), ``preempt`` (thread, ran,
-was_speculating), ``migrate`` (thread, from_slot) and ``dispatch``
-(event label).
+``restart`` (reason, backoff, streak), ``line-state`` (line) after a
+coherence state change, ``deferred`` (request) once queued,
+``arch-read``/``plain-write`` (addr, value) for a speculative read
+served by memory and a non-speculative store, ``write-set`` (write set)
+at commit before the drain, ``sched`` (SCHED_IN/OUT/MIGRATE, thread),
+``preempt`` (thread, ran, was_speculating), ``migrate`` (thread,
+from_slot) and ``dispatch`` (event label).
+
+The default observers (metrics and the lock profiler) subscribe to no
+point that fires per control message (``marker``, ``probe``) or per
+kernel event (``dispatch``): a count the machine already keeps in its
+stats is read from there at the end of the run, not counted per emit.
 """
 
 from __future__ import annotations
@@ -111,8 +115,6 @@ class MachineTaps:
         self.issued = Point("issued")
         self.nacked = Point("nacked")
         self.filled = Point("filled")
-        self.marker_sent = Point("marker-sent")
-        self.probe_sent = Point("probe-sent")
         self.restart = Point("restart")
         # Invariant checks.
         self.line_state = Point("line-state")

@@ -116,15 +116,14 @@ def execute_workload(workload: Workload, config: SystemConfig,
     stats = machine.run_workload(workload, validate=validate)
     metrics = None
     if collector is not None:
-        if profiler is not None:
-            # Aggregate profile families ride the shared registry so
-            # they reach the OpenMetrics export and trend gating...
-            profiler.publish(collector.registry)
+        # Aggregate profile families ride the shared registry so they
+        # reach the OpenMetrics export and trend gating, while the full
+        # per-lock breakdown travels beside the flat counters.  Neither
+        # moves result_fingerprint: metrics are telemetry about a run,
+        # not part of its outcome.
+        profile = profiler.snapshot()
+        profiler.publish(collector.registry, profile)
         metrics = collector.finalize(machine)
-        if profiler is not None:
-            # ...while the full per-lock breakdown travels beside the
-            # flat counters.  Neither moves result_fingerprint: metrics
-            # are telemetry about a run, not part of its outcome.
-            metrics["profile"] = profiler.snapshot()
+        metrics["profile"] = profile
     return RunResult(config=config, workload_name=workload.name,
                      stats=stats, store=machine.store, metrics=metrics)

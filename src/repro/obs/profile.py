@@ -380,10 +380,14 @@ class LockProfiler:
         self.builder.finalize()
         return self.builder.snapshot()
 
-    def publish(self, registry: "MetricsRegistry") -> None:
+    def publish(self, registry: "MetricsRegistry",
+                snap: Optional[dict] = None) -> None:
         """Publish aggregate profile families into an obs registry so
-        they ride the existing OpenMetrics export and trend gating."""
-        snap = self.builder.snapshot()
+        they ride the existing OpenMetrics export and trend gating.
+        Pass the run's :meth:`snapshot` as ``snap`` to publish from it
+        rather than build another."""
+        if snap is None:
+            snap = self.builder.snapshot()
         totals = snap["totals"]
         registry.counter("profile.txn.attempts").inc(totals["attempts"])
         registry.counter("profile.txn.commits").inc(totals["commits"])

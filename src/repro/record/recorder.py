@@ -321,11 +321,10 @@ def record_run(spec: RunSpec) -> RecordedRun:
         error = f"{type(exc).__name__}: {exc}"
     metrics = None
     if collector is not None:
-        if profiler is not None:
-            profiler.publish(collector.registry)
+        profile = profiler.snapshot()
+        profiler.publish(collector.registry, profile)
         metrics = collector.finalize(machine)
-        if profiler is not None:
-            metrics["profile"] = profiler.snapshot()
+        metrics["profile"] = profile
     result = RunResult(
         config=spec.config, workload_name=workload.name,
         stats=machine.stats, store=machine.store, metrics=metrics)

@@ -80,6 +80,16 @@ class TestSeam:
                   if isinstance(value, Point)]
         assert [p.kind for p in points if not p] == []
 
+    def test_default_path_skips_per_message_points(self):
+        """Metrics and the lock profiler (the default observers) take
+        nothing per control message or per kernel event."""
+        machine = Machine(SystemConfig(num_cpus=2))
+        MachineMetrics().attach(machine)
+        LockProfiler().attach(machine)
+        taps = machine.taps
+        assert not taps.probe and not taps.probe_post
+        assert not taps.marker and not taps.dispatch
+
     def test_bare_machine_has_no_subscribers(self):
         machine = Machine(SystemConfig(num_cpus=2))
         assert not any(value for value in vars(machine.taps).values()

@@ -1,12 +1,18 @@
 """One entry point per paper figure/table (the per-experiment index of
 DESIGN.md).
 
-Each ``figure_*``/``table_*`` function plans the full parameter sweep
-the paper's plot covers as a list of
-:class:`~repro.harness.spec.RunSpec`, hands it to the parallel sweep
-engine (:mod:`repro.harness.parallel`), and assembles the structured
+Each experiment is a planner and a reducer.  ``plan_*`` turns the
+experiment's parameters into the list of
+:class:`~repro.harness.spec.RunSpec` the paper's plot covers;
+``reduce_*`` turns those specs and their outcomes into the structured
 result that :mod:`repro.harness.report` prints as the same rows/series
-the paper reports.  All of them accept the uniform engine keywords --
+the paper reports.  Each public ``figure_*``/``table_*``/``*_grid``
+function is the reducer applied to the planned specs run through the
+parallel sweep engine (:mod:`repro.harness.parallel`) or, for the
+grids, the verifier; the artifact registry
+(:mod:`repro.harness.artifacts`) calls the same planners, so a figure
+and its committed artifact cannot plan different cells.  The public
+functions accept the uniform engine keywords --
 ``jobs`` (worker processes; 1 = serial, the determinism baseline),
 ``timeout`` (per-run wall-clock seconds), ``cache`` (result cache),
 ``retries`` (livelock retries) and ``validate`` -- and are registered
@@ -24,6 +30,7 @@ sweep series plus a :class:`~repro.harness.parallel.FailedRun` in
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -211,39 +218,6 @@ def _spec(workload: str, config: SystemConfig, scheme: SyncScheme,
                    workload_args=workload_args, validate=validate)
 
 
-def _sweep(name: str, workload: str, workload_args: dict,
-           schemes: Sequence[SyncScheme],
-           processor_counts: Sequence[int],
-           base_config: Optional[SystemConfig],
-           engine: dict, validate: bool = True) -> SweepResult:
-    base = base_config or SystemConfig()
-    keys: list[tuple[SyncScheme, int]] = [
-        (scheme, n) for scheme in schemes for n in processor_counts]
-    specs = [_spec(workload, base, scheme, n, validate, **workload_args)
-             for scheme, n in keys]
-    outcomes = _execute(specs, engine)
-    result = SweepResult(name=name, processor_counts=list(processor_counts))
-    metrics: dict[str, dict] = {}
-    for (scheme, n), outcome in zip(keys, outcomes):
-        series = result.series.setdefault(scheme, [])
-        if isinstance(outcome, FailedRun):
-            series.append(None)
-            result.failures.append(outcome)
-        else:
-            series.append(outcome.cycles)
-            # Summarized conflict telemetry per sweep point (None when
-            # the run had config.metrics off or came from a pre-metrics
-            # cache payload); deterministic, so safe in to_dict().
-            if outcome.metrics is not None:
-                metrics[f"{scheme_to_str(scheme)}/{n}"] = (
-                    summarize_metrics(outcome.metrics))
-    if metrics:
-        result.extra["metrics"] = metrics
-    if _LAST_TELEMETRY is not None:
-        result.extra["telemetry"] = _LAST_TELEMETRY
-    return result
-
-
 def _require(outcome: parallel.Outcome) -> RunResult:
     """Unwrap an outcome whose result the experiment cannot do without."""
     if isinstance(outcome, FailedRun):
@@ -258,6 +232,76 @@ def _require(outcome: parallel.Outcome) -> RunResult:
 # ----------------------------------------------------------------------
 # Figures 8-10: microbenchmarks vs processor count
 # ----------------------------------------------------------------------
+def _plan_sweep(workload: str, workload_args: dict,
+                schemes: Sequence[SyncScheme],
+                processor_counts: Sequence[int],
+                config: Optional[SystemConfig],
+                validate: bool) -> list[RunSpec]:
+    base = config or SystemConfig()
+    return [_spec(workload, base, scheme, n, validate, **workload_args)
+            for scheme in schemes for n in processor_counts]
+
+
+def plan_figure8(total_increments: int, processor_counts: Sequence[int],
+                 config: Optional[SystemConfig] = None,
+                 validate: bool = True) -> list[RunSpec]:
+    return _plan_sweep("multiple-counter",
+                       {"total_increments": total_increments},
+                       MICRO_SCHEMES, processor_counts, config, validate)
+
+
+def plan_figure9(total_increments: int, processor_counts: Sequence[int],
+                 config: Optional[SystemConfig] = None,
+                 include_strict_ts: bool = True,
+                 validate: bool = True) -> list[RunSpec]:
+    schemes = list(MICRO_SCHEMES)
+    if include_strict_ts:
+        schemes.append(SyncScheme.TLR_STRICT_TS)
+    return _plan_sweep("single-counter",
+                       {"total_increments": total_increments},
+                       schemes, processor_counts, config, validate)
+
+
+def plan_figure10(total_ops: int, processor_counts: Sequence[int],
+                  config: Optional[SystemConfig] = None,
+                  validate: bool = True) -> list[RunSpec]:
+    return _plan_sweep("linked-list", {"total_ops": total_ops},
+                       MICRO_SCHEMES, processor_counts, config, validate)
+
+
+def reduce_sweep(specs: Sequence[RunSpec],
+                 outcomes: Sequence[parallel.Outcome],
+                 name: str = "sweep") -> SweepResult:
+    """cycles[scheme][processor_count] from a planned sweep."""
+    result = SweepResult(name=name, processor_counts=list(
+        dict.fromkeys(spec.config.num_cpus for spec in specs)))
+    metrics: dict[str, dict] = {}
+    for spec, outcome in zip(specs, outcomes):
+        scheme, n = spec.config.scheme, spec.config.num_cpus
+        series = result.series.setdefault(scheme, [])
+        if isinstance(outcome, FailedRun):
+            series.append(None)
+            result.failures.append(outcome)
+        else:
+            series.append(outcome.cycles)
+            # Summarized conflict telemetry per sweep point (None when
+            # the run had config.metrics off or came from a pre-metrics
+            # cache payload); deterministic, so safe in to_dict().
+            if outcome.metrics is not None:
+                metrics[f"{scheme_to_str(scheme)}/{n}"] = (
+                    summarize_metrics(outcome.metrics))
+    if metrics:
+        result.extra["metrics"] = metrics
+    return result
+
+
+def _run_sweep(name: str, specs: list[RunSpec], engine: dict
+               ) -> SweepResult:
+    result = reduce_sweep(specs, _execute(specs, engine), name)
+    result.extra["telemetry"] = _LAST_TELEMETRY
+    return result
+
+
 @register_experiment("figure8", "multiple-counter sweep (coarse-grain "
                                 "locking, no data conflicts)")
 def figure8_multiple_counter(total_increments: int = 2048,
@@ -270,10 +314,10 @@ def figure8_multiple_counter(total_increments: int = 2048,
                              retries: Optional[int] = None,
                              validate: bool = True) -> SweepResult:
     """Coarse-grain/no-conflicts (paper Figure 8)."""
-    return _sweep("figure8-multiple-counter", "multiple-counter",
-                  {"total_increments": total_increments},
-                  MICRO_SCHEMES, processor_counts, config,
-                  _engine_kwargs(jobs, timeout, cache, retries), validate)
+    return _run_sweep("figure8-multiple-counter",
+                      plan_figure8(total_increments, processor_counts,
+                                   config, validate),
+                      _engine_kwargs(jobs, timeout, cache, retries))
 
 
 @register_experiment("figure9", "single-counter sweep (fine-grain, "
@@ -289,13 +333,10 @@ def figure9_single_counter(total_increments: int = 1024,
                            retries: Optional[int] = None,
                            validate: bool = True) -> SweepResult:
     """Fine-grain/high-conflict, including TLR-strict-ts (Figure 9)."""
-    schemes = list(MICRO_SCHEMES)
-    if include_strict_ts:
-        schemes.append(SyncScheme.TLR_STRICT_TS)
-    return _sweep("figure9-single-counter", "single-counter",
-                  {"total_increments": total_increments},
-                  schemes, processor_counts, config,
-                  _engine_kwargs(jobs, timeout, cache, retries), validate)
+    return _run_sweep("figure9-single-counter",
+                      plan_figure9(total_increments, processor_counts,
+                                   config, include_strict_ts, validate),
+                      _engine_kwargs(jobs, timeout, cache, retries))
 
 
 @register_experiment("figure10", "linked-list sweep (fine-grain, "
@@ -310,15 +351,36 @@ def figure10_linked_list(total_ops: int = 1024,
                          retries: Optional[int] = None,
                          validate: bool = True) -> SweepResult:
     """Fine-grain/dynamic-conflicts doubly-linked list (Figure 10)."""
-    return _sweep("figure10-linked-list", "linked-list",
-                  {"total_ops": total_ops},
-                  MICRO_SCHEMES, processor_counts, config,
-                  _engine_kwargs(jobs, timeout, cache, retries), validate)
+    return _run_sweep("figure10-linked-list",
+                      plan_figure10(total_ops, processor_counts, config,
+                                    validate),
+                      _engine_kwargs(jobs, timeout, cache, retries))
 
 
 # ----------------------------------------------------------------------
 # Figure 7 intuition: queueing on data under pure conflict
 # ----------------------------------------------------------------------
+def plan_figure7(num_cpus: int, total_increments: int,
+                 config: Optional[SystemConfig] = None,
+                 validate: bool = True) -> list[RunSpec]:
+    return [_spec("single-counter", config or SystemConfig(),
+                  SyncScheme.TLR, num_cpus, validate,
+                  total_increments=total_increments)]
+
+
+def reduce_figure7(specs: Sequence[RunSpec],
+                   outcomes: Sequence[parallel.Outcome]) -> dict:
+    outcome = _require(outcomes[0])
+    summary = outcome.stats.summary()
+    return {
+        "cycles": outcome.cycles,
+        "restarts": summary["restarts"],
+        "deferrals": summary["requests_deferred"],
+        "elisions_committed": summary["elisions_committed"],
+        "critical_sections": summary["critical_sections"],
+    }
+
+
 @register_experiment("figure7", "queue-on-data intuition (TLR orders "
                                 "conflicts on the data itself)")
 def figure7_queue_on_data(num_cpus: int = 4,
@@ -335,24 +397,49 @@ def figure7_queue_on_data(num_cpus: int = 4,
     Returns the TLR run's restart/deferral counts so the claim "no
     transaction requires to restart" can be checked quantitatively.
     """
-    base = config or SystemConfig()
-    spec = _spec("single-counter", base, SyncScheme.TLR, num_cpus,
-                 validate, total_increments=total_increments)
-    outcome = _require(_execute(
-        [spec], _engine_kwargs(jobs, timeout, cache, retries))[0])
-    summary = outcome.stats.summary()
-    return {
-        "cycles": outcome.cycles,
-        "restarts": summary["restarts"],
-        "deferrals": summary["requests_deferred"],
-        "elisions_committed": summary["elisions_committed"],
-        "critical_sections": summary["critical_sections"],
-    }
+    specs = plan_figure7(num_cpus, total_increments, config, validate)
+    return reduce_figure7(specs, _execute(
+        specs, _engine_kwargs(jobs, timeout, cache, retries)))
 
 
 # ----------------------------------------------------------------------
 # Figure 11: applications at 16 processors
 # ----------------------------------------------------------------------
+def plan_figure11(num_cpus: int, apps: Optional[Iterable[str]] = None,
+                  schemes: Sequence[SyncScheme] = APP_SCHEMES,
+                  config: Optional[SystemConfig] = None,
+                  validate: bool = True) -> list[RunSpec]:
+    base = config or SystemConfig()
+    names = list(apps) if apps is not None else list(ALL_APPS)
+    return [_spec(name, base, scheme, num_cpus, validate)
+            for name in names for scheme in schemes]
+
+
+def reduce_figure11(specs: Sequence[RunSpec],
+                    outcomes: Sequence[parallel.Outcome]
+                    ) -> dict[str, AppResult]:
+    results: dict[str, AppResult] = {}
+    for spec, outcome in zip(specs, outcomes):
+        app = results.setdefault(spec.workload, AppResult(
+            name=spec.workload, cycles={}, lock_cycles={}, restarts={},
+            resource_fallbacks={}, critical_sections={}))
+        if isinstance(outcome, FailedRun):
+            app.failures.append(outcome)
+            continue
+        scheme = spec.config.scheme
+        app.cycles[scheme] = outcome.cycles
+        # Average per-processor lock stall (the paper's commit-time
+        # attribution), to compare against parallel time.
+        app.lock_cycles[scheme] = (outcome.stats.lock_stall_cycles
+                                   // max(1, spec.config.num_cpus))
+        app.restarts[scheme] = outcome.stats.restarts
+        app.resource_fallbacks[scheme] = (
+            outcome.stats.total("resource_fallbacks"))
+        app.critical_sections[scheme] = (
+            outcome.stats.total("critical_sections"))
+    return results
+
+
 @register_experiment("figure11", "application suite at 16 processors "
                                  "(normalized bars + MCS comparison)")
 def figure11_applications(num_cpus: int = 16,
@@ -366,39 +453,37 @@ def figure11_applications(num_cpus: int = 16,
                           validate: bool = True) -> dict[str, AppResult]:
     """Application performance, normalized to BASE, with the lock /
     non-lock breakdown (Figure 11) and the in-text MCS comparison."""
-    base = config or SystemConfig()
-    names = list(apps) if apps is not None else list(ALL_APPS)
-    keys = [(name, scheme) for name in names for scheme in schemes]
-    specs = [_spec(name, base, scheme, num_cpus, validate)
-             for name, scheme in keys]
-    outcomes = _execute(specs,
-                        _engine_kwargs(jobs, timeout, cache, retries))
-    results: dict[str, AppResult] = {}
-    for name in names:
-        results[name] = AppResult(name=name, cycles={}, lock_cycles={},
-                                  restarts={}, resource_fallbacks={},
-                                  critical_sections={})
-    for (name, scheme), outcome in zip(keys, outcomes):
-        app = results[name]
-        if isinstance(outcome, FailedRun):
-            app.failures.append(outcome)
-            continue
-        app.cycles[scheme] = outcome.cycles
-        # Average per-processor lock stall (the paper's commit-time
-        # attribution), to compare against parallel time.
-        app.lock_cycles[scheme] = (outcome.stats.lock_stall_cycles
-                                   // max(1, num_cpus))
-        app.restarts[scheme] = outcome.stats.restarts
-        app.resource_fallbacks[scheme] = (
-            outcome.stats.total("resource_fallbacks"))
-        app.critical_sections[scheme] = (
-            outcome.stats.total("critical_sections"))
-    return results
+    specs = plan_figure11(num_cpus, apps, schemes, config, validate)
+    return reduce_figure11(specs, _execute(
+        specs, _engine_kwargs(jobs, timeout, cache, retries)))
 
 
 # ----------------------------------------------------------------------
 # Section 6.3 in-text experiments
 # ----------------------------------------------------------------------
+def plan_coarse_vs_fine(num_cpus: int,
+                        config: Optional[SystemConfig] = None,
+                        validate: bool = True) -> list[RunSpec]:
+    base = config or SystemConfig()
+    return [_spec(workload, base, scheme, num_cpus, validate)
+            for workload in ("mp3d", "mp3d-coarse")
+            for scheme in (SyncScheme.BASE, SyncScheme.TLR, SyncScheme.MCS)]
+
+
+def reduce_coarse_vs_fine(specs: Sequence[RunSpec],
+                          outcomes: Sequence[parallel.Outcome]) -> dict:
+    out: dict[str, int] = {}
+    for spec, outcome in zip(specs, outcomes):
+        grain = "coarse" if spec.workload == "mp3d-coarse" else "fine"
+        out[f"{grain}/{spec.config.scheme.value}"] = (
+            _require(outcome).cycles)
+    out["speedup_tlr_coarse_over_base_fine"] = (
+        out["fine/BASE"] / out["coarse/BASE+SLE+TLR"])
+    out["speedup_tlr_coarse_over_tlr_fine"] = (
+        out["fine/BASE+SLE+TLR"] / out["coarse/BASE+SLE+TLR"])
+    return out
+
+
 @register_experiment("coarse-vs-fine", "mp3d with one coarse lock vs "
                                        "per-cell locks")
 def table_coarse_vs_fine(num_cpus: int = 16,
@@ -409,23 +494,33 @@ def table_coarse_vs_fine(num_cpus: int = 16,
                          retries: Optional[int] = None,
                          validate: bool = True) -> dict:
     """mp3d with one coarse lock vs per-cell locks (Section 6.3)."""
+    specs = plan_coarse_vs_fine(num_cpus, config, validate)
+    return reduce_coarse_vs_fine(specs, _execute(
+        specs, _engine_kwargs(jobs, timeout, cache, retries)))
+
+
+def plan_rmw_predictor(num_cpus: int, apps: Optional[Iterable[str]] = None,
+                       config: Optional[SystemConfig] = None,
+                       validate: bool = True) -> list[RunSpec]:
     base = config or SystemConfig()
-    keys, specs = [], []
-    for coarse in (False, True):
-        for scheme in (SyncScheme.BASE, SyncScheme.TLR, SyncScheme.MCS):
-            workload = "mp3d-coarse" if coarse else "mp3d"
-            keys.append(("coarse" if coarse else "fine", scheme))
-            specs.append(_spec(workload, base, scheme, num_cpus, validate))
-    outcomes = _execute(specs,
-                        _engine_kwargs(jobs, timeout, cache, retries))
-    out: dict[str, int] = {}
-    for (grain, scheme), outcome in zip(keys, outcomes):
-        out[f"{grain}/{scheme.value}"] = _require(outcome).cycles
-    out["speedup_tlr_coarse_over_base_fine"] = (
-        out["fine/BASE"] / out["coarse/BASE+SLE+TLR"])
-    out["speedup_tlr_coarse_over_tlr_fine"] = (
-        out["fine/BASE+SLE+TLR"] / out["coarse/BASE+SLE+TLR"])
-    return out
+    names = list(apps) if apps is not None else list(ALL_APPS)
+    specs = []
+    for name in names:
+        for enabled in (True, False):
+            spec = _spec(name, base, SyncScheme.BASE, num_cpus, validate)
+            spec.config.spec.rmw_predictor_enabled = enabled
+            specs.append(spec)
+    return specs
+
+
+def reduce_rmw_predictor(specs: Sequence[RunSpec],
+                         outcomes: Sequence[parallel.Outcome]
+                         ) -> dict[str, float]:
+    cycles = {(spec.workload, spec.config.spec.rmw_predictor_enabled):
+              _require(outcome).cycles
+              for spec, outcome in zip(specs, outcomes)}
+    return {name: cycles[(name, False)] / cycles[(name, True)]
+            for name in dict.fromkeys(spec.workload for spec in specs)}
 
 
 @register_experiment("rmw-predictor", "BASE with vs without the "
@@ -440,22 +535,70 @@ def table_rmw_predictor(num_cpus: int = 16,
                         validate: bool = True) -> dict[str, float]:
     """BASE with vs without the read-modify-write predictor: the
     speedup list at the end of Section 6.3 (BASE over BASE-no-opt)."""
-    base = config or SystemConfig()
-    names = list(apps) if apps is not None else list(ALL_APPS)
-    keys, specs = [], []
-    for name in names:
-        for enabled in (True, False):
-            spec = _spec(name, base, SyncScheme.BASE, num_cpus, validate)
-            spec.config.spec.rmw_predictor_enabled = enabled
-            keys.append((name, enabled))
-            specs.append(spec)
-    outcomes = _execute(specs,
-                        _engine_kwargs(jobs, timeout, cache, retries))
-    cycles: dict[tuple[str, bool], int] = {
-        key: _require(outcome).cycles
-        for key, outcome in zip(keys, outcomes)}
-    return {name: cycles[(name, False)] / cycles[(name, True)]
-            for name in names}
+    specs = plan_rmw_predictor(num_cpus, apps, config, validate)
+    return reduce_rmw_predictor(specs, _execute(
+        specs, _engine_kwargs(jobs, timeout, cache, retries)))
+
+
+# ----------------------------------------------------------------------
+# Verified experiments: every run through the oracle and monitors
+# ----------------------------------------------------------------------
+def _verifier_telemetry(results: Sequence, cache_hits: int, jobs: int,
+                        wall: float) -> dict:
+    """The engine telemetry dict for a batch of verification verdicts."""
+    busy = sum(r.elapsed for r in results)
+    return {
+        "total_runs": len(results),
+        "simulated": len(results) - cache_hits,
+        "cache_hits": cache_hits,
+        "retries": 0,
+        "failures": sum(1 for r in results if not r.ok),
+        "jobs": jobs,
+        "wall_seconds": wall,
+        "busy_seconds": busy,
+        "utilization": min(1.0, busy / (max(1, jobs) * wall))
+        if wall > 0 else 0.0,
+    }
+
+
+def _verify_grid(specs: list[RunSpec], jobs: int,
+                 timeout: Optional[float], cache) -> list:
+    """Verify a grid's specs, remembering their telemetry."""
+    from repro.verify import verify_specs
+    global _LAST_TELEMETRY
+    started = time.perf_counter()
+    results, cache_hits = verify_specs(specs, jobs=jobs, timeout=timeout,
+                                       cache=cache)
+    _LAST_TELEMETRY = _verifier_telemetry(
+        results, cache_hits, jobs, time.perf_counter() - started)
+    return results
+
+
+def _seed_groups(specs: Sequence[RunSpec], verdicts: Sequence,
+                 key) -> dict[tuple, list]:
+    """Verdicts grouped by ``key(spec)``: one cell's seeds each."""
+    groups: dict[tuple, list] = {}
+    for spec, verdict in zip(specs, verdicts):
+        groups.setdefault(key(spec), []).append(verdict)
+    return groups
+
+
+def _verified_cell(per_seed: list) -> dict:
+    """One grid cell from its seeds' verdicts."""
+    violations = [v for r in per_seed for v in r.violations]
+    errors = [r.error for r in per_seed if r.error]
+    return {
+        "ok": all(r.ok for r in per_seed),
+        "cycles": per_seed[0].cycles,
+        "num_txns": sum(r.num_txns for r in per_seed),
+        "violations": violations[:4],
+        "error": errors[0] if errors else None,
+        "summary": dict(per_seed[0].summary),
+        # Full telemetry payload of the cell's first seed: counters,
+        # gauges and the deferral-depth / retry / latency histograms
+        # (what BENCH_policies.json publishes per policy).
+        "metrics": per_seed[0].metrics,
+    }
 
 
 @register_experiment("verify", "serializability oracle + invariant "
@@ -495,21 +638,10 @@ def verify(workloads: Optional[Sequence[str]] = None,
         chaos=chaos, base_seed=base_seed, shrink=shrink,
         jobs=jobs, timeout=timeout, cache=cache, policy=policy)
     explorations = result.explorations.values()
-    wall = sum(e.wall_seconds for e in explorations)
-    busy = sum(r.elapsed for e in explorations for r in e.results)
-    _LAST_TELEMETRY = {
-        "total_runs": sum(len(e.results) for e in explorations),
-        "simulated": sum(len(e.results) - e.cache_hits
-                         for e in explorations),
-        "cache_hits": sum(e.cache_hits for e in explorations),
-        "retries": 0,
-        "failures": sum(len(e.failures) for e in explorations),
-        "jobs": jobs,
-        "wall_seconds": wall,
-        "busy_seconds": busy,
-        "utilization": min(1.0, busy / (max(1, jobs) * wall))
-        if wall > 0 else 0.0,
-    }
+    _LAST_TELEMETRY = _verifier_telemetry(
+        [r for e in explorations for r in e.results],
+        sum(e.cache_hits for e in explorations), jobs,
+        sum(e.wall_seconds for e in explorations))
     return result
 
 
@@ -572,6 +704,44 @@ class PolicyGridResult:
                           for k, v in (data.get("cells") or {}).items()})
 
 
+def plan_policy_grid(policies: Optional[Sequence[str]],
+                     workloads: Optional[Sequence[str]],
+                     processor_counts: Sequence[int], seeds: int, ops: int,
+                     app_scale: int, base_seed: int = 0,
+                     config: Optional[SystemConfig] = None,
+                     validate: bool = True) -> list[RunSpec]:
+    base = config or SystemConfig()
+    specs: list[RunSpec] = []
+    for policy in policies or DEFAULT_POLICY_GRID_POLICIES:
+        for workload in workloads or DEFAULT_POLICY_GRID_WORKLOADS:
+            size_key = SIZE_PARAM[workload]
+            size = app_scale if size_key == "scale" else ops
+            for n in processor_counts:
+                for s in range(seeds):
+                    cfg = replace(
+                        base.with_scheme(SyncScheme.TLR).with_policy(policy),
+                        num_cpus=n, seed=base_seed + s)
+                    specs.append(RunSpec(workload=workload, config=cfg,
+                                         workload_args={size_key: size},
+                                         validate=validate))
+    return specs
+
+
+def reduce_policy_grid(specs: Sequence[RunSpec],
+                       verdicts: Sequence) -> PolicyGridResult:
+    groups = _seed_groups(specs, verdicts, lambda spec: (
+        spec.config.spec.contention_policy, spec.workload,
+        spec.config.num_cpus))
+    grid = PolicyGridResult(
+        policies=list(dict.fromkeys(key[0] for key in groups)),
+        workloads=list(dict.fromkeys(key[1] for key in groups)),
+        processor_counts=list(dict.fromkeys(key[2] for key in groups)),
+        seeds=len(specs) // max(1, len(groups)))
+    for (policy, workload, n), per_seed in groups.items():
+        grid.cells[grid.key(policy, workload, n)] = _verified_cell(per_seed)
+    return grid
+
+
 @register_experiment("policies", "contention-policy grid (policies x "
                                  "workloads x processors), every run "
                                  "oracle-checked")
@@ -597,67 +767,10 @@ def policy_grid(policies: Optional[Sequence[str]] = None,
     microbenchmarks; ``app_scale`` sizes the application kernels.
     """
     del retries  # verification failures are findings, never retried
-    from repro.verify import VerifyOptions, verify_specs
-    global _LAST_TELEMETRY
-    base = config or SystemConfig()
-    policies = tuple(policies) if policies else DEFAULT_POLICY_GRID_POLICIES
-    workloads = (tuple(workloads) if workloads
-                 else DEFAULT_POLICY_GRID_WORKLOADS)
-    options = VerifyOptions()
-    keys: list[tuple[str, str, int]] = []
-    specs: list[RunSpec] = []
-    for policy in policies:
-        for workload in workloads:
-            size_key = SIZE_PARAM[workload]
-            size = app_scale if size_key == "scale" else ops
-            for n in processor_counts:
-                keys.append((policy, workload, n))
-                for s in range(seeds):
-                    cfg = replace(
-                        base.with_scheme(SyncScheme.TLR).with_policy(policy),
-                        num_cpus=n, seed=base_seed + s)
-                    specs.append(RunSpec(workload=workload, config=cfg,
-                                         workload_args={size_key: size},
-                                         validate=validate))
-    import time as _time
-    started = _time.perf_counter()
-    results, cache_hits = verify_specs(specs, options=options, jobs=jobs,
-                                       timeout=timeout, cache=cache)
-    grid = PolicyGridResult(policies=list(policies),
-                            workloads=list(workloads),
-                            processor_counts=list(processor_counts),
-                            seeds=seeds)
-    for i, (policy, workload, n) in enumerate(keys):
-        per_seed = results[i * seeds:(i + 1) * seeds]
-        violations = [v for r in per_seed for v in r.violations]
-        errors = [r.error for r in per_seed if r.error]
-        grid.cells[grid.key(policy, workload, n)] = {
-            "ok": all(r.ok for r in per_seed),
-            "cycles": per_seed[0].cycles,
-            "num_txns": sum(r.num_txns for r in per_seed),
-            "violations": violations[:4],
-            "error": errors[0] if errors else None,
-            "summary": dict(per_seed[0].summary),
-            # Full telemetry payload of the cell's first seed: counters,
-            # gauges and the deferral-depth / retry / latency histograms
-            # (this is what BENCH_policies.json publishes per policy).
-            "metrics": per_seed[0].metrics,
-        }
-    wall = _time.perf_counter() - started
-    busy = sum(r.elapsed for r in results)
-    _LAST_TELEMETRY = {
-        "total_runs": len(results),
-        "simulated": len(results) - cache_hits,
-        "cache_hits": cache_hits,
-        "retries": 0,
-        "failures": sum(1 for r in results if not r.ok),
-        "jobs": jobs,
-        "wall_seconds": wall,
-        "busy_seconds": busy,
-        "utilization": min(1.0, busy / (max(1, jobs) * wall))
-        if wall > 0 else 0.0,
-    }
-    return grid
+    specs = plan_policy_grid(policies, workloads, processor_counts, seeds,
+                             ops, app_scale, base_seed, config, validate)
+    return reduce_policy_grid(specs,
+                              _verify_grid(specs, jobs, timeout, cache))
 
 
 # ----------------------------------------------------------------------
@@ -738,6 +851,65 @@ class SchedGridResult:
                           for k, v in (data.get("cells") or {}).items()})
 
 
+def plan_sched_grid(schedulers: Optional[Sequence[str]],
+                    quanta: Optional[Sequence[int]],
+                    policies: Optional[Sequence[str]],
+                    workloads: Optional[Sequence[str]], num_cpus: int,
+                    threads_per_cpu: int, seeds: int, ops: int,
+                    app_scale: int, migrate: bool = False,
+                    base_seed: int = 0,
+                    config: Optional[SystemConfig] = None,
+                    validate: bool = True) -> list[RunSpec]:
+    base = config or SystemConfig()
+    specs: list[RunSpec] = []
+    for scheduler in schedulers or DEFAULT_SCHED_GRID_SCHEDULERS:
+        for quantum in quanta or DEFAULT_SCHED_GRID_QUANTA:
+            for policy in policies or DEFAULT_SCHED_GRID_POLICIES:
+                for workload in workloads or DEFAULT_SCHED_GRID_WORKLOADS:
+                    size_key = SIZE_PARAM[workload]
+                    size = app_scale if size_key == "scale" else ops
+                    for s in range(seeds):
+                        cfg = replace(
+                            base.with_scheme(SyncScheme.TLR)
+                                .with_policy(policy),
+                            num_cpus=num_cpus, seed=base_seed + s,
+                            sched=SchedConfig(
+                                scheduler=scheduler, quantum=quantum,
+                                threads_per_cpu=threads_per_cpu,
+                                migrate=migrate))
+                        specs.append(RunSpec(
+                            workload=workload, config=cfg,
+                            workload_args={size_key: size},
+                            validate=validate))
+    return specs
+
+
+def reduce_sched_grid(specs: Sequence[RunSpec],
+                      verdicts: Sequence) -> SchedGridResult:
+    groups = _seed_groups(specs, verdicts, lambda spec: (
+        spec.config.sched.scheduler, spec.config.sched.quantum,
+        spec.config.spec.contention_policy, spec.workload))
+    first = specs[0].config
+    grid = SchedGridResult(
+        schedulers=list(dict.fromkeys(key[0] for key in groups)),
+        quanta=list(dict.fromkeys(key[1] for key in groups)),
+        policies=list(dict.fromkeys(key[2] for key in groups)),
+        workloads=list(dict.fromkeys(key[3] for key in groups)),
+        seeds=len(specs) // len(groups),
+        num_cpus=first.num_cpus,
+        threads_per_cpu=first.sched.threads_per_cpu)
+    for (scheduler, quantum, policy, workload), per_seed in groups.items():
+        cell = _verified_cell(per_seed)
+        # Summed over seeds: one seed with zero preemptions must not
+        # hide another that aborted elisions all run long.
+        for name in _SCHED_CELL_COUNTERS:
+            cell[name] = sum(
+                ((r.metrics or {}).get("counters") or {})
+                .get(f"sched.{name}", 0) for r in per_seed)
+        grid.cells[grid.key(scheduler, quantum, policy, workload)] = cell
+    return grid
+
+
 @register_experiment("sched", "preemptive-scheduler grid (schedulers x "
                               "quanta x policies x workloads, threads > "
                               "CPUs), every run oracle-checked")
@@ -770,81 +942,8 @@ def sched_grid(schedulers: Optional[Sequence[str]] = None,
     cell.
     """
     del retries  # verification failures are findings, never retried
-    from repro.verify import VerifyOptions, verify_specs
-    global _LAST_TELEMETRY
-    base = config or SystemConfig()
-    schedulers = (tuple(schedulers) if schedulers
-                  else DEFAULT_SCHED_GRID_SCHEDULERS)
-    quanta = tuple(quanta) if quanta else DEFAULT_SCHED_GRID_QUANTA
-    policies = (tuple(policies) if policies
-                else DEFAULT_SCHED_GRID_POLICIES)
-    workloads = (tuple(workloads) if workloads
-                 else DEFAULT_SCHED_GRID_WORKLOADS)
-    options = VerifyOptions()
-    keys: list[tuple[str, int, str, str]] = []
-    specs: list[RunSpec] = []
-    for scheduler in schedulers:
-        for quantum in quanta:
-            for policy in policies:
-                for workload in workloads:
-                    size_key = SIZE_PARAM[workload]
-                    size = app_scale if size_key == "scale" else ops
-                    keys.append((scheduler, quantum, policy, workload))
-                    for s in range(seeds):
-                        cfg = replace(
-                            base.with_scheme(SyncScheme.TLR)
-                                .with_policy(policy),
-                            num_cpus=num_cpus, seed=base_seed + s,
-                            sched=SchedConfig(
-                                scheduler=scheduler, quantum=quantum,
-                                threads_per_cpu=threads_per_cpu,
-                                migrate=migrate))
-                        specs.append(RunSpec(
-                            workload=workload, config=cfg,
-                            workload_args={size_key: size},
-                            validate=validate))
-    import time as _time
-    started = _time.perf_counter()
-    results, cache_hits = verify_specs(specs, options=options, jobs=jobs,
-                                       timeout=timeout, cache=cache)
-    grid = SchedGridResult(schedulers=list(schedulers),
-                           quanta=list(quanta),
-                           policies=list(policies),
-                           workloads=list(workloads),
-                           seeds=seeds, num_cpus=num_cpus,
-                           threads_per_cpu=threads_per_cpu)
-    for i, (scheduler, quantum, policy, workload) in enumerate(keys):
-        per_seed = results[i * seeds:(i + 1) * seeds]
-        violations = [v for r in per_seed for v in r.violations]
-        errors = [r.error for r in per_seed if r.error]
-        cell = {
-            "ok": all(r.ok for r in per_seed),
-            "cycles": per_seed[0].cycles,
-            "num_txns": sum(r.num_txns for r in per_seed),
-            "violations": violations[:4],
-            "error": errors[0] if errors else None,
-            "summary": dict(per_seed[0].summary),
-            "metrics": per_seed[0].metrics,
-        }
-        # Summed over seeds: one seed with zero preemptions must not
-        # hide another that aborted elisions all run long.
-        for name in _SCHED_CELL_COUNTERS:
-            cell[name] = sum(
-                ((r.metrics or {}).get("counters") or {})
-                .get(f"sched.{name}", 0) for r in per_seed)
-        grid.cells[grid.key(scheduler, quantum, policy, workload)] = cell
-    wall = _time.perf_counter() - started
-    busy = sum(r.elapsed for r in results)
-    _LAST_TELEMETRY = {
-        "total_runs": len(results),
-        "simulated": len(results) - cache_hits,
-        "cache_hits": cache_hits,
-        "retries": 0,
-        "failures": sum(1 for r in results if not r.ok),
-        "jobs": jobs,
-        "wall_seconds": wall,
-        "busy_seconds": busy,
-        "utilization": min(1.0, busy / (max(1, jobs) * wall))
-        if wall > 0 else 0.0,
-    }
-    return grid
+    specs = plan_sched_grid(schedulers, quanta, policies, workloads,
+                            num_cpus, threads_per_cpu, seeds, ops,
+                            app_scale, migrate, base_seed, config, validate)
+    return reduce_sched_grid(specs,
+                             _verify_grid(specs, jobs, timeout, cache))

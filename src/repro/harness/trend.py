@@ -1,7 +1,7 @@
 """Cross-commit trend analysis over ``BENCH_*.json`` artifacts.
 
 Every benchmark run writes a ``BENCH_<name>.json`` artifact at the repo
-root (see ``benchmarks/conftest.py``); they are committed, which makes
+root (see :mod:`repro.harness.artifacts`); they are committed, which makes
 each one a per-commit performance record -- but until this module
 nothing ever *read* them back.  ``repro trend`` diffs the working
 tree's artifacts against a baseline (a git ref, loaded with

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.harness import invalidate
+from repro.harness import experiments, invalidate
 from repro.harness.cache import ResultCache
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.jobs import JOB_CACHE_PREFIX, submit
@@ -148,3 +148,48 @@ class TestInvalidate:
         report = invalidate.render_plan(list(plans.values()))
         assert "skipped" in report
         assert "stale cells to regenerate: 0" in report
+
+    def test_verified_cells_regenerate_through_the_verifier(self, tmp_path):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        store = ResultCache(tmp_path / "cache")
+        params = {"policies": ["timestamp"], "workloads": ["single-counter"],
+                  "processor_counts": [2], "seeds": 1, "ops": 8,
+                  "app_scale": 12}
+        self._write_artifact(repo, "policies", params)
+
+        (entry,) = invalidate.plan(repo, cache=store)
+        assert entry.verified and entry.total == 1 and len(entry.stale) == 1
+        summary = invalidate.regenerate([entry], cache=store)
+        assert summary["simulated"] == 1 and summary["failures"] == 0
+        (replanned,) = invalidate.plan(repo, cache=store)
+        assert replanned.fresh == replanned.total and not replanned.stale
+
+        # The grid itself replays the verdicts --regen primed.
+        experiments.policy_grid(**params, cache=store)
+        telemetry = experiments.last_telemetry()
+        assert telemetry["cache_hits"] == telemetry["total_runs"] == 1
+
+    @pytest.mark.parametrize("name, payload, reason", [
+        ("BENCH_fig08_multiple_counter.json",
+         {"bench": "fig08_multiple_counter", "config": {}, "results": {}},
+         "bad config: KeyError: 'processor_counts'"),
+        ("BENCH_x.json", [1, 2], "not a JSON object"),
+    ])
+    def test_malformed_artifacts_are_skipped_with_a_reason(
+            self, tmp_path, name, payload, reason):
+        (tmp_path / name).write_text(json.dumps(payload))
+        (entry,) = invalidate.plan(tmp_path, cache=None)
+        assert entry.skipped == reason
+        assert "stale cells to regenerate: 0" in invalidate.render_plan(
+            [entry])
+
+    def test_render_plan_sizes_the_name_column_to_the_longest_name(self):
+        plans = [invalidate.ArtifactPlan(
+                     "BENCH_ablation_single_block_relaxation.json",
+                     "ablation_single_block_relaxation", total=2),
+                 invalidate.ArtifactPlan("BENCH_fig07_queue.json",
+                                         "fig07_queue", total=1)]
+        header, *rows = invalidate.render_plan(plans).splitlines()[:3]
+        # Every row's columns line up under the header's.
+        assert [len(row) for row in rows] == [len(header)] * 2

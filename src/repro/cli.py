@@ -17,9 +17,10 @@ Every experiment accepts the sweep-engine options:
 ``--jobs N``       fan independent runs out over N worker processes
                    (default 1 = serial; results are bit-identical
                    either way);
-``--timeout S``    per-run wall-clock budget in seconds (livelocked
-                   runs are retried with bumped seeds, then reported
-                   as failures without aborting the sweep);
+``--timeout S``    per-run wall-clock budget in seconds, checked by the
+                   kernel in any thread (livelocked runs are retried
+                   with bumped seeds, then reported as failures
+                   without aborting the sweep);
 ``--json``         emit the result as JSON (stable ``to_dict`` schema)
                    instead of tables;
 ``--no-cache``     disable the on-disk result cache;

@@ -14,11 +14,11 @@ behaviour fails the tier-1 suite.
 
 Figure and table entries call the planners and reducers of
 :mod:`repro.harness.experiments`, so ``repro figure9`` and
-``BENCH_fig09_single_counter.json`` plan the same cells.  A
-``verified`` entry's cells run through the verifier
-(:func:`repro.verify.verify_specs`) and are cached under their
-verification fingerprint.  Nothing in ``import repro`` imports this
-module.
+``BENCH_fig09_single_counter.json`` plan the same cells.  An entry
+with ``verify`` options runs its cells through the same engine with
+the verifier attached (``parallel.execute(..., verify=...)``); they are
+cached under their verification fingerprint.  Nothing in
+``import repro`` imports this module.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.harness import parallel
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.spec import SIZE_PARAM, RunSpec
 from repro.obs.profile import critical_path
+from repro.verify.explorer import VerifyOptions
 
 BASE, SLE, TLR, MCS = (s.value for s in (
     SyncScheme.BASE, SyncScheme.SLE, SyncScheme.TLR, SyncScheme.MCS))
@@ -49,7 +50,11 @@ class Artifact:
     cells: Callable[[dict], list[RunSpec]]
     results: Callable[[dict, list], dict]          # (config, outcomes)
     claims: dict[str, Claim]
-    verified: bool = False                         # cells run verified
+    verify: Optional[VerifyOptions] = None         # set: cells run verified
+
+    @property
+    def verified(self) -> bool:
+        return self.verify is not None
 
     @property
     def filename(self) -> str:
@@ -57,8 +62,8 @@ class Artifact:
 
 
 def _experiment(bench: str, config: dict, plan, reduce, shape,
-                claims: dict[str, Claim], verified: bool = False
-                ) -> Artifact:
+                claims: dict[str, Claim],
+                verify: Optional[VerifyOptions] = None) -> Artifact:
     """An entry whose cells come from an experiment planner called with
     the config's keys, and whose results are ``shape(reduce(...))``."""
     def cells(cfg: dict) -> list[RunSpec]:
@@ -66,7 +71,7 @@ def _experiment(bench: str, config: dict, plan, reduce, shape,
 
     def results(cfg: dict, outcomes: list) -> dict:
         return shape(reduce(cells(cfg), outcomes))
-    return Artifact(bench, config, cells, results, claims, verified)
+    return Artifact(bench, config, cells, results, claims, verify)
 
 
 def _keyed(bench: str, config: dict, keyed, reduce,
@@ -322,7 +327,7 @@ ARTIFACTS: dict[str, Artifact] = {entry.bench: entry for entry in (
                 <= r["cycles"][f"requester-wins/{w}/{n}"]
                 for w in ("single-counter", "linked-list")
                 for n in _POLICIES["processor_counts"]),
-        }, verified=True),
+        }, verify=VerifyOptions()),
     _experiment(
         "sched", _SCHED,
         ex.plan_sched_grid, ex.reduce_sched_grid, _sched_results, {
@@ -330,7 +335,7 @@ ARTIFACTS: dict[str, Artifact] = {entry.bench: entry for entry in (
                 r["failed_cells"] == []),
             "short_quantum_preempts_at_least_as_often":
                 _short_quantum_preempts_more,
-        }, verified=True),
+        }, verify=VerifyOptions()),
     _keyed(
         "profile", _PROFILE,
         lambda c: {f"{policy}/{workload}": RunSpec(
@@ -443,36 +448,10 @@ ARTIFACTS: dict[str, Artifact] = {entry.bench: entry for entry in (
 # ----------------------------------------------------------------------
 # Running cells
 # ----------------------------------------------------------------------
-def cell_key(spec: RunSpec, verified: bool) -> str:
-    """The cache key a cell's outcome is stored under."""
-    if verified:
-        from repro.verify.explorer import VerifyOptions, verify_fingerprint
-        return verify_fingerprint(spec, VerifyOptions())
-    return spec.fingerprint()
-
-
-def run_cells(specs: list[RunSpec], verified: bool, *, jobs: int = 1,
-              timeout: Optional[float] = None,
-              retries: Optional[int] = None, cache=None, progress=None
-              ) -> tuple[list, int, int]:
-    """Run cells through the engine, or the verifier when ``verified``.
-    Returns ``(outcomes, simulated, failures)``."""
-    if verified:
-        from repro.verify import verify_specs
-        verdicts, hits = verify_specs(specs, jobs=jobs, timeout=timeout,
-                                      cache=cache, progress=progress)
-        return (verdicts, len(specs) - hits,
-                sum(1 for verdict in verdicts if not verdict.ok))
-    outcomes, telemetry = parallel.execute(
-        specs, jobs=jobs, timeout=timeout, retries=retries, cache=cache,
-        progress=progress)
-    return outcomes, telemetry.simulated, telemetry.failures
-
-
 def regenerate(entry: Artifact, *, jobs: int = 1) -> dict:
     """Run ``entry``'s cells, uncached, and return the file's payload."""
-    outcomes, _, _ = run_cells(entry.cells(entry.config), entry.verified,
-                               jobs=jobs)
+    outcomes, _ = parallel.execute(entry.cells(entry.config), jobs=jobs,
+                                   verify=entry.verify)
     return {"bench": entry.bench, "config": entry.config,
             "results": entry.results(entry.config, outcomes)}
 

@@ -8,8 +8,8 @@ experiment's parameters into the list of
 result that :mod:`repro.harness.report` prints as the same rows/series
 the paper reports.  Each public ``figure_*``/``table_*``/``*_grid``
 function is the reducer applied to the planned specs run through the
-parallel sweep engine (:mod:`repro.harness.parallel`) or, for the
-grids, the verifier; the artifact registry
+parallel sweep engine (:mod:`repro.harness.parallel`), the grids with
+the verifier attached; the artifact registry
 (:mod:`repro.harness.artifacts`) calls the same planners, so a figure
 and its committed artifact cannot plan different cells.  The public
 functions accept the uniform engine keywords --
@@ -30,7 +30,6 @@ sweep series plus a :class:`~repro.harness.parallel.FailedRun` in
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -49,15 +48,6 @@ MICRO_SCHEMES = (SyncScheme.BASE, SyncScheme.MCS, SyncScheme.SLE,
 APP_SCHEMES = (SyncScheme.BASE, SyncScheme.SLE, SyncScheme.TLR,
                SyncScheme.MCS)
 DEFAULT_PROCESSOR_COUNTS = (2, 4, 6, 8, 10, 12, 14, 16)
-
-#: Telemetry of the most recent engine invocation made by this module
-#: (set by every ``figure_*``/``table_*`` call; the CLI prints it).
-_LAST_TELEMETRY: Optional[dict] = None
-
-
-def last_telemetry() -> Optional[dict]:
-    """Telemetry dict of the most recent experiment sweep, if any."""
-    return _LAST_TELEMETRY
 
 
 class SweepLookupError(KeyError, ValueError):
@@ -196,15 +186,6 @@ class AppResult:
 # ----------------------------------------------------------------------
 # Engine plumbing
 # ----------------------------------------------------------------------
-def _execute(specs: Sequence[RunSpec], engine: dict
-             ) -> list[parallel.Outcome]:
-    """Run specs through the sweep engine, remembering telemetry."""
-    global _LAST_TELEMETRY
-    outcomes, telemetry = parallel.execute(specs, **engine)
-    _LAST_TELEMETRY = telemetry.to_dict()
-    return outcomes
-
-
 def _engine_kwargs(jobs, timeout, cache, retries) -> dict:
     return {"jobs": jobs, "timeout": timeout, "cache": cache,
             "retries": retries}
@@ -297,8 +278,9 @@ def reduce_sweep(specs: Sequence[RunSpec],
 
 def _run_sweep(name: str, specs: list[RunSpec], engine: dict
                ) -> SweepResult:
-    result = reduce_sweep(specs, _execute(specs, engine), name)
-    result.extra["telemetry"] = _LAST_TELEMETRY
+    outcomes, telemetry = parallel.execute(specs, **engine)
+    result = reduce_sweep(specs, outcomes, name)
+    result.extra["telemetry"] = telemetry.to_dict()
     return result
 
 
@@ -398,8 +380,8 @@ def figure7_queue_on_data(num_cpus: int = 4,
     transaction requires to restart" can be checked quantitatively.
     """
     specs = plan_figure7(num_cpus, total_increments, config, validate)
-    return reduce_figure7(specs, _execute(
-        specs, _engine_kwargs(jobs, timeout, cache, retries)))
+    return reduce_figure7(specs, parallel.execute(
+        specs, **_engine_kwargs(jobs, timeout, cache, retries))[0])
 
 
 # ----------------------------------------------------------------------
@@ -454,8 +436,8 @@ def figure11_applications(num_cpus: int = 16,
     """Application performance, normalized to BASE, with the lock /
     non-lock breakdown (Figure 11) and the in-text MCS comparison."""
     specs = plan_figure11(num_cpus, apps, schemes, config, validate)
-    return reduce_figure11(specs, _execute(
-        specs, _engine_kwargs(jobs, timeout, cache, retries)))
+    return reduce_figure11(specs, parallel.execute(
+        specs, **_engine_kwargs(jobs, timeout, cache, retries))[0])
 
 
 # ----------------------------------------------------------------------
@@ -495,8 +477,8 @@ def table_coarse_vs_fine(num_cpus: int = 16,
                          validate: bool = True) -> dict:
     """mp3d with one coarse lock vs per-cell locks (Section 6.3)."""
     specs = plan_coarse_vs_fine(num_cpus, config, validate)
-    return reduce_coarse_vs_fine(specs, _execute(
-        specs, _engine_kwargs(jobs, timeout, cache, retries)))
+    return reduce_coarse_vs_fine(specs, parallel.execute(
+        specs, **_engine_kwargs(jobs, timeout, cache, retries))[0])
 
 
 def plan_rmw_predictor(num_cpus: int, apps: Optional[Iterable[str]] = None,
@@ -536,44 +518,13 @@ def table_rmw_predictor(num_cpus: int = 16,
     """BASE with vs without the read-modify-write predictor: the
     speedup list at the end of Section 6.3 (BASE over BASE-no-opt)."""
     specs = plan_rmw_predictor(num_cpus, apps, config, validate)
-    return reduce_rmw_predictor(specs, _execute(
-        specs, _engine_kwargs(jobs, timeout, cache, retries)))
+    return reduce_rmw_predictor(specs, parallel.execute(
+        specs, **_engine_kwargs(jobs, timeout, cache, retries))[0])
 
 
 # ----------------------------------------------------------------------
 # Verified experiments: every run through the oracle and monitors
 # ----------------------------------------------------------------------
-def _verifier_telemetry(results: Sequence, cache_hits: int, jobs: int,
-                        wall: float) -> dict:
-    """The engine telemetry dict for a batch of verification verdicts."""
-    busy = sum(r.elapsed for r in results)
-    return {
-        "total_runs": len(results),
-        "simulated": len(results) - cache_hits,
-        "cache_hits": cache_hits,
-        "retries": 0,
-        "failures": sum(1 for r in results if not r.ok),
-        "jobs": jobs,
-        "wall_seconds": wall,
-        "busy_seconds": busy,
-        "utilization": min(1.0, busy / (max(1, jobs) * wall))
-        if wall > 0 else 0.0,
-    }
-
-
-def _verify_grid(specs: list[RunSpec], jobs: int,
-                 timeout: Optional[float], cache) -> list:
-    """Verify a grid's specs, remembering their telemetry."""
-    from repro.verify import verify_specs
-    global _LAST_TELEMETRY
-    started = time.perf_counter()
-    results, cache_hits = verify_specs(specs, jobs=jobs, timeout=timeout,
-                                       cache=cache)
-    _LAST_TELEMETRY = _verifier_telemetry(
-        results, cache_hits, jobs, time.perf_counter() - started)
-    return results
-
-
 def _seed_groups(specs: Sequence[RunSpec], verdicts: Sequence,
                  key) -> dict[tuple, list]:
     """Verdicts grouped by ``key(spec)``: one cell's seeds each."""
@@ -631,18 +582,11 @@ def verify(workloads: Optional[Sequence[str]] = None,
     # Imported lazily: repro.verify imports harness modules, so a
     # top-level import here would recurse through harness/__init__.
     from repro.verify import DEFAULT_VERIFY_WORKLOADS, verify_suite
-    global _LAST_TELEMETRY
-    result = verify_suite(
+    return verify_suite(
         tuple(workloads) if workloads else DEFAULT_VERIFY_WORKLOADS,
         scheme=scheme, num_cpus=num_cpus, seeds=seeds, ops=ops,
         chaos=chaos, base_seed=base_seed, shrink=shrink,
         jobs=jobs, timeout=timeout, cache=cache, policy=policy)
-    explorations = result.explorations.values()
-    _LAST_TELEMETRY = _verifier_telemetry(
-        [r for e in explorations for r in e.results],
-        sum(e.cache_hits for e in explorations), jobs,
-        sum(e.wall_seconds for e in explorations))
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -769,8 +713,10 @@ def policy_grid(policies: Optional[Sequence[str]] = None,
     del retries  # verification failures are findings, never retried
     specs = plan_policy_grid(policies, workloads, processor_counts, seeds,
                              ops, app_scale, base_seed, config, validate)
-    return reduce_policy_grid(specs,
-                              _verify_grid(specs, jobs, timeout, cache))
+    from repro.verify import VerifyOptions  # lazy: it imports harness
+    verdicts, _ = parallel.execute(specs, jobs=jobs, timeout=timeout,
+                                   cache=cache, verify=VerifyOptions())
+    return reduce_policy_grid(specs, verdicts)
 
 
 # ----------------------------------------------------------------------
@@ -945,5 +891,7 @@ def sched_grid(schedulers: Optional[Sequence[str]] = None,
     specs = plan_sched_grid(schedulers, quanta, policies, workloads,
                             num_cpus, threads_per_cpu, seeds, ops,
                             app_scale, migrate, base_seed, config, validate)
-    return reduce_sched_grid(specs,
-                             _verify_grid(specs, jobs, timeout, cache))
+    from repro.verify import VerifyOptions  # lazy: it imports harness
+    verdicts, _ = parallel.execute(specs, jobs=jobs, timeout=timeout,
+                                   cache=cache, verify=VerifyOptions())
+    return reduce_sched_grid(specs, verdicts)

@@ -31,9 +31,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.harness.artifacts import ARTIFACTS, cell_key, run_cells
+from repro.harness.artifacts import ARTIFACTS
 from repro.harness.cache import resolve_cache
+from repro.harness.parallel import cell_key, execute
 from repro.harness.spec import RunSpec
+from repro.verify.explorer import VerifyOptions
 
 
 @dataclass
@@ -45,7 +47,11 @@ class ArtifactPlan:
     total: int = 0                 # reconstructable cells
     stale: list[RunSpec] = field(default_factory=list)
     skipped: Optional[str] = None  # reason when cells can't be planned
-    verified: bool = False         # cells run through the verifier
+    verify: Optional[VerifyOptions] = None  # set: cells run verified
+
+    @property
+    def verified(self) -> bool:
+        return self.verify is not None
 
     @property
     def fresh(self) -> int:
@@ -82,10 +88,10 @@ def plan(repo: Union[str, Path] = ".", cache=True) -> list[ArtifactPlan]:
                 skipped=f"bad config: {type(exc).__name__}: {exc}"))
             continue
         stale = [spec for spec in specs if store is None or store.get(
-            cell_key(spec, entry.verified)) is None]
+            cell_key(spec, entry.verify)) is None]
         plans.append(ArtifactPlan(artifact=path.name, bench=bench,
                                   total=len(specs), stale=stale,
-                                  verified=entry.verified))
+                                  verify=entry.verify))
     return plans
 
 
@@ -113,20 +119,19 @@ def regenerate(plans: list[ArtifactPlan], *, jobs: int = 1,
     figures share points), priming the cache.  Returns a summary dict.
     """
     store = resolve_cache(cache)
-    batches: dict[bool, dict[str, RunSpec]] = {False: {}, True: {}}
+    batches: dict[Optional[VerifyOptions], dict[str, RunSpec]] = {}
     for entry in plans:
         for spec in entry.stale:
-            batches[entry.verified].setdefault(
-                cell_key(spec, entry.verified), spec)
+            batches.setdefault(entry.verify, {}).setdefault(
+                cell_key(spec, entry.verify), spec)
     started = time.perf_counter()
     simulated = failures = 0
-    for verified, specs in batches.items():
-        if specs:
-            _, ran, failed = run_cells(
-                list(specs.values()), verified, jobs=jobs, timeout=timeout,
-                retries=retries, cache=store, progress=progress)
-            simulated += ran
-            failures += failed
+    for options, specs in batches.items():
+        _, telemetry = execute(
+            list(specs.values()), jobs=jobs, timeout=timeout,
+            retries=retries, cache=store, progress=progress, verify=options)
+        simulated += telemetry.simulated
+        failures += telemetry.failures
     return {"artifacts": sum(1 for entry in plans if not entry.skipped),
             "stale": sum(len(specs) for specs in batches.values()),
             "simulated": simulated,

@@ -51,8 +51,8 @@ class JobResult:
     ``result`` is the kind-specific payload, already serialized
     (``RunResult``/``SweepResult``/... ``to_dict()`` images, or plain
     dicts for the table experiments); ``telemetry`` is the engine
-    telemetry of the execution that produced it -- absent on a replay,
-    where nothing executed.
+    telemetry of the execution that produced it, summed over its engine
+    calls -- absent on a replay, where nothing executed.
     """
 
     kind: str
@@ -114,21 +114,17 @@ def _decode_params(params: dict) -> dict:
 
 
 def _execute_job(spec: JobSpec, *, jobs: int, timeout: Optional[float],
-                 cache, retries: Optional[int]
-                 ) -> tuple[Any, Optional[dict]]:
-    """Dispatch one job by kind; returns (payload, telemetry)."""
+                 cache, retries: Optional[int]) -> Any:
+    """Dispatch one job by kind; returns its serialized payload."""
     if spec.kind == "run":
-        outcomes, telemetry = parallel.execute(
+        outcomes, _ = parallel.execute(
             [spec.run_spec()], jobs=jobs, timeout=timeout,
             retries=retries, cache=cache)
         outcome = outcomes[0]
-        return ({"ok": not isinstance(outcome, parallel.FailedRun),
-                 "outcome": outcome.to_dict()},
-                telemetry.to_dict())
+        return {"ok": outcome.ok, "outcome": outcome.to_dict()}
     # "sweep", "verify" and "sched" all run a registered experiment;
     # verify/sched are their own kinds because their params/result
     # contracts are distinct, not because they execute differently.
-    from repro.harness import experiments
     params = _decode_params(spec.params)
     if spec.kind == "sweep":
         experiment = get_experiment(params.pop("experiment"))
@@ -138,7 +134,7 @@ def _execute_job(spec: JobSpec, *, jobs: int, timeout: Optional[float],
         experiment = get_experiment("verify")
     value = experiment.runner(**params, jobs=jobs, timeout=timeout,
                               cache=cache, retries=retries)
-    return serialize_result(value), experiments.last_telemetry()
+    return serialize_result(value)
 
 
 def collect_artifacts(payload: Any) -> dict[str, str]:
@@ -177,7 +173,8 @@ def submit(spec: JobSpec, *, jobs: int = 1,
     installs a persistent :class:`~repro.harness.parallel.WorkerPool`
     and ``progress`` a per-cell tap for every engine call the job makes
     (via :func:`~repro.harness.parallel.use_engine`), however deeply
-    buried in experiment code.
+    buried in experiment code; the same context collects those calls'
+    telemetry, so concurrent jobs never see each other's.
     """
     store = resolve_cache(cache)
     fingerprint = spec.fingerprint()
@@ -194,9 +191,11 @@ def submit(spec: JobSpec, *, jobs: int = 1,
                 store.persist_counters()
                 return replay
     started = time.perf_counter()
-    with parallel.use_engine(pool=pool, progress=progress):
-        payload, telemetry = _execute_job(
+    with parallel.use_engine(pool=pool, progress=progress) as calls:
+        payload = _execute_job(
             spec, jobs=jobs, timeout=timeout, cache=store, retries=retries)
+    telemetry = (parallel.SweepTelemetry.total(calls).to_dict()
+                 if calls else None)
     result = JobResult(kind=spec.kind, fingerprint=fingerprint,
                        result=payload, telemetry=telemetry,
                        elapsed=time.perf_counter() - started)

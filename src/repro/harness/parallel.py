@@ -16,24 +16,33 @@ pool.  Guarantees:
   ``retries`` attempts yields a structured :class:`FailedRun` in its
   slot instead of aborting the sweep.  Functional-validation failures
   (:class:`~repro.runtime.program.ValidationError`) are *not* retried:
-  they indicate a correctness bug and abort loudly.
+  they indicate a correctness bug and abort loudly.  The timeout is a
+  deadline the kernel's run loop checks
+  (:class:`~repro.sim.kernel.RunTimeout`), so it holds in any thread,
+  a ``repro serve`` worker thread included.
+* **Verified cells** -- with ``verify=VerifyOptions(...)`` the same
+  loop runs every spec under the verifier (:mod:`repro.verify`:
+  recorder, oracle, monitors).  Its outcome is a ``VerifyResult``
+  cached under the verification fingerprint; a crash or timeout is a
+  failing verdict, never retried.
 * **Incrementality** -- with a :class:`~repro.harness.cache.ResultCache`,
-  runs whose fingerprint already has a stored result are reconstructed
+  cells whose cache key already has a stored outcome are reconstructed
   from disk instead of simulated.
 * **Telemetry** -- :class:`SweepTelemetry` reports runs simulated,
   cache hits, retries, failures, wall time and worker utilization;
-  :func:`repro.harness.report.telemetry_line` renders it.
+  :func:`repro.harness.report.telemetry_line` renders it.  Every call
+  returns its own; :func:`use_engine` also collects the telemetry of
+  the calls made inside it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import signal
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Optional, Sequence, Union
+from dataclasses import dataclass, field, fields, replace
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 from repro.harness.cache import resolve_cache
 from repro.harness.config import SystemConfig
@@ -42,16 +51,15 @@ from repro.harness.spec import (ExperimentSpec, RunSpec, check_schema,
                                 get_experiment, scheme_to_str,
                                 stamp_schema)
 from repro.runtime.program import Workload
-from repro.sim.kernel import SimulationError
+from repro.sim.kernel import RunTimeout, SimulationError
+
+if TYPE_CHECKING:
+    from repro.verify.explorer import VerifyOptions, VerifyResult
 
 DEFAULT_RETRIES = 2
 #: Seed increment per retry.  Large and odd, so retry seeds stay far
 #: from the dense 0..N seed ranges sweeps normally use.
 SEED_BUMP = 1_000_003
-
-
-class RunTimeout(SimulationError):
-    """A run exceeded its per-run wall-clock budget."""
 
 
 @dataclass
@@ -83,6 +91,11 @@ class FailedRun:
                    if key != "schema"}
         return cls(**fields_)
 
+    @property
+    def ok(self) -> bool:
+        """Always false (see :attr:`RunResult.ok`)."""
+        return False
+
 
 @dataclass
 class SweepTelemetry:
@@ -104,6 +117,15 @@ class SweepTelemetry:
             return 0.0
         return min(1.0, self.busy_seconds / (self.jobs * self.wall_seconds))
 
+    @classmethod
+    def total(cls, calls: Sequence["SweepTelemetry"]) -> "SweepTelemetry":
+        """Several engine calls taken together: counts and seconds add
+        up, ``jobs`` is the widest call's."""
+        summed = cls(**{f.name: sum(getattr(t, f.name) for t in calls)
+                        for f in fields(cls)})
+        summed.jobs = max((t.jobs for t in calls), default=1)
+        return summed
+
     def to_dict(self) -> dict:
         return {"total_runs": self.total_runs, "simulated": self.simulated,
                 "cache_hits": self.cache_hits, "retries": self.retries,
@@ -116,33 +138,10 @@ class SweepTelemetry:
 # ----------------------------------------------------------------------
 # Per-run execution (shared by the serial path and pool workers)
 # ----------------------------------------------------------------------
-@contextmanager
-def _wall_clock_limit(seconds: Optional[float]):
-    """Raise :class:`RunTimeout` if the body runs longer than
-    ``seconds``.  Uses ``SIGALRM``, so it only engages on POSIX in the
-    process's main thread (true for pool workers under fork and for the
-    serial path); elsewhere the limit is a no-op."""
-    if (not seconds or not hasattr(signal, "SIGALRM")
-            or threading.current_thread() is not threading.main_thread()):
-        yield
-        return
-
-    def _on_alarm(signum, frame):
-        raise RunTimeout(f"wall-clock limit of {seconds}s exceeded")
-
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _simulate(spec: RunSpec) -> RunResult:
+def _simulate(spec: RunSpec, timeout: Optional[float]) -> RunResult:
     """Build and run one spec (fresh workload, fresh machine)."""
     return execute_workload(spec.build_workload(), spec.config,
-                            validate=spec.validate)
+                            validate=spec.validate, timeout=timeout)
 
 
 def _execute_with_retries(spec_dict: dict, timeout: Optional[float],
@@ -161,19 +160,19 @@ def _execute_with_retries(spec_dict: dict, timeout: Optional[float],
     for attempt in range(retries + 1):
         seed = base_seed + attempt * seed_bump
         seeds_tried.append(seed)
-        attempt_spec = spec.with_seed(seed)
         try:
-            with _wall_clock_limit(timeout):
-                result = _simulate(attempt_spec)
+            result = _simulate(spec.with_seed(seed), timeout)
         except SimulationError as exc:
             # Cycle-budget overrun (livelock), drained-queue deadlock,
             # or wall-clock timeout: retry under a different seed.
             last_error = exc
             continue
-        return {"ok": True,
-                "result": result.to_dict(),
+        # The retry metadata rides in the cached payload, so a replay
+        # shows a seed substitution just as the fresh run does.
+        result.attempts = attempt + 1
+        result.seed_used = seed
+        return {"result": result.to_dict(),
                 "attempts": attempt + 1,
-                "seed_used": seed,
                 "elapsed": time.perf_counter() - started}
     failed = FailedRun(
         workload=spec.workload,
@@ -185,22 +184,20 @@ def _execute_with_retries(spec_dict: dict, timeout: Optional[float],
         message=str(last_error),
         attempts=len(seeds_tried),
         seeds_tried=seeds_tried)
-    return {"ok": False,
-            "failed": failed.to_dict(),
+    return {"failed": failed.to_dict(),
             "attempts": len(seeds_tried),
             "elapsed": time.perf_counter() - started}
 
 
 def _worker_execute(payload: tuple) -> dict:
     """Top-level pool entry point (must be picklable)."""
-    spec_dict, timeout, retries, seed_bump = payload
-    return _execute_with_retries(spec_dict, timeout, retries, seed_bump)
+    return _execute_with_retries(*payload)
 
 
 # ----------------------------------------------------------------------
 # The sweep engine
 # ----------------------------------------------------------------------
-Outcome = Union[RunResult, FailedRun]
+Outcome = Union[RunResult, FailedRun, "VerifyResult"]
 ProgressCallback = Callable[[int, int, Outcome], None]
 
 
@@ -244,15 +241,18 @@ class WorkerPool:
 
 
 class _EngineContext(threading.local):
-    """Per-thread ambient engine state (persistent pool, progress tap).
+    """Per-thread ambient engine state (persistent pool, progress tap,
+    the telemetry of the calls made so far).
 
     Thread-local so concurrent service threads can run jobs with
-    independent progress hooks while sharing one :class:`WorkerPool`
-    object (each thread installs the same pool into its own context).
+    independent progress hooks and telemetry while sharing one
+    :class:`WorkerPool` object (each thread installs the same pool into
+    its own context).
     """
 
     pool: Optional[WorkerPool] = None
     progress: Optional["ProgressCallback"] = None
+    calls: Optional[list[SweepTelemetry]] = None
 
 
 _ENGINE = _EngineContext()
@@ -262,20 +262,18 @@ _ENGINE = _EngineContext()
 def use_engine(pool: Optional[WorkerPool] = None, progress=None):
     """Install a persistent :class:`WorkerPool` and/or a progress tap
     for every engine call made inside the ``with`` body (including
-    calls buried in experiment functions and the verifier, which do not
-    take these arguments directly)."""
-    previous = (_ENGINE.pool, _ENGINE.progress)
+    calls buried in experiment functions, which do not take these
+    arguments directly).  Yields the list that collects the
+    :class:`SweepTelemetry` of each of those calls."""
+    previous = (_ENGINE.pool, _ENGINE.progress, _ENGINE.calls)
+    calls: list[SweepTelemetry] = []
     _ENGINE.pool = pool if pool is not None else _ENGINE.pool
     _ENGINE.progress = progress if progress is not None else _ENGINE.progress
+    _ENGINE.calls = calls
     try:
-        yield
+        yield calls
     finally:
-        _ENGINE.pool, _ENGINE.progress = previous
-
-
-def ambient_progress():
-    """The progress tap installed by :func:`use_engine`, if any."""
-    return _ENGINE.progress
+        _ENGINE.pool, _ENGINE.progress, _ENGINE.calls = previous
 
 
 def map_payloads(worker, payloads: Sequence, jobs: int):
@@ -284,8 +282,6 @@ def map_payloads(worker, payloads: Sequence, jobs: int):
     Serial in-process when ``jobs <= 1`` or there is a single payload
     (the determinism baseline); otherwise through the ambient
     :class:`WorkerPool` if one is installed, else a fresh fork pool.
-    Shared by the sweep engine and the verifier so both honour the
-    service's persistent pool.
     """
     if jobs <= 1 or len(payloads) == 1:
         for payload in payloads:
@@ -299,6 +295,16 @@ def map_payloads(worker, payloads: Sequence, jobs: int):
         yield from pool.imap(worker, payloads)
 
 
+def cell_key(spec: RunSpec,
+             verify: Optional["VerifyOptions"] = None) -> str:
+    """The cache key a cell's outcome is stored under: the run
+    fingerprint, or the verification fingerprint of a verified cell."""
+    if verify is None:
+        return spec.fingerprint()
+    from repro.verify.explorer import verify_fingerprint
+    return verify_fingerprint(spec, verify)
+
+
 def execute(specs: Sequence[RunSpec], *,
             jobs: Optional[int] = 1,
             timeout: Optional[float] = None,
@@ -306,6 +312,7 @@ def execute(specs: Sequence[RunSpec], *,
             seed_bump: int = SEED_BUMP,
             cache=None,
             progress: Optional[ProgressCallback] = None,
+            verify: Optional["VerifyOptions"] = None,
             ) -> tuple[list[Outcome], SweepTelemetry]:
     """Execute ``specs``, returning outcomes in the same order.
 
@@ -315,71 +322,80 @@ def execute(specs: Sequence[RunSpec], *,
     seed bumps) before a run is recorded as :class:`FailedRun`.
     ``cache`` accepts anything :func:`~repro.harness.cache.resolve_cache`
     does.  ``progress(done, total, outcome)`` fires as results land.
+
+    ``verify`` runs every spec under the verifier with those options:
+    outcomes are ``VerifyResult`` verdicts, ``retries`` does not apply,
+    and ``failures`` counts the verdicts that are not ok.
     """
     if retries is None:
         retries = DEFAULT_RETRIES
     if not jobs:
         jobs = multiprocessing.cpu_count()
+    if verify is None:
+        entry_field, decode = "result", RunResult.from_dict
+        worker, worker_args = _worker_execute, (timeout, retries, seed_bump)
+    else:
+        # Lazy: repro.verify imports this module.
+        from repro.verify.explorer import VerifyResult, _verify_worker
+        entry_field, decode = "verdict", VerifyResult.from_dict
+        worker, worker_args = _verify_worker, (verify.to_dict(), timeout)
     store = resolve_cache(cache)
     started = time.perf_counter()
     telemetry = SweepTelemetry(total_runs=len(specs), jobs=jobs)
     outcomes: list[Optional[Outcome]] = [None] * len(specs)
-    fingerprints = [spec.fingerprint() for spec in specs]
+    keys = [cell_key(spec, verify) for spec in specs]
     done = 0
-    taps = [tap for tap in (progress, ambient_progress()) if tap is not None]
+    taps = [tap for tap in (progress, _ENGINE.progress) if tap is not None]
 
-    def _notify(count: int, total: int, outcome: Outcome) -> None:
+    def _land(index: int, outcome: Outcome) -> None:
+        nonlocal done
+        outcomes[index] = outcome
+        if not outcome.ok:
+            telemetry.failures += 1
+        done += 1
         for tap in taps:
-            tap(count, total, outcome)
+            tap(done, len(specs), outcome)
 
     # Cache pass: reconstruct whatever is already on disk.
     pending: list[int] = []
-    for i, spec in enumerate(specs):
-        payload = store.get(fingerprints[i]) if store is not None else None
+    for i in range(len(specs)):
+        payload = store.get(keys[i]) if store is not None else None
         if payload is not None:
             try:
-                outcomes[i] = RunResult.from_dict(payload["result"])
+                outcome = decode(payload[entry_field])
             except (KeyError, TypeError, ValueError):
                 # Stale schema: drop the entry and simulate.
-                store.invalidate(fingerprints[i])
+                store.invalidate(keys[i])
             else:
                 telemetry.cache_hits += 1
-                done += 1
-                _notify(done, len(specs), outcomes[i])
+                _land(i, outcome)
                 continue
         pending.append(i)
 
     def _absorb(index: int, raw: dict) -> None:
-        nonlocal done
-        telemetry.busy_seconds += raw.get("elapsed", 0.0)
+        telemetry.busy_seconds += raw["elapsed"]
         telemetry.retries += raw["attempts"] - 1
-        if raw["ok"]:
-            # The retry metadata rides in the cached payload, so a
-            # replay shows a seed substitution just as the fresh run does.
-            raw["result"]["attempts"] = raw["attempts"]
-            raw["result"]["seed_used"] = raw["seed_used"]
-            outcomes[index] = RunResult.from_dict(raw["result"])
+        if "failed" in raw:
+            outcome = FailedRun.from_dict(raw["failed"])
+        else:
+            image = raw[entry_field]
+            outcome = decode(image)
             telemetry.simulated += 1
             if store is not None:
-                store.put(fingerprints[index],
-                          {"spec": spec_dicts[index],
-                           "result": raw["result"]})
-        else:
-            outcomes[index] = FailedRun.from_dict(raw["failed"])
-            telemetry.failures += 1
-        done += 1
-        _notify(done, len(specs), outcomes[index])
+                store.put(keys[index],
+                          {"spec": spec_dicts[index], entry_field: image})
+        _land(index, outcome)
 
     # One image per pending spec: the worker payload and the cache
     # entry share it (nothing on either side mutates it).
     spec_dicts = {i: specs[i].to_dict() for i in pending}
-    payloads = [(spec_dicts[i], timeout, retries, seed_bump)
-                for i in pending]
-    for index, raw in zip(pending,
-                          map_payloads(_worker_execute, payloads, jobs)):
+    payloads = [(spec_dicts[i], *worker_args) for i in pending]
+    for index, raw in zip(pending, map_payloads(worker, payloads, jobs)):
         _absorb(index, raw)
 
     telemetry.wall_seconds = time.perf_counter() - started
+    if _ENGINE.calls is not None:
+        _ENGINE.calls.append(telemetry)
     return list(outcomes), telemetry  # every slot is filled by now
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,6 +63,11 @@ class RunResult:
 
     # -- serialization (stable public contract; used by the result
     # cache, the worker boundary, HTTP transport and ``--json``) --------
+    @property
+    def ok(self) -> bool:
+        """Always true: an engine run that fails is a ``FailedRun``."""
+        return True
+
     def to_dict(self) -> dict:
         return stamp_schema({
             "workload_name": self.workload_name,
@@ -106,11 +112,18 @@ def result_fingerprint(result: RunResult) -> str:
 
 
 def execute_workload(workload: Workload, config: SystemConfig,
-                     validate: bool = True) -> RunResult:
-    """Execute ``workload`` on a freshly built machine."""
+                     validate: bool = True,
+                     timeout: Optional[float] = None) -> RunResult:
+    """Execute ``workload`` on a freshly built machine.
+
+    ``timeout`` is a wall-clock budget in seconds: the kernel raises
+    :class:`~repro.sim.kernel.RunTimeout` once it has passed.
+    """
     from repro.obs.profile import LockProfiler
 
     machine = Machine(config)
+    if timeout:
+        machine.sim.deadline = time.monotonic() + timeout
     collector = MachineMetrics().attach(machine) if config.metrics else None
     profiler = LockProfiler().attach(machine) if config.metrics else None
     stats = machine.run_workload(workload, validate=validate)

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import sys
+from time import monotonic
 from typing import Any, Callable, Optional
 
 from repro.sim.taps import MachineTaps
@@ -42,9 +43,22 @@ from repro.sim.taps import MachineTaps
 # queued *and* they outnumber half the heap.
 COMPACT_DEAD_MIN = 64
 
+#: The run loop reads the wall clock once per this many dispatches
+#: when a deadline is set (a power of two: the test is a bit mask).
+DEADLINE_CHECK_EVERY = 1024
+
 
 class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel."""
+
+
+class RunTimeout(SimulationError):
+    """Raised when a run passes its wall-clock :attr:`Simulator.deadline`.
+
+    The check lives in the run loop, so it fires in whatever thread
+    runs the simulation; the harness turns the ``timeout`` of a run
+    into the deadline.
+    """
 
 
 class HandleLeakError(SimulationError):
@@ -143,6 +157,11 @@ class Simulator:
 
     ``taps`` is the machine's observation seam, whose ``dispatch``
     point fires per event (a standalone kernel gets a private one).
+
+    ``deadline`` is an absolute :func:`time.monotonic` time; :meth:`run`
+    raises :class:`RunTimeout` once it has passed (checked every
+    :data:`DEADLINE_CHECK_EVERY` dispatches).  None, the default, runs
+    without a wall-clock limit.
     """
 
     def __init__(self, max_cycles: Optional[int] = None, *,
@@ -179,6 +198,7 @@ class Simulator:
         #: Observational compaction telemetry, published by repro.obs as
         #: ``sim.kernel.compactions`` (never part of any fingerprint).
         self.compactions = 0
+        self.deadline: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Clock and scheduling
@@ -287,8 +307,9 @@ class Simulator:
         Runs until the queue is empty, until the optional ``until`` cycle,
         or until ``max_cycles``.  Returns the final simulated time.  Raises
         :class:`DeadlockError` if the queue empties with incomplete actors,
-        and :class:`SimulationError` on a cycle-budget overrun (which in
-        this codebase nearly always means livelock).  An explicit
+        :class:`SimulationError` on a cycle-budget overrun (which in
+        this codebase nearly always means livelock), and
+        :class:`RunTimeout` once :attr:`deadline` has passed.  An explicit
         ``until`` always returns for resumption -- including the boundary
         case ``until == max_cycles`` -- because the caller asked for the
         pause; only running past ``max_cycles`` *without* a requested
@@ -303,6 +324,8 @@ class Simulator:
         debug = self.debug_handles
         getrefcount = sys.getrefcount
         free = self._free if self._recycle else None
+        deadline = self.deadline
+        check_mask = DEADLINE_CHECK_EVERY - 1
         fired = 0
         try:
             while queue:
@@ -326,6 +349,12 @@ class Simulator:
                         f"cycle budget exhausted at {limit} cycles with "
                         f"{len(queue)} pending events; "
                         f"blocked actors: {self._incomplete_actors()!r}")
+                if (deadline is not None and not fired & check_mask
+                        and monotonic() > deadline):
+                    heapq.heappush(queue, entry)
+                    raise RunTimeout(
+                        f"wall-clock deadline passed at cycle {self.now} "
+                        f"after {self._events_fired + fired} events")
                 self.now = time
                 fired += 1
                 fn = event.fn

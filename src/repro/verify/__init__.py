@@ -13,7 +13,8 @@ Three layers, composable or standalone:
   timestamp-order and waits-for acyclicity, starvation watchdog.
 
 :mod:`repro.verify.explorer` fans all of it across seeds (and the
-kernel's schedule-chaos choice points) through the parallel engine, and
+kernel's schedule-chaos choice points) through the parallel engine
+(``execute(..., verify=VerifyOptions())``), and
 shrinks any failing seed to a minimal traced reproduction.  CLI:
 ``repro verify --seeds N --jobs J``.
 """
@@ -23,7 +24,7 @@ from repro.verify.explorer import (DEFAULT_VERIFY_WORKLOADS,
                                    VerifyOptions, VerifyResult,
                                    VerifySuiteResult, explore,
                                    shrink_failure, verify_run,
-                                   verify_specs, verify_suite, with_chaos)
+                                   verify_suite, with_chaos)
 from repro.verify.monitors import InvariantViolation, MonitorSuite, Violation
 from repro.verify.oracle import (OracleReport, OracleViolation,
                                  SerializabilityOracle)
@@ -49,7 +50,6 @@ __all__ = [
     "explore",
     "shrink_failure",
     "verify_run",
-    "verify_specs",
     "verify_suite",
     "with_chaos",
 ]

@@ -3,14 +3,16 @@
 One verified run answers "was *this* interleaving serializable?".  The
 explorer answers the useful question -- "can we find an interleaving
 that is not?" -- by fanning a spec across hundreds of seeds (and,
-optionally, the kernel's schedule-chaos choice points) through the same
-process pool, wall-clock limiter and on-disk result cache as the sweep
-engine.  Verification failures are **findings**, so unlike performance
-sweeps there are no retry-with-bumped-seed semantics: a failing seed is
-reported, then *shrunk* -- workload size halved while the failure
-reproduces, then the processor count -- and the minimal reproduction is
-re-run with a :class:`~repro.sim.trace.Tracer` attached to render the
-events around the first violation.
+optionally, the kernel's schedule-chaos choice points) through the sweep
+engine itself: :func:`repro.harness.parallel.execute` with
+``verify=VerifyOptions(...)`` runs every seed under the verifier, with
+the same process pool, kernel deadline and on-disk result cache as a
+plain sweep.  Verification failures are **findings**, so unlike
+performance sweeps there are no retry-with-bumped-seed semantics: a
+failing seed is reported, then *shrunk* -- workload size halved while
+the failure reproduces, then the processor count -- and the minimal
+reproduction is re-run with a :class:`~repro.sim.trace.Tracer` attached
+to render the events around the first violation.
 """
 
 from __future__ import annotations
@@ -22,15 +24,13 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
-from repro.harness.cache import resolve_cache
 from repro.harness.machine import Machine
-from repro.harness.parallel import (_wall_clock_limit, ambient_progress,
-                                    map_payloads)
+from repro.harness.parallel import execute
 from repro.harness.spec import (SIZE_PARAM, RunSpec, check_schema,
                                 scheme_to_str, stamp_schema)
 from repro.obs import MachineMetrics
 from repro.runtime.program import ValidationError
-from repro.sim.kernel import SimulationError
+from repro.sim.kernel import RunTimeout, SimulationError
 from repro.sim.trace import Tracer
 from repro.verify.monitors import InvariantViolation, MonitorSuite
 from repro.verify.oracle import SerializabilityOracle
@@ -146,7 +146,8 @@ class VerifyResult:
 # One verified run
 # ----------------------------------------------------------------------
 def verify_run(spec: RunSpec, options: Optional[VerifyOptions] = None,
-               collect_trace: bool = False, record: bool = False
+               collect_trace: bool = False, record: bool = False,
+               timeout: Optional[float] = None
                ) -> tuple[VerifyResult, Optional[Tracer]]:
     """Build, instrument and run one spec; judge the execution.
 
@@ -155,12 +156,17 @@ def verify_run(spec: RunSpec, options: Optional[VerifyOptions] = None,
     a :class:`~repro.record.FlightRecorder` captures the run's binary
     event log into the verdict's ``log_bytes`` -- the harness mode is
     embedded so ``repro replay`` re-attaches the same monitors (their
-    watchdog events are part of the recorded schedule).
+    watchdog events are part of the recorded schedule).  ``timeout``
+    bounds the simulation's wall-clock seconds (not the oracle's
+    post-pass): past it the kernel raises
+    :class:`~repro.sim.kernel.RunTimeout`, which propagates.
     """
     options = options or VerifyOptions()
     started = time.perf_counter()
     workload = spec.build_workload()
     machine = Machine(spec.config)
+    if timeout:
+        machine.sim.deadline = time.monotonic() + timeout
     tracer = Tracer().attach(machine) if collect_trace else None
     flight = None
     if record:
@@ -182,6 +188,8 @@ def verify_run(spec: RunSpec, options: Optional[VerifyOptions] = None,
     error: Optional[str] = None
     try:
         machine.run_workload(workload, validate=spec.validate)
+    except RunTimeout:
+        raise  # no verdict to judge: the run was cut short
     except (InvariantViolation, ValidationError, SimulationError) as exc:
         error = f"{type(exc).__name__}: {exc}"
 
@@ -237,17 +245,13 @@ def verify_fingerprint(spec: RunSpec, options: VerifyOptions) -> str:
         canonical.encode("utf-8")).hexdigest()
 
 
-def _verify_worker(payload: tuple) -> dict:
-    """Top-level pool entry point (must be picklable).  Failures are
-    findings: a run that dies or times out becomes a failing verdict,
-    never a retry."""
-    spec_dict, options_dict, timeout = payload
-    spec = RunSpec.from_dict(spec_dict)
-    options = VerifyOptions.from_dict(options_dict)
+def _verify_one(spec: RunSpec, options: VerifyOptions,
+                timeout: Optional[float]) -> VerifyResult:
+    """One verdict.  Failures are findings: a run that dies or times
+    out becomes a failing verdict, never a retry."""
     started = time.perf_counter()
     try:
-        with _wall_clock_limit(timeout):
-            result, _ = verify_run(spec, options)
+        result, _ = verify_run(spec, options, timeout=timeout)
     except Exception as exc:  # timeout or an unexpected verifier crash
         result = VerifyResult(
             workload=spec.workload,
@@ -257,7 +261,17 @@ def _verify_worker(payload: tuple) -> dict:
             ok=False,
             error=f"{type(exc).__name__}: {exc}",
             elapsed=time.perf_counter() - started)
-    return result.to_dict()
+    return result
+
+
+def _verify_worker(payload: tuple) -> dict:
+    """Pool entry point for verified cells of
+    :func:`repro.harness.parallel.execute` (must be picklable)."""
+    spec_dict, options_dict, timeout = payload
+    result = _verify_one(RunSpec.from_dict(spec_dict),
+                         VerifyOptions.from_dict(options_dict), timeout)
+    return {"verdict": result.to_dict(), "attempts": 1,
+            "elapsed": result.elapsed}
 
 
 # ----------------------------------------------------------------------
@@ -299,66 +313,6 @@ def with_chaos(spec: RunSpec, chaos: int) -> RunSpec:
     return replace(spec, config=replace(spec.config, schedule_chaos=chaos))
 
 
-def verify_specs(specs: Sequence[RunSpec], *,
-                 options: Optional[VerifyOptions] = None,
-                 jobs: int = 1, timeout: Optional[float] = None,
-                 cache=None, progress=None
-                 ) -> tuple[list[VerifyResult], int]:
-    """Verify an arbitrary batch of specs through the pool and cache.
-
-    The shared engine under :func:`explore` and the policy-grid
-    experiment: every spec gets the full instrumented treatment
-    (recorder, oracle, monitors) and verdicts are cached under
-    :func:`verify_fingerprint`.  Returns the verdicts (same order as
-    ``specs``) and the number served from cache.
-    """
-    options = options or VerifyOptions()
-    store = resolve_cache(cache)
-    specs = list(specs)
-    fingerprints = [verify_fingerprint(s, options) for s in specs]
-    results: list[Optional[VerifyResult]] = [None] * len(specs)
-    cache_hits = 0
-    done = 0
-    taps = [tap for tap in (progress, ambient_progress())
-            if tap is not None]
-
-    def _notify(count: int, total: int, result: VerifyResult) -> None:
-        for tap in taps:
-            tap(count, total, result)
-
-    pending: list[int] = []
-    for i, s in enumerate(specs):
-        payload = store.get(fingerprints[i]) if store is not None else None
-        if payload is not None:
-            try:
-                results[i] = VerifyResult.from_dict(payload["verdict"])
-            except (KeyError, TypeError, ValueError):
-                store.invalidate(fingerprints[i])
-            else:
-                cache_hits += 1
-                done += 1
-                _notify(done, len(specs), results[i])
-                continue
-        pending.append(i)
-
-    def _absorb(index: int, raw: dict) -> None:
-        nonlocal done
-        results[index] = VerifyResult.from_dict(raw)
-        if store is not None:
-            store.put(fingerprints[index],
-                      {"spec": specs[index].to_dict(), "verdict": raw})
-        done += 1
-        _notify(done, len(specs), results[index])
-
-    payloads = [(specs[i].to_dict(), options.to_dict(), timeout)
-                for i in pending]
-    for index, raw in zip(pending,
-                          map_payloads(_verify_worker, payloads, jobs)):
-        _absorb(index, raw)
-
-    return list(results), cache_hits
-
-
 def explore(spec: RunSpec, *, seeds: int = 100, base_seed: int = 0,
             jobs: int = 1, timeout: Optional[float] = None,
             cache=None, options: Optional[VerifyOptions] = None,
@@ -370,15 +324,14 @@ def explore(spec: RunSpec, *, seeds: int = 100, base_seed: int = 0,
     exploration only simulates seeds that were not seen before.
     """
     options = options or VerifyOptions()
-    started = time.perf_counter()
     specs = [spec.with_seed(base_seed + i) for i in range(seeds)]
-    results, cache_hits = verify_specs(
-        specs, options=options, jobs=jobs, timeout=timeout, cache=cache,
-        progress=progress)
+    results, telemetry = execute(specs, jobs=jobs, timeout=timeout,
+                                 cache=cache, progress=progress,
+                                 verify=options)
     return ExplorationResult(spec=spec, options=options,
                              results=results,
-                             cache_hits=cache_hits,
-                             wall_seconds=time.perf_counter() - started)
+                             cache_hits=telemetry.cache_hits,
+                             wall_seconds=telemetry.wall_seconds)
 
 
 # ----------------------------------------------------------------------
@@ -411,15 +364,6 @@ class ShrunkFailure:
         return "\n".join(lines)
 
 
-def _still_fails(spec: RunSpec, options: VerifyOptions,
-                 timeout: Optional[float]) -> Optional[VerifyResult]:
-    """Re-run ``spec``; returns the failing verdict or None if it now
-    passes (shrinking must preserve the failure)."""
-    raw = _verify_worker((spec.to_dict(), options.to_dict(), timeout))
-    result = VerifyResult.from_dict(raw)
-    return None if result.ok else result
-
-
 def shrink_failure(spec: RunSpec, *,
                    options: Optional[VerifyOptions] = None,
                    timeout: Optional[float] = None,
@@ -437,8 +381,9 @@ def shrink_failure(spec: RunSpec, *,
     size_key = SIZE_PARAM.get(spec.workload)
 
     def try_shrunk(candidate: RunSpec) -> bool:
+        # Shrinking must preserve the failure.
         nonlocal current, steps
-        if _still_fails(candidate, options, timeout) is not None:
+        if not _verify_one(candidate, options, timeout).ok:
             current = candidate
             steps += 1
             return True

@@ -2,10 +2,11 @@
 statistics persistence, and incremental invalidation planning."""
 
 import json
+import threading
 
 import pytest
 
-from repro.harness import experiments, invalidate
+from repro.harness import invalidate, jobs
 from repro.harness.cache import ResultCache
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.jobs import JOB_CACHE_PREFIX, submit
@@ -52,6 +53,37 @@ class TestSubmit:
                      cache=store)
         assert job.result["ok"] is True
         assert "single-counter" in job.result["workloads"]
+
+    def test_concurrent_jobs_report_their_own_telemetry(self, monkeypatch):
+        # Both jobs finish their engine calls before either reads its
+        # telemetry, so a module-wide "last telemetry" would hand both
+        # the same numbers.
+        barrier = threading.Barrier(2, timeout=60)
+        serialize = jobs.serialize_result
+
+        def serialize_after_both(value):
+            barrier.wait()
+            return serialize(value)
+
+        monkeypatch.setattr(jobs, "serialize_result", serialize_after_both)
+        sizes = {"small": [2], "large": [2, 4, 6]}
+        results = {}
+
+        def run(name):
+            spec = JobSpec.sweep("figure9", total_increments=16,
+                                 processor_counts=sizes[name])
+            results[name] = submit(spec, cache=False)
+
+        threads = [threading.Thread(target=run, args=(name,))
+                   for name in sizes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        for name, counts in sizes.items():
+            cells = len(results[name].result["series"]) * len(counts)
+            assert results[name].telemetry["total_runs"] == cells
 
     def test_no_cache_always_executes(self):
         spec = JobSpec.run(_run_spec())
@@ -166,8 +198,8 @@ class TestInvalidate:
         assert replanned.fresh == replanned.total and not replanned.stale
 
         # The grid itself replays the verdicts --regen primed.
-        experiments.policy_grid(**params, cache=store)
-        telemetry = experiments.last_telemetry()
+        telemetry = submit(JobSpec.sweep("policies", **params),
+                           cache=store).telemetry
         assert telemetry["cache_hits"] == telemetry["total_runs"] == 1
 
     @pytest.mark.parametrize("name, payload, reason", [

@@ -2,7 +2,8 @@
 livelock, FailedRun degradation, wall-clock timeouts, cache integration,
 telemetry, and the unified ``repro.harness.run`` dispatch."""
 
-import time
+import os
+import threading
 
 import pytest
 
@@ -10,8 +11,7 @@ import repro.harness.parallel as parallel
 from repro.harness import run as harness_run
 from repro.harness.cache import ResultCache
 from repro.harness.config import SyncScheme, SystemConfig
-from repro.harness.parallel import (FailedRun, RunTimeout, execute,
-                                    _wall_clock_limit)
+from repro.harness.parallel import FailedRun, execute
 from repro.harness.runner import RunResult
 from repro.harness.spec import RunSpec
 from repro.runtime.program import ValidationError
@@ -31,11 +31,11 @@ class TestRetries:
         real = parallel._simulate
         attempts = []
 
-        def flaky(spec):
+        def flaky(spec, timeout):
             attempts.append(spec.config.seed)
             if len(attempts) == 1:
                 raise SimulationError("synthetic livelock")
-            return real(spec)
+            return real(spec, timeout)
 
         monkeypatch.setattr(parallel, "_simulate", flaky)
         outcomes, telemetry = execute([_spec(seed=5)], jobs=1, retries=2)
@@ -51,11 +51,11 @@ class TestRetries:
         real = parallel._simulate
         attempts = []
 
-        def flaky(spec):
+        def flaky(spec, timeout):
             attempts.append(spec.config.seed)
             if len(attempts) == 1:
                 raise SimulationError("synthetic livelock")
-            return real(spec)
+            return real(spec, timeout)
 
         monkeypatch.setattr(parallel, "_simulate", flaky)
         specs = [_spec(seed=5), _spec(seed=6)]
@@ -71,7 +71,8 @@ class TestRetries:
     def test_exhausted_retries_yield_failed_run(self, monkeypatch):
         monkeypatch.setattr(
             parallel, "_simulate",
-            lambda spec: (_ for _ in ()).throw(SimulationError("stuck")))
+            lambda spec, timeout: (_ for _ in ()).throw(
+                SimulationError("stuck")))
         outcomes, telemetry = execute([_spec(seed=3)], jobs=1, retries=2)
         failed = outcomes[0]
         assert isinstance(failed, FailedRun)
@@ -96,7 +97,7 @@ class TestRetries:
     def test_validation_error_is_not_retried(self, monkeypatch):
         calls = []
 
-        def broken(spec):
+        def broken(spec, timeout):
             calls.append(spec.config.seed)
             raise ValidationError("memory image wrong")
 
@@ -106,28 +107,64 @@ class TestRetries:
         assert len(calls) == 1
 
 
+def _long_spec() -> RunSpec:
+    """A run of well over a millisecond: thousands of kernel events."""
+    return RunSpec(workload="linked-list",
+                   config=SystemConfig(num_cpus=8),
+                   workload_args={"total_ops": 256})
+
+
 class TestTimeout:
-    def test_wall_clock_limit_raises_runtimeout(self):
-        with pytest.raises(RunTimeout):
-            with _wall_clock_limit(0.05):
-                time.sleep(1.0)
-
-    def test_wall_clock_limit_disarms_after_body(self):
-        with _wall_clock_limit(0.05):
-            pass
-        time.sleep(0.08)  # would blow up if the timer were still armed
-
-    def test_timed_out_run_becomes_failed_run(self, monkeypatch):
-        def slow(spec):
-            time.sleep(1.0)
-
-        monkeypatch.setattr(parallel, "_simulate", slow)
-        outcomes, telemetry = execute([_spec()], jobs=1, retries=0,
-                                      timeout=0.05)
+    def test_timed_out_run_becomes_failed_run(self):
+        outcomes, telemetry = execute([_long_spec()], jobs=1, retries=0,
+                                      timeout=0.001)
         failed = outcomes[0]
         assert isinstance(failed, FailedRun)
         assert failed.error == "RunTimeout"
         assert telemetry.failures == 1
+
+    def test_timeout_fires_off_the_main_thread(self):
+        # A `repro serve` worker runs a jobs=1 job in its own thread.
+        box = {}
+        thread = threading.Thread(target=lambda: box.update(
+            outcomes=execute([_long_spec()], jobs=1, timeout=0.001,
+                             retries=0)[0]))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive()
+        (failed,) = box["outcomes"]
+        assert isinstance(failed, FailedRun)
+        assert failed.error == "RunTimeout"
+
+    def test_timed_out_verified_cell_is_a_failing_verdict(self):
+        from repro.verify import VerifyOptions
+        (verdict,), telemetry = execute([_long_spec()], jobs=1,
+                                        timeout=0.001,
+                                        verify=VerifyOptions())
+        assert not verdict.ok
+        assert verdict.error.startswith("RunTimeout")
+        assert (telemetry.failures, telemetry.retries) == (1, 0)
+
+
+class TestVerifiedCells:
+    def test_jobs_zero_means_one_per_cpu(self):
+        from repro.verify import VerifyOptions
+        _, telemetry = execute([_spec()], jobs=0, verify=VerifyOptions())
+        assert telemetry.jobs == os.cpu_count()
+
+    def test_verdict_cached_under_its_verification_fingerprint(
+            self, tmp_path):
+        from repro.verify.explorer import VerifyOptions, verify_fingerprint
+        cache = ResultCache(tmp_path)
+        options = VerifyOptions()
+        (first,), cold = execute([_spec()], cache=cache, verify=options)
+        entry = cache.get(verify_fingerprint(_spec(), options))
+        assert set(entry) == {"spec", "verdict"}
+        assert entry["verdict"] == first.to_dict()
+        assert cache.get(_spec().fingerprint()) is None
+        (second,), warm = execute([_spec()], cache=cache, verify=options)
+        assert (cold.simulated, warm.cache_hits) == (1, 1)
+        assert second.to_dict() == first.to_dict()
 
 
 class TestCacheIntegration:

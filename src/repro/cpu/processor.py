@@ -156,7 +156,7 @@ class Processor:
             self.spec.on_misspeculation("terminated", resource=True)
         self.epoch += 1
         if self._pending_timer is not None:
-            self._pending_timer.cancel()
+            self.sim.cancel(self._pending_timer)
             self._pending_timer = None
         if self.gen is not None:
             self.gen.close()
@@ -656,7 +656,7 @@ class Processor:
         self.stats.restart_reasons[reason] += 1
         self.cs_depth = min(self.cs_depth, max(0, depth))
         if self._pending_timer is not None:
-            self._pending_timer.cancel()
+            self.sim.cancel(self._pending_timer)
             self._pending_timer = None
         signal = RestartSignal(depth, reason)
         if self._paused:

@@ -59,7 +59,10 @@ from repro.workloads.microbench import (linked_list, multiple_counter,
 #     sent, NACK and deferral counters are read from the CPU stats.
 #     Simulated behaviour is unchanged; cached v9 payloads would replay
 #     the dropped families.
-FINGERPRINT_VERSION = 10
+# v11: the metrics lost the kernel's lazy-cancel compaction counter
+#     (the kernel no longer compacts).  Simulated behaviour is
+#     unchanged; cached v10 payloads would replay the dropped family.
+FINGERPRINT_VERSION = 11
 
 
 # ----------------------------------------------------------------------

@@ -169,8 +169,6 @@ class MachineMetrics:
                 stats.total("lock_fallbacks"))
             self.registry.counter("sim.kernel.events").inc(
                 machine.sim.events_fired)
-            self.registry.counter("sim.kernel.compactions").inc(
-                machine.sim.compactions)
             engine = getattr(machine, "sched_engine", None)
             if engine is not None:
                 # Per-thread (not per-CPU) latency attribution: how many

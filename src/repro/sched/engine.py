@@ -15,9 +15,8 @@ Mechanism notes (the invariants tests rely on):
 
 * **Timer ticks.**  One self-rescheduling kernel event per slot, period
   = quantum, first firing staggered by the slot index so slots do not
-  all switch on the same cycle.  A tick handle follows the kernel's
-  recycled-``Event`` contract: the firing callback nulls the holder
-  field before doing anything else.  Ticks stop rescheduling once every
+  all switch on the same cycle.  Ticks are never cancelled, so the
+  engine keeps no tick handles.  Ticks stop rescheduling once every
   thread finished, so the kernel queue drains and end-of-run deadlock
   detection keeps working.
 * **Inertness.**  A core may only request preemption when an eligible
@@ -84,7 +83,6 @@ class SchedEngine:
         self.migrations = 0
         self.context_switch_aborts = 0
         self._finished = 0
-        self._ticks: list[Optional[object]] = [None] * self.slots
         self._tick_labels = [f"sched-tick{s}" for s in range(self.slots)]
         # Slot affinity in one place: home-pinned unless migration is on.
         if self.migrate:
@@ -111,9 +109,8 @@ class SchedEngine:
         for slot in range(self.slots):
             # Stagger first firings by the slot index so slot switches
             # never all land on one cycle.
-            self._ticks[slot] = self.sim.schedule(
-                self.quantum + slot, self._tick, slot,
-                label=self._tick_labels[slot])
+            self.sim.schedule(self.quantum + slot, self._tick, slot,
+                              label=self._tick_labels[slot])
 
     def thread_on_slot(self, slot: int) -> Optional[int]:
         return self.running[slot]
@@ -129,7 +126,6 @@ class SchedEngine:
     # timer interrupt
 
     def _tick(self, slot: int) -> None:
-        self._ticks[slot] = None    # handle is recycled after firing
         if self._finished >= self.num_threads:
             return                  # let the kernel queue drain
         self.core.on_tick(self.sim.now)
@@ -141,8 +137,8 @@ class SchedEngine:
                 self._preempt(slot)
         if self.running[slot] is None:
             self._dispatch(slot)
-        self._ticks[slot] = self.sim.schedule(
-            self.quantum, self._tick, slot, label=self._tick_labels[slot])
+        self.sim.schedule(self.quantum, self._tick, slot,
+                          label=self._tick_labels[slot])
 
     # ------------------------------------------------------------------
     # switching

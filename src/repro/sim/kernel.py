@@ -13,35 +13,20 @@ for the same cycle fire in scheduling order (a monotonically increasing
 sequence number breaks ties), so a given seed always replays the exact same
 interleaving.
 
-Every experiment bottoms out in this loop, so it is also the hot path of
-the whole reproduction.  Three allocation-level optimizations keep it
-cheap without changing any observable ordering:
-
-* **Event recycling.**  Fired (and reaped-cancelled) events go onto a
-  free list and are reinitialized by the next :meth:`Simulator.schedule`
-  instead of allocating a fresh object per event.
-* **Lazy-cancel compaction.**  :meth:`Event.cancel` only marks the event
-  dead; when dead events exceed both an absolute floor and half the heap,
-  the queue is rebuilt without them.  (time, prio, seq) keys are unique,
-  so re-heapifying cannot change pop order.
-* **Hoisted hooks.**  The ``dispatch`` emit point and heap accessors
-  are bound once per :meth:`Simulator.run` call, and ``verbose_labels``
-  tells callers whether a choice hook will ever look at an event label,
-  letting hot call sites skip f-string construction.
+The queue is one heap of entries, ``[time, prio, seq, fn, args, label]``.
+The entry is also the handle :meth:`Simulator.schedule` returns:
+:meth:`Simulator.cancel` sets its ``fn`` to None and the run loop skips
+it when popped.  ``(time, prio, seq)`` is unique per entry, so heapq's
+native list comparison never reaches ``fn``.
 """
 
 from __future__ import annotations
 
 import heapq
-import sys
 from time import monotonic
 from typing import Any, Callable, Optional
 
 from repro.sim.taps import MachineTaps
-
-# Lazy-cancel compaction fires when at least this many dead events are
-# queued *and* they outnumber half the heap.
-COMPACT_DEAD_MIN = 64
 
 #: The run loop reads the wall clock once per this many dispatches
 #: when a deadline is set (a power of two: the test is a bit mask).
@@ -61,18 +46,6 @@ class RunTimeout(SimulationError):
     """
 
 
-class HandleLeakError(SimulationError):
-    """Raised (in ``debug_handles`` mode only) when an Event is still
-    referenced by someone after it fired.
-
-    The free list recycles Event objects, so a handle is only valid
-    until its event fires; a tap, tracer or timer holder that keeps the
-    reference past that point will later observe the object
-    reinitialized as an unrelated event.  This error names the event
-    whose handle leaked so the offending holder can be found.
-    """
-
-
 class DeadlockError(SimulationError):
     """Raised when the event queue drains while registered actors are
     still incomplete.
@@ -84,76 +57,19 @@ class DeadlockError(SimulationError):
     """
 
 
-class Event:
-    """A scheduled callback.
-
-    Events are cancellable: :meth:`cancel` marks the event dead and the
-    kernel skips it when popped.  This is how spin-wait timeouts and
-    superseded wakeups are handled without scrubbing the heap.
-
-    ``prio`` orders events within a cycle ahead of the sequence number;
-    it is 0 (pure FIFO) unless a schedule choice hook is installed.
-
-    **Handle lifetime:** the kernel recycles Event objects through a free
-    list, so a handle returned by :meth:`Simulator.schedule` is only valid
-    until the event fires or is reaped.  Holders that may outlive their
-    event must drop the reference once it has fired (the pattern used for
-    pending-timer handles: the firing callback nulls the holder's field
-    before anything else runs).
-    """
-
-    __slots__ = ("time", "prio", "seq", "fn", "args", "alive", "label",
-                 "sim")
-
-    def __init__(self, time: int, seq: int, fn: Callable[..., None],
-                 args: tuple, label: str = "", prio: int = 0):
-        self.time = time
-        self.prio = prio
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.alive = True
-        self.label = label
-        self.sim: Optional["Simulator"] = None
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Safe to call more than once."""
-        if self.alive:
-            self.alive = False
-            sim = self.sim
-            if sim is not None:
-                sim._note_cancel()
-
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.prio != other.prio:
-            return self.prio < other.prio
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "" if self.alive else " (cancelled)"
-        name = self.label or getattr(self.fn, "__qualname__", str(self.fn))
-        return f"<Event t={self.time} #{self.seq} {name}{state}>"
-
-
 class Simulator:
     """The event queue and simulated clock.
 
-    Components interact with the kernel through three calls:
+    Components interact with the kernel through four calls:
 
     * :meth:`schedule` -- run a callback ``delay`` cycles from now;
-    * :meth:`now` (property) -- the current simulated cycle;
+    * :meth:`cancel` -- drop a scheduled callback before it fires;
+    * :attr:`now` -- the current simulated cycle;
     * :meth:`run` -- drain the queue until completion or a limit.
 
     Actors (typically processors) may register completion predicates via
     :meth:`add_actor`; :meth:`run` uses them to distinguish a clean finish
     from a deadlock.
-
-    ``recycle_events`` and ``compact_dead_min`` expose the allocation
-    optimizations for testing; both defaults are observationally pure
-    (identical event order) and there is no reason to change them outside
-    the kernel's own test suite.
 
     ``taps`` is the machine's observation seam, whose ``dispatch``
     point fires per event (a standalone kernel gets a private one).
@@ -165,15 +81,8 @@ class Simulator:
     """
 
     def __init__(self, max_cycles: Optional[int] = None, *,
-                 taps: Optional[MachineTaps] = None,
-                 recycle_events: bool = True,
-                 compact_dead_min: Optional[int] = COMPACT_DEAD_MIN,
-                 debug_handles: bool = False):
-        #: Heap of ``(time, prio, seq, event)`` entries: the key tuple
-        #: is compared natively by heapq (no Python-level ``__lt__``
-        #: per sift step), and seq uniqueness means the Event itself is
-        #: never reached by a comparison.
-        self._queue: list[tuple[int, int, int, Event]] = []
+                 taps: Optional[MachineTaps] = None):
+        self._queue: list[list] = []
         self.now = 0
         self._seq = 0
         self._events_fired = 0
@@ -183,21 +92,10 @@ class Simulator:
         #: True when a choice hook may read event labels; hot call sites
         #: consult this to skip building descriptive labels.
         self.verbose_labels = False
-        self._free: list[Event] = []
-        self._recycle = recycle_events
-        self._compact_dead_min = compact_dead_min
-        self._dead = 0
         #: ``taps.dispatch`` subscribers (the flight recorder) see the
         #: cheap labels: subscribing leaves :attr:`verbose_labels` alone,
         #: so the observed schedule is bit-identical to the bare one.
         self.taps = taps if taps is not None else MachineTaps()
-        #: Handle-lifetime checking (see :class:`HandleLeakError`).
-        #: When on, fired events are recycled *after* dispatch and their
-        #: refcount is audited first -- slower, for tests only.
-        self.debug_handles = debug_handles
-        #: Observational compaction telemetry, published by repro.obs as
-        #: ``sim.kernel.compactions`` (never part of any fingerprint).
-        self.compactions = 0
         self.deadline: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -215,35 +113,27 @@ class Simulator:
         return self._events_fired
 
     def schedule(self, delay: int, fn: Callable[..., None], *args: Any,
-                 label: str = "") -> Event:
+                 label: str = "") -> list:
         """Schedule ``fn(*args)`` to run ``delay`` cycles from now.
 
-        Returns the :class:`Event`, which the caller may cancel (the
-        handle is valid until the event fires; see :class:`Event`).
-        Delays must be non-negative; a zero delay runs after all events
-        already scheduled for the current cycle (FIFO within a cycle).
+        Returns the queue entry, which the caller may pass to
+        :meth:`cancel`.  Delays must be non-negative; a zero delay runs
+        after all events already scheduled for the current cycle (FIFO
+        within a cycle).
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         self._seq += 1
         choice = self._choice
         prio = choice(label) if choice is not None else 0
-        time = self.now + delay
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.prio = prio
-            event.seq = self._seq
-            event.fn = fn
-            event.args = args
-            event.alive = True
-            event.label = label
-        else:
-            event = Event(time, self._seq, fn, args, label, prio=prio)
-            event.sim = self
-        heapq.heappush(self._queue, (time, prio, self._seq, event))
-        return event
+        entry = [self.now + delay, prio, self._seq, fn, args, label]
+        heapq.heappush(self._queue, entry)
+        return entry
+
+    def cancel(self, handle: list) -> None:
+        """Keep a scheduled event from firing.  Cancelling twice, or
+        after the event fired, does nothing."""
+        handle[3] = None
 
     def set_choice_hook(self,
                         fn: Optional[Callable[[str], int]]) -> None:
@@ -259,30 +149,6 @@ class Simulator:
         """
         self._choice = fn
         self.verbose_labels = fn is not None
-
-    # ------------------------------------------------------------------
-    # Lazy-cancel compaction
-    # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        self._dead += 1
-        threshold = self._compact_dead_min
-        if (threshold is not None and self._dead >= threshold
-                and 2 * self._dead >= len(self._queue)):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Rebuild the heap without dead events.
-
-        Heap pop order depends only on the (time, prio, seq) keys, which
-        are unique per event, so re-heapifying the survivors yields the
-        exact same firing sequence.  Compacted-away events are *not*
-        recycled: their handles were cancelled externally and may still
-        be held.
-        """
-        self._queue = [entry for entry in self._queue if entry[3].alive]
-        heapq.heapify(self._queue)
-        self._dead = 0
-        self.compactions += 1
 
     # ------------------------------------------------------------------
     # Actors and completion
@@ -321,21 +187,15 @@ class Simulator:
         queue = self._queue
         pop = heapq.heappop
         dispatch = self.taps.dispatch
-        debug = self.debug_handles
-        getrefcount = sys.getrefcount
-        free = self._free if self._recycle else None
         deadline = self.deadline
         check_mask = DEADLINE_CHECK_EVERY - 1
         fired = 0
         try:
             while queue:
+                # entry: [time, prio, seq, fn, args, label]
                 entry = pop(queue)
-                event = entry[3]
-                if not event.alive:
-                    self._dead -= 1
-                    if free is not None:
-                        event.fn = event.args = None
-                        free.append(event)
+                fn = entry[3]
+                if fn is None:  # cancelled
                     continue
                 time = entry[0]
                 if limit is not None and time > limit:
@@ -357,35 +217,9 @@ class Simulator:
                         f"after {self._events_fired + fired} events")
                 self.now = time
                 fired += 1
-                fn = event.fn
-                args = event.args
                 if dispatch:
-                    dispatch.fire(time, -1, (event.label,), self)
-                if free is not None and not debug:
-                    # Recycle *before* dispatch so callbacks that schedule
-                    # reuse this very object; the handle contract (valid
-                    # only until the event fires) makes this safe.
-                    event.fn = event.args = None
-                    free.append(event)
-                fn(*args)
-                if debug:
-                    # Handle audit: by the time dispatch returns, every
-                    # legitimate holder has dropped its reference (the
-                    # timer pattern nulls the field inside the firing
-                    # callback).  Expected references here: the `event`
-                    # local, the popped entry tuple, and getrefcount's
-                    # own argument -- anything beyond that is a tap or
-                    # tracer retaining a recyclable handle.
-                    if getrefcount(event) > 3:
-                        raise HandleLeakError(
-                            f"event {event!r} still referenced after "
-                            f"firing at t={time}; a hook or holder kept "
-                            f"a recyclable handle")
-                    if free is not None:
-                        event.fn = event.args = None
-                        free.append(event)
-                if queue is not self._queue:  # compaction replaced it
-                    queue = self._queue
+                    dispatch.fire(time, -1, (entry[5],), self)
+                fn(*entry[4])
         finally:
             self._events_fired += fired
         stuck = self._incomplete_actors()
@@ -398,7 +232,7 @@ class Simulator:
 
     def pending(self) -> int:
         """Number of live events still queued (cancelled ones excluded)."""
-        return sum(1 for entry in self._queue if entry[3].alive)
+        return sum(1 for entry in self._queue if entry[3] is not None)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<Simulator t={self.now} queued={len(self._queue)} "

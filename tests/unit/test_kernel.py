@@ -60,7 +60,7 @@ def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []
     event = sim.schedule(5, fired.append, "x")
-    event.cancel()
+    sim.cancel(event)
     sim.run()
     assert fired == []
     assert sim.events_fired == 0
@@ -69,8 +69,8 @@ def test_cancelled_event_does_not_fire():
 def test_cancel_is_idempotent():
     sim = Simulator()
     event = sim.schedule(5, lambda: None)
-    event.cancel()
-    event.cancel()
+    sim.cancel(event)
+    sim.cancel(event)
     sim.run()
 
 
@@ -78,7 +78,7 @@ def test_events_fired_counts_live_events_only():
     sim = Simulator()
     sim.schedule(1, lambda: None)
     dead = sim.schedule(2, lambda: None)
-    dead.cancel()
+    sim.cancel(dead)
     sim.schedule(3, lambda: None)
     sim.run()
     assert sim.events_fired == 2
@@ -148,7 +148,7 @@ def test_pending_excludes_cancelled():
     sim = Simulator()
     sim.schedule(1, lambda: None)
     dead = sim.schedule(2, lambda: None)
-    dead.cancel()
+    sim.cancel(dead)
     assert sim.pending() == 1
 
 
@@ -214,153 +214,90 @@ def test_choice_hook_never_reorders_across_cycles():
     assert fired == ["early", "late"]
 
 
-# ----------------------------------------------------------------------
-# Allocation optimizations: free-list recycling and lazy-cancel
-# compaction must be observationally pure (identical firing order).
-# ----------------------------------------------------------------------
-class TestEventRecycling:
-    def test_reaped_cancelled_event_is_reused(self):
-        sim = Simulator()
-        dead = sim.schedule(1, lambda: None)
-        dead.cancel()
-        sim.run()  # reaps the cancelled event onto the free list
-        recycled = sim.schedule(5, lambda: None)
-        assert recycled is dead
-        assert recycled.alive and recycled.time == 5
-
-    def test_fired_event_is_reused_by_callback_schedule(self):
-        # Recycling happens *before* dispatch, so a callback that
-        # schedules gets back the very object that just fired.
-        sim = Simulator()
-        children = []
-        first = sim.schedule(1, lambda: children.append(
-            sim.schedule(1, lambda: None)))
-        sim.run()
-        assert children[0] is first
-
-    def test_recycling_disabled_allocates_fresh_objects(self):
-        sim = Simulator(recycle_events=False)
-        dead = sim.schedule(1, lambda: None)
-        dead.cancel()
-        sim.run()
-        assert sim.schedule(5, lambda: None) is not dead
-
-    def test_recycled_event_state_fully_reinitialized(self):
-        sim = Simulator()
-        fired = []
-        dead = sim.schedule(1, fired.append, "stale-arg", label="old")
-        dead.cancel()
-        sim.run()
-        reused = sim.schedule(2, fired.append, "fresh", label="new")
-        assert reused is dead
-        assert reused.label == "new"
-        sim.run()
-        assert fired == ["fresh"]
+def test_cancel_after_firing_is_a_no_op():
+    """A handle outlives its event: cancelling it once fired must not
+    touch a later event (a recycled handle would be that event)."""
+    sim = Simulator()
+    fired = []
+    stale = sim.schedule(1, fired.append, "a")
+    sim.run()
+    sim.schedule(1, fired.append, "b")
+    sim.cancel(stale)
+    assert sim.pending() == 1
+    sim.run()
+    assert fired == ["a", "b"]
+    assert sim.events_fired == 2
 
 
-class TestCompaction:
-    def test_compaction_drops_dead_events_from_queue(self):
-        sim = Simulator(compact_dead_min=1)
-        handles = [sim.schedule(t, lambda: None) for t in range(1, 5)]
-        for handle in handles[:3]:
-            handle.cancel()
-        # The most aggressive threshold has compacted by now: no dead
-        # event is left in the heap.
-        assert len(sim._queue) == sim.pending() == 1
-
-    def test_disabled_compaction_keeps_dead_events_queued(self):
-        sim = Simulator(compact_dead_min=None)
-        handles = [sim.schedule(t, lambda: None) for t in range(1, 5)]
-        for handle in handles[:3]:
-            handle.cancel()
-        assert len(sim._queue) == 4 and sim.pending() == 1
-
-    def test_pending_tracks_lazy_cancels(self):
-        sim = Simulator(compact_dead_min=None)
-        handles = [sim.schedule(t, lambda: None) for t in range(1, 6)]
-        assert sim.pending() == 5
-        for handle in handles[:3]:
-            handle.cancel()
-        assert sim.pending() == 2
-        handles[0].cancel()  # idempotent: must not double-count
-        assert sim.pending() == 2
-        sim.run()
-        assert sim.pending() == 0
-        assert sim.events_fired == 2
-
-    def test_compaction_counter_and_purge(self):
-        sim = Simulator(compact_dead_min=1)
-        handles = [sim.schedule(t, lambda: None) for t in range(1, 5)]
-        for handle in handles[:3]:
-            handle.cancel()
-        assert sim.compactions > 0
-        assert sim.pending() == 1
-        sim.run()
-        assert sim.events_fired == 1
-
-    def test_compaction_preserves_time_prio_seq_order(self):
-        def drive(sim):
-            fired = []
-            sim.set_choice_hook(lambda label: {"a": 2, "b": 1}.get(label, 0))
-            handles = []
-            for tag in "abcabcab":
-                handles.append(
-                    sim.schedule(3, fired.append, tag, label=tag))
-            for tag in range(6):  # same-cycle FIFO tail
-                handles.append(sim.schedule(7, fired.append, tag))
-            for victim in handles[1::2]:
-                victim.cancel()
-            sim.run()
-            return fired
-
-        baseline = drive(Simulator(compact_dead_min=None))
-        compacted = drive(Simulator(compact_dead_min=1))
-        assert compacted == baseline
-        assert baseline  # the scenario fired something
+def test_pending_tracks_lazy_cancels():
+    sim = Simulator()
+    handles = [sim.schedule(t, lambda: None) for t in range(1, 6)]
+    assert sim.pending() == 5
+    for handle in handles[:3]:
+        sim.cancel(handle)
+    assert sim.pending() == 2
+    sim.cancel(handles[0])  # idempotent: must not double-count
+    assert sim.pending() == 2
+    sim.run()
+    assert sim.pending() == 0
+    assert sim.events_fired == 2
 
 
-class TestReplayPurity:
-    """Property test: a seeded random schedule -- nested scheduling,
-    random cancels, same-cycle ties -- fires identically under every
-    combination of the allocation flags."""
+class TestAgainstReferenceModel:
+    """Property test: seeded random schedules -- nested scheduling,
+    random cancels (repeated and stale ones included), choice-hook
+    priorities and same-cycle ties -- fire exactly as a reference model
+    that keeps the live ``(time, prio, seq)`` entries and fires the
+    smallest."""
 
     @staticmethod
-    def _drive(sim, seed):
+    def _drive(seed, with_hook):
         rng = random.Random(seed)
-        trace = []
-        pending = {}
-        spawned = [0]
+        hook_rng = random.Random(seed + 1000)
+        sim = Simulator()
+        prios = []     # what the choice hook returned, in call order
+
+        def hook(label):
+            prios.append(hook_rng.randrange(3))
+            return prios[-1]
+
+        if with_hook:
+            sim.set_choice_hook(hook)
+        now = [0]      # the model's clock: the last firing time
+        live = {}      # the model: tag -> (time, prio, seq)
+        handles = {}   # every handle ever returned, fired ones included
+        fired = []
+
+        def schedule(delay):
+            tag = len(handles)
+            handles[tag] = sim.schedule(delay, fire, tag, label=f"e{tag}")
+            prio = prios[-1] if with_hook else 0
+            live[tag] = (now[0] + delay, prio, tag)
 
         def fire(tag):
-            # Handle contract: drop the reference once fired.
-            pending.pop(tag, None)
-            trace.append((sim.now, tag))
-            if pending and rng.random() < 0.4:
-                victim = rng.choice(sorted(pending))
-                pending.pop(victim).cancel()
-            if spawned[0] < 64 and rng.random() < 0.7:
-                spawned[0] += 1
-                child = f"s{spawned[0]}"
-                pending[child] = sim.schedule(
-                    rng.randrange(0, 6), fire, child)
+            assert min(live.values()) == (sim.now, live[tag][1], tag)
+            del live[tag]
+            now[0] = sim.now
+            fired.append(tag)
+            assert sim.pending() == len(live)
+            while len(handles) < 96 and rng.random() < 0.6:
+                schedule(rng.randrange(0, 4))
+            if rng.random() < 0.4:
+                victim = rng.randrange(len(handles))
+                sim.cancel(handles[victim])
+                live.pop(victim, None)
+            assert sim.pending() == len(live)
 
-        for i in range(16):
-            tag = f"i{i}"
-            pending[tag] = sim.schedule(rng.randrange(0, 8), fire, tag)
+        for _ in range(16):
+            schedule(rng.randrange(0, 8))
         sim.run()
-        return trace
+        return sim, fired, live
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_random_schedule_replays_identically_across_flags(self, seed):
-        configs = [
-            dict(),                                      # defaults
-            dict(recycle_events=False),
-            dict(compact_dead_min=1),
-            dict(compact_dead_min=None),
-            dict(recycle_events=False, compact_dead_min=1),
-        ]
-        traces = [self._drive(Simulator(**kwargs), seed)
-                  for kwargs in configs]
-        assert traces[0]  # non-trivial scenario
-        for trace in traces[1:]:
-            assert trace == traces[0]
+    @pytest.mark.parametrize("with_hook", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_kernel_matches_model(self, seed, with_hook):
+        sim, fired, live = self._drive(seed, with_hook)
+        assert len(fired) > 16  # nested scheduling happened
+        assert not live
+        assert sim.pending() == 0
+        assert sim.events_fired == len(fired)

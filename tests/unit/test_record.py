@@ -1,7 +1,6 @@
 """Unit tests for repro.record: the binary log format, the timeline
-debugger, VCD export, the kernel's handle-lifetime audit, and the
-per-consumer drop accounting when a recorder and a tracer share the
-machine tap layer."""
+debugger, VCD export, and the per-consumer drop accounting when a
+recorder and a tracer share the machine tap layer."""
 
 import io
 
@@ -14,7 +13,6 @@ from repro.record import (LOG_SCHEMA, SCHEMA_HISTORY, FlightRecorder,
                           Timeline, export_vcd, first_divergence, load_log,
                           record_run)
 from repro.record.format import (LogFormatError, LogWriter, read_header)
-from repro.sim.kernel import (COMPACT_DEAD_MIN, HandleLeakError, Simulator)
 from repro.sim.trace import Tracer
 from repro.workloads.microbench import single_counter
 
@@ -208,53 +206,6 @@ class TestVcd:
         export_vcd(recorded.log, b)
         assert a.getvalue() == b.getvalue()
         assert "$date" not in a.getvalue()
-
-
-# ----------------------------------------------------------------------
-# Kernel handle-lifetime audit (PR-5 free-list contract)
-# ----------------------------------------------------------------------
-class TestDebugHandles:
-    def test_clean_run_passes_with_compaction_active(self):
-        sim = Simulator(debug_handles=True,
-                        compact_dead_min=COMPACT_DEAD_MIN)
-        fired = []
-        cancelled = []
-        for t in range(1, 2 * COMPACT_DEAD_MIN):
-            handle = sim.schedule(t, fired.append, t)
-            if t % 2 == 1:
-                # Retaining a *cancelled* handle is legal (it never
-                # fires); enough of them to trigger lazy compaction.
-                cancelled.append(handle)
-        for handle in cancelled:
-            handle.cancel()
-        sim.run()
-        assert fired == list(range(2, 2 * COMPACT_DEAD_MIN, 2))
-
-    def test_retained_fired_handle_raises(self):
-        sim = Simulator(debug_handles=True)
-        kept = []
-        event = sim.schedule(5, lambda: None, label="leaky")
-        kept.append(event)  # a consumer wrongly retaining the handle
-        with pytest.raises(HandleLeakError, match="leaky"):
-            sim.run()
-
-    def test_recycling_still_audited_under_recorder(self):
-        """A full recorded machine run in debug mode: the recorder's
-        dispatch subscriber must not retain any Event."""
-        spec = _spec(ops=24)
-        machine = Machine(spec.config)
-        machine.sim.debug_handles = True
-        workload = spec.build_workload()
-        FlightRecorder(spec,
-                       locks=sorted(workload.lock_addrs)).attach(machine)
-        machine.run_workload(workload)  # must not raise HandleLeakError
-
-    def test_default_mode_off(self):
-        sim = Simulator()
-        assert sim.debug_handles is False
-        kept = [sim.schedule(1, lambda: None)]
-        sim.run()  # no audit, no error
-        assert kept
 
 
 # ----------------------------------------------------------------------

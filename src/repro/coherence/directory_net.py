@@ -49,7 +49,7 @@ class DirectoryInterconnect(Bus):
         super().__init__(sim, config, stats, taps)
         self.dir_config = config
         self.perturber = perturber
-        self._home_free = [0] * config.num_homes
+        self._home_idle_at = [0] * config.num_homes
 
     # ------------------------------------------------------------------
     # Issue path: unordered network to the home, serialized there
@@ -69,8 +69,8 @@ class DirectoryInterconnect(Bus):
             self._outstanding -= 1
             return
         home = request.line % self.dir_config.num_homes
-        start = max(self.sim.now, self._home_free[home])
-        self._home_free[home] = start + self.dir_config.home_occupancy
+        start = max(self.sim.now, self._home_idle_at[home])
+        self._home_idle_at[home] = start + self.dir_config.home_occupancy
         self.stats.bus_busy_cycles += self.dir_config.home_occupancy
         delay = start - self.sim.now + self.dir_config.processing_latency
         self.sim.schedule(delay, self._order, request,

@@ -111,7 +111,7 @@ class TestTermination:
         return (Workload(name="kill", threads=[victim, bystander],
                          meta={"space": space}), lock, counter)
 
-    def test_tlr_killed_holder_leaves_lock_free(self):
+    def test_tlr_killed_holder_leaves_lock_unheld(self):
         workload, lock, counter = self._workload()
         machine = Machine(small_config(2, SyncScheme.TLR))
         machine.sim.schedule(700, machine.processors[0].terminate)

@@ -203,7 +203,9 @@ def submit(spec: JobSpec, *, jobs: int = 1,
     if artifacts:
         result.extra["artifacts"] = artifacts
     if store is not None:
-        store.put(JOB_CACHE_PREFIX + fingerprint, result.to_dict())
-    if store is not None:
+        # A job with a timed-out cell would replay that timeout even
+        # under a larger (or no) timeout, which its key does not carry.
+        if not any(call.timeouts for call in calls):
+            store.put(JOB_CACHE_PREFIX + fingerprint, result.to_dict())
         store.persist_counters()  # keep `repro cache --stats` truthful
     return result

@@ -27,7 +27,8 @@ pool.  Guarantees:
   failing verdict, never retried.
 * **Incrementality** -- with a :class:`~repro.harness.cache.ResultCache`,
   cells whose cache key already has a stored outcome are reconstructed
-  from disk instead of simulated.
+  from disk instead of simulated.  A cell that hit the timeout (in any
+  attempt) is not stored: the timeout is not part of its key.
 * **Telemetry** -- :class:`SweepTelemetry` reports runs simulated,
   cache hits, retries, failures, wall time and worker utilization;
   :func:`repro.harness.report.telemetry_line` renders it.  Every call
@@ -106,6 +107,7 @@ class SweepTelemetry:
     cache_hits: int = 0
     retries: int = 0
     failures: int = 0
+    timeouts: int = 0           # cells that hit the wall-clock timeout
     jobs: int = 1
     wall_seconds: float = 0.0
     busy_seconds: float = 0.0   # sum of per-run simulation wall time
@@ -129,7 +131,8 @@ class SweepTelemetry:
     def to_dict(self) -> dict:
         return {"total_runs": self.total_runs, "simulated": self.simulated,
                 "cache_hits": self.cache_hits, "retries": self.retries,
-                "failures": self.failures, "jobs": self.jobs,
+                "failures": self.failures, "timeouts": self.timeouts,
+                "jobs": self.jobs,
                 "wall_seconds": self.wall_seconds,
                 "busy_seconds": self.busy_seconds,
                 "utilization": self.utilization}
@@ -156,6 +159,7 @@ def _execute_with_retries(spec_dict: dict, timeout: Optional[float],
     base_seed = spec.config.seed
     seeds_tried: list[int] = []
     last_error: Optional[BaseException] = None
+    timed_out = False
     started = time.perf_counter()
     for attempt in range(retries + 1):
         seed = base_seed + attempt * seed_bump
@@ -166,13 +170,14 @@ def _execute_with_retries(spec_dict: dict, timeout: Optional[float],
             # Cycle-budget overrun (livelock), drained-queue deadlock,
             # or wall-clock timeout: retry under a different seed.
             last_error = exc
+            timed_out = timed_out or isinstance(exc, RunTimeout)
             continue
         # The retry metadata rides in the cached payload, so a replay
         # shows a seed substitution just as the fresh run does.
         result.attempts = attempt + 1
         result.seed_used = seed
         return {"result": result.to_dict(),
-                "attempts": attempt + 1,
+                "attempts": attempt + 1, "timed_out": timed_out,
                 "elapsed": time.perf_counter() - started}
     failed = FailedRun(
         workload=spec.workload,
@@ -185,7 +190,7 @@ def _execute_with_retries(spec_dict: dict, timeout: Optional[float],
         attempts=len(seeds_tried),
         seeds_tried=seeds_tried)
     return {"failed": failed.to_dict(),
-            "attempts": len(seeds_tried),
+            "attempts": len(seeds_tried), "timed_out": timed_out,
             "elapsed": time.perf_counter() - started}
 
 
@@ -375,13 +380,16 @@ def execute(specs: Sequence[RunSpec], *,
     def _absorb(index: int, raw: dict) -> None:
         telemetry.busy_seconds += raw["elapsed"]
         telemetry.retries += raw["attempts"] - 1
+        telemetry.timeouts += raw["timed_out"]
         if "failed" in raw:
             outcome = FailedRun.from_dict(raw["failed"])
         else:
             image = raw[entry_field]
             outcome = decode(image)
             telemetry.simulated += 1
-            if store is not None:
+            # A timed-out outcome depends on the timeout, which is not
+            # part of the cache key: never store one.
+            if store is not None and not raw["timed_out"]:
                 store.put(keys[index],
                           {"spec": spec_dicts[index], entry_field: image})
         _land(index, outcome)

@@ -270,8 +270,9 @@ def _verify_worker(payload: tuple) -> dict:
     spec_dict, options_dict, timeout = payload
     result = _verify_one(RunSpec.from_dict(spec_dict),
                          VerifyOptions.from_dict(options_dict), timeout)
+    timed_out = (result.error or "").startswith(RunTimeout.__name__ + ":")
     return {"verdict": result.to_dict(), "attempts": 1,
-            "elapsed": result.elapsed}
+            "timed_out": timed_out, "elapsed": result.elapsed}
 
 
 # ----------------------------------------------------------------------

@@ -35,6 +35,18 @@ class TestSubmit:
         assert second.telemetry is None  # nothing executed
         assert second.result == first.result
 
+    def test_timed_out_job_is_not_cached(self, tmp_path):
+        store = ResultCache(tmp_path / "cache")
+        spec = JobSpec.run(RunSpec(workload="linked-list",
+                                   config=SystemConfig(num_cpus=8),
+                                   workload_args={"total_ops": 256}))
+        cut = submit(spec, cache=store, timeout=0.001)
+        assert cut.result["ok"] is False
+        assert cut.result["outcome"]["error"] == "RunTimeout"
+        again = submit(spec, cache=store)
+        assert again.cached is False
+        assert again.result["ok"] is True
+
     def test_corrupt_job_entry_degrades_to_re_execution(self, tmp_path):
         store = ResultCache(tmp_path / "cache")
         spec = JobSpec.run(_run_spec())

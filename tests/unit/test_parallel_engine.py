@@ -145,6 +145,18 @@ class TestTimeout:
         assert verdict.error.startswith("RunTimeout")
         assert (telemetry.failures, telemetry.retries) == (1, 0)
 
+    def test_timed_out_verdict_is_not_cached(self, tmp_path):
+        from repro.verify import VerifyOptions
+        cache = ResultCache(tmp_path)
+        (cut,), first = execute([_long_spec()], jobs=1, timeout=0.001,
+                                cache=cache, verify=VerifyOptions())
+        assert cut.error.startswith("RunTimeout")
+        (verdict,), second = execute([_long_spec()], jobs=1, cache=cache,
+                                     verify=VerifyOptions())
+        assert second.cache_hits == 0
+        assert verdict.ok
+        assert (first.timeouts, second.timeouts) == (1, 0)
+
 
 class TestVerifiedCells:
     def test_jobs_zero_means_one_per_cpu(self):

@@ -15,8 +15,7 @@ Mechanism notes (the invariants tests rely on):
 
 * **Timer ticks.**  One self-rescheduling kernel event per slot, period
   = quantum, first firing staggered by the slot index so slots do not
-  all switch on the same cycle.  Ticks are never cancelled, so the
-  engine keeps no tick handles.  Ticks stop rescheduling once every
+  all switch on the same cycle.  Ticks stop rescheduling once every
   thread finished, so the kernel queue drains and end-of-run deadlock
   detection keeps working.
 * **Inertness.**  A core may only request preemption when an eligible

@@ -9,11 +9,13 @@ itself it records:
   transferred at the bus order point while our data was still in flight --
   the forward obligation that builds the coherence chain of the paper's
   Figures 6 and 7;
-* the *upstream* neighbour learned from a marker message, used to route
-  probes toward the data holder;
 * a ``pass_through`` flag set when this processor lost a TLR conflict
   while the miss was in flight: the arriving data is forwarded onward
   without being consumed.
+
+The marker/probe bookkeeping of the same miss (the upstream neighbour,
+probes held until it is known) is the controller's per-line
+:class:`~repro.tlr.deferral.ChainState`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.coherence.messages import BusRequest, Timestamp
+from repro.coherence.messages import BusRequest
 
 
 @dataclass(slots=True)
@@ -34,14 +36,10 @@ class Mshr:
     # number of GETS may chain (ownership does not move on a read), but
     # a GETX moves ownership to its requester, so it is always last.
     successors: list[BusRequest] = field(default_factory=list)
-    upstream: Optional[int] = None
     pass_through: bool = False
     ordered: bool = False
     in_txn: bool = False   # issued from within a speculative transaction
     fill_invalid: bool = False  # an invalidation ordered after our GETS
-    # Probe timestamps seen before the marker arrived; flushed upstream
-    # as soon as the upstream neighbour becomes known.
-    pending_probe_ts: list[Timestamp] = field(default_factory=list)
     issue_time: int = 0
 
     @property

@@ -70,7 +70,8 @@ class Processor:
                                 enabled=config.spec.rmw_predictor_enabled)
         self.spec = SpeculationManager(self, config, stats)
         controller.on_misspeculation = self._on_misspeculation
-        controller.on_conflict_ts = self.spec.observe_conflict_ts
+        if self.spec.tlr:  # plain SLE keeps the controller's no-op
+            controller.on_conflict_ts = self.spec.authority.observe_conflict
         self.gen: Optional[Generator] = None
         self.done = False
         self.epoch = 0

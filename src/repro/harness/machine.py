@@ -89,8 +89,7 @@ class Machine:
                 succ = ",".join(repr(s) for s in mshr.successors)
                 mshr_bits.append(
                     f"{mshr.request!r} ordered={mshr.ordered} "
-                    f"pass={mshr.pass_through} succ=[{succ}] "
-                    f"upstream={mshr.upstream}")
+                    f"pass={mshr.pass_through} succ=[{succ}]")
             chains = {hex(k): (v.upstream, v.pending_probes)
                       for k, v in ctl.chains.items()}
             lines.append(

@@ -181,11 +181,6 @@ class SpeculationManager:
         self.active = False
         return depth
 
-    def observe_conflict_ts(self, ts) -> None:
-        """Feed conflicting-request clocks into the local clock rules."""
-        if self.tlr:
-            self.authority.observe_conflict(ts)
-
     def lock_lines(self) -> set[int]:
         """Lines of currently elided locks (watched for writes)."""
         if self.checkpoint is None:

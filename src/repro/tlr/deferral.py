@@ -108,11 +108,13 @@ class DeferredQueue:
 class ChainState:
     """Marker/probe bookkeeping for one line's outstanding miss.
 
-    Probes are *not* deduplicated: a probe can land while its target is
-    mid-restart (speculation briefly off) and be ignored, so waiters
-    re-issue probes on a watchdog period until their miss completes.
-    Probes travel strictly upstream along marker edges, so each receipt
-    causes at most one forward -- no loops, bounded volume.
+    ``queue_probe`` is the one forwarding rule, used by the controller's
+    ``handle_probe`` and ``_chain_behind_miss``.  Probes are *not*
+    deduplicated: one can land while its target is mid-restart and be
+    ignored, so waiters re-probe on a watchdog period until their miss
+    completes.  Probes travel strictly upstream along marker edges, so a
+    receipt causes at most one forward and no loop, but every receipt is
+    forwarded: probes are two thirds of a 64-CPU directory run's events.
     """
 
     upstream: Optional[int] = None

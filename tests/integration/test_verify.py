@@ -42,6 +42,19 @@ class TestVerifyRun:
         assert result.ok, result.headline()
         assert result.num_txns > 0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_directory_run_where_probes_dominate_passes(self, seed):
+        """16 CPUs on the directory protocol: thousands of probes a run
+        (against a few dozen at 4 CPUs), and a probe beats both an owner
+        and a mid-chain node along the way."""
+        result, _ = verify_run(_spec("linked-list", num_cpus=16, seed=seed,
+                                     protocol="directory"))
+        assert result.ok, result.headline()
+        counters = result.metrics["counters"]
+        assert counters["probe.sent"] > 1000
+        assert counters["restart.reason.probe-lost"] > 0
+        assert counters["restart.reason.probe-lost-pending"] > 0
+
     @pytest.mark.parametrize("scheme", [SyncScheme.SLE, SyncScheme.BASE,
                                         SyncScheme.MCS])
     def test_other_schemes_pass(self, scheme):

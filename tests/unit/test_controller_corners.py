@@ -4,12 +4,13 @@ movement, and deferral bookkeeping."""
 
 import pytest
 
-from repro.coherence.messages import MEMORY
+from repro.coherence.messages import MEMORY, BusRequest, Probe, ReqKind
 from repro.coherence.states import State
 from repro.cpu import isa
 from repro.harness.config import SyncScheme
 from repro.harness.machine import Machine
 from repro.runtime.program import Workload
+from repro.tlr.deferral import ChainState
 from repro.workloads.common import AddressSpace
 
 from tests.conftest import run_threads, small_config
@@ -194,3 +195,104 @@ class TestDeferralBookkeeping:
             - stats.total("lock_fallbacks") * 0)
         # Every committed section incremented the counter exactly once.
         assert machine.store.read(counter) == 24
+
+
+class TestHandleProbe:
+    """Each branch of the probe receiver, on a hand-built 3-CPU machine:
+    CPU 1 receives probes championing timestamp (1, 0), which beats its
+    own (5, 1)."""
+
+    LINE = 0x40
+    EARLY = (1, 0)
+
+    def receiver(self, scheme=SyncScheme.TLR, ts=(5, 1)):
+        machine = Machine(small_config(3, scheme))
+        ctl = machine.controllers[1]
+        if ts is not None:
+            ctl.enter_speculation(ts)
+        reasons = []
+        ctl.on_misspeculation = lambda reason, line: reasons.append(reason)
+        return machine, ctl, reasons
+
+    def miss(self, ctl, line_addr, in_txn=True):
+        request = BusRequest(ReqKind.GETX, line=line_addr,
+                             requester=ctl.cpu_id, ts=ctl.current_ts)
+        mshr = ctl.mshrs.allocate(request, 0)
+        mshr.in_txn = in_txn
+        ctl.chains[line_addr] = ChainState()
+        return mshr
+
+    def probe(self, ctl):
+        ctl.handle_probe(Probe(line=self.LINE, ts=self.EARLY, origin=2))
+
+    @pytest.mark.parametrize("scheme,ts", [(SyncScheme.TLR, None),
+                                           (SyncScheme.SLE, None),
+                                           (SyncScheme.SLE, (5, 1))])
+    def test_no_lookup_unless_speculating_under_tlr(self, scheme, ts):
+        machine, ctl, reasons = self.receiver(scheme, ts)
+        ctl.cache.install(self.LINE, State.EXCLUSIVE).accessed = True
+        clock = ctl.cache._use_clock
+        self.probe(ctl)
+        assert ctl.cache._use_clock == clock  # no LRU bump
+        assert reasons == []
+
+    def test_speculating_receiver_looks_up_once(self):
+        machine, ctl, reasons = self.receiver()
+        ctl.cache.install(self.LINE + 1, State.EXCLUSIVE)
+        ctl.cache.install(self.LINE, State.EXCLUSIVE)
+        clock = ctl.cache._use_clock
+        self.probe(ctl)  # line not accessed: no conflict
+        assert ctl.cache._use_clock == clock + 1
+        assert reasons == []
+
+    def test_chain_without_upstream_queues_and_sends_nothing(self):
+        machine, ctl, reasons = self.receiver()
+        self.miss(ctl, self.LINE, in_txn=False)
+        self.probe(ctl)
+        assert ctl.chains[self.LINE].pending_probes == [self.EARLY]
+        assert ctl.stats.probes_sent == 0
+        assert machine.sim.pending() == 0
+        assert reasons == []
+
+    def test_chain_with_upstream_forwards_one_probe(self):
+        machine, ctl, reasons = self.receiver()
+        self.miss(ctl, self.LINE, in_txn=False)
+        ctl.chains[self.LINE].learn_upstream(0)
+        self.probe(ctl)
+        assert ctl.stats.probes_sent == 1
+        assert machine.sim.pending() == 1
+        assert reasons == []
+
+    def test_beaten_mid_chain_keeps_deferring_under_relaxation(self):
+        machine, ctl, reasons = self.receiver()
+        mshr = self.miss(ctl, self.LINE)
+        self.probe(ctl)
+        assert reasons == []
+        assert ctl.speculating and not mshr.pass_through
+        # The conflicting clock still fed the loose clock sync.
+        assert machine.processors[1].spec.authority._max_conflicting_clock \
+            == self.EARLY[0]
+
+    def test_beaten_mid_chain_passes_through_and_restarts(self):
+        machine, ctl, reasons = self.receiver()
+        mshr = self.miss(ctl, self.LINE)
+        self.miss(ctl, self.LINE + 1)  # a second miss: no relaxation
+        self.probe(ctl)
+        assert reasons == ["probe-lost-pending"]
+        assert mshr.pass_through
+        assert ctl.stats.probe_losses == 0
+
+    def test_beaten_owner_restarts_and_counts_the_loss(self):
+        machine, ctl, reasons = self.receiver()
+        ctl.cache.install(self.LINE, State.EXCLUSIVE).accessed = True
+        self.probe(ctl)
+        assert reasons == ["probe-lost"]
+        assert ctl.stats.probe_losses == 1
+        assert not ctl.speculating
+
+    def test_owner_with_an_earlier_timestamp_keeps_the_line(self):
+        machine, ctl, reasons = self.receiver(ts=(0, 1))
+        ctl.cache.install(self.LINE, State.EXCLUSIVE).accessed = True
+        self.probe(ctl)
+        assert reasons == []
+        assert ctl.stats.probe_losses == 0 and ctl.speculating

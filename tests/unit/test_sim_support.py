@@ -1,5 +1,9 @@
 """Unit tests for RNG streams, latency perturbation, and statistics."""
 
+import random
+
+import pytest
+
 from repro.sim.rng import LatencyPerturber, RandomStreams
 from repro.sim.stats import CpuStats, SimStats
 
@@ -41,6 +45,21 @@ class TestLatencyPerturber:
         perturber = LatencyPerturber(RandomStreams(0).stream("x"),
                                      max_jitter=0)
         assert all(perturber.perturb(n) == n for n in (0, 1, 50))
+
+    @pytest.mark.parametrize("max_jitter", range(8))
+    def test_stream_matches_randrange(self, max_jitter):
+        """perturb draws inline what ``randrange(max_jitter + 1)`` draws,
+        value for value, leaving the generator in the same state (a
+        zero jitter draws nothing)."""
+        rng = random.Random(max_jitter)
+        twin = random.Random(max_jitter)
+        perturber = LatencyPerturber(rng, max_jitter=max_jitter)
+        for i in range(10_000):
+            latency = i % 40
+            expected = latency + (twin.randrange(max_jitter + 1)
+                                  if max_jitter > 0 else 0)
+            assert perturber.perturb(latency) == expected
+        assert rng.getstate() == twin.getstate()
 
 
 class TestCpuStats:

@@ -206,39 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sched_cmd.add_argument("--base-seed", type=int, default=0)
     _engine_opts(sched_cmd)
 
-    trend_cmd = sub.add_parser(
-        "trend", help="diff BENCH_*.json artifacts against a baseline "
-                      "git ref (or artifact directory); exits non-zero "
-                      "on regressions beyond the threshold")
-    trend_cmd.add_argument(
-        "ref", nargs="?", default=None,
-        help="baseline git ref, e.g. HEAD~1 (default HEAD)")
-    trend_cmd.add_argument(
-        "--against", type=str, default=None,
-        help="baseline git ref or a directory of artifacts "
-             "(alternative spelling of the positional ref)")
-    trend_cmd.add_argument(
-        "--artifacts", type=str, default=".",
-        help="directory holding the current artifacts (default: cwd)")
-    trend_cmd.add_argument(
-        "--repo", type=str, default=None,
-        help="git repository to resolve the ref in (default: the "
-             "artifacts directory)")
-    trend_cmd.add_argument(
-        "--threshold", type=float, default=0.05,
-        help="relative change that counts as a regression "
-             "(default 0.05 = 5%%)")
-    trend_cmd.add_argument("--json", action="store_true",
-                           help="emit the report as JSON")
-    trend_cmd.add_argument(
-        "--history", type=int, default=None, metavar="N",
-        help="instead of a two-point diff, show per-metric value "
-             "series across HEAD~N..HEAD plus the working tree "
-             "(changing metrics only; informational, never fails)")
-    trend_cmd.add_argument(
-        "--all-metrics", action="store_true",
-        help="with --history: include metrics that never changed")
-
     cache_cmd = sub.add_parser(
         "cache", help="inspect or clean the on-disk result cache")
     cache_cmd.add_argument("--cache-dir", type=str, default=None,
@@ -759,41 +726,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(report.sched_grid_table(grid))
             _print_telemetry(job)
         return 0 if grid.ok else 1
-
-    if args.command == "trend":
-        from repro.harness import trend
-        if args.ref and args.against:
-            print("give either a positional ref or --against, not both",
-                  file=sys.stderr)
-            return 2
-        against = args.against or args.ref or "HEAD"
-        if args.history is not None:
-            try:
-                history = trend.history_report(
-                    args.history, artifacts_dir=args.artifacts,
-                    repo=args.repo)
-            except trend.TrendError as exc:
-                print(f"trend: {exc}", file=sys.stderr)
-                return 2
-            changed_only = not args.all_metrics
-            if args.json:
-                print(json.dumps(history.to_dict(changed_only=changed_only),
-                                 indent=2))
-            else:
-                print(history.to_markdown(changed_only=changed_only))
-            return 0
-        try:
-            result = trend.trend_report(
-                against=against, artifacts_dir=args.artifacts,
-                repo=args.repo, threshold=args.threshold)
-        except trend.TrendError as exc:
-            print(f"trend: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(result.to_dict(), indent=2))
-        else:
-            print(result.to_markdown())
-        return 0 if result.ok else 1
 
     if args.command == "run":
         scheme_name = args.scheme.upper().replace("_", "-")

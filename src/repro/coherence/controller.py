@@ -360,28 +360,28 @@ class CacheController:
     # ------------------------------------------------------------------
     # Conflict resolution (the heart of TLR)
     # ------------------------------------------------------------------
-    def _accessed_in_txn(self, line_addr: int) -> tuple[bool, bool]:
-        """(accessed, written) for conflict detection, counting both
-        installed lines and misses issued from within the transaction."""
-        line = self.cache.lookup(line_addr)
+    def _conflicts(self, request: BusRequest) -> tuple[bool, bool]:
+        """(conflicts, written): whether ``request`` conflicts with the
+        running transaction, and whether the transaction wrote the line
+        (the policy's ``holder_wrote``)."""
+        if not self.speculating:
+            return False, False
+        return self._conflicts_on(request, self.cache.lookup(request.line))
+
+    def _conflicts_on(self, request: BusRequest,
+                      line: Optional[Line]) -> tuple[bool, bool]:
+        """:meth:`_conflicts` of a speculating controller, given ``line``,
+        its one lookup of the requested line (each lookup bumps LRU).
+        Installed lines and misses issued from within the transaction
+        both count."""
         accessed = bool(line and line.accessed)
         written = bool(line and line.spec_written)
-        mshr = self.mshrs.get(line_addr)
-        if mshr is not None and self.speculating and mshr.in_txn:
+        mshr = self.mshrs.get(request.line)
+        if mshr is not None and mshr.in_txn:
             accessed = True
             written = written or mshr.request.kind in (ReqKind.GETX,
                                                        ReqKind.UPG)
-        return accessed, written
-
-    def _conflicts(self, request: BusRequest) -> bool:
-        if not self.speculating:
-            return False
-        accessed, written = self._accessed_in_txn(request.line)
-        if not accessed:
-            return False
-        if request.kind.is_write:
-            return True
-        return written
+        return accessed and (request.kind.is_write or written), written
 
     def _relaxation_ok(self, line_addr: int) -> bool:
         if not self._single_block_relax:
@@ -416,10 +416,9 @@ class CacheController:
         return self.policy.must_release_before_miss(deferred,
                                                     self.current_ts)
 
-    def _policy_ctx(self, request: BusRequest,
+    def _policy_ctx(self, request: BusRequest, written: bool,
                     at_snoop: bool = False) -> ConflictContext:
         """Package one conflict for the contention policy."""
-        _, written = self._accessed_in_txn(request.line)
         has_miss = any(m.in_txn and m.request.line != request.line
                        for m in self.mshrs.entries_view())
         return ConflictContext(
@@ -433,13 +432,14 @@ class CacheController:
             now=self.sim.now)
 
     def _decide(self, request: BusRequest) -> Decision:
-        if not self._conflicts(request):
+        conflicts, written = self._conflicts(request)
+        if not conflicts:
             return Decision.SERVE
         self.on_conflict_ts(request.ts)
         if not self.tlr_enabled:
             # Plain SLE: a data conflict simply kills the speculation.
             return Decision.LOSE
-        verdict = self.policy.resolve(self._policy_ctx(request))
+        verdict = self.policy.resolve(self._policy_ctx(request, written))
         if verdict is PolicyDecision.ABORT_HOLDER:
             return Decision.LOSE
         if verdict is PolicyDecision.ABORT_REQUESTER:
@@ -466,10 +466,11 @@ class CacheController:
         if line is None or line.state not in (State.MODIFIED,
                                               State.EXCLUSIVE):
             return False
-        if not self._conflicts(request):
+        conflicts, written = self._conflicts_on(request, line)
+        if not conflicts:
             return False
         self.on_conflict_ts(request.ts)
-        verdict = self.policy.resolve(self._policy_ctx(request,
+        verdict = self.policy.resolve(self._policy_ctx(request, written,
                                                        at_snoop=True))
         if verdict is PolicyDecision.NACK_RETRY:
             self.stats.nacks_sent += 1
@@ -614,15 +615,16 @@ class CacheController:
             if chain is not None and chain.queue_probe(request.ts):
                 self._send_probe(chain.upstream, request.line, request.ts,
                                  request.requester)
-            if (self._conflicts(request)
-                    and self.policy.resolve(self._policy_ctx(request))
+            conflicts, written = self._conflicts(request)
+            if (conflicts
+                    and self.policy.resolve(self._policy_ctx(request, written))
                     is PolicyDecision.ABORT_HOLDER):
                 # We already know we lose this line: restart now and pass
                 # the data through when it arrives.
                 mshr.pass_through = True
                 self._handle_loss("conflict-lost-pending", request.line,
                                   request.ts, request.requester)
-        elif self._conflicts(request) and not self.tlr_enabled:
+        elif self._conflicts(request)[0] and not self.tlr_enabled:
             mshr.pass_through = True
             self._handle_loss("data-conflict-pending", request.line,
                               request.ts, request.requester)

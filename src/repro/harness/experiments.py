@@ -728,8 +728,8 @@ DEFAULT_SCHED_GRID_POLICIES = ("timestamp", "nack")
 DEFAULT_SCHED_GRID_WORKLOADS = ("single-counter", "linked-list")
 
 #: sched.* counters lifted from each cell's metrics payload into the
-#: cell itself, so BENCH_sched.json readers (and the trend gate) see
-#: them without digging through histograms.
+#: cell itself, so BENCH_sched.json readers see them without digging
+#: through histograms.
 _SCHED_CELL_COUNTERS = ("preemptions", "migrations",
                         "context_switch_aborts")
 

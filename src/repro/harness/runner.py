@@ -130,10 +130,10 @@ def execute_workload(workload: Workload, config: SystemConfig,
     metrics = None
     if collector is not None:
         # Aggregate profile families ride the shared registry so they
-        # reach the OpenMetrics export and trend gating, while the full
-        # per-lock breakdown travels beside the flat counters.  Neither
-        # moves result_fingerprint: metrics are telemetry about a run,
-        # not part of its outcome.
+        # reach the OpenMetrics export, while the full per-lock
+        # breakdown travels beside the flat counters.  Neither moves
+        # result_fingerprint: metrics are telemetry about a run, not
+        # part of its outcome.
         profile = profiler.snapshot()
         profiler.publish(collector.registry, profile)
         metrics = collector.finalize(machine)

@@ -1,4 +1,4 @@
-"""Observability: metrics, span tracing support, and trend tooling.
+"""Observability: metrics, span tracing support and lock profiling.
 
 The paper's evaluation is an exercise in *explaining* performance --
 stall attribution, restart counts, deferral behaviour -- so the
@@ -19,8 +19,6 @@ reproduction carries a first-class observability layer:
   from the machine taps; :mod:`repro.obs.causal` rebuilds the identical
   profile post-hoc from a v3 record log (kept out of this namespace to
   avoid an eager ``repro.record`` import).
-* :mod:`repro.harness.trend` diffs ``BENCH_*.json`` artifacts across
-  commits (the ``repro trend`` command).
 """
 
 from repro.obs.metrics import (DEPTH_BUCKETS, LATENCY_BUCKETS, RETRY_BUCKETS,

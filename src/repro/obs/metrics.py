@@ -8,10 +8,9 @@ suitable for JSON (``MetricsRegistry.to_dict``) plus a compact flat
 summary (:func:`summarize_metrics`) for tables and sweep telemetry.
 
 Histograms use fixed bucket boundaries declared at creation time so
-exports from different runs are always merge/diff-compatible -- the
-property the ``repro trend`` report relies on.  ``buckets`` are
-inclusive upper bounds; one overflow bin catches everything beyond the
-last bound.
+exports from different runs are always merge/diff-compatible.
+``buckets`` are inclusive upper bounds; one overflow bin catches
+everything beyond the last bound.
 """
 
 from __future__ import annotations

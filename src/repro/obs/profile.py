@@ -383,7 +383,7 @@ class LockProfiler:
     def publish(self, registry: "MetricsRegistry",
                 snap: Optional[dict] = None) -> None:
         """Publish aggregate profile families into an obs registry so
-        they ride the existing OpenMetrics export and trend gating.
+        they ride the existing OpenMetrics export.
         Pass the run's :meth:`snapshot` as ``snap`` to publish from it
         rather than build another."""
         if snap is None:

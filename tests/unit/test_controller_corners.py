@@ -4,6 +4,7 @@ movement, and deferral bookkeeping."""
 
 import pytest
 
+from repro.coherence.controller import Decision
 from repro.coherence.messages import MEMORY, BusRequest, Probe, ReqKind
 from repro.coherence.states import State
 from repro.cpu import isa
@@ -296,3 +297,28 @@ class TestHandleProbe:
         self.probe(ctl)
         assert reasons == []
         assert ctl.stats.probe_losses == 0 and ctl.speculating
+
+
+class TestJudgedConflict:
+    """A request the policy judges looks the line up once: each lookup
+    bumps LRU, and the one bump already makes the line most recent."""
+
+    LINE = 0x40
+
+    # Single-block relaxation lets the holder keep its one line.
+    @pytest.mark.parametrize("policy,judge,verdict", [
+        ("timestamp", "_decide", Decision.DEFER),
+        ("nack", "would_nack", True),
+    ])
+    def test_one_lookup_per_judged_conflict(self, policy, judge, verdict):
+        machine = Machine(small_config(3, SyncScheme.TLR).with_policy(policy))
+        ctl = machine.controllers[1]
+        ctl.enter_speculation((5, 1))
+        ctl.cache.install(self.LINE, State.MODIFIED).accessed = True
+        lookups = []
+        lookup = ctl.cache.lookup
+        ctl.cache.lookup = lambda addr: lookups.append(addr) or lookup(addr)
+        request = BusRequest(ReqKind.GETX, line=self.LINE, requester=2,
+                             ts=(1, 0))
+        assert getattr(ctl, judge)(request) == verdict
+        assert lookups == [self.LINE]

@@ -310,19 +310,6 @@ class TestMachineMetricsFinalizeEdges:
                        for key in gauges)
 
 
-class TestTrendDirections:
-    def test_profiler_metric_directions(self):
-        from repro.harness import trend
-        assert trend.direction_of(
-            "results.totals.timestamp/linked-list.commit_rate") == "higher"
-        assert trend.direction_of(
-            "results.totals.nack/linked-list.cycles_lost") == "lower"
-        assert trend.direction_of(
-            "results.totals.nack/linked-list.deferral_cycles") == "lower"
-        assert trend.direction_of(
-            "results.totals.nack/linked-list.aborts") == "lower"
-
-
 class TestProfilePublish:
     def test_profile_families_reach_the_registry_export(self):
         result = execute_workload(single_counter(4, 128),

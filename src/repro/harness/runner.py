@@ -23,7 +23,7 @@ from repro.harness.config import SystemConfig
 from repro.harness.machine import Machine
 from repro.harness.spec import (check_schema, config_from_dict,
                                 config_to_dict, stamp_schema)
-from repro.obs import MachineMetrics
+from repro.obs import default_observers
 from repro.runtime.program import Workload
 from repro.sim.stats import SimStats
 
@@ -119,24 +119,11 @@ def execute_workload(workload: Workload, config: SystemConfig,
     ``timeout`` is a wall-clock budget in seconds: the kernel raises
     :class:`~repro.sim.kernel.RunTimeout` once it has passed.
     """
-    from repro.obs.profile import LockProfiler
-
     machine = Machine(config)
     if timeout:
         machine.sim.deadline = time.monotonic() + timeout
-    collector = MachineMetrics().attach(machine) if config.metrics else None
-    profiler = LockProfiler().attach(machine) if config.metrics else None
+    export = default_observers(machine) if config.metrics else None
     stats = machine.run_workload(workload, validate=validate)
-    metrics = None
-    if collector is not None:
-        # Aggregate profile families ride the shared registry so they
-        # reach the OpenMetrics export, while the full per-lock
-        # breakdown travels beside the flat counters.  Neither moves
-        # result_fingerprint: metrics are telemetry about a run, not
-        # part of its outcome.
-        profile = profiler.snapshot()
-        profiler.publish(collector.registry, profile)
-        metrics = collector.finalize(machine)
-        metrics["profile"] = profile
+    metrics = export() if export is not None else None
     return RunResult(config=config, workload_name=workload.name,
                      stats=stats, store=machine.store, metrics=metrics)

@@ -19,12 +19,15 @@ reproduction carries a first-class observability layer:
   from the machine taps; :mod:`repro.obs.causal` rebuilds the identical
   profile post-hoc from a v3 record log (kept out of this namespace to
   avoid an eager ``repro.record`` import).
+* :func:`~repro.obs.collect.default_observers` -- the default path:
+  attaches the metrics collector and the lock profiler, and exports
+  both after the run (``execute_workload`` and ``record_run``).
 """
 
 from repro.obs.metrics import (DEPTH_BUCKETS, LATENCY_BUCKETS, RETRY_BUCKETS,
                                Histogram, MetricsRegistry,
                                openmetrics_from_dict, summarize_metrics)
-from repro.obs.collect import MachineMetrics
+from repro.obs.collect import MachineMetrics, default_observers
 from repro.obs.profile import (ABORT_CAUSES, LockProfiler, ProfileBuilder,
                                TxnTapFolder, cause_of, critical_path,
                                describe_chain, matrix_canonical_json,
@@ -34,6 +37,7 @@ __all__ = [
     "ABORT_CAUSES", "DEPTH_BUCKETS", "LATENCY_BUCKETS", "RETRY_BUCKETS",
     "Histogram", "LockProfiler", "MetricsRegistry", "MachineMetrics",
     "ProfileBuilder", "TxnTapFolder", "cause_of", "critical_path",
-    "describe_chain", "matrix_canonical_json", "openmetrics_from_dict",
-    "render_folded", "render_markdown", "summarize_metrics",
+    "default_observers", "describe_chain", "matrix_canonical_json",
+    "openmetrics_from_dict", "render_folded", "render_markdown",
+    "summarize_metrics",
 ]

@@ -28,7 +28,7 @@ from repro.record.format import (TXN_ABORT, TXN_BEGIN, TXN_COMMIT,
 
 def builder_from_log(image: LogImage) -> ProfileBuilder:
     """Fold ``image``'s transaction and deferral records into a
-    finalized :class:`ProfileBuilder`."""
+    :class:`ProfileBuilder`."""
     builder = ProfileBuilder()
     for record in image.records:
         if record.op == "txn":
@@ -49,7 +49,6 @@ def builder_from_log(image: LogImage) -> ProfileBuilder:
                 builder.defer_push(record.time, record.cpu, record.ref)
             elif record.label == "service":
                 builder.defer_service(record.time, record.ref)
-    builder.finalize()
     return builder
 
 

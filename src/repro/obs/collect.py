@@ -23,10 +23,11 @@ mutates nothing, so attaching it cannot change a run's fingerprint
 from __future__ import annotations
 
 from collections import Counter as TallyCounter
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.obs.metrics import (DEPTH_BUCKETS, LATENCY_BUCKETS, RETRY_BUCKETS,
                                MetricsRegistry)
+from repro.obs.profile import LockProfiler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.machine import Machine
@@ -42,6 +43,9 @@ class MachineMetrics:
         self._miss_open: dict[int, int] = {}          # req_id -> issue time
         self._defer_open: dict[int, int] = {}         # req_id -> defer time
         self._nack_retries: TallyCounter = TallyCounter()  # req_id -> nacks
+        # Fills with no NACK before them: each is a 0 in
+        # nack.retries_per_request, observed at once in finalize.
+        self._unrefused_fills = 0
         # The hook-path instruments, resolved once: per-event
         # get-or-create registry lookups were visible in profiles.
         reg = self.registry
@@ -105,7 +109,12 @@ class MachineMetrics:
         issued = self._miss_open.pop(req_id, None)
         if issued is not None:
             self._miss_latency.observe(time - issued)
-        self._nack_retries_hist.observe(self._nack_retries.pop(req_id, 0))
+        retries = self._nack_retries.pop(req_id, 0) \
+            if self._nack_retries else 0
+        if retries:
+            self._nack_retries_hist.observe(retries)
+        else:
+            self._unrefused_fills += 1
 
     # ------------------------------------------------------------------
     # Processor point
@@ -145,6 +154,9 @@ class MachineMetrics:
         """Fold in end-of-run state (per-policy telemetry, outcome
         counters) and export the registry as a JSON-able dict."""
         machine = machine or self._machine
+        if self._unrefused_fills:
+            self._nack_retries_hist.observe_many(0, self._unrefused_fills)
+            self._unrefused_fills = 0
         self.registry.counter("defer.serviced").inc(self._defer_latency.count)
         if machine is not None:
             for controller in machine.controllers:
@@ -190,3 +202,27 @@ class MachineMetrics:
                 "scheme": machine.config.scheme.value,
             }
         return payload
+
+
+def default_observers(machine: "Machine") -> Callable[[], dict]:
+    """Attach the default observers -- :class:`MachineMetrics` and the
+    :class:`~repro.obs.profile.LockProfiler` -- to ``machine`` and
+    return the function that exports them after the run.
+
+    The export is the metrics payload, with the aggregate profile
+    families published into its registry (so they reach the
+    OpenMetrics export) and the full per-lock profile under
+    ``"profile"``.  Neither moves ``result_fingerprint``: metrics are
+    telemetry about a run, not part of its outcome.
+    """
+    collector = MachineMetrics().attach(machine)
+    profiler = LockProfiler().attach(machine)
+
+    def export() -> dict:
+        profile = profiler.snapshot()
+        profiler.publish(collector.registry, profile)
+        metrics = collector.finalize(machine)
+        metrics["profile"] = profile
+        return metrics
+
+    return export

@@ -63,10 +63,13 @@ class Histogram:
     ``buckets`` are inclusive upper bounds in ascending order; an
     observation larger than the last bound lands in the overflow bin
     (exported as ``"+Inf"``).
+
+    The histogram keeps a tally of the values it observed, so an
+    observation on a hook path costs one dict update; the bucket counts
+    and the summary fields are computed from the tally when read.
     """
 
-    __slots__ = ("name", "buckets", "counts", "overflow", "count", "sum",
-                 "min", "max")
+    __slots__ = ("name", "buckets", "tally")
 
     def __init__(self, name: str, buckets: Sequence[int]):
         if list(buckets) != sorted(buckets) or len(set(buckets)) != len(
@@ -75,37 +78,71 @@ class Histogram:
                              f"strictly ascending, got {buckets!r}")
         self.name = name
         self.buckets = tuple(buckets)
-        self.counts = [0] * len(self.buckets)
-        self.overflow = 0
-        self.count = 0
-        self.sum = 0
-        self.min: Optional[int] = None
-        self.max: Optional[int] = None
+        #: observed value -> how many times.
+        self.tally: dict = {}
 
     def observe(self, value) -> None:
-        self.count += 1
-        self.sum += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        index = bisect.bisect_left(self.buckets, value)
-        if index == len(self.buckets):
-            self.overflow += 1
-        else:
-            self.counts[index] += 1
+        tally = self.tally
+        tally[value] = tally.get(value, 0) + 1
+
+    def observe_many(self, value, count: int) -> None:
+        """``count`` observations of ``value`` at once."""
+        tally = self.tally
+        tally[value] = tally.get(value, 0) + count
+
+    def observe_tally(self, tally: dict) -> None:
+        """Every observation of a ``{value: count}`` tally."""
+        own = self.tally
+        for value, count in tally.items():
+            own[value] = own.get(value, 0) + count
+
+    @property
+    def count(self) -> int:
+        return sum(self.tally.values())
+
+    @property
+    def sum(self):
+        return sum(value * count for value, count in self.tally.items())
+
+    @property
+    def min(self):
+        return min(self.tally) if self.tally else None
+
+    @property
+    def max(self):
+        return max(self.tally) if self.tally else None
+
+    @property
+    def counts(self) -> list[int]:
+        return self.to_dict()["counts"]
+
+    @property
+    def overflow(self) -> int:
+        return self.to_dict()["overflow"]
 
     @property
     def mean(self) -> float:
-        return self.sum / self.count if self.count else 0.0
+        count = self.count
+        return self.sum / count if count else 0.0
 
     def to_dict(self) -> dict:
+        buckets = self.buckets
+        counts = [0] * len(buckets)
+        overflow = total = weight = 0
+        for value, count in self.tally.items():
+            index = bisect.bisect_left(buckets, value)
+            if index == len(buckets):
+                overflow += count
+            else:
+                counts[index] += count
+            total += count
+            weight += value * count
         return {
-            "buckets": list(self.buckets),
-            "counts": list(self.counts),
-            "overflow": self.overflow,
-            "count": self.count,
-            "sum": self.sum,
+            "buckets": list(buckets),
+            "counts": counts,
+            "overflow": overflow,
+            "count": total,
+            "sum": weight,
             "min": self.min,
             "max": self.max,
         }

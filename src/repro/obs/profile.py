@@ -33,7 +33,7 @@ retaining holder), ``context-switch`` (scheduler preemption),
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.cpu.isa import line_of
 from repro.obs.metrics import LATENCY_BUCKETS, RETRY_BUCKETS, Histogram
@@ -80,60 +80,69 @@ def _lock_key(lock_line: Optional[int]) -> str:
     return f"{lock_line:#x}" if lock_line is not None else "?"
 
 
-class _LockStats:
-    """Accumulated per-lock contention numbers (one elided lock line)."""
+def _tally(tally: dict, key) -> None:
+    tally[key] = tally.get(key, 0) + 1
 
-    __slots__ = ("attempts", "commits", "aborts", "by_cause", "by_reason",
-                 "cycles_lost", "cycles_committed", "deferrals",
-                 "deferral_cycles", "pcs", "cs_hist", "abort_hist",
+
+class _LockStats:
+    """Accumulated per-lock contention numbers (one elided lock line).
+    The counts and cycle sums are the histograms' own."""
+
+    __slots__ = ("by_cause", "by_reason", "pcs", "cs_hist", "abort_hist",
                  "defer_hist", "attempt_hist")
 
     def __init__(self) -> None:
-        self.attempts = 0
-        self.commits = 0
-        self.aborts = 0
         self.by_cause: dict[str, int] = {}
         self.by_reason: dict[str, int] = {}
-        self.cycles_lost = 0
-        self.cycles_committed = 0
-        self.deferrals = 0
-        self.deferral_cycles = 0
         self.pcs: dict[str, int] = {}
         self.cs_hist = Histogram("cs_cycles", LATENCY_BUCKETS)
         self.abort_hist = Histogram("abort_cycles", LATENCY_BUCKETS)
         self.defer_hist = Histogram("defer_wait", LATENCY_BUCKETS)
         self.attempt_hist = Histogram("attempts_per_txn", RETRY_BUCKETS)
 
-    @property
-    def commit_rate(self) -> float:
-        return self.commits / self.attempts if self.attempts else 0.0
-
-    @property
-    def cycles_contended(self) -> int:
-        """The critical-path ranking key: cycles lost to aborts plus
-        cycles other processors spent waiting in this lock's holder's
-        deferred queue."""
-        return self.cycles_lost + self.deferral_cycles
-
     def to_dict(self) -> dict:
+        cs = self.cs_hist.to_dict()
+        lost = self.abort_hist.to_dict()
+        waits = self.defer_hist.to_dict()
+        attempts = self.attempt_hist.to_dict()
         return {
-            "attempts": self.attempts,
-            "commits": self.commits,
-            "aborts": self.aborts,
-            "commit_rate": round(self.commit_rate, 6),
+            "attempts": attempts["count"],
+            "commits": cs["count"],
+            "aborts": lost["count"],
+            "commit_rate": round(cs["count"] / attempts["count"], 6)
+            if attempts["count"] else 0.0,
             "aborts_by_cause": dict(sorted(self.by_cause.items())),
             "aborts_by_reason": dict(sorted(self.by_reason.items())),
-            "cycles_lost": self.cycles_lost,
-            "cycles_committed": self.cycles_committed,
-            "cycles_contended": self.cycles_contended,
-            "deferrals": self.deferrals,
-            "deferral_cycles": self.deferral_cycles,
+            "cycles_lost": lost["sum"],
+            "cycles_committed": cs["sum"],
+            # The critical-path ranking key: cycles lost to aborts plus
+            # cycles other processors spent waiting in this lock's
+            # holder's deferred queue.
+            "cycles_contended": lost["sum"] + waits["sum"],
+            "deferrals": waits["count"],
+            "deferral_cycles": waits["sum"],
             "pcs": dict(sorted(self.pcs.items())),
-            "cs_cycles": self.cs_hist.to_dict(),
-            "abort_cycles": self.abort_hist.to_dict(),
-            "defer_wait": self.defer_hist.to_dict(),
-            "attempts_per_txn": self.attempt_hist.to_dict(),
+            "cs_cycles": cs,
+            "abort_cycles": lost,
+            "defer_wait": waits,
+            "attempts_per_txn": attempts,
         }
+
+
+class _Site:
+    """One elision site -- a (lock line, pc) pair -- and tallies of its
+    transactions' raw values.  :meth:`ProfileBuilder.snapshot` folds
+    them into the per-lock numbers, so an event costs a tally bump."""
+
+    __slots__ = ("lock_line", "pc", "attempts", "committed", "aborted")
+
+    def __init__(self, lock_line: Optional[int], pc: str) -> None:
+        self.lock_line = lock_line
+        self.pc = pc
+        self.attempts: dict[int, int] = {}     # attempt number -> begins
+        self.committed: dict[int, int] = {}    # cs cycles -> commits
+        #: restart reason -> cycles lost -> aborts
+        self.aborted: dict[str, dict[int, int]] = {}
 
 
 class ProfileBuilder:
@@ -145,125 +154,133 @@ class ProfileBuilder:
     the identical event sequence, so :meth:`snapshot` is deterministic
     across them -- the acceptance tests compare the serialized conflict
     matrices byte for byte.
+
+    An event only tallies its raw value; histograms, per-lock sums and
+    the lock keys are built by :meth:`snapshot`, which reads the tallies
+    without changing them.
     """
 
     def __init__(self) -> None:
-        self._locks: dict[int, _LockStats] = {}
-        #: cpu -> (begin_time, lock_line, pc) for the open transaction.
-        self._open: dict[int, tuple[int, Optional[int], str]] = {}
+        #: cpu -> (begin_time, site) of its open transaction.  The
+        #: folder gates its taps on it (see :class:`TxnTapFolder`).
+        self.open: dict[int, tuple[int, _Site]] = {}
+        self._sites: dict[tuple[Optional[int], str], _Site] = {}
         #: deferral key -> (push_time, holder lock line).
         self._pending_defer: dict[object, tuple[int, Optional[int]]] = {}
+        #: (holder lock line, wait cycles) -> serviced deferrals.
+        self._waits: dict[tuple[Optional[int], int], int] = {}
         #: victim cpu -> aborter cpu -> count (-1 = unattributed).
         self._matrix: dict[int, dict[int, int]] = {}
         self._chains: list[dict] = []
-        #: (lock, pc, outcome) -> cycles, for folded flamegraph output.
-        self._folded: dict[tuple[str, str, str], int] = {}
-        self.unclosed = 0
 
     # -- sink interface (TxnTapFolder / causal fold) --------------------
-    def _lock(self, lock_line: Optional[int]) -> _LockStats:
-        stats = self._locks.get(lock_line)
-        if stats is None:
-            stats = self._locks[lock_line] = _LockStats()
-        return stats
-
     def txn_begin(self, time: int, cpu: int, lock_line: Optional[int],
                   pc: str, attempts: int) -> None:
-        stats = self._lock(lock_line)
-        stats.attempts += 1
-        stats.pcs[pc] = stats.pcs.get(pc, 0) + 1
-        stats.attempt_hist.observe(attempts)
-        self._open[cpu] = (time, lock_line, pc)
+        site = self._sites.get((lock_line, pc))
+        if site is None:
+            site = self._sites[lock_line, pc] = _Site(lock_line, pc)
+        tally = site.attempts
+        tally[attempts] = tally.get(attempts, 0) + 1
+        self.open[cpu] = (time, site)
 
     def txn_commit(self, time: int, cpu: int) -> None:
-        opened = self._open.pop(cpu, None)
+        opened = self.open.pop(cpu, None)
         if opened is None:
             return
-        begin, lock_line, pc = opened
-        stats = self._lock(lock_line)
-        stats.commits += 1
-        stats.cycles_committed += time - begin
-        stats.cs_hist.observe(time - begin)
-        key = (_lock_key(lock_line), pc, "committed")
-        self._folded[key] = self._folded.get(key, 0) + (time - begin)
+        tally = opened[1].committed
+        cycles = time - opened[0]
+        tally[cycles] = tally.get(cycles, 0) + 1
 
     def txn_abort(self, time: int, cpu: int, reason: str,
                   conflict_line: Optional[int], aborter: int) -> None:
-        opened = self._open.pop(cpu, None)
+        opened = self.open.pop(cpu, None)
         if opened is None:
             return
-        begin, lock_line, pc = opened
-        cause = cause_of(reason)
-        stats = self._lock(lock_line)
-        stats.aborts += 1
-        stats.by_cause[cause] = stats.by_cause.get(cause, 0) + 1
-        stats.by_reason[reason] = stats.by_reason.get(reason, 0) + 1
-        stats.cycles_lost += time - begin
-        stats.abort_hist.observe(time - begin)
-        row = self._matrix.setdefault(cpu, {})
-        row[aborter] = row.get(aborter, 0) + 1
+        begin, site = opened
+        _tally(site.aborted.setdefault(reason, {}), time - begin)
+        _tally(self._matrix.setdefault(cpu, {}), aborter)
         if len(self._chains) < MAX_CHAINS:
             self._chains.append({
                 "time": time, "victim": cpu, "aborter": aborter,
-                "reason": reason, "cause": cause,
+                "reason": reason, "cause": cause_of(reason),
                 "conflict_line": conflict_line,
-                "lock": lock_line, "pc": pc,
+                "lock": site.lock_line, "pc": site.pc,
                 "cycles_lost": time - begin,
             })
-        key = (_lock_key(lock_line), pc, cause)
-        self._folded[key] = self._folded.get(key, 0) + (time - begin)
 
     def defer_push(self, time: int, holder_cpu: int, key: object) -> None:
-        opened = self._open.get(holder_cpu)
-        lock_line = opened[1] if opened is not None else None
+        opened = self.open.get(holder_cpu)
+        lock_line = opened[1].lock_line if opened is not None else None
         self._pending_defer[key] = (time, lock_line)
 
     def defer_service(self, time: int, key: object) -> None:
         pending = self._pending_defer.pop(key, None)
-        if pending is None:
-            return
-        pushed, lock_line = pending
-        stats = self._lock(lock_line)
-        stats.deferrals += 1
-        stats.deferral_cycles += time - pushed
-        stats.defer_hist.observe(time - pushed)
+        if pending is not None:
+            _tally(self._waits, (pending[1], time - pending[0]))
 
     # -- export ---------------------------------------------------------
-    def finalize(self) -> None:
-        """Count transactions still open at end-of-run (terminated
-        threads whose speculation never resolved)."""
-        self.unclosed = len(self._open)
-        self._open.clear()
+    def _fold(self) -> tuple[dict[str, _LockStats], dict[str, int]]:
+        """The per-lock stats and the folded stacks, from the tallies."""
+        locks: dict[Optional[int], _LockStats] = {}
+        folded: dict[tuple[str, str, str], int] = {}
+
+        def lock(line: Optional[int]) -> _LockStats:
+            stats = locks.get(line)
+            if stats is None:
+                stats = locks[line] = _LockStats()
+            return stats
+
+        def fold(stack: tuple[str, str, str], cycles: int) -> None:
+            folded[stack] = folded.get(stack, 0) + cycles
+
+        for site in self._sites.values():
+            stats = lock(site.lock_line)
+            key = _lock_key(site.lock_line)
+            stats.attempt_hist.observe_tally(site.attempts)
+            stats.pcs[site.pc] = \
+                stats.pcs.get(site.pc, 0) + sum(site.attempts.values())
+            if site.committed:
+                stats.cs_hist.observe_tally(site.committed)
+                fold((key, site.pc, "committed"),
+                     sum(c * n for c, n in site.committed.items()))
+            for reason, lost in site.aborted.items():
+                cause = cause_of(reason)
+                count = sum(lost.values())
+                stats.by_cause[cause] = stats.by_cause.get(cause, 0) + count
+                stats.by_reason[reason] = \
+                    stats.by_reason.get(reason, 0) + count
+                stats.abort_hist.observe_tally(lost)
+                fold((key, site.pc, cause),
+                     sum(c * n for c, n in lost.items()))
+        for (line, wait), count in self._waits.items():
+            lock(line).defer_hist.observe_many(wait, count)
+        return ({_lock_key(line): stats for line, stats in locks.items()},
+                {";".join(stack): cycles
+                 for stack, cycles in sorted(folded.items())})
 
     def snapshot(self) -> dict:
-        """The full profile as sorted, JSON-stable plain data."""
-        locks = {_lock_key(line): stats.to_dict()
-                 for line, stats in self._locks.items()}
-        totals = {
-            "attempts": sum(s.attempts for s in self._locks.values()),
-            "commits": sum(s.commits for s in self._locks.values()),
-            "aborts": sum(s.aborts for s in self._locks.values()),
-            "cycles_lost": sum(s.cycles_lost for s in self._locks.values()),
-            "cycles_committed": sum(s.cycles_committed
-                                    for s in self._locks.values()),
-            "deferrals": sum(s.deferrals for s in self._locks.values()),
-            "deferral_cycles": sum(s.deferral_cycles
-                                   for s in self._locks.values()),
-            "unclosed": self.unclosed,
-        }
+        """The full profile as sorted, JSON-stable plain data.  A
+        transaction still open (a thread terminated mid-speculation)
+        counts as ``unclosed``."""
+        stats, folded = self._fold()
+        locks = {key: stats[key].to_dict() for key in sorted(stats)}
+        totals = {name: sum(lock[name] for lock in locks.values())
+                  for name in ("attempts", "commits", "aborts",
+                               "cycles_lost", "cycles_committed",
+                               "deferrals", "deferral_cycles")}
+        totals["unclosed"] = len(self.open)
         totals["commit_rate"] = round(
             totals["commits"] / totals["attempts"], 6) \
             if totals["attempts"] else 0.0
         return {
             "schema": PROFILE_SCHEMA,
-            "locks": dict(sorted(locks.items())),
+            "locks": locks,
             "conflicts": {
                 str(victim): {str(aborter): count
                               for aborter, count in sorted(row.items())}
                 for victim, row in sorted(self._matrix.items())},
-            "chains": list(self._chains),
-            "folded": {";".join(key): cycles
-                       for key, cycles in sorted(self._folded.items())},
+            "chains": [dict(chain) for chain in self._chains],
+            "folded": folded,
             "totals": totals,
         }
 
@@ -273,10 +290,16 @@ class TxnTapFolder:
 
     The sink implements ``txn_begin(time, cpu, lock_line, pc,
     attempts)``, ``txn_commit(time, cpu)``, ``txn_abort(time, cpu,
-    reason, conflict_line, aborter)``, ``defer_push(time, holder_cpu,
-    key)`` and ``defer_service(time, key)``.
+    reason, conflict_line, aborter)`` and, when the folder is attached
+    with ``deferrals``, ``defer_push(time, holder_cpu, key)`` and
+    ``defer_service(time, key)``.  It also owns ``open``, a mapping
+    keyed by the cpus with an open transaction: ``txn_begin`` adds the
+    cpu, ``txn_commit``/``txn_abort`` remove it.  The folder reads that
+    one table to gate commit, loss and misspec taps, so open
+    transactions are tracked once.
 
-    Folding rules (mirroring the controller/processor wiring):
+    One handler per tap kind (``on_<kind>``).  Folding rules (mirroring
+    the controller/processor wiring):
 
     * ``txn-begin`` (``enter_speculation``) fires *after* the elision
       checkpoint is pushed, so the root lock line, elision-site pc and
@@ -293,68 +316,82 @@ class TxnTapFolder:
       fires ``misspec`` and stays open -- identical live and post-hoc.
     """
 
-    #: Tap kinds the folder subscribes to.
-    KINDS = frozenset({"txn-begin", "txn-commit", "misspec", "loss",
-                       "defer", "service"})
-
     def __init__(self, sink) -> None:
         self.sink = sink
-        self._machine: Optional["Machine"] = None
-        self._open: set[int] = set()
+        self._open = sink.open
+        self._processors: list = []
         #: cpu -> (time, conflict_line, aborter) from the last loss tap.
         self._loss: dict[int, tuple[int, int, int]] = {}
+        self._handlers: list[tuple[str, Callable]] = []
 
-    def attach_machine(self, machine: "Machine") -> "TxnTapFolder":
-        self._machine = machine
+    def attach(self, machine: "Machine",
+               deferrals: bool = True) -> "TxnTapFolder":
+        """Subscribe one handler per consumed kind on ``machine``'s
+        taps; ``deferrals`` adds the ``defer``/``service`` handlers."""
+        self._processors = machine.processors
+        self._handlers = [("txn-begin", self.on_txn_begin),
+                          ("txn-commit", self.on_txn_commit),
+                          ("loss", self.on_loss),
+                          ("misspec", self.on_misspec)]
+        if deferrals:
+            self._handlers += [("defer", self.on_defer),
+                               ("service", self.on_service)]
+        for kind, handler in self._handlers:
+            machine.taps.subscribe(handler, kind)
         return self
 
-    def on_tap(self, time: int, cpu: int, kind: str, args: tuple,
-               obj: object) -> None:
-        if kind == "txn-begin":
-            lock_line: Optional[int] = None
-            pc = ""
-            attempts = 1
-            if self._machine is not None:
-                checkpoint = self._machine.processors[cpu].spec.checkpoint
-                if checkpoint is not None and checkpoint.elisions:
-                    root = checkpoint.elisions[0]
-                    lock_line = line_of(root.lock_addr)
-                    pc = root.pc
-                    attempts = checkpoint.attempts
-            self._open.add(cpu)
-            self.sink.txn_begin(time, cpu, lock_line, pc, attempts)
-        elif kind == "txn-commit":
-            if cpu in self._open:
-                self._open.discard(cpu)
-                self.sink.txn_commit(time, cpu)
-        elif kind == "loss":
-            # Pre-call tap: the handler early-returns when not
-            # speculating, mirrored here by the open set.
-            if cpu in self._open:
-                aborter = args[3] if len(args) > 3 else -1
-                if aborter < 0 and isinstance(args[2], tuple):
-                    # A probe forwarded through the directory carries
-                    # origin=MEMORY, but its timestamp's second
-                    # component is the champion transaction's cpu.
-                    aborter = args[2][1]
-                self._loss[cpu] = (time, args[1], aborter)
-        elif kind == "misspec":
-            if cpu not in self._open:
-                return
-            reason = args[0]
-            conflict_line = args[1] if len(args) > 1 else 0
-            aborter = -1
-            stash = self._loss.pop(cpu, None)
-            if stash is not None and stash[0] == time:
-                conflict_line, aborter = stash[1], stash[2]
-            self._open.discard(cpu)
-            self.sink.txn_abort(time, cpu, reason,
-                                conflict_line if conflict_line else None,
-                                aborter)
-        elif kind == "defer":
-            self.sink.defer_push(time, cpu, args[0].req_id)
-        elif kind == "service":
-            self.sink.defer_service(time, args[0].req_id)
+    def detach(self, machine: "Machine") -> None:
+        machine.taps.unsubscribe(*(fn for _kind, fn in self._handlers))
+
+    def on_txn_begin(self, time: int, cpu: int, kind: str, args: tuple,
+                     obj: object) -> None:
+        checkpoint = self._processors[cpu].spec.checkpoint
+        if checkpoint is not None and checkpoint.elisions:
+            root = checkpoint.elisions[0]
+            self.sink.txn_begin(time, cpu, line_of(root.lock_addr), root.pc,
+                                checkpoint.attempts)
+        else:
+            self.sink.txn_begin(time, cpu, None, "", 1)
+
+    def on_txn_commit(self, time: int, cpu: int, kind: str, args: tuple,
+                      obj: object) -> None:
+        if cpu in self._open:
+            self.sink.txn_commit(time, cpu)
+
+    def on_loss(self, time: int, cpu: int, kind: str, args: tuple,
+                obj: object) -> None:
+        # Pre-call tap: the handler early-returns when not speculating,
+        # mirrored here by the open table.
+        if cpu in self._open:
+            aborter = args[3] if len(args) > 3 else -1
+            if aborter < 0 and isinstance(args[2], tuple):
+                # A probe forwarded through the directory carries
+                # origin=MEMORY, but its timestamp's second component
+                # is the champion transaction's cpu.
+                aborter = args[2][1]
+            self._loss[cpu] = (time, args[1], aborter)
+
+    def on_misspec(self, time: int, cpu: int, kind: str, args: tuple,
+                   obj: object) -> None:
+        if cpu not in self._open:
+            return
+        reason = args[0]
+        conflict_line = args[1] if len(args) > 1 else 0
+        aborter = -1
+        stash = self._loss.pop(cpu, None)
+        if stash is not None and stash[0] == time:
+            conflict_line, aborter = stash[1], stash[2]
+        self.sink.txn_abort(time, cpu, reason,
+                            conflict_line if conflict_line else None,
+                            aborter)
+
+    def on_defer(self, time: int, cpu: int, kind: str, args: tuple,
+                 obj: object) -> None:
+        self.sink.defer_push(time, cpu, args[0].req_id)
+
+    def on_service(self, time: int, cpu: int, kind: str, args: tuple,
+                   obj: object) -> None:
+        self.sink.defer_service(time, args[0].req_id)
 
 
 class LockProfiler:
@@ -362,9 +399,9 @@ class LockProfiler:
 
     Attach before ``run_workload`` (gated on ``config.metrics``, same
     as :class:`~repro.obs.collect.MachineMetrics`); call
-    :meth:`snapshot` after the run.  Being a pure tap observer, it
-    cannot move the schedule: profiler-on and profiler-off runs are
-    bit-identical.
+    :meth:`snapshot` after the run, before or after :meth:`publish`,
+    as often as needed.  Being a pure tap observer, it cannot move the
+    schedule: profiler-on and profiler-off runs are bit-identical.
     """
 
     def __init__(self) -> None:
@@ -372,12 +409,10 @@ class LockProfiler:
         self._folder = TxnTapFolder(self.builder)
 
     def attach(self, machine: "Machine") -> "LockProfiler":
-        self._folder.attach_machine(machine)
-        machine.taps.subscribe(self._folder.on_tap, *TxnTapFolder.KINDS)
+        self._folder.attach(machine)
         return self
 
     def snapshot(self) -> dict:
-        self.builder.finalize()
         return self.builder.snapshot()
 
     def publish(self, registry: "MetricsRegistry",

@@ -55,7 +55,7 @@ class _TxnWriterSink:
     """Adapts :class:`~repro.obs.profile.TxnTapFolder` events into
     ``OP_TXN`` records on the recorder's writer.
 
-    Deferral push/service events are deliberate no-ops here: the raw
+    The folder is attached without deferral handlers: the raw
     ``defer``/``service`` taps are already in the log as ``OP_TAP``
     records carrying the dense request ref, and the post-hoc fold
     (:func:`repro.obs.causal.profile_from_log`) rebuilds wait times
@@ -65,31 +65,30 @@ class _TxnWriterSink:
 
     def __init__(self, recorder: "FlightRecorder"):
         self._recorder = recorder
+        #: cpu -> begin time of its open transaction (the folder's gate).
+        self.open: dict[int, int] = {}
 
     def txn_begin(self, time: int, cpu: int, lock_line, pc: str,
                   attempts: int) -> None:
+        self.open[cpu] = time
         if self._recorder._drop("txn"):
             return
         writer = self._recorder._writer
         writer.txn_begin(time, cpu, lock_line, writer.intern(pc), attempts)
 
     def txn_commit(self, time: int, cpu: int) -> None:
+        del self.open[cpu]
         if not self._recorder._drop("txn"):
             self._recorder._writer.txn_commit(time, cpu)
 
     def txn_abort(self, time: int, cpu: int, reason: str, conflict_line,
                   aborter: int) -> None:
+        del self.open[cpu]
         if self._recorder._drop("txn"):
             return
         writer = self._recorder._writer
         writer.txn_abort(time, cpu, writer.intern(reason), conflict_line,
                          aborter)
-
-    def defer_push(self, time: int, holder_cpu: int, key) -> None:
-        pass
-
-    def defer_service(self, time: int, key) -> None:
-        pass
 
 
 def artifact_dir() -> str:
@@ -159,9 +158,8 @@ class FlightRecorder:
         # so each OP_TXN record lands right behind the OP_TAP record of
         # the event it folds -- a deterministic interleaving the
         # post-hoc profiler relies on.
-        self._folder = TxnTapFolder(_TxnWriterSink(self))
-        taps.subscribe(self._folder.attach_machine(machine).on_tap,
-                       *TxnTapFolder.KINDS)
+        self._folder = TxnTapFolder(_TxnWriterSink(self)).attach(
+            machine, deferrals=False)
         # Scheduler switch-in/out/migration events (repro.sched) become
         # OP_SCHED records.  With the scheduler off (the default) the
         # engine is never constructed, the point never fires, and the
@@ -269,8 +267,8 @@ class FlightRecorder:
         if sim is not None:
             # Nothing may follow END: a finished recorder observes no more.
             sim.taps.unsubscribe(self._on_dispatch, self.on_tap,
-                                 self.on_tap_post, self._folder.on_tap,
-                                 self._on_sched)
+                                 self.on_tap_post, self._on_sched)
+            self._folder.detach(self._machine)
         if isinstance(self._buffer, io.BytesIO):
             return self._buffer.getvalue()
         return b""
@@ -295,14 +293,13 @@ class RecordedRun:
 def record_run(spec: RunSpec) -> RecordedRun:
     """Execute ``spec`` on a fresh machine with a recorder attached.
 
-    Mirrors :func:`repro.harness.runner.execute_workload` exactly (same
-    machine construction, same metrics gating) so a recorded run's
+    Mirrors :func:`repro.harness.runner.execute_workload` (same
+    machine construction, same default observers) so a recorded run's
     fingerprint matches an unrecorded run of the same spec -- the
     record-on ≡ record-off contract the golden tests pin.
     """
     from repro.harness.machine import Machine
-    from repro.obs import MachineMetrics
-    from repro.obs.profile import LockProfiler
+    from repro.obs import default_observers
     from repro.runtime.program import ValidationError
     from repro.sim.kernel import SimulationError
 
@@ -310,21 +307,13 @@ def record_run(spec: RunSpec) -> RecordedRun:
     machine = Machine(spec.config)
     recorder = FlightRecorder(
         spec, locks=sorted(workload.lock_addrs)).attach(machine)
-    collector = (MachineMetrics().attach(machine)
-                 if spec.config.metrics else None)
-    profiler = (LockProfiler().attach(machine)
-                if spec.config.metrics else None)
+    export = default_observers(machine) if spec.config.metrics else None
     error: Optional[str] = None
     try:
         machine.run_workload(workload, validate=spec.validate)
     except (ValidationError, SimulationError) as exc:
         error = f"{type(exc).__name__}: {exc}"
-    metrics = None
-    if collector is not None:
-        profile = profiler.snapshot()
-        profiler.publish(collector.registry, profile)
-        metrics = collector.finalize(machine)
-        metrics["profile"] = profile
+    metrics = export() if export is not None else None
     result = RunResult(
         config=spec.config, workload_name=workload.name,
         stats=machine.stats, store=machine.store, metrics=metrics)

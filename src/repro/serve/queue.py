@@ -24,6 +24,7 @@ import itertools
 import queue as queue_module
 import threading
 import time
+from collections import deque
 from typing import Iterator, Optional
 
 from repro.harness.cache import resolve_cache
@@ -35,6 +36,11 @@ from repro.obs.metrics import MetricsRegistry
 #: States a job can be observed in; the last two are terminal.
 JOB_STATES = ("queued", "running", "done", "failed")
 TERMINAL_STATES = ("done", "failed")
+
+#: How many finished jobs a queue keeps (about 20 KB each).  Older ones
+#: are forgotten -- their ids answer 404 -- while their results stay in
+#: the result cache, so resubmitting the spec replays them.
+MAX_FINISHED_JOBS = 256
 
 
 class Job:
@@ -110,6 +116,7 @@ class JobQueue:
         self._cond = threading.Condition()
         self._jobs: dict[str, Job] = {}
         self._inflight: dict[str, str] = {}  # fingerprint -> job id
+        self._finished: deque[str] = deque()  # terminal job ids, oldest first
         # (-priority, seq, job_id): heap pops highest priority first,
         # FIFO (by submission sequence) among equals.  The stop
         # sentinel's job_id is None, which plain tuples could compare
@@ -198,13 +205,15 @@ class JobQueue:
 
     def events(self, job_id: str) -> Iterator[dict]:
         """Yield ``job_id``'s events from the beginning, live until the
-        job reaches a terminal state (SSE backing iterator)."""
+        job reaches a terminal state (SSE backing iterator).  A watcher
+        holds on to its job, so it streams to the end even if the job
+        is forgotten meanwhile."""
+        job = self.get(job_id)
+        if job is None:
+            return
         index = 0
         while True:
             with self._cond:
-                job = self._jobs.get(job_id)
-                if job is None:
-                    return
                 self._cond.wait_for(
                     lambda: len(job.events) > index or job.terminal,
                     timeout=30)
@@ -222,6 +231,19 @@ class JobQueue:
         """Append an event and wake watchers.  Caller holds the lock."""
         job.events.append({"event": event, "data": data})
         self._cond.notify_all()
+
+    def _retire(self, job: Job) -> None:
+        """Record ``job`` as finished and forget the oldest finished
+        jobs beyond :data:`MAX_FINISHED_JOBS`.  Caller holds the lock.
+        Only terminal jobs are ever forgotten, and never one that
+        coalescing still points at."""
+        self._finished.append(job.id)
+        while len(self._finished) > MAX_FINISHED_JOBS:
+            old = self._jobs[self._finished[0]]
+            if self._inflight.get(old.fingerprint) == old.id:
+                break
+            self._finished.popleft()
+            del self._jobs[old.id]
 
     def _worker(self) -> None:
         while True:
@@ -256,6 +278,7 @@ class JobQueue:
                 self._inflight.pop(job.fingerprint, None)
                 self.metrics.counter("serve.jobs.failed").inc()
                 self._emit(job, "failed", {"error": job.error})
+                self._retire(job)
             return
         with self._cond:
             job.result = result
@@ -271,3 +294,4 @@ class JobQueue:
             self._emit(job, "done",
                        {"id": job.id, "cached": result.cached,
                         "elapsed": result.elapsed})
+            self._retire(job)

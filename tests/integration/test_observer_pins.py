@@ -27,8 +27,9 @@ import pytest
 from repro.harness.config import SchedConfig, SyncScheme, SystemConfig
 from repro.harness.machine import Machine
 from repro.harness.spec import RunSpec
-from repro.obs import LockProfiler, MachineMetrics
+from repro.obs import LockProfiler, MachineMetrics, default_observers
 from repro.record import record_run
+from repro.sim.taps import Point
 from repro.sim.trace import Tracer
 from repro.verify import FootprintRecorder
 from repro.verify.monitors import MonitorSuite
@@ -309,3 +310,40 @@ PINS: dict = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_observer_output_is_pinned(case):
     assert observe(CASES[case]) == PINS[case]
+
+
+#: Subscriber calls the default observers (``default_observers``: metrics
+#: and the lock profiler) take per run, at seed 0, on the benchmark's
+#: ``private_counters`` and ``contended_list`` specs.  The count is exact
+#: and repeats from run to run; it may fall, never rise.
+DEFAULT_PATH_CALLS = {
+    "multiple-counter": ("total_increments", 2048, 4142),
+    "linked-list": ("total_ops", 256, 11128),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(DEFAULT_PATH_CALLS))
+def test_default_path_subscriber_calls_do_not_grow(workload):
+    size_key, size, pinned = DEFAULT_PATH_CALLS[workload]
+    spec = RunSpec(workload=workload,
+                   config=SystemConfig(num_cpus=8, scheme=SyncScheme.TLR,
+                                       seed=0),
+                   workload_args={size_key: size})
+    machine = Machine(spec.config)
+    default_observers(machine)
+    calls = 0
+
+    def counted(fn):
+        def call(*args):
+            nonlocal calls
+            calls += 1
+            fn(*args)
+        return call
+
+    for point in vars(machine.taps).values():
+        if isinstance(point, Point):
+            point[:] = [counted(fn) for fn in point]
+    machine.run_workload(spec.build_workload())
+    assert calls <= pinned, (
+        f"the default observers took {calls} subscriber calls, "
+        f"more than the pinned {pinned}")

@@ -196,3 +196,112 @@ class TestCoalescing:
             assert job_a.id != job_b.id
         finally:
             queue.stop()
+
+
+class TestFinishedJobBound:
+    """The queue keeps only the most recent ``MAX_FINISHED_JOBS``
+    finished jobs.  Jobs run through a stand-in ``submit`` here, so
+    each one finishes at once unless its spec is told to wait."""
+
+    @pytest.fixture
+    def fake_submit(self, monkeypatch):
+        from repro.harness.jobs import JobResult
+        from repro.serve import queue as queue_module
+
+        monkeypatch.setattr(queue_module, "MAX_FINISHED_JOBS", 1)
+        gates = {}  # fingerprint -> Event the job waits on
+
+        def submit(spec, **kwargs):
+            gate = gates.get(spec.fingerprint())
+            if gate is not None:
+                assert gate.wait(timeout=30)
+            return JobResult(kind=spec.kind,
+                             fingerprint=spec.fingerprint(), result={})
+
+        monkeypatch.setattr(queue_module, "submit", submit)
+        return gates
+
+    @staticmethod
+    def _spec(n, priority=0):
+        spec = JobSpec.sweep("figure7", num_cpus=2, total_increments=n)
+        spec.priority = priority
+        return spec
+
+    def test_only_the_most_recent_finished_jobs_are_kept(self, fake_submit):
+        queue = JobQueue(workers=1, cache=False)
+        try:
+            ids = []
+            for n in (16, 17, 18):
+                job, _ = queue.submit(self._spec(n))
+                assert queue.wait(job.id, timeout=30).state == "done"
+                ids.append(job.id)
+            assert queue.get(ids[0]) is None and queue.get(ids[1]) is None
+            assert queue.get(ids[2]).state == "done"
+            assert [job.id for job in queue.list_jobs()] == ids[2:]
+        finally:
+            queue.stop()
+
+    def test_queued_and_running_jobs_are_never_evicted(self, fake_submit):
+        queue = JobQueue(workers=1, cache=False, start=False)
+        try:
+            # Priority orders the drain: two jobs finish, the third
+            # runs and waits, the last stays queued behind it.
+            done_a, _ = queue.submit(self._spec(16, priority=4))
+            done_b, _ = queue.submit(self._spec(17, priority=3))
+            running_spec = self._spec(18, priority=2)
+            gate = fake_submit[running_spec.fingerprint()] = \
+                threading.Event()
+            running, _ = queue.submit(running_spec)
+            queued, _ = queue.submit(self._spec(19, priority=1))
+            queue.start()
+            queue.wait(done_b.id, timeout=30)
+            assert queue.get(done_a.id) is None
+            assert queue.get(done_b.id).state == "done"
+            assert queue.get(running.id).state == "running"
+            assert queue.get(queued.id).state == "queued"
+            # Coalescing still reaches the running job.
+            again, coalesced = queue.submit(running_spec)
+            assert coalesced and again is running
+            gate.set()
+            assert queue.wait(queued.id, timeout=30).state == "done"
+            assert [job.id for job in queue.list_jobs()] == [queued.id]
+        finally:
+            queue.stop()
+
+    def test_job_coalescing_points_at_is_never_evicted(self, fake_submit):
+        queue = JobQueue(workers=1, cache=False)
+        try:
+            first, _ = queue.submit(self._spec(16))
+            queue.wait(first.id, timeout=30)
+            # A finished job is no longer a coalescing target; make it
+            # one by hand to check that eviction leaves such a job be.
+            with queue._cond:
+                queue._inflight[first.fingerprint] = first.id
+            second, _ = queue.submit(self._spec(17))
+            queue.wait(second.id, timeout=30)
+            assert queue.get(first.id) is first
+            again, coalesced = queue.submit(self._spec(16))
+            assert coalesced and again is first
+        finally:
+            queue.stop()
+
+    def test_evicted_id_returns_404(self, fake_submit):
+        server = build_server(port=0, workers=1, cache=False)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            base = _base(server)
+            old = _post_job(base, self._spec(16))["id"]
+            server.queue.wait(old, timeout=30)
+            new = _post_job(base, self._spec(17))["id"]
+            server.queue.wait(new, timeout=30)
+            assert _get_json(base, f"/jobs/{new}")["state"] == "done"
+            for path in (f"/jobs/{old}", f"/jobs/{old}/events"):
+                with pytest.raises(urllib.error.HTTPError) as missing:
+                    urllib.request.urlopen(base + path)
+                assert missing.value.code == 404
+        finally:
+            server.shutdown()
+            server.server_close()
+            server.queue.stop()
+            thread.join(timeout=10)

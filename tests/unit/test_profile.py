@@ -12,13 +12,15 @@ from repro.cpu.checkpoint import ElisionRecord, SpeculationCheckpoint
 from repro.harness.config import SyncScheme
 from repro.harness.runner import execute_workload
 from repro.obs import MachineMetrics
-from repro.obs.profile import (ABORT_CAUSES, CAUSE_OF, ProfileBuilder,
-                               TxnTapFolder, cause_of, critical_path,
-                               describe_chain, matrix_canonical_json,
-                               render_folded, render_markdown)
+from repro.obs.profile import (ABORT_CAUSES, CAUSE_OF, LockProfiler,
+                               ProfileBuilder, TxnTapFolder, cause_of,
+                               critical_path, describe_chain,
+                               matrix_canonical_json, render_folded,
+                               render_markdown)
 from repro.record.format import (TXN_ABORT, TXN_BEGIN, TXN_COMMIT,
                                  LogWriter, iter_records)
-from repro.workloads.microbench import single_counter
+from repro.sim.taps import MachineTaps, Point
+from repro.workloads.microbench import linked_list, single_counter
 
 from tests.conftest import small_config
 
@@ -105,12 +107,11 @@ class TestProfileBuilder:
         assert snap["locks"]["?"]["deferral_cycles"] == 4
         assert snap["totals"]["deferrals"] == 1
 
-    def test_finalize_counts_unclosed(self):
+    def test_snapshot_counts_unclosed(self):
         builder = ProfileBuilder()
         builder.txn_begin(0, 0, 0x40, "p", 1)
         builder.txn_begin(0, 1, 0x40, "p", 1)
         builder.txn_commit(9, 1)
-        builder.finalize()
         assert builder.snapshot()["totals"]["unclosed"] == 1
 
     def test_matrix_canonical_json_is_sorted_and_compact(self):
@@ -123,15 +124,24 @@ class TestProfileBuilder:
 
 
 class _Sink:
-    """Records every normalized event, in order."""
+    """Records every normalized event, in order, and keeps the open
+    table the folder gates on."""
 
     def __init__(self):
         self.events = []
+        self.open = {}
 
     def __getattr__(self, name):
         if name.startswith("_"):
             raise AttributeError(name)
-        return lambda *args: self.events.append((name,) + args)
+
+        def record(*args):
+            if name == "txn_begin":
+                self.open[args[1]] = args[0]
+            elif name in ("txn_commit", "txn_abort"):
+                del self.open[args[1]]
+            self.events.append((name,) + args)
+        return record
 
 
 def _machine_stub(lock_addr=0x40, pc="site.a", attempts=3):
@@ -140,15 +150,16 @@ def _machine_stub(lock_addr=0x40, pc="site.a", attempts=3):
     checkpoint.push(ElisionRecord(lock_addr=lock_addr, free_value=0,
                                   held_value=1, pc=pc, depth=0))
     spec = SimpleNamespace(checkpoint=checkpoint)
-    return SimpleNamespace(processors=[SimpleNamespace(spec=spec)] * 8)
+    return SimpleNamespace(processors=[SimpleNamespace(spec=spec)] * 8,
+                           taps=MachineTaps())
 
 
 class TestTxnTapFolder:
     def test_begin_reads_checkpoint(self):
         sink = _Sink()
-        folder = TxnTapFolder(sink).attach_machine(
+        folder = TxnTapFolder(sink).attach(
             _machine_stub(lock_addr=0x87, pc="x.y", attempts=5))
-        folder.on_tap(10, 2, "txn-begin", ((0, 2),), None)
+        folder.on_txn_begin(10, 2, "txn-begin", ((0, 2),), None)
         # lock addr 0x87 -> its cache line, pc and attempts verbatim.
         from repro.cpu.isa import line_of
         assert sink.events == [
@@ -156,43 +167,99 @@ class TestTxnTapFolder:
 
     def test_loss_stash_consumed_by_same_cycle_misspec(self):
         sink = _Sink()
-        folder = TxnTapFolder(sink).attach_machine(_machine_stub())
-        folder.on_tap(0, 1, "txn-begin", ((0, 1),), None)
-        folder.on_tap(50, 1, "loss", ("conflict-lost", 0x48, (0, 3), 3),
-                      None)
-        folder.on_tap(50, 1, "misspec", ("conflict-lost", 0x48), None)
+        folder = TxnTapFolder(sink).attach(_machine_stub())
+        folder.on_txn_begin(0, 1, "txn-begin", ((0, 1),), None)
+        folder.on_loss(50, 1, "loss", ("conflict-lost", 0x48, (0, 3), 3),
+                       None)
+        folder.on_misspec(50, 1, "misspec", ("conflict-lost", 0x48), None)
         assert sink.events[-1] == \
             ("txn_abort", 50, 1, "conflict-lost", 0x48, 3)
 
     def test_stale_loss_stash_is_not_consumed(self):
         sink = _Sink()
-        folder = TxnTapFolder(sink).attach_machine(_machine_stub())
-        folder.on_tap(0, 1, "txn-begin", ((0, 1),), None)
-        folder.on_tap(50, 1, "loss", ("conflict-lost", 0x48, (0, 3), 3),
-                      None)
+        folder = TxnTapFolder(sink).attach(_machine_stub())
+        folder.on_txn_begin(0, 1, "txn-begin", ((0, 1),), None)
+        folder.on_loss(50, 1, "loss", ("conflict-lost", 0x48, (0, 3), 3),
+                       None)
         # The loss handler early-returned (no misspec at t=50); a later
         # resource abort must not inherit the stale attribution.
-        folder.on_tap(90, 1, "misspec", ("capacity", 0x10), None)
+        folder.on_misspec(90, 1, "misspec", ("capacity", 0x10), None)
         assert sink.events[-1] == ("txn_abort", 90, 1, "capacity",
                                    0x10, -1)
 
     def test_memory_origin_probe_attributed_via_timestamp(self):
         sink = _Sink()
-        folder = TxnTapFolder(sink).attach_machine(_machine_stub())
-        folder.on_tap(0, 2, "txn-begin", ((0, 2),), None)
-        folder.on_tap(7, 2, "loss", ("probe-lost", 0x48, (4, 1), -1),
-                      None)
-        folder.on_tap(7, 2, "misspec", ("probe-lost", 0x48), None)
+        folder = TxnTapFolder(sink).attach(_machine_stub())
+        folder.on_txn_begin(0, 2, "txn-begin", ((0, 2),), None)
+        folder.on_loss(7, 2, "loss", ("probe-lost", 0x48, (4, 1), -1),
+                       None)
+        folder.on_misspec(7, 2, "misspec", ("probe-lost", 0x48), None)
         assert sink.events[-1] == ("txn_abort", 7, 2, "probe-lost",
                                    0x48, 1)
 
     def test_events_outside_open_txn_ignored(self):
         sink = _Sink()
-        folder = TxnTapFolder(sink).attach_machine(_machine_stub())
-        folder.on_tap(1, 0, "txn-commit", (), None)
-        folder.on_tap(2, 0, "loss", ("conflict-lost", 0x48, None), None)
-        folder.on_tap(3, 0, "misspec", ("terminated", 0), None)
+        folder = TxnTapFolder(sink).attach(_machine_stub())
+        folder.on_txn_commit(1, 0, "txn-commit", (), None)
+        folder.on_loss(2, 0, "loss", ("conflict-lost", 0x48, None), None)
+        folder.on_misspec(3, 0, "misspec", ("terminated", 0), None)
         assert sink.events == []
+
+    def test_one_handler_per_kind(self):
+        machine = _machine_stub()
+        folder = TxnTapFolder(_Sink()).attach(machine)
+        taps = machine.taps
+        assert list(taps.txn_begin) == [folder.on_txn_begin]
+        assert list(taps.txn_commit) == [folder.on_txn_commit]
+        assert list(taps.loss) == [folder.on_loss]
+        assert list(taps.misspec) == [folder.on_misspec]
+        assert list(taps.defer) == [folder.on_defer]
+        assert list(taps.service) == [folder.on_service]
+        folder.detach(machine)
+        assert not any(point for point in vars(taps).values()
+                       if isinstance(point, Point))
+
+    def test_deferrals_off_skips_defer_and_service(self):
+        machine = _machine_stub()
+        TxnTapFolder(_Sink()).attach(machine, deferrals=False)
+        assert not machine.taps.defer and not machine.taps.service
+        assert machine.taps.txn_begin and machine.taps.misspec
+
+
+class TestLockProfilerExport:
+    """The export calls the benchmark's rebuilt default path makes, in
+    either order and more than once."""
+
+    def _profiled_run(self):
+        from repro.harness.machine import Machine
+        from repro.obs.metrics import MetricsRegistry
+        machine = Machine(small_config(4, SyncScheme.TLR))
+        profiler = LockProfiler().attach(machine)
+        machine.run_workload(linked_list(4, 64))
+        return profiler, MetricsRegistry()
+
+    def test_publish_then_snapshot_equals_snapshot_then_publish(self):
+        first, first_registry = self._profiled_run()
+        first.publish(first_registry)
+        published_first = first.snapshot()
+        second, second_registry = self._profiled_run()
+        snapped_first = second.snapshot()
+        second.publish(second_registry, snapped_first)
+        assert published_first == snapped_first
+        assert published_first["totals"]["aborts"] > 0
+        assert published_first["totals"]["deferrals"] > 0
+        assert first_registry.to_dict() == second_registry.to_dict()
+
+    def test_second_snapshot_returns_the_same_result(self):
+        profiler, _registry = self._profiled_run()
+        first = json.dumps(profiler.snapshot(), sort_keys=True)
+        assert json.dumps(profiler.snapshot(), sort_keys=True) == first
+
+    def test_unclosed_count_survives_a_second_snapshot(self):
+        builder = ProfileBuilder()
+        builder.txn_begin(0, 0, 0x40, "p", 1)
+        assert builder.snapshot()["totals"]["unclosed"] == 1
+        assert builder.snapshot()["totals"]["unclosed"] == 1
 
 
 class TestOpTxnRoundTrip:

@@ -341,6 +341,7 @@ class TxnTapFolder:
         return self
 
     def detach(self, machine: "Machine") -> None:
+        """Unsubscribe the handlers :meth:`attach` subscribed."""
         machine.taps.unsubscribe(*(fn for _kind, fn in self._handlers))
 
     def on_txn_begin(self, time: int, cpu: int, kind: str, args: tuple,

@@ -256,10 +256,10 @@ class TestLockProfilerExport:
         assert json.dumps(profiler.snapshot(), sort_keys=True) == first
 
     def test_unclosed_count_survives_a_second_snapshot(self):
-        builder = ProfileBuilder()
-        builder.txn_begin(0, 0, 0x40, "p", 1)
-        assert builder.snapshot()["totals"]["unclosed"] == 1
-        assert builder.snapshot()["totals"]["unclosed"] == 1
+        profiler = LockProfiler()
+        profiler.builder.txn_begin(0, 0, 0x40, "p", 1)
+        assert profiler.snapshot()["totals"]["unclosed"] == 1
+        assert profiler.snapshot()["totals"]["unclosed"] == 1
 
 
 class TestOpTxnRoundTrip:

@@ -39,7 +39,8 @@ TERMINAL_STATES = ("done", "failed")
 
 #: How many finished jobs a queue keeps (about 20 KB each).  Older ones
 #: are forgotten -- their ids answer 404 -- while their results stay in
-#: the result cache, so resubmitting the spec replays them.
+#: the result cache, if the queue has one, so resubmitting the spec
+#: replays them.
 MAX_FINISHED_JOBS = 256
 
 

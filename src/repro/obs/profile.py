@@ -81,6 +81,8 @@ def _lock_key(lock_line: Optional[int]) -> str:
 
 
 def _tally(tally: dict, key) -> None:
+    # Written out by hand in txn_begin and txn_commit, which run once
+    # per transaction: the call would cost more than the bump.
     tally[key] = tally.get(key, 0) + 1
 
 

@@ -357,22 +357,6 @@ def _config(seed: int = 0) -> SystemConfig:
     return SystemConfig(seed=seed)
 
 
-def _emit_sweep(result, args) -> int:
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2))
-        return 0
-    print(report.sweep_table(result))
-    if result.failures:
-        print(report.failures_table(result.failures))
-    if args.plot:
-        print()
-        print(report.ascii_series(result))
-    telemetry = report.telemetry_line(result.extra.get("telemetry"))
-    if telemetry:
-        print(telemetry, file=sys.stderr)
-    return 0
-
-
 def _do_sweep(args, name: str) -> int:
     params = {"processor_counts": list(args.procs),
               "config": _config(args.seed)}
@@ -380,10 +364,18 @@ def _do_sweep(args, name: str) -> int:
         params["total_ops" if name == "figure10"
                else "total_increments"] = args.ops
     job = _submit(JobSpec.sweep(name, **params), args)
+    if args.json:
+        print(json.dumps(job.result, indent=2))
+        return 0
     result = SweepResult.from_dict(job.result)
-    if job.telemetry is not None:
-        result.extra["telemetry"] = job.telemetry
-    return _emit_sweep(result, args)
+    print(report.sweep_table(result))
+    if result.failures:
+        print(report.failures_table(result.failures))
+    if args.plot:
+        print()
+        print(report.ascii_series(result))
+    _print_telemetry(job)
+    return 0
 
 
 def _print_telemetry(job: JobResult) -> None:
@@ -713,8 +705,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                 return 2
         quanta = (tuple(int(q) for q in args.quanta.split(","))
                   if args.quanta else None)
-        job = _submit(JobSpec.sched(
-            schedulers=schedulers, quanta=quanta, policies=policies,
+        job = _submit(JobSpec.sweep(
+            "sched", schedulers=schedulers, quanta=quanta, policies=policies,
             workloads=workloads, num_cpus=args.cpus,
             threads_per_cpu=args.threads_per_cpu, migrate=args.migrate,
             seeds=args.seeds, ops=args.ops, app_scale=args.app_scale,

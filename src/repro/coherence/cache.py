@@ -95,9 +95,6 @@ class CacheArray:
     def unpin(self, line_addr: int) -> None:
         self._pinned.discard(line_addr)
 
-    def is_pinned(self, line_addr: int) -> bool:
-        return line_addr in self._pinned
-
     # ------------------------------------------------------------------
     # Lookup / install
     # ------------------------------------------------------------------

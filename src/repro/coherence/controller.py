@@ -241,10 +241,6 @@ class CacheController:
             return ReqKind.UPG
         return ReqKind.GETX
 
-    def has_writable(self, line_addr: int) -> bool:
-        line = self.cache.lookup(line_addr)
-        return line is not None and line.state.writable
-
     def mark_accessed(self, line_addr: int, written: bool) -> None:
         """Set the transaction access bits at an access's effect point."""
         if not self.speculating:
@@ -264,9 +260,6 @@ class CacheController:
         accessed set and the filter drops individually-cleared entries.
         """
         return [l for l in self._spec_touched.values() if l.accessed]
-
-    def speculative_footprint(self) -> int:
-        return len(self._speculative_lines())
 
     # -- spin-wait support ---------------------------------------------
     def watch(self, line_addr: int, callback: Callable[[], None]) -> None:

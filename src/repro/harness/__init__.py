@@ -2,8 +2,8 @@
 
 ``run`` is the unified experiment API (see
 :func:`repro.harness.parallel.run`): it executes a
-:class:`~repro.harness.spec.RunSpec`, a registered experiment name
-("figure9", ...), an :class:`~repro.harness.spec.ExperimentSpec`, or a
+:class:`~repro.harness.spec.RunSpec`, the name of an experiment in
+:data:`~repro.harness.experiments.EXPERIMENTS` ("figure9", ...), or a
 raw :class:`~repro.runtime.program.Workload`, with keyword-only engine
 options ``jobs``/``timeout``/``cache``/``validate``/``retries``.
 :func:`~repro.harness.jobs.submit` wraps the same dispatch in the
@@ -20,15 +20,15 @@ from repro.harness.parallel import (FailedRun, RunTimeout, SweepTelemetry,
                                     WorkerPool, execute, run, use_engine)
 from repro.harness.jobs import JobResult, submit
 from repro.harness.runner import RunResult, execute_workload
-from repro.harness.spec import (EXPERIMENTS, ExperimentSpec, JobSpec,
-                                RunSpec, SchemaError)
-from repro.harness import analysis, experiments, report
+from repro.harness.spec import JobSpec, RunSpec, SchemaError
+from repro.harness.experiments import EXPERIMENTS
+from repro.harness import experiments, report
 
 __all__ = [
     "SystemConfig", "SyncScheme", "CacheConfig", "BusConfig", "MemoryConfig",
     "SpeculationConfig", "Machine", "RunResult", "run", "execute_workload",
-    "experiments", "report", "analysis",
-    "RunSpec", "ExperimentSpec", "EXPERIMENTS", "ResultCache",
+    "experiments", "report",
+    "RunSpec", "EXPERIMENTS", "ResultCache",
     "default_cache_dir", "FailedRun", "RunTimeout", "SweepTelemetry",
     "execute", "JobSpec", "JobResult", "submit", "SchemaError",
     "WorkerPool", "use_engine",

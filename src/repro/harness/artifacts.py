@@ -12,13 +12,14 @@ config in that file; ``tests/unit/test_artifacts.py`` checks every
 claim against the committed files, so a figure regenerated with broken
 behaviour fails the tier-1 suite.
 
-Figure and table entries call the planners and reducers of
-:mod:`repro.harness.experiments`, so ``repro figure9`` and
-``BENCH_fig09_single_counter.json`` plan the same cells.  An entry
-with ``verify`` options runs its cells through the same engine with
-the verifier attached (``parallel.execute(..., verify=...)``); they are
-cached under their verification fingerprint.  Nothing in
-``import repro`` imports this module.
+Figure, table and grid entries name an experiment of
+:data:`repro.harness.experiments.EXPERIMENTS` and run it through
+:func:`~repro.harness.experiments.run_experiment`, so ``repro figure9``
+and ``BENCH_fig09_single_counter.json`` plan the same cells.  A
+verified experiment's cells run with the verifier attached
+(``parallel.execute(..., verify=...)``) and are cached under their
+verification fingerprint.  Nothing in ``import repro`` imports this
+module.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ class Artifact:
     bench: str
     config: dict                                   # the committed block
     cells: Callable[[dict], list[RunSpec]]
-    results: Callable[[dict, list], dict]          # (config, outcomes)
+    results: Callable[[dict, int], dict]           # (config, jobs) -> results
     claims: dict[str, Claim]
     verify: Optional[VerifyOptions] = None         # set: cells run verified
+    experiment: Optional[str] = None               # the experiment it runs
 
     @property
     def verified(self) -> bool:
@@ -61,26 +63,31 @@ class Artifact:
         return f"BENCH_{self.bench}.json"
 
 
-def _experiment(bench: str, config: dict, plan, reduce, shape,
-                claims: dict[str, Claim],
-                verify: Optional[VerifyOptions] = None) -> Artifact:
-    """An entry whose cells come from an experiment planner called with
-    the config's keys, and whose results are ``shape(reduce(...))``."""
-    def cells(cfg: dict) -> list[RunSpec]:
-        return plan(**{key: cfg[key] for key in config})
+def _experiment(bench: str, config: dict, experiment: str, shape,
+                claims: dict[str, Claim]) -> Artifact:
+    """An entry that runs ``experiment`` with the config's keys as its
+    parameters; its results are ``shape`` of the experiment's result."""
+    entry = ex.EXPERIMENTS[experiment]
 
-    def results(cfg: dict, outcomes: list) -> dict:
-        return shape(reduce(cells(cfg), outcomes))
-    return Artifact(bench, config, cells, results, claims, verify)
+    def params(cfg: dict) -> dict:
+        return {key: cfg[key] for key in config}
+
+    def results(cfg: dict, jobs: int) -> dict:
+        return shape(ex.run_experiment(experiment, jobs=jobs,
+                                       **params(cfg)))
+    return Artifact(bench, config, lambda cfg: entry.plan(**params(cfg)),
+                    results, claims, entry.verify, experiment)
 
 
 def _keyed(bench: str, config: dict, keyed, reduce,
            claims: dict[str, Claim]) -> Artifact:
     """An entry whose ``keyed(config)`` names each cell; ``reduce`` gets
     ``{name: RunResult}``."""
-    def results(cfg: dict, outcomes: list) -> dict:
+    def results(cfg: dict, jobs: int) -> dict:
+        cells = keyed(cfg)
+        outcomes, _ = parallel.execute(list(cells.values()), jobs=jobs)
         return reduce({key: ex._require(outcome)
-                       for key, outcome in zip(keyed(cfg), outcomes)})
+                       for key, outcome in zip(cells, outcomes)})
     return Artifact(bench, config, lambda cfg: list(keyed(cfg).values()),
                     results, claims)
 
@@ -252,7 +259,7 @@ def _short_quantum_preempts_more(r: dict) -> bool:
 ARTIFACTS: dict[str, Artifact] = {entry.bench: entry for entry in (
     _experiment(
         "fig07_queue", {"num_cpus": 4, "total_increments": 256},
-        ex.plan_figure7, ex.reduce_figure7, dict, {
+        "figure7", dict, {
             # No restart storm: every section commits lock-free, or
             # restarts stay under a quarter of the sections.
             "restarts_stay_rare": lambda r: (
@@ -263,7 +270,7 @@ ARTIFACTS: dict[str, Artifact] = {entry.bench: entry for entry in (
     _experiment(
         "fig08_multiple_counter",
         {"processor_counts": [2, 4, 8, 16], "total_increments": 1024},
-        ex.plan_figure8, ex.reduce_sweep, _sweep_results, {
+        "figure8", _sweep_results, {
             "sle_equals_tlr_at_every_point": lambda r: (
                 r["cycles"][SLE] == r["cycles"][TLR]),
             "tlr_below_base_and_mcs_at_every_point": lambda r: _lowest(
@@ -280,7 +287,7 @@ ARTIFACTS: dict[str, Artifact] = {entry.bench: entry for entry in (
     _experiment(
         "fig09_single_counter",
         {"processor_counts": [2, 4, 8, 16], "total_increments": 512},
-        ex.plan_figure9, ex.reduce_sweep, _sweep_results, {
+        "figure9", _sweep_results, {
             "tlr_lowest_at_every_point": lambda r: _lowest(
                 r, TLR, (BASE, MCS, SLE, STRICT)),
             "strict_ts_gap_grows": lambda r: _rising(
@@ -294,7 +301,7 @@ ARTIFACTS: dict[str, Artifact] = {entry.bench: entry for entry in (
     _experiment(
         "fig10_linked_list",
         {"processor_counts": [2, 4, 8, 16], "total_ops": 512},
-        ex.plan_figure10, ex.reduce_sweep, _sweep_results, {
+        "figure10", _sweep_results, {
             "tlr_lowest_at_every_point": lambda r: _lowest(
                 r, TLR, (BASE, MCS, SLE)),
             "sle_within_4pct_of_base": _sle_within_4pct_of_base,
@@ -304,7 +311,7 @@ ARTIFACTS: dict[str, Artifact] = {entry.bench: entry for entry in (
         }),
     _experiment(
         "fig11_applications", {"num_cpus": 16},
-        ex.plan_figure11, ex.reduce_figure11, _app_results, {
+        "figure11", _app_results, {
             "tlr_never_loses_to_base": lambda r: all(
                 _speedup(r, app, TLR) > 0.97 for app in r),
             "radiosity_tlr_speedup_above_1_3": lambda r: (
@@ -318,7 +325,7 @@ ARTIFACTS: dict[str, Artifact] = {entry.bench: entry for entry in (
         }),
     _experiment(
         "tab_coarse_vs_fine", {"num_cpus": 16},
-        ex.plan_coarse_vs_fine, ex.reduce_coarse_vs_fine, dict, {
+        "coarse-vs-fine", dict, {
             "coarse_tlr_beats_fine_base_by_1_3x": lambda r: (
                 r["speedup_tlr_coarse_over_base_fine"] > 1.3),
             "coarse_tlr_beats_fine_tlr": lambda r: (
@@ -328,7 +335,7 @@ ARTIFACTS: dict[str, Artifact] = {entry.bench: entry for entry in (
         }),
     _experiment(
         "tab_rmw_predictor", {"num_cpus": 16},
-        ex.plan_rmw_predictor, ex.reduce_rmw_predictor,
+        "rmw-predictor",
         lambda speedups: {"speedups_base_over_base_noopt": dict(speedups)},
         {
             "predictor_never_hurts": lambda r: all(
@@ -340,7 +347,7 @@ ARTIFACTS: dict[str, Artifact] = {entry.bench: entry for entry in (
         }),
     _experiment(
         "policies", _POLICIES,
-        ex.plan_policy_grid, ex.reduce_policy_grid, _policy_results, {
+        "policies", _policy_results, {
             "every_cell_passes_the_oracle": lambda r: (
                 r["failed_cells"] == []),
             # The paper's policy queues on the data under contention;
@@ -350,15 +357,15 @@ ARTIFACTS: dict[str, Artifact] = {entry.bench: entry for entry in (
                 <= r["cycles"][f"requester-wins/{w}/{n}"]
                 for w in ("single-counter", "linked-list")
                 for n in _POLICIES["processor_counts"]),
-        }, verify=VerifyOptions()),
+        }),
     _experiment(
         "sched", _SCHED,
-        ex.plan_sched_grid, ex.reduce_sched_grid, _sched_results, {
+        "sched", _sched_results, {
             "every_cell_passes_the_oracle": lambda r: (
                 r["failed_cells"] == []),
             "short_quantum_preempts_at_least_as_often":
                 _short_quantum_preempts_more,
-        }, verify=VerifyOptions()),
+        }),
     _keyed(
         "profile", _PROFILE,
         lambda c: {f"{policy}/{workload}": RunSpec(
@@ -473,10 +480,8 @@ ARTIFACTS: dict[str, Artifact] = {entry.bench: entry for entry in (
 # ----------------------------------------------------------------------
 def regenerate(entry: Artifact, *, jobs: int = 1) -> dict:
     """Run ``entry``'s cells, uncached, and return the file's payload."""
-    outcomes, _ = parallel.execute(entry.cells(entry.config), jobs=jobs,
-                                   verify=entry.verify)
     return {"bench": entry.bench, "config": entry.config,
-            "results": entry.results(entry.config, outcomes)}
+            "results": entry.results(entry.config, jobs)}
 
 
 def failed_claims(entry: Artifact, results: dict) -> list[str]:

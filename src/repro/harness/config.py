@@ -263,11 +263,6 @@ class SystemConfig:
     # existing configs keep one pinned thread per processor.
     sched: SchedConfig = field(default_factory=SchedConfig)
 
-    def with_scheduler(self, scheduler: str, **knobs) -> "SystemConfig":
-        """A copy of this config under a different scheduler setup."""
-        return replace(self, sched=replace(self.sched, scheduler=scheduler,
-                                           **knobs))
-
     def with_scheme(self, scheme: SyncScheme) -> "SystemConfig":
         """A copy of this config under a different sync scheme."""
         cfg = replace(self, scheme=scheme,

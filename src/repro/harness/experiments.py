@@ -1,24 +1,22 @@
-"""One entry point per paper figure/table (the per-experiment index of
-DESIGN.md).
+"""The paper's experiments, each declared once (the per-experiment
+index of DESIGN.md).
 
 Each experiment is a planner and a reducer.  ``plan_*`` turns the
 experiment's parameters into the list of
 :class:`~repro.harness.spec.RunSpec` the paper's plot covers;
 ``reduce_*`` turns those specs and their outcomes into the structured
 result that :mod:`repro.harness.report` prints as the same rows/series
-the paper reports.  Each public ``figure_*``/``table_*``/``*_grid``
-function is the reducer applied to the planned specs run through the
-parallel sweep engine (:mod:`repro.harness.parallel`), the grids with
-the verifier attached; the artifact registry
-(:mod:`repro.harness.artifacts`) calls the same planners, so a figure
-and its committed artifact cannot plan different cells.  The public
-functions accept the uniform engine keywords --
-``jobs`` (worker processes; 1 = serial, the determinism baseline),
-``timeout`` (per-run wall-clock seconds), ``cache`` (result cache),
-``retries`` (livelock retries) and ``validate`` -- and are registered
-in :data:`repro.harness.spec.EXPERIMENTS`, so
-``repro.harness.run("figure9", jobs=4)`` is equivalent to calling the
-function directly.
+the paper reports.  :data:`EXPERIMENTS` pairs them by name, with
+whether the cells run under the verifier, and :func:`run_experiment`
+executes any entry: plan, :func:`repro.harness.parallel.execute`,
+reduce.  ``repro.harness.run("figure9", jobs=4)``,
+``submit(JobSpec.sweep("figure9"))`` and the artifact registry
+(:mod:`repro.harness.artifacts`) all go through it, so a figure and
+its committed artifact cannot plan different cells.  The runner takes
+the uniform engine keywords -- ``jobs`` (worker processes; 1 = serial,
+the determinism baseline), ``timeout`` (per-run wall-clock seconds),
+``cache`` (result cache), ``retries`` (livelock retries) and
+``validate`` -- and passes every other keyword to the planner.
 
 Workload sizes default to simulator scale (see EXPERIMENTS.md) but
 accept overrides so the benchmarks can run quick or thorough.
@@ -31,15 +29,15 @@ sweep series plus a :class:`~repro.harness.parallel.FailedRun` in
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from functools import partial
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.harness import parallel
 from repro.harness.config import SchedConfig, SyncScheme, SystemConfig
 from repro.harness.parallel import FailedRun
 from repro.harness.runner import RunResult
 from repro.harness.spec import (SIZE_PARAM, RunSpec, check_schema,
-                                register_experiment, scheme_from_str,
-                                scheme_to_str, stamp_schema)
+                                scheme_from_str, scheme_to_str, stamp_schema)
 from repro.obs import summarize_metrics
 from repro.workloads.apps import ALL_APPS
 
@@ -63,8 +61,7 @@ class SweepResult:
     """One microbenchmark figure: cycles[scheme][processor_count].
 
     A series slot is ``None`` when that configuration failed (see
-    ``failures``); ``extra["telemetry"]`` carries the engine telemetry
-    of the sweep that produced it.
+    ``failures``).
     """
 
     name: str
@@ -94,17 +91,13 @@ class SweepResult:
 
     # -- serialization (stable public contract) ------------------------
     def to_dict(self) -> dict:
-        # "telemetry" is machine-timing metadata (wall clock, worker
-        # count), not part of the result: keeping it out of the stable
-        # form preserves jobs=N output being bit-identical to jobs=1.
-        extra = {k: v for k, v in self.extra.items() if k != "telemetry"}
         return stamp_schema({
             "name": self.name,
             "processor_counts": list(self.processor_counts),
             "series": {scheme_to_str(s): list(v)
                        for s, v in self.series.items()},
             "failures": [f.to_dict() for f in self.failures],
-            "extra": extra,
+            "extra": dict(self.extra),
         })
 
     @classmethod
@@ -184,13 +177,8 @@ class AppResult:
 
 
 # ----------------------------------------------------------------------
-# Engine plumbing
+# Planning helpers
 # ----------------------------------------------------------------------
-def _engine_kwargs(jobs, timeout, cache, retries) -> dict:
-    return {"jobs": jobs, "timeout": timeout, "cache": cache,
-            "retries": retries}
-
-
 def _spec(workload: str, config: SystemConfig, scheme: SyncScheme,
           num_cpus: int, validate: bool = True, **workload_args) -> RunSpec:
     cfg = config.with_scheme(scheme)
@@ -223,18 +211,22 @@ def _plan_sweep(workload: str, workload_args: dict,
             for scheme in schemes for n in processor_counts]
 
 
-def plan_figure8(total_increments: int, processor_counts: Sequence[int],
+def plan_figure8(total_increments: int = 2048,
+                 processor_counts: Sequence[int] = DEFAULT_PROCESSOR_COUNTS,
                  config: Optional[SystemConfig] = None,
                  validate: bool = True) -> list[RunSpec]:
+    """Coarse-grain/no-conflicts (paper Figure 8)."""
     return _plan_sweep("multiple-counter",
                        {"total_increments": total_increments},
                        MICRO_SCHEMES, processor_counts, config, validate)
 
 
-def plan_figure9(total_increments: int, processor_counts: Sequence[int],
+def plan_figure9(total_increments: int = 1024,
+                 processor_counts: Sequence[int] = DEFAULT_PROCESSOR_COUNTS,
                  config: Optional[SystemConfig] = None,
                  include_strict_ts: bool = True,
                  validate: bool = True) -> list[RunSpec]:
+    """Fine-grain/high-conflict, including TLR-strict-ts (Figure 9)."""
     schemes = list(MICRO_SCHEMES)
     if include_strict_ts:
         schemes.append(SyncScheme.TLR_STRICT_TS)
@@ -243,9 +235,11 @@ def plan_figure9(total_increments: int, processor_counts: Sequence[int],
                        schemes, processor_counts, config, validate)
 
 
-def plan_figure10(total_ops: int, processor_counts: Sequence[int],
+def plan_figure10(total_ops: int = 1024,
+                  processor_counts: Sequence[int] = DEFAULT_PROCESSOR_COUNTS,
                   config: Optional[SystemConfig] = None,
                   validate: bool = True) -> list[RunSpec]:
+    """Fine-grain/dynamic-conflicts doubly-linked list (Figure 10)."""
     return _plan_sweep("linked-list", {"total_ops": total_ops},
                        MICRO_SCHEMES, processor_counts, config, validate)
 
@@ -276,75 +270,19 @@ def reduce_sweep(specs: Sequence[RunSpec],
     return result
 
 
-def _run_sweep(name: str, specs: list[RunSpec], engine: dict
-               ) -> SweepResult:
-    outcomes, telemetry = parallel.execute(specs, **engine)
-    result = reduce_sweep(specs, outcomes, name)
-    result.extra["telemetry"] = telemetry.to_dict()
-    return result
-
-
-@register_experiment("figure8", "multiple-counter sweep (coarse-grain "
-                                "locking, no data conflicts)")
-def figure8_multiple_counter(total_increments: int = 2048,
-                             processor_counts: Sequence[int] =
-                             DEFAULT_PROCESSOR_COUNTS,
-                             config: Optional[SystemConfig] = None, *,
-                             jobs: int = 1,
-                             timeout: Optional[float] = None,
-                             cache=None,
-                             retries: Optional[int] = None,
-                             validate: bool = True) -> SweepResult:
-    """Coarse-grain/no-conflicts (paper Figure 8)."""
-    return _run_sweep("figure8-multiple-counter",
-                      plan_figure8(total_increments, processor_counts,
-                                   config, validate),
-                      _engine_kwargs(jobs, timeout, cache, retries))
-
-
-@register_experiment("figure9", "single-counter sweep (fine-grain, "
-                                "high-conflict)")
-def figure9_single_counter(total_increments: int = 1024,
-                           processor_counts: Sequence[int] =
-                           DEFAULT_PROCESSOR_COUNTS,
-                           config: Optional[SystemConfig] = None,
-                           include_strict_ts: bool = True, *,
-                           jobs: int = 1,
-                           timeout: Optional[float] = None,
-                           cache=None,
-                           retries: Optional[int] = None,
-                           validate: bool = True) -> SweepResult:
-    """Fine-grain/high-conflict, including TLR-strict-ts (Figure 9)."""
-    return _run_sweep("figure9-single-counter",
-                      plan_figure9(total_increments, processor_counts,
-                                   config, include_strict_ts, validate),
-                      _engine_kwargs(jobs, timeout, cache, retries))
-
-
-@register_experiment("figure10", "linked-list sweep (fine-grain, "
-                                 "dynamic conflicts)")
-def figure10_linked_list(total_ops: int = 1024,
-                         processor_counts: Sequence[int] =
-                         DEFAULT_PROCESSOR_COUNTS,
-                         config: Optional[SystemConfig] = None, *,
-                         jobs: int = 1,
-                         timeout: Optional[float] = None,
-                         cache=None,
-                         retries: Optional[int] = None,
-                         validate: bool = True) -> SweepResult:
-    """Fine-grain/dynamic-conflicts doubly-linked list (Figure 10)."""
-    return _run_sweep("figure10-linked-list",
-                      plan_figure10(total_ops, processor_counts, config,
-                                    validate),
-                      _engine_kwargs(jobs, timeout, cache, retries))
-
-
 # ----------------------------------------------------------------------
 # Figure 7 intuition: queueing on data under pure conflict
 # ----------------------------------------------------------------------
-def plan_figure7(num_cpus: int, total_increments: int,
+def plan_figure7(num_cpus: int = 4, total_increments: int = 256,
                  config: Optional[SystemConfig] = None,
                  validate: bool = True) -> list[RunSpec]:
+    """The Section 6.1 intuition: under TLR, processors conflicting on
+    one line order on the data itself -- no restarts, no lock requests.
+
+    The reducer returns the TLR run's restart/deferral counts so the
+    claim "no transaction requires to restart" can be checked
+    quantitatively.
+    """
     return [_spec("single-counter", config or SystemConfig(),
                   SyncScheme.TLR, num_cpus, validate,
                   total_increments=total_increments)]
@@ -363,34 +301,16 @@ def reduce_figure7(specs: Sequence[RunSpec],
     }
 
 
-@register_experiment("figure7", "queue-on-data intuition (TLR orders "
-                                "conflicts on the data itself)")
-def figure7_queue_on_data(num_cpus: int = 4,
-                          total_increments: int = 256,
-                          config: Optional[SystemConfig] = None, *,
-                          jobs: int = 1,
-                          timeout: Optional[float] = None,
-                          cache=None,
-                          retries: Optional[int] = None,
-                          validate: bool = True) -> dict:
-    """The Section 6.1 intuition: under TLR, processors conflicting on
-    one line order on the data itself -- no restarts, no lock requests.
-
-    Returns the TLR run's restart/deferral counts so the claim "no
-    transaction requires to restart" can be checked quantitatively.
-    """
-    specs = plan_figure7(num_cpus, total_increments, config, validate)
-    return reduce_figure7(specs, parallel.execute(
-        specs, **_engine_kwargs(jobs, timeout, cache, retries))[0])
-
-
 # ----------------------------------------------------------------------
 # Figure 11: applications at 16 processors
 # ----------------------------------------------------------------------
-def plan_figure11(num_cpus: int, apps: Optional[Iterable[str]] = None,
+def plan_figure11(num_cpus: int = 16,
+                  apps: Optional[Iterable[str]] = None,
                   schemes: Sequence[SyncScheme] = APP_SCHEMES,
                   config: Optional[SystemConfig] = None,
                   validate: bool = True) -> list[RunSpec]:
+    """Application performance, normalized to BASE, with the lock /
+    non-lock breakdown (Figure 11) and the in-text MCS comparison."""
     base = config or SystemConfig()
     names = list(apps) if apps is not None else list(ALL_APPS)
     return [_spec(name, base, scheme, num_cpus, validate)
@@ -422,30 +342,13 @@ def reduce_figure11(specs: Sequence[RunSpec],
     return results
 
 
-@register_experiment("figure11", "application suite at 16 processors "
-                                 "(normalized bars + MCS comparison)")
-def figure11_applications(num_cpus: int = 16,
-                          apps: Optional[Iterable[str]] = None,
-                          schemes: Sequence[SyncScheme] = APP_SCHEMES,
-                          config: Optional[SystemConfig] = None, *,
-                          jobs: int = 1,
-                          timeout: Optional[float] = None,
-                          cache=None,
-                          retries: Optional[int] = None,
-                          validate: bool = True) -> dict[str, AppResult]:
-    """Application performance, normalized to BASE, with the lock /
-    non-lock breakdown (Figure 11) and the in-text MCS comparison."""
-    specs = plan_figure11(num_cpus, apps, schemes, config, validate)
-    return reduce_figure11(specs, parallel.execute(
-        specs, **_engine_kwargs(jobs, timeout, cache, retries))[0])
-
-
 # ----------------------------------------------------------------------
 # Section 6.3 in-text experiments
 # ----------------------------------------------------------------------
-def plan_coarse_vs_fine(num_cpus: int,
+def plan_coarse_vs_fine(num_cpus: int = 16,
                         config: Optional[SystemConfig] = None,
                         validate: bool = True) -> list[RunSpec]:
+    """mp3d with one coarse lock vs per-cell locks (Section 6.3)."""
     base = config or SystemConfig()
     return [_spec(workload, base, scheme, num_cpus, validate)
             for workload in ("mp3d", "mp3d-coarse")
@@ -466,24 +369,12 @@ def reduce_coarse_vs_fine(specs: Sequence[RunSpec],
     return out
 
 
-@register_experiment("coarse-vs-fine", "mp3d with one coarse lock vs "
-                                       "per-cell locks")
-def table_coarse_vs_fine(num_cpus: int = 16,
-                         config: Optional[SystemConfig] = None, *,
-                         jobs: int = 1,
-                         timeout: Optional[float] = None,
-                         cache=None,
-                         retries: Optional[int] = None,
-                         validate: bool = True) -> dict:
-    """mp3d with one coarse lock vs per-cell locks (Section 6.3)."""
-    specs = plan_coarse_vs_fine(num_cpus, config, validate)
-    return reduce_coarse_vs_fine(specs, parallel.execute(
-        specs, **_engine_kwargs(jobs, timeout, cache, retries))[0])
-
-
-def plan_rmw_predictor(num_cpus: int, apps: Optional[Iterable[str]] = None,
+def plan_rmw_predictor(num_cpus: int = 16,
+                       apps: Optional[Iterable[str]] = None,
                        config: Optional[SystemConfig] = None,
                        validate: bool = True) -> list[RunSpec]:
+    """BASE with vs without the read-modify-write predictor: the
+    speedup list at the end of Section 6.3 (BASE over BASE-no-opt)."""
     base = config or SystemConfig()
     names = list(apps) if apps is not None else list(ALL_APPS)
     specs = []
@@ -503,23 +394,6 @@ def reduce_rmw_predictor(specs: Sequence[RunSpec],
               for spec, outcome in zip(specs, outcomes)}
     return {name: cycles[(name, False)] / cycles[(name, True)]
             for name in dict.fromkeys(spec.workload for spec in specs)}
-
-
-@register_experiment("rmw-predictor", "BASE with vs without the "
-                                      "read-modify-write predictor")
-def table_rmw_predictor(num_cpus: int = 16,
-                        apps: Optional[Iterable[str]] = None,
-                        config: Optional[SystemConfig] = None, *,
-                        jobs: int = 1,
-                        timeout: Optional[float] = None,
-                        cache=None,
-                        retries: Optional[int] = None,
-                        validate: bool = True) -> dict[str, float]:
-    """BASE with vs without the read-modify-write predictor: the
-    speedup list at the end of Section 6.3 (BASE over BASE-no-opt)."""
-    specs = plan_rmw_predictor(num_cpus, apps, config, validate)
-    return reduce_rmw_predictor(specs, parallel.execute(
-        specs, **_engine_kwargs(jobs, timeout, cache, retries))[0])
 
 
 # ----------------------------------------------------------------------
@@ -550,43 +424,6 @@ def _verified_cell(per_seed: list) -> dict:
         # (what BENCH_policies.json publishes per policy).
         "metrics": per_seed[0].metrics,
     }
-
-
-@register_experiment("verify", "serializability oracle + invariant "
-                               "monitors over a seed fan-out")
-def verify(workloads: Optional[Sequence[str]] = None,
-           scheme: SyncScheme = SyncScheme.TLR,
-           num_cpus: int = 4,
-           seeds: int = 100,
-           ops: int = 96,
-           chaos: int = 0,
-           base_seed: int = 0,
-           shrink: bool = True,
-           config: Optional[SystemConfig] = None,
-           policy: Optional[str] = None,
-           jobs: int = 1,
-           timeout: Optional[float] = None,
-           cache=None,
-           retries: Optional[int] = None,
-           validate: bool = True):
-    """Run the ``repro.verify`` suite: every workload is explored under
-    ``seeds`` seeds with the serializability oracle and the invariant
-    monitors attached; the first failing seed (if any) is shrunk to a
-    minimal traced reproduction.  ``policy`` selects a contention
-    policy by name (default: the config's, i.e. the paper's timestamp
-    deferral).  ``retries``/``validate``/``config`` are accepted for
-    engine-keyword uniformity (verification failures are findings,
-    never retried; the functional validator always runs as one more
-    oracle)."""
-    del retries, validate, config  # uniform keywords; not meaningful here
-    # Imported lazily: repro.verify imports harness modules, so a
-    # top-level import here would recurse through harness/__init__.
-    from repro.verify import DEFAULT_VERIFY_WORKLOADS, verify_suite
-    return verify_suite(
-        tuple(workloads) if workloads else DEFAULT_VERIFY_WORKLOADS,
-        scheme=scheme, num_cpus=num_cpus, seeds=seeds, ops=ops,
-        chaos=chaos, base_seed=base_seed, shrink=shrink,
-        jobs=jobs, timeout=timeout, cache=cache, policy=policy)
 
 
 # ----------------------------------------------------------------------
@@ -648,12 +485,24 @@ class PolicyGridResult:
                           for k, v in (data.get("cells") or {}).items()})
 
 
-def plan_policy_grid(policies: Optional[Sequence[str]],
-                     workloads: Optional[Sequence[str]],
-                     processor_counts: Sequence[int], seeds: int, ops: int,
-                     app_scale: int, base_seed: int = 0,
+def plan_policy_grid(policies: Optional[Sequence[str]] = None,
+                     workloads: Optional[Sequence[str]] = None,
+                     processor_counts: Sequence[int] =
+                     DEFAULT_POLICY_GRID_PROCS,
+                     seeds: int = 3,
+                     ops: int = 96,
+                     app_scale: int = 12,
+                     base_seed: int = 0,
                      config: Optional[SystemConfig] = None,
                      validate: bool = True) -> list[RunSpec]:
+    """Compare contention-management policies under verification.
+
+    Every grid cell runs under TLR with the named policy installed and
+    the full :mod:`repro.verify` instrumentation attached -- the
+    serializability oracle, the policy-aware deferral-order monitor and
+    the starvation watchdog all judge every run.  ``ops`` sizes the
+    microbenchmarks; ``app_scale`` sizes the application kernels.
+    """
     base = config or SystemConfig()
     specs: list[RunSpec] = []
     for policy in policies or DEFAULT_POLICY_GRID_POLICIES:
@@ -684,39 +533,6 @@ def reduce_policy_grid(specs: Sequence[RunSpec],
     for (policy, workload, n), per_seed in groups.items():
         grid.cells[grid.key(policy, workload, n)] = _verified_cell(per_seed)
     return grid
-
-
-@register_experiment("policies", "contention-policy grid (policies x "
-                                 "workloads x processors), every run "
-                                 "oracle-checked")
-def policy_grid(policies: Optional[Sequence[str]] = None,
-                workloads: Optional[Sequence[str]] = None,
-                processor_counts: Sequence[int] = DEFAULT_POLICY_GRID_PROCS,
-                seeds: int = 3,
-                ops: int = 96,
-                app_scale: int = 12,
-                base_seed: int = 0,
-                config: Optional[SystemConfig] = None, *,
-                jobs: int = 1,
-                timeout: Optional[float] = None,
-                cache=None,
-                retries: Optional[int] = None,
-                validate: bool = True) -> PolicyGridResult:
-    """Compare contention-management policies under verification.
-
-    Every grid cell runs under TLR with the named policy installed and
-    the full :mod:`repro.verify` instrumentation attached -- the
-    serializability oracle, the policy-aware deferral-order monitor and
-    the starvation watchdog all judge every run.  ``ops`` sizes the
-    microbenchmarks; ``app_scale`` sizes the application kernels.
-    """
-    del retries  # verification failures are findings, never retried
-    specs = plan_policy_grid(policies, workloads, processor_counts, seeds,
-                             ops, app_scale, base_seed, config, validate)
-    from repro.verify import VerifyOptions  # lazy: it imports harness
-    verdicts, _ = parallel.execute(specs, jobs=jobs, timeout=timeout,
-                                   cache=cache, verify=VerifyOptions())
-    return reduce_policy_grid(specs, verdicts)
 
 
 # ----------------------------------------------------------------------
@@ -797,15 +613,30 @@ class SchedGridResult:
                           for k, v in (data.get("cells") or {}).items()})
 
 
-def plan_sched_grid(schedulers: Optional[Sequence[str]],
-                    quanta: Optional[Sequence[int]],
-                    policies: Optional[Sequence[str]],
-                    workloads: Optional[Sequence[str]], num_cpus: int,
-                    threads_per_cpu: int, seeds: int, ops: int,
-                    app_scale: int, migrate: bool = False,
+def plan_sched_grid(schedulers: Optional[Sequence[str]] = None,
+                    quanta: Optional[Sequence[int]] = None,
+                    policies: Optional[Sequence[str]] = None,
+                    workloads: Optional[Sequence[str]] = None,
+                    num_cpus: int = 4,
+                    threads_per_cpu: int = 2,
+                    migrate: bool = False,
+                    seeds: int = 2,
+                    ops: int = 96,
+                    app_scale: int = 12,
                     base_seed: int = 0,
                     config: Optional[SystemConfig] = None,
                     validate: bool = True) -> list[RunSpec]:
+    """Stress lock elision under preemptive scheduling.
+
+    Every grid cell runs TLR with ``num_cpus`` runtime threads
+    multiplexed over ``num_cpus // threads_per_cpu`` CPU slots by the
+    named scheduler -- so timer interrupts preempt threads *inside*
+    critical sections and speculative regions, aborting in-flight
+    elision (the counters each cell carries quantify how often).  The
+    full :mod:`repro.verify` instrumentation judges every run: a
+    schedule that breaks serializability or starves a thread fails its
+    cell.
+    """
     base = config or SystemConfig()
     specs: list[RunSpec] = []
     for scheduler in schedulers or DEFAULT_SCHED_GRID_SCHEDULERS:
@@ -856,42 +687,64 @@ def reduce_sched_grid(specs: Sequence[RunSpec],
     return grid
 
 
-@register_experiment("sched", "preemptive-scheduler grid (schedulers x "
-                              "quanta x policies x workloads, threads > "
-                              "CPUs), every run oracle-checked")
-def sched_grid(schedulers: Optional[Sequence[str]] = None,
-               quanta: Optional[Sequence[int]] = None,
-               policies: Optional[Sequence[str]] = None,
-               workloads: Optional[Sequence[str]] = None,
-               num_cpus: int = 4,
-               threads_per_cpu: int = 2,
-               migrate: bool = False,
-               seeds: int = 2,
-               ops: int = 96,
-               app_scale: int = 12,
-               base_seed: int = 0,
-               config: Optional[SystemConfig] = None, *,
-               jobs: int = 1,
-               timeout: Optional[float] = None,
-               cache=None,
-               retries: Optional[int] = None,
-               validate: bool = True) -> SchedGridResult:
-    """Stress lock elision under preemptive scheduling.
+# ----------------------------------------------------------------------
+# The registry
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Experiment:
+    """One planned experiment: ``plan(**params)`` gives its cells,
+    ``reduce(cells, outcomes)`` its result, and ``verified`` runs the
+    cells under the verifier (outcomes are ``VerifyResult`` verdicts)."""
 
-    Every grid cell runs TLR with ``num_cpus`` runtime threads
-    multiplexed over ``num_cpus // threads_per_cpu`` CPU slots by the
-    named scheduler -- so timer interrupts preempt threads *inside*
-    critical sections and speculative regions, aborting in-flight
-    elision (the counters each cell carries quantify how often).  The
-    full :mod:`repro.verify` instrumentation judges every run: a
-    schedule that breaks serializability or starves a thread fails its
-    cell.
-    """
-    del retries  # verification failures are findings, never retried
-    specs = plan_sched_grid(schedulers, quanta, policies, workloads,
-                            num_cpus, threads_per_cpu, seeds, ops,
-                            app_scale, migrate, base_seed, config, validate)
-    from repro.verify import VerifyOptions  # lazy: it imports harness
-    verdicts, _ = parallel.execute(specs, jobs=jobs, timeout=timeout,
-                                   cache=cache, verify=VerifyOptions())
-    return reduce_sched_grid(specs, verdicts)
+    name: str
+    plan: Callable[..., list[RunSpec]]
+    reduce: Callable[[list[RunSpec], list], Any]
+    verified: bool = False
+
+    @property
+    def verify(self):
+        """The ``VerifyOptions`` the cells run under, or ``None``."""
+        if not self.verified:
+            return None
+        from repro.verify import VerifyOptions  # lazy: it imports harness
+        return VerifyOptions()
+
+
+EXPERIMENTS: dict[str, Experiment] = {entry.name: entry for entry in (
+    Experiment("figure7", plan_figure7, reduce_figure7),
+    Experiment("figure8", plan_figure8, partial(
+        reduce_sweep, name="figure8-multiple-counter")),
+    Experiment("figure9", plan_figure9, partial(
+        reduce_sweep, name="figure9-single-counter")),
+    Experiment("figure10", plan_figure10, partial(
+        reduce_sweep, name="figure10-linked-list")),
+    Experiment("figure11", plan_figure11, reduce_figure11),
+    Experiment("coarse-vs-fine", plan_coarse_vs_fine,
+               reduce_coarse_vs_fine),
+    Experiment("rmw-predictor", plan_rmw_predictor, reduce_rmw_predictor),
+    Experiment("policies", plan_policy_grid, reduce_policy_grid,
+               verified=True),
+    Experiment("sched", plan_sched_grid, reduce_sched_grid, verified=True),
+)}
+
+
+def run_experiment(name: str, *, jobs: int = 1,
+                   timeout: Optional[float] = None,
+                   cache=None,
+                   retries: Optional[int] = None,
+                   validate: bool = True,
+                   **params) -> Any:
+    """Plan, execute and reduce the registered experiment ``name``;
+    ``params`` go to its planner.  ``retries`` does not apply to a
+    verified experiment: a verification failure is a finding."""
+    try:
+        experiment = EXPERIMENTS[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown experiment {name!r}; registered: "
+            f"{sorted(EXPERIMENTS)}") from None
+    specs = experiment.plan(validate=validate, **params)
+    outcomes, _ = parallel.execute(specs, jobs=jobs, timeout=timeout,
+                                   cache=cache, retries=retries,
+                                   verify=experiment.verify)
+    return experiment.reduce(specs, outcomes)

@@ -35,8 +35,9 @@ from typing import Any, Optional
 
 from repro.harness import parallel
 from repro.harness.cache import resolve_cache
+from repro.harness.experiments import run_experiment
 from repro.harness.spec import (JobSpec, check_schema, config_from_dict,
-                                get_experiment, scheme_from_str, stamp_schema)
+                                scheme_from_str, stamp_schema)
 
 #: Job-level cache entries share the run cache's directory but are
 #: namespaced so a job fingerprint can never collide with a cell
@@ -122,18 +123,16 @@ def _execute_job(spec: JobSpec, *, jobs: int, timeout: Optional[float],
             retries=retries, cache=cache)
         outcome = outcomes[0]
         return {"ok": outcome.ok, "outcome": outcome.to_dict()}
-    # "sweep", "verify" and "sched" all run a registered experiment;
-    # verify/sched are their own kinds because their params/result
-    # contracts are distinct, not because they execute differently.
     params = _decode_params(spec.params)
     if spec.kind == "sweep":
-        experiment = get_experiment(params.pop("experiment"))
-    elif spec.kind == "sched":
-        experiment = get_experiment("sched")
+        value = run_experiment(params.pop("experiment"), **params, jobs=jobs,
+                               timeout=timeout, cache=cache, retries=retries)
     else:
-        experiment = get_experiment("verify")
-    value = experiment.runner(**params, jobs=jobs, timeout=timeout,
-                              cache=cache, retries=retries)
+        # Imported lazily: repro.verify imports harness modules.
+        from repro.verify import DEFAULT_VERIFY_WORKLOADS, verify_suite
+        workloads = params.pop("workloads", None) or DEFAULT_VERIFY_WORKLOADS
+        value = verify_suite(tuple(workloads), **params, jobs=jobs,
+                             timeout=timeout, cache=cache)
     return serialize_result(value)
 
 

@@ -48,8 +48,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 from repro.harness.cache import resolve_cache
 from repro.harness.config import SystemConfig
 from repro.harness.runner import RunResult, execute_workload
-from repro.harness.spec import (ExperimentSpec, RunSpec, check_schema,
-                                get_experiment, scheme_to_str,
+from repro.harness.spec import (RunSpec, check_schema, scheme_to_str,
                                 stamp_schema)
 from repro.runtime.program import Workload
 from repro.sim.kernel import RunTimeout, SimulationError
@@ -424,10 +423,11 @@ def run(spec, config: Optional[SystemConfig] = None, *,
     * a :class:`~repro.harness.spec.RunSpec` -- one simulation; returns
       a :class:`RunResult` (or a :class:`FailedRun` if it stayed
       pathological through its retries);
-    * a registered experiment name (``"figure9"``, ``"coarse-vs-fine"``,
-      ...) or :class:`~repro.harness.spec.ExperimentSpec` -- the full
-      figure/table sweep; extra ``**params`` (e.g. ``processor_counts``)
-      are forwarded to the experiment; returns its result object;
+    * the name of an experiment in
+      :data:`repro.harness.experiments.EXPERIMENTS` (``"figure9"``,
+      ``"coarse-vs-fine"``, ...) -- the full figure/table sweep or
+      grid; extra ``**params`` (e.g. ``processor_counts``) go to its
+      planner; returns its result object;
     * a raw :class:`~repro.runtime.program.Workload` -- legacy
       single-run path (in-process, uncacheable: thread factories carry
       closures, so there is no stable fingerprint).
@@ -447,12 +447,12 @@ def run(spec, config: Optional[SystemConfig] = None, *,
                               retries=retries, cache=cache)
         return outcomes[0]
     if isinstance(spec, str):
-        spec = get_experiment(spec)
-    if isinstance(spec, ExperimentSpec):
+        # Lazy: repro.harness.experiments imports this module.
+        from repro.harness.experiments import run_experiment
         if config is not None:
             params.setdefault("config", config)
-        return spec.runner(jobs=jobs, timeout=timeout, cache=cache,
-                           validate=validate, retries=retries, **params)
+        return run_experiment(spec, jobs=jobs, timeout=timeout, cache=cache,
+                              validate=validate, retries=retries, **params)
     raise TypeError(
         f"cannot run {type(spec).__name__!r}: expected RunSpec, Workload, "
-        "ExperimentSpec, or a registered experiment name")
+        "or a registered experiment name")

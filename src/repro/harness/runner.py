@@ -7,7 +7,7 @@ shims (``run``, ``run_scheme``, ``compare_schemes``) are gone; use
 ``repro.harness.run(spec, *, jobs=..., timeout=..., cache=...,
 validate=...)`` with a :class:`~repro.harness.spec.RunSpec`, a raw
 :class:`~repro.runtime.program.Workload`, or a registered experiment
-name (see :mod:`repro.harness.spec`).
+name (see :mod:`repro.harness.experiments`).
 """
 
 from __future__ import annotations

@@ -9,11 +9,7 @@ closures and cannot be pickled), a :class:`~repro.harness.config.SystemConfig`,
 and a validation flag.  :class:`RunSpec` is that description; its
 :meth:`~RunSpec.fingerprint` is a deterministic digest of everything
 that can change a simulation's outcome, and is the cache key.
-
-:class:`ExperimentSpec` is the registry entry that unifies the paper's
-``figure_*``/``table_*`` entry points behind the single keyword-only
-API ``repro.harness.run(spec, *, jobs=..., timeout=..., cache=...,
-validate=...)``.
+:class:`JobSpec` is the envelope every front end submits work in.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro.harness.config import (BusConfig, CacheConfig, DirectoryConfig,
                                   MemoryConfig, SchedConfig,
@@ -280,17 +276,17 @@ class RunSpec:
 JOBSPEC_SCHEMA = 1
 
 #: The kinds of work a job can describe.  ``run`` wraps one
-#: :class:`RunSpec`; ``sweep`` names a registered experiment plus its
-#: parameters (covers the figure/table sweeps and the policy grid);
-#: ``verify`` is the verification suite; ``sched`` the
-#: preemptive-scheduler grid (its own kind so the service can route and
-#: rate it separately from sweeps).
-JOB_KINDS = ("run", "sweep", "verify", "sched")
+#: :class:`RunSpec`; ``sweep`` names an experiment of
+#: :data:`repro.harness.experiments.EXPERIMENTS` plus its parameters
+#: (the figure/table sweeps and the policy and scheduler grids);
+#: ``verify`` is the verification suite, which explores seeds and then
+#: shrinks the first failure.
+JOB_KINDS = ("run", "sweep", "verify")
 
 
 @dataclass
 class JobSpec:
-    """One unit of work -- run, sweep, verify or sched -- as a single
+    """One unit of work -- run, sweep or verify -- as a single
     serializable, fingerprintable envelope.
 
     This is the API the CLI and the ``repro serve`` HTTP service share:
@@ -340,21 +336,12 @@ class JobSpec:
 
     @classmethod
     def verify(cls, **params) -> "JobSpec":
-        """A verification-suite job (see
-        :func:`repro.harness.experiments.verify`).  ``scheme`` may be a
+        """A verification-suite job: ``params`` are the keywords of
+        :func:`repro.verify.verify_suite`.  ``scheme`` may be a
         :class:`~repro.harness.config.SyncScheme` (serialized here)."""
         if isinstance(params.get("scheme"), SyncScheme):
             params["scheme"] = scheme_to_str(params["scheme"])
         return cls(kind="verify", params=params)
-
-    @classmethod
-    def sched(cls, **params) -> "JobSpec":
-        """A preemptive-scheduler grid job (see
-        :func:`repro.harness.experiments.sched_grid`).  ``config`` may
-        be a :class:`~repro.harness.config.SystemConfig`."""
-        if isinstance(params.get("config"), SystemConfig):
-            params["config"] = config_to_dict(params["config"])
-        return cls(kind="sched", params=params)
 
     # -- accessors ------------------------------------------------------
     def run_spec(self) -> "RunSpec":
@@ -394,48 +381,3 @@ class JobSpec:
         }
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-# ----------------------------------------------------------------------
-# ExperimentSpec registry
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """A named, runnable experiment (one paper figure/table).
-
-    ``runner`` accepts the experiment's own parameters plus the uniform
-    engine keywords (``jobs``, ``timeout``, ``cache``, ``retries``,
-    ``validate``) and returns the experiment's result object.
-    """
-
-    name: str
-    description: str
-    runner: Callable[..., Any]
-
-    def __call__(self, **kwargs) -> Any:
-        return self.runner(**kwargs)
-
-
-#: Global experiment registry, populated by
-#: :mod:`repro.harness.experiments` at import time.
-EXPERIMENTS: dict[str, ExperimentSpec] = {}
-
-
-def register_experiment(name: str, description: str):
-    """Decorator: register a ``figure_*``/``table_*`` function under
-    ``name`` in :data:`EXPERIMENTS`."""
-    def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:
-        EXPERIMENTS[name] = ExperimentSpec(name=name,
-                                           description=description,
-                                           runner=fn)
-        return fn
-    return decorator
-
-
-def get_experiment(name: str) -> ExperimentSpec:
-    try:
-        return EXPERIMENTS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {name!r}; registered: "
-            f"{sorted(EXPERIMENTS)}") from None

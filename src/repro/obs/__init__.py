@@ -6,10 +6,10 @@ reproduction carries a first-class observability layer:
 
 * :mod:`repro.obs.metrics` -- a dependency-free metrics registry
   (counters, gauges, fixed-bucket histograms) plus
-  :class:`~repro.obs.collect.MachineMetrics`, the collector that the
-  coherence controllers and processors publish into through gated
-  ``obs`` attributes (same pattern as the verify layer's ``monitor``
-  hook: ``None`` in normal runs, one attribute test on the hot path).
+  :class:`~repro.obs.collect.MachineMetrics`, the collector that
+  subscribes to the machine's observation seam
+  (:mod:`repro.sim.taps`) like every other observer: an emit point
+  nobody subscribes to costs its component one truth test.
 * span events live in :mod:`repro.sim.trace` (the :class:`Tracer`
   pairs txn-begin/commit, defer/service and request/data into duration
   spans for Perfetto).

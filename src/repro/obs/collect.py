@@ -152,12 +152,16 @@ class MachineMetrics:
     # ------------------------------------------------------------------
     def finalize(self, machine: Optional["Machine"] = None) -> dict:
         """Fold in end-of-run state (per-policy telemetry, outcome
-        counters) and export the registry as a JSON-able dict."""
+        counters) and export the registry as a JSON-able dict.
+
+        The end-of-run counters are set to the values read, not added
+        to, so a second call returns the same payload."""
         machine = machine or self._machine
         if self._unrefused_fills:
             self._nack_retries_hist.observe_many(0, self._unrefused_fills)
             self._unrefused_fills = 0
-        self.registry.counter("defer.serviced").inc(self._defer_latency.count)
+        counter = self.registry.counter
+        counter("defer.serviced").value = self._defer_latency.count
         if machine is not None:
             for controller in machine.controllers:
                 for key, value in controller.policy.telemetry().items():
@@ -167,20 +171,18 @@ class MachineMetrics:
             # the on_restart hook: a restart delivered to a paused core
             # is recorded there but never paced through the hook.
             for reason, count in stats.reason_totals().items():
-                self.registry.counter(f"restart.reason.{reason}").inc(count)
+                counter(f"restart.reason.{reason}").value = count
             # Each of these stats is incremented beside the emit point
             # it would otherwise be counted at.
             for name, stat in (("probe.sent", "probes_sent"),
                                ("marker.sent", "markers_sent"),
                                ("nack.received", "nacks_received"),
                                ("defer.count", "requests_deferred")):
-                self.registry.counter(name).inc(stats.total(stat))
-            self.registry.counter("txn.commits").inc(
-                stats.total("elisions_committed"))
-            self.registry.counter("txn.lock_fallbacks").inc(
-                stats.total("lock_fallbacks"))
-            self.registry.counter("sim.kernel.events").inc(
-                machine.sim.events_fired)
+                counter(name).value = stats.total(stat)
+            counter("txn.commits").value = stats.total("elisions_committed")
+            counter("txn.lock_fallbacks").value = stats.total(
+                "lock_fallbacks")
+            counter("sim.kernel.events").value = machine.sim.events_fired
             engine = getattr(machine, "sched_engine", None)
             if engine is not None:
                 # Per-thread (not per-CPU) latency attribution: how many

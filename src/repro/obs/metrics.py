@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 DEPTH_BUCKETS: tuple[int, ...] = (0, 1, 2, 4, 8, 16, 32, 64)
 #: Per-request retry counts (NACK re-arbitrations, restart streaks).
 RETRY_BUCKETS: tuple[int, ...] = (0, 1, 2, 4, 8, 16, 32, 64)
-#: Cycle latencies (defer->service, request->data, marker/probe flight,
-#: restart backoff); power-of-two bounds from one cycle to ~4K cycles.
+#: Cycle latencies (defer->service, request->data, restart backoff,
+#: scheduler timeslices); power-of-two bounds from one cycle to ~4K.
 LATENCY_BUCKETS: tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256,
                                     512, 1024, 2048, 4096)
 

@@ -423,19 +423,23 @@ class LockProfiler:
         """Publish aggregate profile families into an obs registry so
         they ride the existing OpenMetrics export.
         Pass the run's :meth:`snapshot` as ``snap`` to publish from it
-        rather than build another."""
+        rather than build another.  The counters are set, not added
+        to, so publishing twice leaves the same values."""
         if snap is None:
             snap = self.builder.snapshot()
         totals = snap["totals"]
-        registry.counter("profile.txn.attempts").inc(totals["attempts"])
-        registry.counter("profile.txn.commits").inc(totals["commits"])
-        registry.counter("profile.txn.aborts").inc(totals["aborts"])
-        registry.counter("profile.cycles_lost").inc(totals["cycles_lost"])
-        registry.counter("profile.deferral_cycles").inc(
-            totals["deferral_cycles"])
+        counter = registry.counter
+        counter("profile.txn.attempts").value = totals["attempts"]
+        counter("profile.txn.commits").value = totals["commits"]
+        counter("profile.txn.aborts").value = totals["aborts"]
+        counter("profile.cycles_lost").value = totals["cycles_lost"]
+        counter("profile.deferral_cycles").value = totals["deferral_cycles"]
+        aborts: dict[str, int] = {}
         for lock in snap["locks"].values():
             for cause, count in lock["aborts_by_cause"].items():
-                registry.counter(f"profile.aborts.{cause}").inc(count)
+                aborts[cause] = aborts.get(cause, 0) + count
+        for cause, count in aborts.items():
+            counter(f"profile.aborts.{cause}").value = count
         registry.gauge("profile.commit_rate").set(totals["commit_rate"])
         registry.gauge("profile.locks").set(len(snap["locks"]))
 

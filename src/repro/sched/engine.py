@@ -111,9 +111,6 @@ class SchedEngine:
             self.sim.schedule(self.quantum + slot, self._tick, slot,
                               label=self._tick_labels[slot])
 
-    def thread_on_slot(self, slot: int) -> Optional[int]:
-        return self.running[slot]
-
     def thread_on_context(self, cpu_id: int) -> int:
         """The workload thread bound to hardware context ``cpu_id``.
         In the slot-overlay model contexts are per-thread, so this is

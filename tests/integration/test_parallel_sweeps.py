@@ -9,8 +9,7 @@ import pytest
 
 from repro.harness.cache import ResultCache
 from repro.harness.config import SyncScheme, SystemConfig
-from repro.harness.experiments import figure9_single_counter
-from repro.harness.parallel import FailedRun, execute
+from repro.harness.parallel import FailedRun, execute, run, use_engine
 from repro.harness.spec import RunSpec
 
 PROCS = (2, 4)
@@ -21,14 +20,26 @@ def _cfg(seed=0, max_cycles=20_000_000) -> SystemConfig:
     return SystemConfig(seed=seed, max_cycles=max_cycles)
 
 
+def figure9(**params):
+    return run("figure9", **params)
+
+
+def figure9_telemetry(**params):
+    """The sweep plus the telemetry of its one engine call."""
+    with use_engine() as calls:
+        sweep = figure9(**params)
+    assert len(calls) == 1
+    return sweep, calls[0].to_dict()
+
+
 class TestParallelSerialEquivalence:
     def test_figure9_jobs4_matches_jobs1_bit_for_bit(self):
-        serial = figure9_single_counter(total_increments=OPS,
-                                        processor_counts=PROCS,
-                                        config=_cfg(), jobs=1)
-        fanned = figure9_single_counter(total_increments=OPS,
-                                        processor_counts=PROCS,
-                                        config=_cfg(), jobs=4)
+        serial = figure9(total_increments=OPS,
+                         processor_counts=PROCS,
+                         config=_cfg(), jobs=1)
+        fanned = figure9(total_increments=OPS,
+                         processor_counts=PROCS,
+                         config=_cfg(), jobs=4)
         assert serial.series == fanned.series
         for scheme in serial.series:
             for n in PROCS:
@@ -36,10 +47,9 @@ class TestParallelSerialEquivalence:
         assert not serial.failures and not fanned.failures
 
     def test_parallel_telemetry_reports_every_run(self):
-        sweep = figure9_single_counter(total_increments=OPS,
-                                       processor_counts=PROCS,
-                                       config=_cfg(), jobs=4)
-        telemetry = sweep.extra["telemetry"]
+        sweep, telemetry = figure9_telemetry(total_increments=OPS,
+                                             processor_counts=PROCS,
+                                             config=_cfg(), jobs=4)
         expected = len(sweep.series) * len(PROCS)
         assert telemetry["total_runs"] == expected
         assert telemetry["simulated"] == expected
@@ -51,21 +61,21 @@ class TestSweepCaching:
         cache = ResultCache(tmp_path)
         kwargs = dict(total_increments=OPS, processor_counts=PROCS,
                       config=_cfg(), cache=cache)
-        first = figure9_single_counter(jobs=2, **kwargs)
-        second = figure9_single_counter(jobs=2, **kwargs)
-        assert second.extra["telemetry"]["cache_hits"] == \
-            first.extra["telemetry"]["total_runs"]
-        assert second.extra["telemetry"]["simulated"] == 0
+        first, first_telemetry = figure9_telemetry(jobs=2, **kwargs)
+        second, second_telemetry = figure9_telemetry(jobs=2, **kwargs)
+        assert second_telemetry["cache_hits"] == \
+            first_telemetry["total_runs"]
+        assert second_telemetry["simulated"] == 0
         assert first.series == second.series
 
     def test_cached_and_parallel_agree_with_serial(self, tmp_path):
-        serial = figure9_single_counter(total_increments=OPS,
-                                        processor_counts=PROCS,
-                                        config=_cfg(), jobs=1)
-        cached = figure9_single_counter(total_increments=OPS,
-                                        processor_counts=PROCS,
-                                        config=_cfg(), jobs=2,
-                                        cache=ResultCache(tmp_path))
+        serial = figure9(total_increments=OPS,
+                         processor_counts=PROCS,
+                         config=_cfg(), jobs=1)
+        cached = figure9(total_increments=OPS,
+                         processor_counts=PROCS,
+                         config=_cfg(), jobs=2,
+                         cache=ResultCache(tmp_path))
         assert serial.series == cached.series
 
 
@@ -89,7 +99,7 @@ class TestLivelockDegradation:
         assert telemetry.failures == 1
 
     def test_figure_level_failure_lands_in_failures_list(self):
-        sweep = figure9_single_counter(
+        sweep = figure9(
             total_increments=OPS, processor_counts=PROCS,
             config=_cfg(max_cycles=3500), jobs=2, retries=1)
         assert sweep.failures, "expected at least one failed cell"
@@ -106,9 +116,9 @@ class TestLivelockDegradation:
 class TestParallelFigureShape:
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_tlr_beats_base_under_contention_any_jobs(self, jobs):
-        sweep = figure9_single_counter(total_increments=256,
-                                       processor_counts=(4,),
-                                       config=_cfg(), jobs=jobs,
-                                       include_strict_ts=False)
+        sweep = figure9(total_increments=256,
+                        processor_counts=(4,),
+                        config=_cfg(), jobs=jobs,
+                        include_strict_ts=False)
         assert sweep.cycles(SyncScheme.TLR, 4) < \
             sweep.cycles(SyncScheme.BASE, 4)

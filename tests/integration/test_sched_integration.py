@@ -14,7 +14,7 @@ Four angles:
 * **Record/replay.**  A scheduler-on run records OP_SCHED records, the
   log replays byte-identically, and the timeline can answer who was
   on-CPU at any cycle.
-* **The grid.**  A small ``sched_grid`` verifies every cell through
+* **The grid.**  A small ``sched`` experiment verifies every cell through
   the oracle and carries context-switch-abort counts.
 """
 
@@ -139,13 +139,13 @@ def test_scheduler_off_log_has_no_sched_records():
 def test_small_sched_grid_verifies_and_counts_aborts():
     import json
 
-    from repro.harness.experiments import SchedGridResult, sched_grid
+    from repro.harness.experiments import SchedGridResult, run_experiment
     from repro.harness.report import sched_grid_table
 
-    grid = sched_grid(schedulers=("rr", "cfs"), quanta=(150,),
-                      policies=("timestamp",),
-                      workloads=("single-counter",),
-                      seeds=2, ops=96, cache=False)
+    grid = run_experiment("sched", schedulers=("rr", "cfs"), quanta=(150,),
+                          policies=("timestamp",),
+                          workloads=("single-counter",),
+                          seeds=2, ops=96, cache=False)
     assert grid.ok, grid.failures
     for key, cell in grid.cells.items():
         assert cell["preemptions"] > 0, key
@@ -164,7 +164,7 @@ def test_sched_jobspec_round_trips_and_routes():
     from repro.harness.jobs import submit
     from repro.harness.spec import JobSpec
 
-    spec = JobSpec.sched(schedulers=("rr",), quanta=(200,),
+    spec = JobSpec.sweep("sched", schedulers=("rr",), quanta=(200,),
                          policies=("timestamp",),
                          workloads=("single-counter",), seeds=1, ops=64)
     again = JobSpec.from_dict(spec.to_dict())

@@ -139,10 +139,13 @@ class TestServeEndToEnd:
             urllib.request.urlopen(base + "/jobs/j999999")
         assert notfound.value.code == 404
 
-        unknown_kind = json.dumps({"schema": 1, "kind": "perf",
-                                   "params": {}}).encode()
+        def unknown_kind(kind):
+            return json.dumps({"schema": 1, "kind": kind,
+                               "params": {}}).encode()
         for body, names in ((b"not json", "bad job spec"),
-                            (unknown_kind, "unknown job kind 'perf'")):
+                            (unknown_kind("perf"), "unknown job kind 'perf'"),
+                            (unknown_kind("sched"),
+                             "unknown job kind 'sched'")):
             bad = urllib.request.Request(base + "/jobs", data=body,
                                          headers={"Content-Type":
                                                   "application/json"})

@@ -4,9 +4,6 @@ experiments entry points (at tiny scale)."""
 import pytest
 
 from repro.harness.config import SyncScheme, SystemConfig
-from repro.harness.experiments import (figure7_queue_on_data,
-                                       figure8_multiple_counter,
-                                       figure11_applications)
 from repro.harness.machine import Machine
 from repro.harness.parallel import run
 from repro.harness.runner import RunResult, execute_workload
@@ -97,20 +94,19 @@ class TestMachine:
 
 class TestExperimentEntryPoints:
     def test_figure8_tiny(self):
-        result = figure8_multiple_counter(total_increments=32,
-                                          processor_counts=(2,))
+        result = run("figure8", total_increments=32, processor_counts=(2,))
         assert result.processor_counts == [2]
         assert set(result.series) == {SyncScheme.BASE, SyncScheme.MCS,
                                       SyncScheme.SLE, SyncScheme.TLR}
 
     def test_figure7_tiny(self):
-        result = figure7_queue_on_data(num_cpus=2, total_increments=16)
+        result = run("figure7", num_cpus=2, total_increments=16)
         assert result["critical_sections"] >= 16
         assert result["cycles"] > 0
 
     def test_figure11_single_app(self):
-        results = figure11_applications(
-            num_cpus=2, apps=["ocean-cont"],
+        results = run(
+            "figure11", num_cpus=2, apps=["ocean-cont"],
             schemes=(SyncScheme.BASE, SyncScheme.TLR))
         assert set(results) == {"ocean-cont"}
         app = results["ocean-cont"]

@@ -125,6 +125,17 @@ class TestMachineCollector:
         assert {name: counters[name] for name in points} == {
             name: fired[kind] for name, kind in points.items()}
 
+    def test_second_finalize_returns_the_same_payload(self):
+        """The end-of-run counters are set, not added to, so a second
+        export does not double them."""
+        machine = Machine(small_config(4, SyncScheme.TLR))
+        collector = MachineMetrics().attach(machine)
+        machine.run_workload(linked_list(4, 32))
+        first = collector.finalize(machine)
+        assert first["counters"]["defer.count"] > 0
+        assert first["counters"]["txn.commits"] > 0
+        assert collector.finalize(machine) == first
+
     def test_policy_telemetry_exported_as_gauges(self):
         _, metrics = self._collected(single_counter(4, 128))
         gauges = metrics["gauges"]

@@ -255,6 +255,14 @@ class TestLockProfilerExport:
         first = json.dumps(profiler.snapshot(), sort_keys=True)
         assert json.dumps(profiler.snapshot(), sort_keys=True) == first
 
+    def test_second_publish_leaves_the_same_counters(self):
+        profiler, registry = self._profiled_run()
+        profiler.publish(registry)
+        first = registry.to_dict()
+        assert first["counters"]["profile.txn.aborts"] > 0
+        profiler.publish(registry)
+        assert registry.to_dict() == first
+
     def test_unclosed_count_survives_a_second_snapshot(self):
         profiler = LockProfiler()
         profiler.builder.txn_begin(0, 0, 0x40, "p", 1)

@@ -151,6 +151,9 @@ class TestJobSpecContract:
         assert sweep.fingerprint() != verify.fingerprint()
 
     def test_retired_perf_kind_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown job kind 'perf'"):
-            JobSpec.from_dict({"schema": JOBSPEC_SCHEMA, "kind": "perf",
-                               "params": {}})
+        # "sched" grids are "sweep" jobs naming the "sched" experiment.
+        for kind in ("perf", "sched"):
+            with pytest.raises(ValueError,
+                               match=f"unknown job kind '{kind}'"):
+                JobSpec.from_dict({"schema": JOBSPEC_SCHEMA, "kind": kind,
+                                   "params": {}})

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.analysis import CommitLog
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.machine import Machine
 from repro.harness.spec import RunSpec
@@ -74,7 +73,6 @@ class TestSeam:
         FlightRecorder(spec).attach(machine)
         FootprintRecorder().attach(machine)
         MonitorSuite(machine).attach()
-        CommitLog.attach(machine)
         taps = machine.taps
         points = [value for value in vars(taps).values()
                   if isinstance(value, Point)]

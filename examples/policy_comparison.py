@@ -59,8 +59,8 @@ def livelock_demo() -> None:
     workload = single_counter(4, total_increments=64, think_cycles=200)
 
     machine = Machine(config)
-    MonitorSuite(machine, fail_fast=True,
-                 watchdog_period=2_000, watchdog_patience=5).attach()
+    MonitorSuite(machine, watchdog_period=2_000,
+                 watchdog_patience=5).attach()
     try:
         machine.run_workload(workload)
     except InvariantViolation as exc:

@@ -165,10 +165,8 @@ class Bus:
         stats.bus_transactions += 1
         stats.bus_busy_cycles += occupancy
         self._next_grant_time = self.sim.now + occupancy
-        label = (f"bus-order {request!r}" if self.sim.verbose_labels
-                 else "bus-order")
         self.sim.schedule(self._snoop_latency, self._order, request,
-                          label=label)
+                          label="bus-order")
         self._pump()
 
     # ------------------------------------------------------------------
@@ -192,10 +190,9 @@ class Bus:
             return False
         self._outstanding -= 1
         requester = self.controllers[request.requester]
-        label = f"nack {request!r}" if self.sim.verbose_labels else "nack"
         self.sim.schedule(self._snoop_latency,
                           requester.handle_nack, request,
-                          label=label)
+                          label="nack")
         self._pump()
         return True
 

@@ -179,10 +179,8 @@ class CacheController:
             # Watch every miss, not just transactional ones: a restarted
             # transaction may merge onto a request issued outside the
             # transaction, and its priority must still be championed.
-            label = (f"probe-wd {line_addr:#x}" if self.sim.verbose_labels
-                     else "probe-wd")
             self.sim.schedule(PROBE_WATCHDOG_PERIOD, self._probe_watchdog,
-                              line_addr, request.req_id, label=label)
+                              line_addr, request.req_id, label="probe-wd")
         return False
 
     def try_hit(self, line_addr: int, need_writable: bool) -> bool:
@@ -218,10 +216,8 @@ class CacheController:
             if chain is not None and chain.upstream is not None:
                 self._send_probe(chain.upstream, line_addr, self.current_ts,
                                  origin=self.cpu_id)
-        label = (f"probe-wd {line_addr:#x}" if self.sim.verbose_labels
-                 else "probe-wd")
         self.sim.schedule(PROBE_WATCHDOG_PERIOD, self._probe_watchdog,
-                          line_addr, req_id, label=label)
+                          line_addr, req_id, label="probe-wd")
 
     def _retry_access(self, line_addr: int, write: bool,
                       on_effect: Callable[[], None], want_exclusive: bool,
@@ -272,10 +268,8 @@ class CacheController:
         pending = self.watchers.pop(line_addr, None)
         if not pending:
             return
-        label = (f"wake {line_addr:#x}" if self.sim.verbose_labels
-                 else "wake")
         for callback in pending:
-            self.sim.schedule(0, callback, label=label)
+            self.sim.schedule(0, callback, label="wake")
 
     # -- LL/SC link ----------------------------------------------------
     def set_link(self, line_addr: int) -> None:
@@ -342,13 +336,10 @@ class CacheController:
     def _service_deferred(self) -> None:
         if not self.deferred:
             return
-        verbose = self.sim.verbose_labels
         for entry in self.deferred.drain():
-            label = (f"svc-deferred {entry.request!r}" if verbose
-                     else "svc-deferred")
             self.sim.schedule(self._hit_latency,
                               self._service_obligation, entry.request,
-                              label=label)
+                              label="svc-deferred")
 
     # ------------------------------------------------------------------
     # Conflict resolution (the heart of TLR)
@@ -501,11 +492,9 @@ class CacheController:
                                   request.ts, holder)
         mshr.ordered = False
         request.order_time = None
-        label = (f"nack-retry {request!r}" if self.sim.verbose_labels
-                 else "nack-retry")
         self.sim.schedule(self.policy.nack_delay(request),
                           self._reissue_after_nack, request,
-                          label=label)
+                          label="nack-retry")
 
     def _reissue_after_nack(self, request: BusRequest) -> None:
         mshr = self.mshrs.get(request.line)
@@ -571,11 +560,10 @@ class CacheController:
             # Figure 3 caption); a non-exclusive block's conflict cannot
             # be masked, so the transaction loses.
             decision = Decision.LOSE
-        label = (f"svc {request!r}" if self.sim.verbose_labels else "svc")
         if decision is Decision.SERVE:
             self.sim.schedule(self._hit_latency,
                               self._service_obligation, request,
-                              label=label)
+                              label="svc")
         elif decision is Decision.DEFER:
             self._defer(request)
         elif decision is Decision.SERVE_ABORT:
@@ -585,13 +573,13 @@ class CacheController:
             self._send_remote_abort(request)
             self.sim.schedule(self._hit_latency,
                               self._service_obligation, request,
-                              label=label)
+                              label="svc")
         else:
             self._handle_loss("conflict-lost", request.line, request.ts,
                               request.requester)
             self.sim.schedule(self._hit_latency,
                               self._service_obligation, request,
-                              label=label)
+                              label="svc")
 
     def _chain_behind_miss(self, mshr, request: BusRequest) -> None:
         """A request arrived for a line whose fill we still await: record
@@ -641,21 +629,17 @@ class CacheController:
         target = self._controllers.get(request.requester)
         if target is not None:
             self.stats.markers_sent += 1
-            label = (f"marker {request.line:#x}" if self.sim.verbose_labels
-                     else "marker")
             delay = self._ctl_perturb(self._ctl_latency)
             self.sim.schedule(delay, target.handle_marker, marker,
-                              label=label)
+                              label="marker")
 
     def _send_remote_abort(self, request: BusRequest) -> None:
         """Tell the requester its transaction lost (ABORT_REQUESTER)."""
         target = self._controllers.get(request.requester)
         if target is not None:
-            label = (f"rabort {request.line:#x}" if self.sim.verbose_labels
-                     else "rabort")
             delay = self._ctl_perturb(self._ctl_latency)
             self.sim.schedule(delay, target.remote_abort, request.line,
-                              self.current_ts, self.cpu_id, label=label)
+                              self.current_ts, self.cpu_id, label="rabort")
 
     def remote_abort(self, line_addr: int, ts: Optional[Timestamp],
                      holder: int = -1) -> None:
@@ -670,12 +654,10 @@ class CacheController:
         if target is None:
             return
         self.stats.probes_sent += 1
-        label = (f"probe {line_addr:#x}" if self.sim.verbose_labels
-                 else "probe")
         delay = self._ctl_perturb(self._ctl_latency)
         self.sim.schedule(delay, target.handle_probe,
                           Probe(line=line_addr, ts=ts, origin=origin),
-                          label=label)
+                          label="probe")
 
     def handle_marker(self, marker: Marker) -> None:
         if self.taps.marker:

@@ -36,8 +36,7 @@ class DataNetwork:
         self._interval = config.data_bandwidth_interval
         self._perturb = perturber.perturb if perturber is not None else None
 
-    def send(self, deliver: Callable[..., None], *args,
-             label: str = "data") -> None:
+    def send(self, deliver: Callable[..., None], *args) -> None:
         """Deliver ``deliver(*args)`` one network hop from now.
 
         With a configured bandwidth interval, deliveries are spaced at
@@ -56,4 +55,4 @@ class DataNetwork:
                 earliest = self._next_slot
             self._next_slot = earliest + interval
             delay = earliest - now
-        self.sim.schedule(delay, deliver, *args, label=label)
+        self.sim.schedule(delay, deliver, *args, label="data")

@@ -60,9 +60,8 @@ class DirectoryInterconnect(Bus):
             latency = self.perturber.perturb(latency)
         self.stats.bus_transactions += 1
         self._outstanding += 1
-        label = (f"dir-arrive {request!r}" if self.sim.verbose_labels
-                 else "dir-arrive")
-        self.sim.schedule(latency, self._arrive_at_home, request, label=label)
+        self.sim.schedule(latency, self._arrive_at_home, request,
+                          label="dir-arrive")
 
     def _arrive_at_home(self, request: BusRequest) -> None:
         if request.req_id in self._cancelled:
@@ -74,9 +73,7 @@ class DirectoryInterconnect(Bus):
         self._home_idle_at[home] = start + self.dir_config.home_occupancy
         self.stats.bus_busy_cycles += self.dir_config.home_occupancy
         delay = start - self.sim.now + self.dir_config.processing_latency
-        label = (f"dir-order {request!r}" if self.sim.verbose_labels
-                 else "dir-order")
-        self.sim.schedule(delay, self._order, request, label=label)
+        self.sim.schedule(delay, self._order, request, label="dir-order")
 
     def complete(self, request: BusRequest) -> None:
         self._outstanding -= 1

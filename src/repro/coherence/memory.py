@@ -101,10 +101,8 @@ class MemoryController:
         machine builder; it is invoked after the memory access latency.
         """
         self.stats.memory_reads += 1
-        label = (f"mem-supply {request!r}" if self.sim.verbose_labels
-                 else "mem-supply")
         self.sim.schedule(self.supply_latency(request.line), deliver, request,
-                          label=label)
+                          label="mem-supply")
 
     def writeback(self, line: int) -> None:
         """Accept a dirty line (values are already in the store)."""

@@ -17,7 +17,7 @@ Figure, table and grid entries name an experiment of
 :func:`~repro.harness.experiments.run_experiment`, so ``repro figure9``
 and ``BENCH_fig09_single_counter.json`` plan the same cells.  A
 verified experiment's cells run with the verifier attached
-(``parallel.execute(..., verify=...)``) and are cached under their
+(``parallel.execute(..., verified=True)``) and are cached under their
 verification fingerprint.  Nothing in ``import repro`` imports this
 module.
 """
@@ -33,7 +33,6 @@ from repro.harness import parallel
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.spec import SIZE_PARAM, RunSpec
 from repro.obs.profile import critical_path
-from repro.verify.explorer import VerifyOptions
 
 BASE, SLE, TLR, MCS = (s.value for s in (
     SyncScheme.BASE, SyncScheme.SLE, SyncScheme.TLR, SyncScheme.MCS))
@@ -51,12 +50,8 @@ class Artifact:
     cells: Callable[[dict], list[RunSpec]]
     results: Callable[[dict, int], dict]           # (config, jobs) -> results
     claims: dict[str, Claim]
-    verify: Optional[VerifyOptions] = None         # set: cells run verified
+    verified: bool = False                         # cells run verified
     experiment: Optional[str] = None               # the experiment it runs
-
-    @property
-    def verified(self) -> bool:
-        return self.verify is not None
 
     @property
     def filename(self) -> str:
@@ -76,7 +71,7 @@ def _experiment(bench: str, config: dict, experiment: str, shape,
         return shape(ex.run_experiment(experiment, jobs=jobs,
                                        **params(cfg)))
     return Artifact(bench, config, lambda cfg: entry.plan(**params(cfg)),
-                    results, claims, entry.verify, experiment)
+                    results, claims, entry.verified, experiment)
 
 
 def _keyed(bench: str, config: dict, keyed, reduce,

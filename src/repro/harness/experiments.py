@@ -701,14 +701,6 @@ class Experiment:
     reduce: Callable[[list[RunSpec], list], Any]
     verified: bool = False
 
-    @property
-    def verify(self):
-        """The ``VerifyOptions`` the cells run under, or ``None``."""
-        if not self.verified:
-            return None
-        from repro.verify import VerifyOptions  # lazy: it imports harness
-        return VerifyOptions()
-
 
 EXPERIMENTS: dict[str, Experiment] = {entry.name: entry for entry in (
     Experiment("figure7", plan_figure7, reduce_figure7),
@@ -746,5 +738,5 @@ def run_experiment(name: str, *, jobs: int = 1,
     specs = experiment.plan(validate=validate, **params)
     outcomes, _ = parallel.execute(specs, jobs=jobs, timeout=timeout,
                                    cache=cache, retries=retries,
-                                   verify=experiment.verify)
+                                   verified=experiment.verified)
     return experiment.reduce(specs, outcomes)

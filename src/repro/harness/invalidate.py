@@ -35,7 +35,6 @@ from repro.harness.artifacts import ARTIFACTS
 from repro.harness.cache import resolve_cache
 from repro.harness.parallel import cell_key, execute
 from repro.harness.spec import RunSpec
-from repro.verify.explorer import VerifyOptions
 
 
 @dataclass
@@ -47,11 +46,7 @@ class ArtifactPlan:
     total: int = 0                 # reconstructable cells
     stale: list[RunSpec] = field(default_factory=list)
     skipped: Optional[str] = None  # reason when cells can't be planned
-    verify: Optional[VerifyOptions] = None  # set: cells run verified
-
-    @property
-    def verified(self) -> bool:
-        return self.verify is not None
+    verified: bool = False         # cells run verified
 
     @property
     def fresh(self) -> int:
@@ -88,10 +83,10 @@ def plan(repo: Union[str, Path] = ".", cache=True) -> list[ArtifactPlan]:
                 skipped=f"bad config: {type(exc).__name__}: {exc}"))
             continue
         stale = [spec for spec in specs if store is None or store.get(
-            cell_key(spec, entry.verify)) is None]
+            cell_key(spec, entry.verified)) is None]
         plans.append(ArtifactPlan(artifact=path.name, bench=bench,
                                   total=len(specs), stale=stale,
-                                  verify=entry.verify))
+                                  verified=entry.verified))
     return plans
 
 
@@ -119,17 +114,18 @@ def regenerate(plans: list[ArtifactPlan], *, jobs: int = 1,
     figures share points), priming the cache.  Returns a summary dict.
     """
     store = resolve_cache(cache)
-    batches: dict[Optional[VerifyOptions], dict[str, RunSpec]] = {}
+    batches: dict[bool, dict[str, RunSpec]] = {}
     for entry in plans:
         for spec in entry.stale:
-            batches.setdefault(entry.verify, {}).setdefault(
-                cell_key(spec, entry.verify), spec)
+            batches.setdefault(entry.verified, {}).setdefault(
+                cell_key(spec, entry.verified), spec)
     started = time.perf_counter()
     simulated = failures = 0
-    for options, specs in batches.items():
+    for verified, specs in batches.items():
         _, telemetry = execute(
             list(specs.values()), jobs=jobs, timeout=timeout,
-            retries=retries, cache=store, progress=progress, verify=options)
+            retries=retries, cache=store, progress=progress,
+            verified=verified)
         simulated += telemetry.simulated
         failures += telemetry.failures
     return {"artifacts": sum(1 for entry in plans if not entry.skipped),

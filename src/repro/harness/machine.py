@@ -45,8 +45,7 @@ class Machine:
             # with a seeded random priority (see Simulator.set_choice_hook).
             chaos_rng = self.streams.stream("choice")
             chaos = config.schedule_chaos
-            self.sim.set_choice_hook(
-                lambda label: chaos_rng.randint(0, chaos))
+            self.sim.set_choice_hook(lambda: chaos_rng.randint(0, chaos))
         perturber = LatencyPerturber(self.streams.stream("latency"),
                                      config.latency_jitter)
         if config.protocol == "directory":
@@ -100,8 +99,7 @@ class Machine:
 
     def _deliver_data(self, request, from_node: int) -> None:
         target = self.controllers[request.requester]
-        label = f"data {request!r}" if self.sim.verbose_labels else "data"
-        self.datanet.send(target.handle_data, request, label=label)
+        self.datanet.send(target.handle_data, request)
 
     # ------------------------------------------------------------------
     # Running workloads

@@ -20,11 +20,11 @@ pool.  Guarantees:
   deadline the kernel's run loop checks
   (:class:`~repro.sim.kernel.RunTimeout`), so it holds in any thread,
   a ``repro serve`` worker thread included.
-* **Verified cells** -- with ``verify=VerifyOptions(...)`` the same
-  loop runs every spec under the verifier (:mod:`repro.verify`:
-  recorder, oracle, monitors).  Its outcome is a ``VerifyResult``
-  cached under the verification fingerprint; a crash or timeout is a
-  failing verdict, never retried.
+* **Verified cells** -- with ``verified=True`` the same loop runs
+  every spec under the verifier (:mod:`repro.verify`: recorder,
+  oracle, monitors, in their one fixed configuration).  Its outcome
+  is a ``VerifyResult`` cached under the verification fingerprint; a
+  crash or timeout is a failing verdict, never retried.
 * **Incrementality** -- with a :class:`~repro.harness.cache.ResultCache`,
   cells whose cache key already has a stored outcome are reconstructed
   from disk instead of simulated.  A cell that hit the timeout (in any
@@ -54,7 +54,7 @@ from repro.runtime.program import Workload
 from repro.sim.kernel import RunTimeout, SimulationError
 
 if TYPE_CHECKING:
-    from repro.verify.explorer import VerifyOptions, VerifyResult
+    from repro.verify.explorer import VerifyResult
 
 DEFAULT_RETRIES = 2
 #: Seed increment per retry.  Large and odd, so retry seeds stay far
@@ -299,14 +299,13 @@ def map_payloads(worker, payloads: Sequence, jobs: int):
         yield from pool.imap(worker, payloads)
 
 
-def cell_key(spec: RunSpec,
-             verify: Optional["VerifyOptions"] = None) -> str:
+def cell_key(spec: RunSpec, verified: bool = False) -> str:
     """The cache key a cell's outcome is stored under: the run
     fingerprint, or the verification fingerprint of a verified cell."""
-    if verify is None:
+    if not verified:
         return spec.fingerprint()
     from repro.verify.explorer import verify_fingerprint
-    return verify_fingerprint(spec, verify)
+    return verify_fingerprint(spec)
 
 
 def execute(specs: Sequence[RunSpec], *,
@@ -316,7 +315,7 @@ def execute(specs: Sequence[RunSpec], *,
             seed_bump: int = SEED_BUMP,
             cache=None,
             progress: Optional[ProgressCallback] = None,
-            verify: Optional["VerifyOptions"] = None,
+            verified: bool = False,
             ) -> tuple[list[Outcome], SweepTelemetry]:
     """Execute ``specs``, returning outcomes in the same order.
 
@@ -327,27 +326,27 @@ def execute(specs: Sequence[RunSpec], *,
     ``cache`` accepts anything :func:`~repro.harness.cache.resolve_cache`
     does.  ``progress(done, total, outcome)`` fires as results land.
 
-    ``verify`` runs every spec under the verifier with those options:
-    outcomes are ``VerifyResult`` verdicts, ``retries`` does not apply,
-    and ``failures`` counts the verdicts that are not ok.
+    ``verified`` runs every spec under the verifier: outcomes are
+    ``VerifyResult`` verdicts, ``retries`` does not apply, and
+    ``failures`` counts the verdicts that are not ok.
     """
     if retries is None:
         retries = DEFAULT_RETRIES
     if not jobs:
         jobs = multiprocessing.cpu_count()
-    if verify is None:
+    if not verified:
         entry_field, decode = "result", RunResult.from_dict
         worker, worker_args = _worker_execute, (timeout, retries, seed_bump)
     else:
         # Lazy: repro.verify imports this module.
         from repro.verify.explorer import VerifyResult, _verify_worker
         entry_field, decode = "verdict", VerifyResult.from_dict
-        worker, worker_args = _verify_worker, (verify.to_dict(), timeout)
+        worker, worker_args = _verify_worker, (timeout,)
     store = resolve_cache(cache)
     started = time.perf_counter()
     telemetry = SweepTelemetry(total_runs=len(specs), jobs=jobs)
     outcomes: list[Optional[Outcome]] = [None] * len(specs)
-    keys = [cell_key(spec, verify) for spec in specs]
+    keys = [cell_key(spec, verified) for spec in specs]
     done = 0
     taps = [tap for tap in (progress, _ENGINE.progress) if tap is not None]
 

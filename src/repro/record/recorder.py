@@ -3,22 +3,17 @@
 :class:`FlightRecorder` is a pure observer subscribed to the machine's
 observation seam (:mod:`repro.sim.taps`):
 
-* the kernel's ``dispatch`` point (every fired event, with its cheap
-  low-cardinality label -- subscribing does *not* flip
-  ``verbose_labels``, so call sites compute exactly what they compute
-  in an unrecorded run and the schedule is pinned bit-identical);
+* the kernel's ``dispatch`` point (every fired event, with its
+  low-cardinality label);
 * the tap vocabulary for bus transactions, coherence handlers, deferral
   edits and transaction begin/commit/abort/restart, plus the post-call
   points, where it reads coherence state through the side-effect-free
   ``cache.peek``;
 * the scheduler's ``sched`` point (switch-in/out/migration).
 
-Two normalizations keep logs byte-reproducible across processes:
-request ids come from a process-global counter, so the recorder maps
-each ``req_id`` to a dense first-seen index; and dispatch labels are
-truncated to their first token, which removes embedded request reprs
-(present when a chaos run has ``verbose_labels`` on) and keeps the
-string table small.
+Request ids come from a process-global counter, so the recorder maps
+each ``req_id`` to a dense first-seen index; that keeps logs
+byte-reproducible across processes.
 """
 
 from __future__ import annotations
@@ -103,10 +98,10 @@ class FlightRecorder:
     """Records one machine's execution into a binary log stream.
 
     ``harness`` describes how the run is being driven (``{"kind":
-    "run"}`` or ``{"kind": "verify", "options": {...}}``) so the
-    replayer can reconstruct the *same* instrumentation -- a verify run
-    carries monitor-scheduled watchdog events whose kernel dispatches
-    are part of the log.
+    "run"}`` or ``{"kind": "verify"}``) so the replayer can reconstruct
+    the *same* instrumentation -- a verify run carries
+    monitor-scheduled watchdog events whose kernel dispatches are part
+    of the log.
 
     ``capacity`` optionally bounds the number of tap/state/defer
     records; once reached, further ones are dropped and tallied per
@@ -132,7 +127,6 @@ class FlightRecorder:
             "locks": sorted(locks or []),
         }
         self._writer = LogWriter(self._buffer, header)
-        self._label_ids: dict[str, int] = {}
         self._kind_ids: dict[str, int] = {}
         self._refs: dict[int, int] = {}
         self._line_states: dict[tuple[int, int], tuple[int, int]] = {}
@@ -172,14 +166,8 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     def _on_dispatch(self, time: int, cpu: int, kind: str, args: tuple,
                      obj: object) -> None:
-        label = args[0]
-        label_id = self._label_ids.get(label)
-        if label_id is None:
-            # First token only: drops per-request reprs (verbose runs)
-            # and keeps the interned table low-cardinality.
-            label_id = self._writer.intern(label.split(" ", 1)[0])
-            self._label_ids[label] = label_id
-        self._writer.dispatch(time, label_id)
+        writer = self._writer
+        writer.dispatch(time, writer.intern(args[0]))
 
     # ------------------------------------------------------------------
     # Machine points

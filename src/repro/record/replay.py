@@ -61,10 +61,9 @@ def _reexecute(image: LogImage) -> tuple[bytes, str, Optional[str]]:
     if harness.get("kind") == "verify":
         # Verify runs carry monitor instrumentation whose watchdog
         # events are part of the recorded schedule; replay must attach
-        # the same monitors with the same options.
-        from repro.verify.explorer import VerifyOptions, verify_run
-        options = VerifyOptions.from_dict(harness["options"])
-        result, _ = verify_run(spec, options, record=True)
+        # the same monitors.
+        from repro.verify.explorer import verify_run
+        result, _ = verify_run(spec, record=True)
         log = result.log_bytes or b""
         return log, _end_fingerprint(log), result.error
     recorded = record_run(spec)

@@ -15,8 +15,11 @@ from vanilla JavaScript:
 
 The page renders whatever profile object it finds first in the job's
 result payload (an object carrying both ``conflicts`` and ``totals``),
-so single runs, verify jobs and sweep cells all work without
-kind-specific plumbing.
+without kind-specific plumbing.  A run job's payload carries one; a
+sweep's carries one only where its reducer keeps a cell's full metrics
+export.  A verify job's never does: :func:`repro.verify.verify_run`
+attaches only :class:`~repro.obs.MachineMetrics`, not the lock
+profiler, so the page reports that the job has no profile.
 """
 
 from __future__ import annotations

@@ -88,13 +88,7 @@ class Simulator:
         self._events_fired = 0
         self.max_cycles = max_cycles
         self._actors: list[Any] = []
-        self._choice: Optional[Callable[[str], int]] = None
-        #: True when a choice hook may read event labels; hot call sites
-        #: consult this to skip building descriptive labels.
-        self.verbose_labels = False
-        #: ``taps.dispatch`` subscribers (the flight recorder) see the
-        #: cheap labels: subscribing leaves :attr:`verbose_labels` alone,
-        #: so the observed schedule is bit-identical to the bare one.
+        self._choice: Optional[Callable[[], int]] = None
         self.taps = taps if taps is not None else MachineTaps()
         self.deadline: Optional[float] = None
 
@@ -125,7 +119,7 @@ class Simulator:
             raise ValueError(f"negative delay {delay}")
         self._seq += 1
         choice = self._choice
-        prio = choice(label) if choice is not None else 0
+        prio = choice() if choice is not None else 0
         entry = [self.now + delay, prio, self._seq, fn, args, label]
         heapq.heappush(self._queue, entry)
         return entry
@@ -135,9 +129,8 @@ class Simulator:
         after the event fired, does nothing."""
         handle[3] = None
 
-    def set_choice_hook(self,
-                        fn: Optional[Callable[[str], int]]) -> None:
-        """Install a schedule *choice point*: ``fn(label)`` is consulted
+    def set_choice_hook(self, fn: Optional[Callable[[], int]]) -> None:
+        """Install a schedule *choice point*: ``fn()`` is consulted
         once per :meth:`schedule` call and its return value becomes the
         event's intra-cycle priority (lower fires first; ties fall back
         to FIFO order).
@@ -148,7 +141,6 @@ class Simulator:
         different but fully reproducible legal ordering.
         """
         self._choice = fn
-        self.verbose_labels = fn is not None
 
     # ------------------------------------------------------------------
     # Actors and completion

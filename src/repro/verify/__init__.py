@@ -14,17 +14,17 @@ Three layers, composable or standalone:
 
 :mod:`repro.verify.explorer` fans all of it across seeds (and the
 kernel's schedule-chaos choice points) through the parallel engine
-(``execute(..., verify=VerifyOptions())``), and
-shrinks any failing seed to a minimal traced reproduction.  CLI:
-``repro verify --seeds N --jobs J``.
+(``execute(..., verified=True)``), and shrinks any failing seed to a
+minimal traced reproduction.  The verifier has one configuration:
+every verified run attaches the recorder, the oracle and every
+monitor.  CLI: ``repro verify --seeds N --jobs J``.
 """
 
 from repro.verify.explorer import (DEFAULT_VERIFY_WORKLOADS,
                                    ExplorationResult, ShrunkFailure,
-                                   VerifyOptions, VerifyResult,
-                                   VerifySuiteResult, explore,
-                                   shrink_failure, verify_run,
-                                   verify_suite, with_chaos)
+                                   VerifyResult, VerifySuiteResult,
+                                   explore, shrink_failure, verify_run,
+                                   verify_suite)
 from repro.verify.monitors import InvariantViolation, MonitorSuite, Violation
 from repro.verify.oracle import (OracleReport, OracleViolation,
                                  SerializabilityOracle)
@@ -43,7 +43,6 @@ __all__ = [
     "ReadObservation",
     "SerializabilityOracle",
     "ShrunkFailure",
-    "VerifyOptions",
     "VerifyResult",
     "VerifySuiteResult",
     "Violation",
@@ -51,5 +50,4 @@ __all__ = [
     "shrink_failure",
     "verify_run",
     "verify_suite",
-    "with_chaos",
 ]

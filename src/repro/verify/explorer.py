@@ -5,9 +5,12 @@ explorer answers the useful question -- "can we find an interleaving
 that is not?" -- by fanning a spec across hundreds of seeds (and,
 optionally, the kernel's schedule-chaos choice points) through the sweep
 engine itself: :func:`repro.harness.parallel.execute` with
-``verify=VerifyOptions(...)`` runs every seed under the verifier, with
-the same process pool, kernel deadline and on-disk result cache as a
-plain sweep.  Verification failures are **findings**, so unlike
+``verified=True`` runs every seed under the verifier, with the same
+process pool, kernel deadline and on-disk result cache as a plain
+sweep.  The verifier has one configuration: the footprint recorder,
+the serializability oracle and every invariant monitor (the strict
+MOESI check included) judge every run, and the first monitor
+violation stops it.  Verification failures are **findings**, so unlike
 performance sweeps there are no retry-with-bumped-seed semantics: a
 failing seed is reported, then *shrunk* -- workload size halved while
 the failure reproduces, then the processor count -- and the minimal
@@ -46,32 +49,14 @@ from repro.verify.recorder import FootprintRecorder
 #     by ``from_dict``); pre-v4 cached verdicts lack the stamp.
 # v5: VerifyResult grew ``record_log`` (repro.record auto-capture of
 #     the shrunk failing schedule); pre-v5 verdicts lack the field.
-VERIFY_FINGERPRINT_VERSION = 5
+# v6: the verifier has one fixed configuration, so the key drops the
+#     ``options`` block (the monitor, oracle and strict-MOESI switches
+#     and the watchdog period and patience) that v5 keys carried.
+VERIFY_FINGERPRINT_VERSION = 6
 
 #: Cycles of trace to render before/after the first violation.
 TRACE_WINDOW_BEFORE = 2_000
 TRACE_WINDOW_AFTER = 500
-
-
-@dataclass(frozen=True)
-class VerifyOptions:
-    """Knobs for one verification run (part of the cache key)."""
-
-    monitors: bool = True            # run the invariant monitors
-    oracle: bool = True              # run the serializability oracle
-    strict_exclusive: bool = True    # MOESI strict-exclusivity check
-    watchdog_period: int = 20_000
-    watchdog_patience: int = 10
-
-    def to_dict(self) -> dict:
-        return {"monitors": self.monitors, "oracle": self.oracle,
-                "strict_exclusive": self.strict_exclusive,
-                "watchdog_period": self.watchdog_period,
-                "watchdog_patience": self.watchdog_patience}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerifyOptions":
-        return cls(**data)
 
 
 @dataclass
@@ -145,8 +130,8 @@ class VerifyResult:
 # ----------------------------------------------------------------------
 # One verified run
 # ----------------------------------------------------------------------
-def verify_run(spec: RunSpec, options: Optional[VerifyOptions] = None,
-               collect_trace: bool = False, record: bool = False,
+def verify_run(spec: RunSpec, collect_trace: bool = False,
+               record: bool = False,
                timeout: Optional[float] = None
                ) -> tuple[VerifyResult, Optional[Tracer]]:
     """Build, instrument and run one spec; judge the execution.
@@ -155,13 +140,12 @@ def verify_run(spec: RunSpec, options: Optional[VerifyOptions] = None,
     :class:`~repro.sim.trace.Tracer` for rendering.  With ``record``,
     a :class:`~repro.record.FlightRecorder` captures the run's binary
     event log into the verdict's ``log_bytes`` -- the harness mode is
-    embedded so ``repro replay`` re-attaches the same monitors (their
+    embedded so ``repro replay`` re-attaches the monitors (their
     watchdog events are part of the recorded schedule).  ``timeout``
     bounds the simulation's wall-clock seconds (not the oracle's
     post-pass): past it the kernel raises
     :class:`~repro.sim.kernel.RunTimeout`, which propagates.
     """
-    options = options or VerifyOptions()
     started = time.perf_counter()
     workload = spec.build_workload()
     machine = Machine(spec.config)
@@ -173,18 +157,11 @@ def verify_run(spec: RunSpec, options: Optional[VerifyOptions] = None,
         from repro.record import FlightRecorder
         flight = FlightRecorder(
             spec, locks=sorted(workload.lock_addrs),
-            harness={"kind": "verify",
-                     "options": options.to_dict()}).attach(machine)
+            harness={"kind": "verify"}).attach(machine)
     collector = (MachineMetrics().attach(machine)
                  if spec.config.metrics else None)
     recorder = FootprintRecorder().attach(machine)
-    monitors = None
-    if options.monitors:
-        monitors = MonitorSuite(
-            machine, fail_fast=True,
-            strict_exclusive=options.strict_exclusive,
-            watchdog_period=options.watchdog_period,
-            watchdog_patience=options.watchdog_patience).attach()
+    monitors = MonitorSuite(machine).attach()
     error: Optional[str] = None
     try:
         machine.run_workload(workload, validate=spec.validate)
@@ -193,17 +170,9 @@ def verify_run(spec: RunSpec, options: Optional[VerifyOptions] = None,
     except (InvariantViolation, ValidationError, SimulationError) as exc:
         error = f"{type(exc).__name__}: {exc}"
 
-    violations: list[str] = []
-    if monitors is not None:
-        violations.extend(str(v) for v in monitors.violations)
-    num_txns = len(recorder.committed)
-    edges: dict = {}
-    if options.oracle:
-        report = SerializabilityOracle(recorder).check(
-            machine.store.snapshot())
-        num_txns = report.num_txns
-        edges = report.edges
-        violations.extend(str(v) for v in report.violations)
+    report = SerializabilityOracle(recorder).check(machine.store.snapshot())
+    violations = [str(v) for v in monitors.violations]
+    violations.extend(str(v) for v in report.violations)
 
     stats_image = machine.stats.summary()
     summary = {key: stats_image.get(key, 0)
@@ -218,8 +187,8 @@ def verify_run(spec: RunSpec, options: Optional[VerifyOptions] = None,
         ok=error is None and not violations,
         error=error,
         violations=violations,
-        num_txns=num_txns,
-        edges=edges,
+        num_txns=report.num_txns,
+        edges=report.edges,
         elapsed=time.perf_counter() - started,
         cycles=stats_image.get("total_cycles", 0) or machine.sim.now,
         summary=summary,
@@ -234,24 +203,21 @@ def verify_run(spec: RunSpec, options: Optional[VerifyOptions] = None,
     return result, tracer
 
 
-def verify_fingerprint(spec: RunSpec, options: VerifyOptions) -> str:
-    """Cache key for one verification verdict: run fingerprint plus the
-    verification knobs plus the verifier's own version."""
-    payload = {"v": VERIFY_FINGERPRINT_VERSION,
-               "run": spec.fingerprint(),
-               "options": options.to_dict()}
+def verify_fingerprint(spec: RunSpec) -> str:
+    """Cache key for one verification verdict: the run fingerprint plus
+    the verifier's own version."""
+    payload = {"v": VERIFY_FINGERPRINT_VERSION, "run": spec.fingerprint()}
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return "verify-" + hashlib.sha256(
         canonical.encode("utf-8")).hexdigest()
 
 
-def _verify_one(spec: RunSpec, options: VerifyOptions,
-                timeout: Optional[float]) -> VerifyResult:
+def _verify_one(spec: RunSpec, timeout: Optional[float]) -> VerifyResult:
     """One verdict.  Failures are findings: a run that dies or times
     out becomes a failing verdict, never a retry."""
     started = time.perf_counter()
     try:
-        result, _ = verify_run(spec, options, timeout=timeout)
+        result, _ = verify_run(spec, timeout=timeout)
     except Exception as exc:  # timeout or an unexpected verifier crash
         result = VerifyResult(
             workload=spec.workload,
@@ -267,9 +233,8 @@ def _verify_one(spec: RunSpec, options: VerifyOptions,
 def _verify_worker(payload: tuple) -> dict:
     """Pool entry point for verified cells of
     :func:`repro.harness.parallel.execute` (must be picklable)."""
-    spec_dict, options_dict, timeout = payload
-    result = _verify_one(RunSpec.from_dict(spec_dict),
-                         VerifyOptions.from_dict(options_dict), timeout)
+    spec_dict, timeout = payload
+    result = _verify_one(RunSpec.from_dict(spec_dict), timeout)
     timed_out = (result.error or "").startswith(RunTimeout.__name__ + ":")
     return {"verdict": result.to_dict(), "attempts": 1,
             "timed_out": timed_out, "elapsed": result.elapsed}
@@ -283,7 +248,6 @@ class ExplorationResult:
     """Outcome of one seed fan-out."""
 
     spec: RunSpec                     # the base (seed-0) spec
-    options: VerifyOptions
     results: list[VerifyResult]
     cache_hits: int = 0
     wall_seconds: float = 0.0
@@ -309,28 +273,20 @@ class ExplorationResult:
                 f"{self.wall_seconds:.1f}s")
 
 
-def with_chaos(spec: RunSpec, chaos: int) -> RunSpec:
-    """Return ``spec`` with kernel schedule-chaos amplitude ``chaos``."""
-    return replace(spec, config=replace(spec.config, schedule_chaos=chaos))
-
-
 def explore(spec: RunSpec, *, seeds: int = 100, base_seed: int = 0,
             jobs: int = 1, timeout: Optional[float] = None,
-            cache=None, options: Optional[VerifyOptions] = None,
-            progress=None) -> ExplorationResult:
+            cache=None, progress=None) -> ExplorationResult:
     """Verify ``spec`` under ``seeds`` different seeds.
 
     ``progress(done, total, result)`` fires as verdicts land.  Verdicts
     are cached under :func:`verify_fingerprint`, so re-running an
     exploration only simulates seeds that were not seen before.
     """
-    options = options or VerifyOptions()
     specs = [spec.with_seed(base_seed + i) for i in range(seeds)]
     results, telemetry = execute(specs, jobs=jobs, timeout=timeout,
                                  cache=cache, progress=progress,
-                                 verify=options)
-    return ExplorationResult(spec=spec, options=options,
-                             results=results,
+                                 verified=True)
+    return ExplorationResult(spec=spec, results=results,
                              cache_hits=telemetry.cache_hits,
                              wall_seconds=telemetry.wall_seconds)
 
@@ -366,7 +322,6 @@ class ShrunkFailure:
 
 
 def shrink_failure(spec: RunSpec, *,
-                   options: Optional[VerifyOptions] = None,
                    timeout: Optional[float] = None,
                    max_rounds: int = 16) -> ShrunkFailure:
     """Shrink a failing spec to a minimal reproduction.
@@ -376,7 +331,6 @@ def shrink_failure(spec: RunSpec, *,
     the survivor with a :class:`~repro.sim.trace.Tracer` attached and
     renders the window around the first violation.
     """
-    options = options or VerifyOptions()
     current = spec
     steps = 0
     size_key = SIZE_PARAM.get(spec.workload)
@@ -384,7 +338,7 @@ def shrink_failure(spec: RunSpec, *,
     def try_shrunk(candidate: RunSpec) -> bool:
         # Shrinking must preserve the failure.
         nonlocal current, steps
-        if not _verify_one(candidate, options, timeout).ok:
+        if not _verify_one(candidate, timeout).ok:
             current = candidate
             steps += 1
             return True
@@ -412,13 +366,12 @@ def shrink_failure(spec: RunSpec, *,
     # Final instrumented run of the minimal reproduction, with a
     # record log captured so the exact failing schedule can be
     # replayed and time-travel-debugged offline.
-    result, tracer = verify_run(current, options, collect_trace=True,
-                                record=True)
+    result, tracer = verify_run(current, collect_trace=True, record=True)
     if result.ok:
         # The failure is flaky at this size (e.g. pool-vs-serial timing
         # of the wall clock); fall back to the unshrunk spec.
         current, steps = spec, 0
-        result, tracer = verify_run(current, options, collect_trace=True,
+        result, tracer = verify_run(current, collect_trace=True,
                                     record=True)
     if result.log_bytes:
         from repro.record import artifact_dir
@@ -500,8 +453,7 @@ def verify_suite(workloads: Sequence[str] = DEFAULT_VERIFY_WORKLOADS, *,
                  scheme=None, num_cpus: int = 4, seeds: int = 100,
                  ops: int = 96, chaos: int = 0, base_seed: int = 0,
                  jobs: int = 1, timeout: Optional[float] = None,
-                 cache=None, options: Optional[VerifyOptions] = None,
-                 shrink: bool = True, progress=None,
+                 cache=None, shrink: bool = True, progress=None,
                  policy: Optional[str] = None) -> VerifySuiteResult:
     """Explore every workload; shrink the first failing seed found.
 
@@ -512,7 +464,6 @@ def verify_suite(workloads: Sequence[str] = DEFAULT_VERIFY_WORKLOADS, *,
     from repro.harness.config import SyncScheme, SystemConfig
 
     scheme = scheme or SyncScheme.TLR
-    options = options or VerifyOptions()
     explorations: dict[str, ExplorationResult] = {}
     shrunk: Optional[ShrunkFailure] = None
     for name in workloads:
@@ -525,11 +476,10 @@ def verify_suite(workloads: Sequence[str] = DEFAULT_VERIFY_WORKLOADS, *,
                        workload_args={size_key: ops})
         exploration = explore(spec, seeds=seeds, base_seed=base_seed,
                               jobs=jobs, timeout=timeout, cache=cache,
-                              options=options, progress=progress)
+                              progress=progress)
         explorations[name] = exploration
         if shrunk is None and shrink and exploration.failures:
             failing = exploration.failures[0]
-            shrunk = shrink_failure(
-                spec.with_seed(failing.seed),
-                options=options, timeout=timeout)
+            shrunk = shrink_failure(spec.with_seed(failing.seed),
+                                    timeout=timeout)
     return VerifySuiteResult(explorations=explorations, shrunk=shrunk)

@@ -7,12 +7,11 @@ where the paper's safety and liveness arguments live:
 * **Coherence safety** -- after any event that changes a line's state
   somewhere (data grant, upgrade, invalidation, obligation service), at
   most one cache may hold the line writable (M/E) and at most one may be
-  its owner (M/O/E).  With ``strict_exclusive`` (the verify default)
-  the full MOESI reading is asserted too: a writable copy implies no
-  other valid copy anywhere.  That holds in this simulator because
-  snoops apply invalidations synchronously at delivery; a future
-  split-transaction invalidation model would need the flag off during
-  the in-flight window.
+  its owner (M/O/E).  The full MOESI reading is asserted too: a
+  writable copy implies no other valid copy anywhere.  That holds in
+  this simulator because snoops apply invalidations synchronously at
+  delivery; a future split-transaction invalidation model would have
+  to exempt the in-flight window.
 
 * **Deferral-order sanity** -- every deferral the controllers take must
   be explainable by the *active contention policy's* declared ordering
@@ -44,16 +43,16 @@ where the paper's safety and liveness arguments live:
   lock-fallback progress -- requester-wins bounding its losses --
   still counts as progress.)
 
-Violations raise :class:`InvariantViolation` (a
-:class:`~repro.sim.kernel.SimulationError`) so a failing run stops at
-the first bad event with the simulated time attached -- or, with
-``fail_fast=False``, are collected in :attr:`MonitorSuite.violations`.
+A violation is recorded in :attr:`MonitorSuite.violations` and raised
+as :class:`InvariantViolation` (a
+:class:`~repro.sim.kernel.SimulationError`), so a failing run stops at
+the first bad event with the simulated time attached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NoReturn, Optional
 
 from repro.coherence.messages import beats
 from repro.sim.kernel import SimulationError
@@ -91,13 +90,10 @@ class MonitorSuite:
         assert not monitors.violations
     """
 
-    def __init__(self, machine: "Machine", *, fail_fast: bool = True,
-                 strict_exclusive: bool = False,
+    def __init__(self, machine: "Machine", *,
                  watchdog_period: int = 20_000,
                  watchdog_patience: int = 10):
         self.machine = machine
-        self.fail_fast = fail_fast
-        self.strict_exclusive = strict_exclusive
         self.watchdog_period = watchdog_period
         self.watchdog_patience = watchdog_patience
         self.violations: list[Violation] = []
@@ -119,12 +115,11 @@ class MonitorSuite:
         return self
 
     def _fail(self, kind: str, cpu: Optional[int], line: Optional[int],
-              detail: str) -> None:
+              detail: str) -> NoReturn:
         violation = Violation(time=self.machine.sim.now, kind=kind,
                               cpu=cpu, line=line, detail=detail)
         self.violations.append(violation)
-        if self.fail_fast:
-            raise InvariantViolation(str(violation))
+        raise InvariantViolation(str(violation))
 
     # ------------------------------------------------------------------
     # Point: line state changed somewhere -- MOESI compatibility
@@ -151,7 +146,7 @@ class MonitorSuite:
         if len(owners) > 1:
             self._fail("coherence", controller.cpu_id, line_addr,
                        f"{len(owners)} owners (M/O/E): cpus {owners}")
-        if self.strict_exclusive and writable and len(valid) > 1:
+        if writable and len(valid) > 1:
             self._fail("coherence", controller.cpu_id, line_addr,
                        f"cpu{writable[0]} holds the line writable while "
                        f"cpus {sorted(set(valid) - set(writable))} still "
@@ -312,7 +307,6 @@ class MonitorSuite:
                     f"earliest timestamp {ts} (cpu{cpu}) made no commit "
                     f"for {self._stuck_windows * self.watchdog_period} "
                     "cycles -- the earliest transaction is not winning")
-                self._stuck_windows = 0
         else:
             self._last_progress = progress
             self._stuck_windows = 0
@@ -343,7 +337,6 @@ class MonitorSuite:
                     f"while speculation is live (policy "
                     f"{machine.controllers[0].policy.name!r} is "
                     "livelocked)")
-                self._stuck_windows = 0
         else:
             self._last_progress = (completed,)
             self._stuck_windows = 0

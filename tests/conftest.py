@@ -52,10 +52,12 @@ def space() -> AddressSpace:
 
 @pytest.fixture(autouse=True)
 def _isolated_result_cache(tmp_path, monkeypatch):
-    """Point the sweep engine's on-disk result cache at a per-test
-    directory so tests never read from (or write into) the user's real
-    ``~/.cache/repro-tlr``."""
+    """Point the sweep engine's on-disk result cache and the record-log
+    auto-capture directory at per-test directories, so tests never read
+    from (or write into) the user's real ``~/.cache/repro-tlr`` or the
+    working tree's ``artifacts/``."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "result-cache"))
+    monkeypatch.setenv("REPRO_ARTIFACT_DIR", str(tmp_path / "artifacts"))
 
 
 ALL_SCHEMES = (SyncScheme.BASE, SyncScheme.MCS, SyncScheme.SLE,

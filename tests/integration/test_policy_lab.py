@@ -27,7 +27,7 @@ from repro.harness.runner import execute_workload, result_fingerprint
 from repro.harness.spec import RunSpec
 from repro.policies import POLICY_NAMES, PolicyDecision
 from repro.policies.timestamp import TimestampDeferral
-from repro.verify import VerifyOptions, verify_run
+from repro.verify import verify_run
 from repro.verify.monitors import InvariantViolation, MonitorSuite
 from repro.workloads.microbench import linked_list, single_counter
 
@@ -94,8 +94,8 @@ def test_requester_wins_without_fallback_livelocks():
     """The starvation watchdog must flag the livelock long before the
     cycle budget would -- and name the policy."""
     machine = Machine(_livelock_config())
-    MonitorSuite(machine, fail_fast=True,
-                 watchdog_period=2_000, watchdog_patience=5).attach()
+    MonitorSuite(machine, watchdog_period=2_000,
+                 watchdog_patience=5).attach()
     with pytest.raises(InvariantViolation, match="starvation") as exc:
         machine.run_workload(
             single_counter(4, total_increments=64, think_cycles=200))
@@ -137,7 +137,7 @@ def test_policy_serializability_fanout(policy, workload):
                            num_cpus=4, scheme=SyncScheme.TLR,
                            seed=seed, spec=base.spec),
                        workload_args={size_key: 96})
-        result, _ = verify_run(spec, VerifyOptions())
+        result, _ = verify_run(spec)
         assert result.ok, (f"{policy}/{workload}/seed{seed}: "
                            f"{result.violations or result.error}")
         assert result.num_txns > 0
@@ -155,7 +155,7 @@ def test_nack_chained_request_corner():
                    config=SystemConfig(num_cpus=4, scheme=SyncScheme.TLR)
                    .with_policy("nack"),
                    workload_args={"total_increments": 96})
-    result, _ = verify_run(spec, VerifyOptions())
+    result, _ = verify_run(spec)
     assert result.ok, result.violations or result.error
     assert result.summary["nacks_sent"] > 0
     assert result.summary["requests_deferred"] > 0
@@ -192,7 +192,7 @@ def test_monitor_flags_deferral_under_no_ordering_policy():
     machine = Machine(SystemConfig(num_cpus=4, scheme=SyncScheme.TLR))
     for controller in machine.controllers:
         controller.policy.ordering = "none"
-    MonitorSuite(machine, fail_fast=True).attach()
+    MonitorSuite(machine).attach()
     with pytest.raises(InvariantViolation, match="deferral-order"):
         machine.run_workload(single_counter(4, 96))
 
@@ -207,6 +207,6 @@ def test_oracle_handles_mixed_lock_and_transactional_history():
                            ).with_policy("requester-wins", fallback_k=1)
         spec = RunSpec(workload="single-counter", config=cfg,
                        workload_args={"total_increments": 96})
-        result, _ = verify_run(spec, VerifyOptions())
+        result, _ = verify_run(spec)
         assert result.ok, result.violations or result.error
         assert result.summary["lock_fallbacks"] > 0  # mixing occurred

@@ -17,6 +17,7 @@ The load-bearing contracts:
   real machine and catch an injected conflict-handling bug.
 """
 
+import hashlib
 import json
 import threading
 import urllib.error
@@ -28,14 +29,16 @@ import pytest
 import repro.coherence.controller as controller_module
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.jobs import JobResult, collect_artifacts
+from repro.harness.machine import Machine
 from repro.harness.runner import execute_workload, result_fingerprint
 from repro.harness.spec import JobSpec, RunSpec, stamp_schema
 from repro.record import load_log, record_run, replay_log
 from repro.serve import JobQueue
 from repro.serve.http import JobServer
 from repro.serve.queue import Job
-from repro.verify.explorer import (VerifyOptions, explore, shrink_failure,
-                                   verify_run)
+from repro.sim.kernel import SimulationError
+from repro.verify import FootprintRecorder, SerializabilityOracle
+from repro.verify.explorer import explore, shrink_failure, verify_run
 from repro.workloads.litmus import LITMUS_WORKLOADS
 
 # Pinned by tests/integration/test_policy_lab.py on the pre-refactor
@@ -101,6 +104,47 @@ class TestRecordReplayMatrix:
 
 
 # ----------------------------------------------------------------------
+# Schedule chaos: the kernel choice hook's draws are part of the log
+# ----------------------------------------------------------------------
+#: sha256 of ``record_run(...).log`` for linked-list, 8 CPUs, TLR,
+#: ``schedule_chaos=3``, ``total_ops=96``, per protocol.  Any change to
+#: where the choice hook is consulted, or to the labels the recorder
+#: interns, moves these.
+CHAOS_LOG_SHA256 = {
+    "snoop":
+        "2ec0f07e6a324e96dc705ecd2fd17a15fd0cf54831758fcd9bf6e7ef654aacde",
+    "directory":
+        "7a0221ed5c0ee6069dec97ce71f17ed4ccdcdc39d444c64488169cef7cc7ebea",
+}
+
+
+def _chaos_spec(protocol: str) -> RunSpec:
+    config = SystemConfig(num_cpus=8, scheme=SyncScheme.TLR,
+                          schedule_chaos=3, protocol=protocol)
+    return RunSpec(workload="linked-list", config=config,
+                   workload_args={"total_ops": 96})
+
+
+class TestChaosRecordReplay:
+    @pytest.mark.parametrize("protocol", sorted(CHAOS_LOG_SHA256))
+    def test_chaos_log_is_pinned_and_replays_pure(self, protocol):
+        recorded = record_run(_chaos_spec(protocol))
+        assert recorded.error is None
+        assert hashlib.sha256(recorded.log).hexdigest() == \
+            CHAOS_LOG_SHA256[protocol]
+        report = replay_log(recorded.log)
+        assert report.ok, report.render()
+
+    def test_chaos_verify_log_replays_pure(self):
+        result, _ = verify_run(_chaos_spec("snoop"), record=True)
+        assert result.ok, result.headline()
+        assert load_log(result.log_bytes).header["harness"] == \
+            {"kind": "verify"}
+        report = replay_log(result.log_bytes)
+        assert report.ok, report.render()
+
+
+# ----------------------------------------------------------------------
 # Verify-harness capture
 # ----------------------------------------------------------------------
 class TestVerifyCapture:
@@ -150,9 +194,19 @@ class TestLitmusConformance:
         monkeypatch.setattr(
             controller_module.CacheController, "_handle_loss",
             lambda self, reason, line_addr, ts=None, aborter=-1: None)
-        spec = replace(_spec("litmus-atomicity", ops=64), validate=False)
-        result, _ = verify_run(spec, VerifyOptions(monitors=False))
-        assert not result.ok, (
+        # No monitors attached: the run must end in a kernel error or
+        # an oracle violation (a verify verdict's "not ok").
+        spec = _spec("litmus-atomicity", ops=64)
+        machine = Machine(spec.config)
+        recorder = FootprintRecorder().attach(machine)
+        error = None
+        try:
+            machine.run_workload(spec.build_workload(), validate=False)
+        except SimulationError as exc:
+            error = exc
+        report = SerializabilityOracle(recorder).check(
+            machine.store.snapshot())
+        assert error is not None or not report.ok, (
             "the atomicity litmus missed injected lost updates")
 
     @pytest.mark.parametrize("workload", LITMUS_WORKLOADS)

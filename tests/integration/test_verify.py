@@ -3,6 +3,7 @@ pass the oracle and monitors, instrumentation does not perturb the
 execution, and deliberately broken conflict resolution is caught and
 shrunk to a traced minimal reproduction."""
 
+import os
 from dataclasses import replace
 
 import pytest
@@ -14,9 +15,9 @@ from repro.coherence.messages import beats as real_beats
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.machine import Machine
 from repro.harness.spec import SIZE_PARAM, RunSpec
-from repro.verify import (FootprintRecorder, MonitorSuite, VerifyOptions,
-                          explore, shrink_failure, verify_run, verify_suite,
-                          with_chaos)
+from repro.verify import (FootprintRecorder, InvariantViolation,
+                          MonitorSuite, SerializabilityOracle, explore,
+                          shrink_failure, verify_run, verify_suite)
 from repro.workloads.microbench import single_counter
 
 from tests.conftest import small_config
@@ -62,7 +63,7 @@ class TestVerifyRun:
         assert result.ok, result.headline()
 
     def test_chaos_mode_passes(self):
-        result, _ = verify_run(with_chaos(_spec("linked-list"), 3))
+        result, _ = verify_run(_spec("linked-list", schedule_chaos=3))
         assert result.ok, result.headline()
 
     def test_recorder_does_not_perturb_execution(self):
@@ -72,14 +73,29 @@ class TestVerifyRun:
 
         instrumented = Machine(small_config(4, SyncScheme.TLR))
         recorder = FootprintRecorder().attach(instrumented)
-        monitors = MonitorSuite(instrumented,
-                                strict_exclusive=True).attach()
+        monitors = MonitorSuite(instrumented).attach()
         wrapped_stats = instrumented.run_workload(single_counter(4, 64))
 
         assert wrapped_stats.total_cycles == plain_stats.total_cycles
         assert plain.store.snapshot() == instrumented.store.snapshot()
         assert not monitors.violations
         assert len(recorder.committed) > 0
+
+    def test_directly_built_suite_checks_strict_exclusivity(self):
+        """One cache holds the line writable (E) while another still
+        holds a valid (S) copy: no single-writer or single-owner rule
+        breaks, only the strict MOESI one."""
+        from repro.coherence.states import State
+        machine = Machine(small_config(2, SyncScheme.TLR))
+        monitors = MonitorSuite(machine)
+        line_addr = 0x40
+        for ctl, state in zip(machine.controllers,
+                              (State.EXCLUSIVE, State.SHARED)):
+            ctl.cache.install(line_addr, state)
+        with pytest.raises(InvariantViolation, match="still hold valid"):
+            monitors.on_line_state(0, 0, "line-state", (line_addr,),
+                                   machine.controllers[0])
+        assert [v.kind for v in monitors.violations] == ["coherence"]
 
     def test_committed_footprints_are_recorded(self):
         spec = _spec(ops=32)
@@ -149,6 +165,10 @@ class TestMutationDetection:
 
         shrunk = shrink_failure(spec.with_seed(failing.seed))
         assert not shrunk.result.ok
+        # The replayable log of the minimal schedule lands in the
+        # auto-capture directory, never in the working tree.
+        assert shrunk.result.record_log.startswith(
+            os.environ["REPRO_ARTIFACT_DIR"])
         # Shrinking found a smaller reproduction and rendered a trace.
         assert shrunk.spec.workload_args[SIZE_PARAM["linked-list"]] <= 128
         assert shrunk.spec.config.num_cpus <= 8
@@ -158,13 +178,17 @@ class TestMutationDetection:
         assert any(ch.isdigit() for ch in shrunk.trace)
 
     def test_ignored_losses_caught_by_oracle_alone(self, ignored_losses):
-        # Monitors off: the serializability oracle must catch the lost
-        # updates by itself.
-        spec = replace(_spec(ops=64), validate=False)
-        result, _ = verify_run(spec, VerifyOptions(monitors=False))
-        assert not result.ok
-        assert any("stale-read" in v or "final-state" in v
-                   for v in result.violations)
+        # No monitors attached: the serializability oracle must catch
+        # the lost updates by itself.
+        spec = _spec(ops=64)
+        machine = Machine(spec.config)
+        recorder = FootprintRecorder().attach(machine)
+        machine.run_workload(spec.build_workload(), validate=False)
+        report = SerializabilityOracle(recorder).check(
+            machine.store.snapshot())
+        assert not report.ok
+        assert any("stale-read" in str(v) or "final-state" in str(v)
+                   for v in report.violations)
 
 
 class TestVerifySuite:

@@ -186,7 +186,7 @@ def test_choice_hook_reorders_same_cycle_events():
     fired = []
     # Reverse priority: later-scheduled events get lower prio values.
     order = iter([3, 2, 1])
-    sim.set_choice_hook(lambda label: next(order))
+    sim.set_choice_hook(lambda: next(order))
     for tag in "abc":
         sim.schedule(7, fired.append, tag)
     sim.run()
@@ -196,7 +196,7 @@ def test_choice_hook_reorders_same_cycle_events():
 def test_choice_hook_ties_fall_back_to_fifo():
     sim = Simulator()
     fired = []
-    sim.set_choice_hook(lambda label: 0)
+    sim.set_choice_hook(lambda: 0)
     for tag in range(4):
         sim.schedule(7, fired.append, tag)
     sim.run()
@@ -206,9 +206,9 @@ def test_choice_hook_ties_fall_back_to_fifo():
 def test_choice_hook_never_reorders_across_cycles():
     sim = Simulator()
     fired = []
-    sim.set_choice_hook(lambda label: 99)
+    sim.set_choice_hook(lambda: 99)
     sim.schedule(5, fired.append, "early")
-    sim.set_choice_hook(lambda label: 0)
+    sim.set_choice_hook(lambda: 0)
     sim.schedule(6, fired.append, "late")
     sim.run()
     assert fired == ["early", "late"]
@@ -257,7 +257,7 @@ class TestAgainstReferenceModel:
         sim = Simulator()
         prios = []     # what the choice hook returned, in call order
 
-        def hook(label):
+        def hook():
             prios.append(hook_rng.randrange(3))
             return prios[-1]
 

@@ -137,22 +137,19 @@ class TestTimeout:
         assert failed.error == "RunTimeout"
 
     def test_timed_out_verified_cell_is_a_failing_verdict(self):
-        from repro.verify import VerifyOptions
         (verdict,), telemetry = execute([_long_spec()], jobs=1,
-                                        timeout=0.001,
-                                        verify=VerifyOptions())
+                                        timeout=0.001, verified=True)
         assert not verdict.ok
         assert verdict.error.startswith("RunTimeout")
         assert (telemetry.failures, telemetry.retries) == (1, 0)
 
     def test_timed_out_verdict_is_not_cached(self, tmp_path):
-        from repro.verify import VerifyOptions
         cache = ResultCache(tmp_path)
         (cut,), first = execute([_long_spec()], jobs=1, timeout=0.001,
-                                cache=cache, verify=VerifyOptions())
+                                cache=cache, verified=True)
         assert cut.error.startswith("RunTimeout")
         (verdict,), second = execute([_long_spec()], jobs=1, cache=cache,
-                                     verify=VerifyOptions())
+                                     verified=True)
         assert second.cache_hits == 0
         assert verdict.ok
         assert (first.timeouts, second.timeouts) == (1, 0)
@@ -160,21 +157,19 @@ class TestTimeout:
 
 class TestVerifiedCells:
     def test_jobs_zero_means_one_per_cpu(self):
-        from repro.verify import VerifyOptions
-        _, telemetry = execute([_spec()], jobs=0, verify=VerifyOptions())
+        _, telemetry = execute([_spec()], jobs=0, verified=True)
         assert telemetry.jobs == os.cpu_count()
 
     def test_verdict_cached_under_its_verification_fingerprint(
             self, tmp_path):
-        from repro.verify.explorer import VerifyOptions, verify_fingerprint
+        from repro.verify.explorer import verify_fingerprint
         cache = ResultCache(tmp_path)
-        options = VerifyOptions()
-        (first,), cold = execute([_spec()], cache=cache, verify=options)
-        entry = cache.get(verify_fingerprint(_spec(), options))
+        (first,), cold = execute([_spec()], cache=cache, verified=True)
+        entry = cache.get(verify_fingerprint(_spec()))
         assert set(entry) == {"spec", "verdict"}
         assert entry["verdict"] == first.to_dict()
         assert cache.get(_spec().fingerprint()) is None
-        (second,), warm = execute([_spec()], cache=cache, verify=options)
+        (second,), warm = execute([_spec()], cache=cache, verified=True)
         assert (cold.simulated, warm.cache_hits) == (1, 1)
         assert second.to_dict() == first.to_dict()
 

@@ -624,14 +624,12 @@ class CacheController:
             taps.defer_post.emit(self, request)
 
     def _send_marker(self, request: BusRequest) -> None:
-        marker = Marker(line=request.line, sender=self.cpu_id,
-                        req_id=request.req_id)
         target = self._controllers.get(request.requester)
         if target is not None:
             self.stats.markers_sent += 1
             delay = self._ctl_perturb(self._ctl_latency)
-            self.sim.schedule(delay, target.handle_marker, marker,
-                              label="marker")
+            self.sim.schedule(delay, target.handle_marker, request.line,
+                              self.cpu_id, request.req_id, label="marker")
 
     def _send_remote_abort(self, request: BusRequest) -> None:
         """Tell the requester its transaction lost (ABORT_REQUESTER)."""
@@ -655,20 +653,22 @@ class CacheController:
             return
         self.stats.probes_sent += 1
         delay = self._ctl_perturb(self._ctl_latency)
-        self.sim.schedule(delay, target.handle_probe,
-                          Probe(line=line_addr, ts=ts, origin=origin),
-                          label="probe")
+        self.sim.schedule(delay, target.handle_probe, line_addr, ts,
+                          origin, label="probe")
 
-    def handle_marker(self, marker: Marker) -> None:
+    def handle_marker(self, line_addr: int, sender: int,
+                      req_id: int) -> None:
         if self.taps.marker:
-            self.taps.marker.emit(self, marker)
-        chain = self.chains.get(marker.line)
+            self.taps.marker.emit(
+                self, Marker(line=line_addr, sender=sender, req_id=req_id))
+        chain = self.chains.get(line_addr)
         if chain is None:
             return  # The miss already completed; the chain is gone.
-        for ts in chain.learn_upstream(marker.sender):
-            self._send_probe(marker.sender, marker.line, ts, origin=-1)
+        for ts in chain.learn_upstream(sender):
+            self._send_probe(sender, line_addr, ts, origin=-1)
 
-    def handle_probe(self, probe: Probe) -> None:
+    def handle_probe(self, line_addr: int, ts: Timestamp,
+                     origin: int) -> None:
         """Forward a probe upstream if we are mid-chain, then let it
         challenge our transaction on a line it accessed, missed on or
         defers for.  Beaten, an owner restarts (``probe-lost``) and a
@@ -676,15 +676,18 @@ class CacheController:
         (``probe-lost-pending``) unless single-block relaxation holds.
         """
         taps = self.taps
-        if taps.probe:
-            taps.probe.emit(self, probe)
-        line_addr = probe.line
-        ts = probe.ts
+        probe = None
+        if taps.probe or taps.probe_post:
+            # Only a subscriber sees the message object; both of its
+            # points get the same one.
+            probe = Probe(line=line_addr, ts=ts, origin=origin)
+            if taps.probe:
+                taps.probe.emit(self, probe)
         mshr = self.mshrs.get(line_addr)
         if mshr is not None:
             chain = self.chains.get(line_addr)
             if chain is not None and chain.queue_probe(ts):
-                self._send_probe(chain.upstream, line_addr, ts, probe.origin)
+                self._send_probe(chain.upstream, line_addr, ts, origin)
         if self.speculating and self.tlr_enabled:
             # The lookup bumps LRU and may promote a victim.  A deferred
             # line stays the transaction's even if a restart swept its
@@ -698,11 +701,11 @@ class CacheController:
                     if mshr is None:
                         self.stats.probe_losses += 1
                         self._handle_loss("probe-lost", line_addr, ts,
-                                          probe.origin)
+                                          origin)
                     elif not self._relaxation_ok(line_addr):
                         mshr.pass_through = True
                         self._handle_loss("probe-lost-pending", line_addr,
-                                          ts, probe.origin)
+                                          ts, origin)
         if taps.probe_post:
             taps.probe_post.emit(self, probe)
 

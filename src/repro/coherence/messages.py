@@ -107,7 +107,9 @@ class Marker:
     Sent when a request's data is not provided immediately -- either
     because the owner is deferring it or because the owner is itself
     waiting for data.  Tells the requester who its upstream neighbour in
-    the coherence chain is, enabling probes.
+    the coherence chain is, enabling probes.  It travels as the
+    receiver's event arguments; this object is built only as the payload
+    of the ``marker`` tap, for its subscribers.
     """
 
     line: int
@@ -122,7 +124,9 @@ class Probe:
 
     Forwarded hop-by-hop along marker-established chain edges until it
     reaches a node that can resolve the conflict (win: keep deferring;
-    lose: restart and release ownership).
+    lose: restart and release ownership).  Like :class:`Marker` it
+    travels as event arguments and is built only for ``probe`` tap
+    subscribers.
     """
 
     line: int

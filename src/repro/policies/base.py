@@ -97,11 +97,11 @@ class ContentionPolicy:
         """Pick an outcome for one conflict.  Must be side-effect-free."""
         raise NotImplementedError
 
-    def probe_beats(self, probe_ts: Timestamp,
-                    holder_ts: Optional[Timestamp]) -> bool:
-        """Does a probe championing ``probe_ts`` defeat the holder?
-        (Probes re-evaluate chain conflicts; Section 3.1.1.)"""
-        return beats(probe_ts, holder_ts)
+    #: ``probe_beats(probe_ts, holder_ts)``: does a probe championing
+    #: ``probe_ts`` defeat the holder?  (Probes re-evaluate chain
+    #: conflicts; Section 3.1.1.)  The paper's rule is plain timestamp
+    #: order, bound directly so a probe's judgement is one call.
+    probe_beats = staticmethod(beats)
 
     def must_release_before_miss(self, deferred, holder_ts) -> bool:
         """Must the holder release its deferred queue before taking a

@@ -24,7 +24,11 @@ and must be pure observers -- no scheduling, no random draws, no machine
 mutation -- which keeps observed runs bit-identical to bare ones.
 
 The tap vocabulary (:data:`TAP_KINDS`) fires on handler entry, before
-any early return, with the handler's positional arguments; the kinds in
+any early return, with the handler's positional arguments, except that
+``probe`` and ``marker`` pass one :class:`~repro.coherence.messages.Probe`
+or :class:`~repro.coherence.messages.Marker` built from them (only when
+the point has subscribers; ``probe`` and its post point share it); the
+kinds in
 :data:`POST_KINDS` fire again (``post=True``) on every return path.  The
 other points, with their ``args``: ``issued``/``nacked``/``filled``
 (request; a live miss left for the bus, was refused, was filled),

@@ -109,12 +109,15 @@ class ChainState:
     """Marker/probe bookkeeping for one line's outstanding miss.
 
     ``queue_probe`` is the one forwarding rule, used by the controller's
-    ``handle_probe`` and ``_chain_behind_miss``.  Probes are *not*
-    deduplicated: one can land while its target is mid-restart and be
-    ignored, so waiters re-probe on a watchdog period until their miss
-    completes.  Probes travel strictly upstream along marker edges, so a
-    receipt causes at most one forward and no loop, but every receipt is
-    forwarded: probes are two thirds of a 64-CPU directory run's events.
+    ``handle_probe`` and ``_chain_behind_miss``.  A probe travels as the
+    event arguments ``(line, ts, origin)`` and a marker as ``(line,
+    sender, req_id)``; no message object exists unless an observer
+    subscribed to its tap.  Probes are *not* deduplicated: one can land
+    while its target is mid-restart and be ignored, so waiters re-probe
+    on a watchdog period until their miss completes.  Probes travel
+    strictly upstream along marker edges, so a receipt causes at most one
+    forward and no loop, but every receipt is forwarded: probes are two
+    thirds of a 64-CPU directory run's events.
     """
 
     upstream: Optional[int] = None

@@ -54,9 +54,8 @@ class TimestampAuthority:
 
     def observe_conflict(self, other: Optional[Timestamp]) -> None:
         """Record the clock of a conflicting request (for loose sync)."""
-        if other is not None:
-            self._max_conflicting_clock = max(self._max_conflicting_clock,
-                                              other[0])
+        if other is not None and other[0] > self._max_conflicting_clock:
+            self._max_conflicting_clock = other[0]
 
     def commit(self) -> None:
         """Successful TLR execution: advance the clock monotonically."""

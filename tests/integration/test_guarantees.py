@@ -1,10 +1,12 @@
 """Section 4 contracts: the architecturally-specified footprint
-guarantee and thread termination."""
+guarantee and thread termination; and Section 3's starvation freedom."""
 
 import pytest
 
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.machine import Machine
+from repro.harness.runner import execute_workload
+from repro.harness.spec import RunSpec
 from repro.runtime.program import Workload
 from repro.sim.kernel import SimulationError
 from repro.sync.locks import FREE
@@ -142,3 +144,31 @@ class TestTermination:
         machine.run_workload(workload, validate=False)
         machine.processors[1].terminate()  # already done: no-op
         assert machine.store.read(counter) == 4
+
+
+class TestStarvationFreedom:
+    """TLR is starvation-free (Section 3): a restarted transaction keeps
+    its timestamp, so it loses at most once to each older one and needs
+    at most ``num_cpus`` attempts.  Probes carry that liveness on long
+    coherence chains, so a forwarding rule that drops a repeat the
+    chain needs shows up here as a blown attempt count."""
+
+    @pytest.mark.parametrize("protocol,cpus,ops", [("snoop", 16, 256),
+                                                   ("directory", 64, 64)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_attempts_per_transaction_bounded_by_cpus(self, protocol, cpus,
+                                                      ops, seed):
+        spec = RunSpec("linked-list",
+                       SystemConfig(num_cpus=cpus, scheme=SyncScheme.TLR,
+                                    seed=seed, protocol=protocol),
+                       {"total_ops": ops})
+        result = execute_workload(spec.build_workload(), spec.config)
+        locks = result.metrics["profile"]["locks"]
+        assert locks
+        for lock in locks.values():
+            # Every restart is a conflict loss: no capacity or
+            # write-buffer overflow restart (which the bound does not
+            # cover) happens in these runs.
+            assert set(lock["aborts_by_cause"]) <= {"conflict"}, \
+                lock["aborts_by_reason"]
+            assert lock["attempts_per_txn"]["max"] <= cpus

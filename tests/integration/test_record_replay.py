@@ -190,14 +190,18 @@ class TestLitmusConformance:
         assert exploration.ok, exploration.summary()
         assert exploration.total_txns > 0
 
-    def test_atomicity_litmus_catches_lost_updates(self, monkeypatch):
-        monkeypatch.setattr(
-            controller_module.CacheController, "_handle_loss",
-            lambda self, reason, line_addr, ts=None, aborter=-1: None)
-        # No monitors attached: the run must end in a kernel error or
-        # an oracle violation (a verify verdict's "not ok").
+    #: 100x the clean run's 6,623 cycles (4 CPUs, 64 rounds).  The
+    #: mutant below livelocks; at the default 500M-cycle budget it
+    #: would spin for about 40 s before the kernel gives up.
+    LITMUS_BUDGET = 100 * 6_623
+
+    def _litmus_atomicity(self):
+        """Run the atomicity litmus under :attr:`LITMUS_BUDGET` with no
+        monitors attached; return the kernel error (or None) and the
+        oracle's report."""
         spec = _spec("litmus-atomicity", ops=64)
-        machine = Machine(spec.config)
+        machine = Machine(replace(spec.config,
+                                  max_cycles=self.LITMUS_BUDGET))
         recorder = FootprintRecorder().attach(machine)
         error = None
         try:
@@ -206,8 +210,25 @@ class TestLitmusConformance:
             error = exc
         report = SerializabilityOracle(recorder).check(
             machine.store.snapshot())
+        return error, report
+
+    def test_atomicity_litmus_clean_run_fits_the_budget(self):
+        error, report = self._litmus_atomicity()
+        assert error is None
+        assert report.ok, report
+
+    def test_atomicity_litmus_catches_lost_updates(self, monkeypatch):
+        monkeypatch.setattr(
+            controller_module.CacheController, "_handle_loss",
+            lambda self, reason, line_addr, ts=None, aborter=-1: None)
+        # The run must end in a kernel error or an oracle violation (a
+        # verify verdict's "not ok").
+        error, report = self._litmus_atomicity()
         assert error is not None or not report.ok, (
             "the atomicity litmus missed injected lost updates")
+        # What catches this fault today is the livelock, not the oracle.
+        assert type(error) is SimulationError
+        assert "cycle budget exhausted" in str(error)
 
     @pytest.mark.parametrize("workload", LITMUS_WORKLOADS)
     def test_recorded_litmus_replays_pure(self, workload):

@@ -2,14 +2,20 @@
 writeback races, capacity pressure during speculation, directory state
 movement, and deferral bookkeeping."""
 
+from collections import Counter
+
 import pytest
 
-from repro.coherence.controller import Decision
-from repro.coherence.messages import MEMORY, BusRequest, Probe, ReqKind
+from repro.coherence import controller as controller_module
+from repro.coherence.controller import CacheController, Decision
+from repro.coherence.messages import (MEMORY, BusRequest, Marker, Probe,
+                                      ReqKind)
 from repro.coherence.states import State
 from repro.cpu import isa
-from repro.harness.config import SyncScheme
+from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.machine import Machine
+from repro.harness.runner import execute_workload
+from repro.harness.spec import RunSpec
 from repro.runtime.program import Workload
 from repro.tlr.deferral import ChainState
 from repro.workloads.common import AddressSpace
@@ -224,7 +230,7 @@ class TestHandleProbe:
         return mshr
 
     def probe(self, ctl):
-        ctl.handle_probe(Probe(line=self.LINE, ts=self.EARLY, origin=2))
+        ctl.handle_probe(self.LINE, self.EARLY, 2)
 
     @pytest.mark.parametrize("scheme,ts", [(SyncScheme.TLR, None),
                                            (SyncScheme.SLE, None),
@@ -297,6 +303,106 @@ class TestHandleProbe:
         self.probe(ctl)
         assert reasons == []
         assert ctl.stats.probe_losses == 0 and ctl.speculating
+
+
+class TestControlMessagesAsArguments:
+    """Probes and markers travel as event arguments: a message object is
+    built only for a subscriber of its tap, on a 16-CPU directory
+    linked list (thousands of probes)."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Count every Probe and Marker the controller builds."""
+        built = Counter()
+
+        class CountingProbe(Probe):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built["probe"] += 1
+                super().__init__(*args, **kwargs)
+
+        class CountingMarker(Marker):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built["marker"] += 1
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(controller_module, "Probe", CountingProbe)
+        monkeypatch.setattr(controller_module, "Marker", CountingMarker)
+        return built
+
+    def spec(self, metrics=True):
+        return RunSpec("linked-list",
+                       SystemConfig(num_cpus=16, scheme=SyncScheme.TLR,
+                                    seed=0, protocol="directory",
+                                    metrics=metrics),
+                       {"total_ops": 64})
+
+    def test_bare_run_builds_no_message(self, built):
+        spec = self.spec(metrics=False)
+        stats = execute_workload(spec.build_workload(), spec.config).stats
+        assert stats.total("probes_sent") > 1000
+        assert stats.total("markers_sent") > 0
+        assert built == Counter()
+
+    def test_probe_subscriber_receives_each_probe_sent(self, built,
+                                                       monkeypatch):
+        sent = Counter()
+        send = CacheController._send_probe
+
+        def recording_send(self, target_id, line_addr, ts, origin):
+            if self._controllers.get(target_id) is not None:
+                sent[target_id, line_addr, ts, origin] += 1
+            send(self, target_id, line_addr, ts, origin)
+
+        monkeypatch.setattr(CacheController, "_send_probe", recording_send)
+        spec = self.spec(metrics=False)
+        machine = Machine(spec.config)
+        entered, left = [], []
+        machine.taps.subscribe(
+            lambda time, cpu, kind, args, obj: entered.append((cpu, args)),
+            "probe")
+        machine.taps.subscribe(
+            lambda time, cpu, kind, args, obj: left.append(args), "probe",
+            post=True)
+        stats = machine.run_workload(spec.build_workload())
+        probes_sent = stats.total("probes_sent")
+        assert probes_sent == sum(sent.values()) > 1000
+        assert len(entered) == probes_sent
+        assert built == Counter(probe=probes_sent)
+        assert Counter((cpu, probe.line, probe.ts, probe.origin)
+                       for cpu, (probe,) in entered) == sent
+        # The entry and post points share the one object per delivery.
+        assert len(left) == probes_sent
+        assert all(a is b for (_cpu, (a,)), (b,) in zip(entered, left))
+
+    def test_marker_subscriber_receives_each_marker_sent(self, built,
+                                                         monkeypatch):
+        sent = Counter()
+        send = CacheController._send_marker
+
+        def recording_send(self, request):
+            if self._controllers.get(request.requester) is not None:
+                sent[request.requester, request.line, self.cpu_id,
+                     request.req_id] += 1
+            send(self, request)
+
+        monkeypatch.setattr(CacheController, "_send_marker", recording_send)
+        spec = self.spec(metrics=False)
+        machine = Machine(spec.config)
+        received = Counter()
+
+        def on_marker(time, cpu, kind, args, obj):
+            (marker,) = args
+            received[cpu, marker.line, marker.sender, marker.req_id] += 1
+
+        machine.taps.subscribe(on_marker, "marker")
+        stats = machine.run_workload(spec.build_workload())
+        assert stats.total("markers_sent") == sum(sent.values()) > 0
+        assert received == sent
+        assert built == Counter(marker=stats.total("markers_sent"))
 
 
 class TestJudgedConflict:

@@ -14,16 +14,19 @@ Two layers of caching apply:
   cache (unchanged); a re-submitted sweep whose grid overlaps an
   earlier one reuses the overlapping cells.
 * **job level** -- a *completed* job's full :class:`JobResult` is
-  stored under ``job-<fingerprint>``; an identical later submission is
-  replayed from disk without touching the engine at all (zero
-  simulations, zero cell-cache reads).  Every job kind is
-  deterministic, so every completed job is replayable.
+  stored under ``job-<fingerprint>``, unless a cell hit the wall-clock
+  timeout; an identical later submission is replayed from disk without
+  touching the engine at all (zero simulations, zero cell-cache reads).
+  Every job kind is deterministic, so every stored job is replayable.
 
-In-flight coalescing (two concurrent submissions of the same
-fingerprint share one execution) lives a layer up, in
-:class:`repro.serve.queue.JobQueue` -- it needs the service's notion of
-job identity and subscriber lists, which this module deliberately knows
-nothing about.
+A layer up, :class:`repro.serve.queue.JobQueue` dedups in memory with
+the service's notion of job identity, which this module deliberately
+knows nothing about: two concurrent submissions of the same fingerprint
+share one execution (in-flight coalescing), and a submission of a
+fingerprint whose finished job the queue still keeps -- a job this
+function stored -- replays that job's result without calling
+:func:`submit` at all.  Everything else, the CLI included, replays from
+disk here.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ from ``/jobs/<id>/events`` (SSE), and scrape ``/metrics``
 (OpenMetrics).  Work is sharded across a persistent
 :class:`~repro.harness.parallel.WorkerPool`; identical jobs are deduped
 both in flight (one execution, many watchers) and across completions
-(fingerprint-keyed replay from the result cache).
+(fingerprint-keyed replay: from a finished job the queue still keeps,
+at submission, or else from the result cache).
 """
 
 from repro.serve.app import build_server, serve

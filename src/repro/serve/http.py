@@ -4,8 +4,9 @@ Endpoints:
 
 * ``POST /jobs`` -- body is a :class:`~repro.harness.spec.JobSpec`
   envelope (``{"kind": ..., "params": {...}}``); responds ``202`` with
-  the job id, fingerprint and whether the submission coalesced onto an
-  already-in-flight identical job.
+  the job id, fingerprint, state and whether the submission coalesced
+  onto an already-in-flight identical job.  The state is ``done`` when
+  the queue replayed a retained finished job on the spot.
 * ``GET /jobs`` -- all jobs, summaries only.
 * ``GET /jobs/<id>`` -- one job, including its result when done.
 * ``GET /jobs/<id>/events`` -- Server-Sent Events: the job's event log
@@ -31,10 +32,24 @@ import json
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.harness.spec import FINGERPRINT_VERSION, JobSpec, RESULT_SCHEMA
-from repro.serve.queue import JobQueue
+from repro.serve.queue import Job, JobQueue
 
 OPENMETRICS_CONTENT_TYPE = ("application/openmetrics-text; "
                             "version=1.0.0; charset=utf-8")
+
+
+def job_body(job: Job) -> bytes:
+    """``job.to_dict()`` as JSON bytes.  A memory replay splices in its
+    result's shared encoding, made by the first fetch of any job that
+    replays the same result, instead of encoding the payload again."""
+    replay = job.replay
+    if replay is None:
+        return json.dumps(job.to_dict()).encode("utf-8")
+    if replay.encoded is None:
+        replay.encoded = json.dumps(replay.result.to_dict()).encode("utf-8")
+    head = json.dumps(job.to_dict(include_result=False))
+    return b"".join((head[:-1].encode("utf-8"), b', "result": ',
+                     replay.encoded, b"}"))
 
 
 class JobServer(ThreadingHTTPServer):
@@ -62,15 +77,13 @@ class JobHandler(BaseHTTPRequestHandler):
 
     # -- helpers --------------------------------------------------------
     def _send_json(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(code, json.dumps(payload).encode("utf-8"),
+                   "application/json")
 
     def _send_text(self, code: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
+        self._send(code, text.encode("utf-8"), content_type)
+
+    def _send(self, code: int, body: bytes, content_type: str) -> None:
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -112,7 +125,7 @@ class JobHandler(BaseHTTPRequestHandler):
             if job is None:
                 self._not_found()
             else:
-                self._send_json(200, job.to_dict())
+                self._send(200, job_body(job), "application/json")
         else:
             self._not_found()
 

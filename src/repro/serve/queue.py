@@ -7,19 +7,27 @@ and, when engine parallelism is requested, one persistent
 every job -- the pool survives across jobs, so the service never pays
 fork/teardown per submission.
 
-Dedup happens at two distinct moments:
+Dedup happens at two distinct moments, both in ``submit()`` under the
+queue lock, through one fingerprint -> job index:
 
-* **in flight** -- ``submit()`` under the queue lock: a second
-  submission whose fingerprint is already queued or running returns
-  the *same* :class:`Job` (coalesced; one execution, many watchers);
-* **completed** -- inside :func:`repro.harness.jobs.submit`: a job
-  whose fingerprint completed earlier (any process, any transport)
-  replays its stored :class:`~repro.harness.jobs.JobResult` from the
-  result cache without simulating anything.
+* **in flight** -- a second submission whose fingerprint is already
+  queued or running returns the *same* :class:`Job` (coalesced; one
+  execution, many watchers);
+* **completed** -- a submission whose fingerprint the index maps to a
+  retained ``done`` job is a new job, finished on the spot from that
+  job's result (``cached=True``, ``telemetry=None``): no worker, no
+  disk.  The index keeps a finished job exactly when
+  :func:`repro.harness.jobs.submit` would have stored it in the result
+  cache -- a queue with a cache, a ``done`` job, no timed-out cell --
+  and drops it with the job when the finished-job bound evicts it.  A
+  fingerprint the index does not know (evicted, or finished before a
+  restart, in any process or transport) still replays from the result
+  cache, inside :func:`~repro.harness.jobs.submit` on a worker.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import queue as queue_module
 import threading
@@ -38,10 +46,22 @@ JOB_STATES = ("queued", "running", "done", "failed")
 TERMINAL_STATES = ("done", "failed")
 
 #: How many finished jobs a queue keeps (about 20 KB each).  Older ones
-#: are forgotten -- their ids answer 404 -- while their results stay in
-#: the result cache, if the queue has one, so resubmitting the spec
-#: replays them.
+#: are forgotten -- their ids answer 404, and their fingerprints leave
+#: the index -- while their results stay in the result cache, if the
+#: queue has one, so resubmitting the spec replays them from disk.
 MAX_FINISHED_JOBS = 256
+
+
+class Replay:
+    """The result every memory replay of one fingerprint serves: one
+    ``cached`` :class:`JobResult`, and its JSON encoding once a fetch
+    has made it (:mod:`repro.serve.http`), shared by all those jobs."""
+
+    __slots__ = ("result", "encoded")
+
+    def __init__(self, result: JobResult):
+        self.result = result
+        self.encoded: Optional[bytes] = None
 
 
 class Job:
@@ -63,6 +83,8 @@ class Job:
         self.events: list[dict] = []
         #: How many submissions this job absorbed beyond the first.
         self.coalesced = 0
+        #: Set when the job was replayed from a retained finished job.
+        self.replay: Optional[Replay] = None
 
     @property
     def terminal(self) -> bool:
@@ -116,7 +138,9 @@ class JobQueue:
         self.metrics = MetricsRegistry()
         self._cond = threading.Condition()
         self._jobs: dict[str, Job] = {}
-        self._inflight: dict[str, str] = {}  # fingerprint -> job id
+        # fingerprint -> id of its queued or running job (coalesce onto
+        # it) or of its latest replayable finished job (replay it)
+        self._index: dict[str, str] = {}
         self._finished: deque[str] = deque()  # terminal job ids, oldest first
         # (-priority, seq, job_id): heap pops highest priority first,
         # FIFO (by submission sequence) among equals.  The stop
@@ -166,21 +190,27 @@ class JobQueue:
 
         ``coalesced`` is true when an identical job (same fingerprint)
         was already queued or running, in which case the existing job is
-        returned and nothing new is enqueued.
+        returned and nothing new is enqueued.  When an identical job
+        finished earlier and is still retained, the new job replays it
+        and is ``done`` on return.
         """
         fingerprint = spec.fingerprint()
         with self._cond:
             self.metrics.counter("serve.jobs.submitted").inc()
-            existing = self._inflight.get(fingerprint)
-            if existing is not None:
-                job = self._jobs[existing]
-                job.coalesced += 1
-                self.metrics.counter("serve.jobs.coalesced").inc()
-                return job, True
+            known = self._index.get(fingerprint)
+            if known is not None:
+                known = self._jobs[known]
+                if not known.terminal:
+                    known.coalesced += 1
+                    self.metrics.counter("serve.jobs.coalesced").inc()
+                    return known, True
             job = Job(f"j{next(self._ids):06d}", spec, fingerprint)
             self._jobs[job.id] = job
-            self._inflight[fingerprint] = job.id
+            self._index[fingerprint] = job.id
             self._emit(job, "queued", {"id": job.id, "kind": spec.kind})
+            if known is not None:
+                self._replay(job, known)
+                return job, False
             item = (-spec.priority, next(self._seq), job.id)
         self._pending.put(item)
         return job, False
@@ -235,16 +265,43 @@ class JobQueue:
 
     def _retire(self, job: Job) -> None:
         """Record ``job`` as finished and forget the oldest finished
-        jobs beyond :data:`MAX_FINISHED_JOBS`.  Caller holds the lock.
-        Only terminal jobs are ever forgotten, and never one that
-        coalescing still points at."""
+        jobs beyond :data:`MAX_FINISHED_JOBS`, index entries included.
+        Caller holds the lock.  Only terminal jobs are ever forgotten."""
         self._finished.append(job.id)
         while len(self._finished) > MAX_FINISHED_JOBS:
-            old = self._jobs[self._finished[0]]
-            if self._inflight.get(old.fingerprint) == old.id:
-                break
-            self._finished.popleft()
-            del self._jobs[old.id]
+            old = self._jobs.pop(self._finished.popleft())
+            if self._index.get(old.fingerprint) == old.id:
+                del self._index[old.fingerprint]
+
+    def _replay(self, job: Job, source: Job) -> None:
+        """Finish ``job`` from the retained ``done`` job ``source``, as
+        a result-cache replay of it would.  Caller holds the lock."""
+        job.replay = source.replay or Replay(dataclasses.replace(
+            source.result, cached=True, telemetry=None))
+        job.state = "running"
+        job.started_at = time.time()
+        self._emit(job, "running", {"id": job.id})
+        self._finish(job, job.replay.result)
+
+    def _finish(self, job: Job, result: JobResult) -> None:
+        """Mark ``job`` done with ``result``; the index keeps it as the
+        fingerprint's replay source when the result cache would have
+        stored it.  Caller holds the lock."""
+        job.result = result
+        job.state = "done"
+        job.finished_at = time.time()
+        if self.cache is None or (result.telemetry or {}).get("timeouts"):
+            self._index.pop(job.fingerprint, None)
+        self.metrics.counter("serve.jobs.completed").inc()
+        if result.cached:
+            self.metrics.counter("serve.jobs.replayed").inc()
+        simulated = (result.telemetry or {}).get("simulated", 0)
+        if simulated:
+            self.metrics.counter("serve.cells.simulated").inc(simulated)
+        self._emit(job, "done",
+                   {"id": job.id, "cached": result.cached,
+                    "elapsed": result.elapsed})
+        self._retire(job)
 
     def _worker(self) -> None:
         while True:
@@ -276,23 +333,10 @@ class JobQueue:
                 job.state = "failed"
                 job.finished_at = time.time()
                 job.error = f"{type(exc).__name__}: {exc}"
-                self._inflight.pop(job.fingerprint, None)
+                self._index.pop(job.fingerprint, None)
                 self.metrics.counter("serve.jobs.failed").inc()
                 self._emit(job, "failed", {"error": job.error})
                 self._retire(job)
             return
         with self._cond:
-            job.result = result
-            job.state = "done"
-            job.finished_at = time.time()
-            self._inflight.pop(job.fingerprint, None)
-            self.metrics.counter("serve.jobs.completed").inc()
-            if result.cached:
-                self.metrics.counter("serve.jobs.replayed").inc()
-            simulated = (result.telemetry or {}).get("simulated", 0)
-            if simulated:
-                self.metrics.counter("serve.cells.simulated").inc(simulated)
-            self._emit(job, "done",
-                       {"id": job.id, "cached": result.cached,
-                        "elapsed": result.elapsed})
-            self._retire(job)
+            self._finish(job, result)

@@ -57,7 +57,7 @@ def main() -> None:
     try:
         failing = None
         for seed in range(16):
-            verdict, _ = verify_run(spec.with_seed(seed))
+            verdict = verify_run(spec.with_seed(seed))
             if not verdict.ok:
                 failing = verdict
                 print(f"seed {seed} FAILED: "
@@ -79,7 +79,8 @@ def main() -> None:
     bad = load_log(bad_log_path)
     timeline = Timeline(bad)
     spans = timeline.txn_spans()
-    aborts = [s for s in spans if s[3] in ("abort", "loss")]
+    # Outcomes carry the restart reason: "loss:conflict-lost", ...
+    aborts = [s for s in spans if s[3].split(":")[0] in ("abort", "loss")]
     print(f"\n{len(spans)} txn windows in the log, "
           f"{len(aborts)} ended in abort/loss")
     probe = aborts[0][1] if aborts else timeline.final_time // 2
@@ -89,7 +90,7 @@ def main() -> None:
     # -- 4. record the healthy policy on the same spec and diff -------
     print("\n== recording the same shrunk spec under the fixed "
           "policy ==")
-    good_result, _ = verify_run(shrunk.spec, record=True)
+    good_result = verify_run(shrunk.spec, record=True)
     good = load_log(good_result.log_bytes)
     print(f"healthy run: ok={good_result.ok}")
 

@@ -1,41 +1,48 @@
 #!/usr/bin/env python3
-"""Watching TLR work: trace the coherence and transaction events.
+"""Watching TLR work: read the coherence and transaction events.
 
-Attaches a :class:`Tracer` to a 3-processor TLR machine running a
-contended counter and prints the interleaving around one conflict:
-transactions begin, a conflicting request arrives and is deferred, the
-winner commits and services the loser, the loser's data arrives.
+Records a 3-processor TLR machine running a contended counter with the
+flight recorder and prints the interleaving around one conflict from
+the record log: transactions begin, a conflicting request arrives and
+is deferred, the winner commits and services the loser, the loser's
+data arrives.
 
 Run:  python examples/tracing_demo.py
 """
 
 from repro import SyncScheme, SystemConfig
-from repro.harness.machine import Machine
-from repro.sim.trace import Tracer
-from repro.workloads import single_counter
+from repro.harness.spec import RunSpec
+from repro.record import Timeline, record_run
+
+#: Tap kinds that tell the deferral story.
+STORY = ("txn-begin", "defer", "service", "txn-commit", "loss", "data")
 
 
 def main() -> None:
-    machine = Machine(SystemConfig(num_cpus=3, scheme=SyncScheme.TLR))
-    tracer = Tracer().attach(machine)
-    machine.run_workload(single_counter(3, 48))
+    spec = RunSpec(workload="single-counter",
+                   config=SystemConfig(num_cpus=3, scheme=SyncScheme.TLR),
+                   workload_args={"total_increments": 48})
+    timeline = Timeline(record_run(spec).log)
 
-    counts = tracer.counts()
+    counts = timeline.counts()
     print("event histogram:")
     for kind in sorted(counts):
-        print(f"  {kind:<14}{counts[kind]}")
+        print(f"  {kind:<18}{counts[kind]}")
 
-    deferrals = tracer.filter(kinds=["defer"])
-    if deferrals:
-        moment = deferrals[0].time
+    deferral = next((record for record in timeline.records
+                     if record.op == "tap" and record.label == "defer"),
+                    None)
+    if deferral is not None:
+        moment = deferral.time
         print(f"\nfirst deferral happened at cycle {moment}; the "
               f"surrounding interleaving:")
-        print(tracer.render(kinds=["txn-begin", "defer", "service",
-                                   "txn-commit", "loss", "data"],
-                            since=max(0, moment - 150),
-                            until=moment + 250))
+        for record in timeline.records:
+            if moment - 150 <= record.time <= moment + 250 and (
+                    record.op == "defer"
+                    or record.op == "tap" and record.label in STORY):
+                print(record.render())
 
-    print("\nreading the trace: the deferring processor kept exclusive")
+    print("\nreading the log: the deferring processor kept exclusive")
     print("ownership until its txn-commit, then 'service' handed the")
     print("line (with post-commit data) to the deferred requester.")
 

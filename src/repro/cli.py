@@ -403,14 +403,19 @@ def _render_verify_payload(payload: dict) -> str:
     if shrunk:
         spec = shrunk.get("spec") or {}
         config = spec.get("config") or {}
-        problem = (shrunk.get("result") or {}).get("error") or ", ".join(
-            (shrunk.get("result") or {}).get("violations") or ["?"])[:200]
+        result = shrunk.get("result") or {}
+        problem = result.get("error") or ", ".join(
+            result.get("violations") or ["?"])[:200]
         lines += ["",
                   f"minimal reproduction after "
                   f"{shrunk.get('shrink_steps', 0)} shrink steps: "
                   f"{spec.get('workload')} cpus={config.get('num_cpus')} "
                   f"seed={config.get('seed')}",
-                  f"failure: {problem}", "", shrunk.get("trace", "")]
+                  f"failure: {problem}"]
+        if result.get("record_log"):
+            lines.append(f"record log: {result['record_log']} "
+                         f"(replay with `repro replay`)")
+        lines += ["", shrunk.get("trace", "")]
     return "\n".join(lines)
 
 

@@ -1,4 +1,4 @@
-"""Observability: metrics, span tracing support and lock profiling.
+"""Observability: metrics and lock profiling.
 
 The paper's evaluation is an exercise in *explaining* performance --
 stall attribution, restart counts, deferral behaviour -- so the
@@ -10,9 +10,10 @@ reproduction carries a first-class observability layer:
   subscribes to the machine's observation seam
   (:mod:`repro.sim.taps`) like every other observer: an emit point
   nobody subscribes to costs its component one truth test.
-* span events live in :mod:`repro.sim.trace` (the :class:`Tracer`
-  pairs txn-begin/commit, defer/service and request/data into duration
-  spans for Perfetto).
+* a run's event history is its flight log (:mod:`repro.record`):
+  :class:`~repro.record.timeline.Timeline` pairs txn-begin with its
+  commit/abort/loss into transaction spans and answers time-travel
+  queries from the log alone.
 * :mod:`repro.obs.profile` -- the causal profiling layer: per-lock
   contention profiles (commit rates, abort causes, cycles lost,
   deferral waits) and the who-aborts-whom conflict matrix, built live

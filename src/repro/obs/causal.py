@@ -9,12 +9,8 @@ request refs pair each deferral push with its service) through a fresh
 :class:`~repro.obs.profile.ProfileBuilder` therefore reconstructs the
 live profile exactly: same conflict matrix, same histograms, same
 causal chains.  The integration tests compare the two snapshots'
-canonical JSON byte for byte.
-
-The one caveat is recorder ``capacity``: a bounded recorder drops tap
-and txn records once saturated, and a profile folded from a clipped log
-under-counts accordingly.  Profile-bearing captures should record
-unbounded (the default).
+canonical JSON byte for byte.  The recorder drops no record, so every
+log folds to its run's whole profile.
 """
 
 from __future__ import annotations

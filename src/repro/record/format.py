@@ -148,7 +148,6 @@ class LogWriter:
         self._crc = 0
         self._strings: dict[str, int] = {}
         self._last_time = 0
-        self.records = 0
         header_bytes = json.dumps(
             header, sort_keys=True, separators=(",", ":")).encode("utf-8")
         self._emit(MAGIC + _U16.pack(LOG_SCHEMA)
@@ -180,7 +179,6 @@ class LogWriter:
         self._delta(out, time)
         _pack_varint(out, label_id)
         self._emit(bytes(out))
-        self.records += 1
 
     def tap(self, time: int, cpu: int, kind_id: int,
             line: Optional[int], ref: Optional[int]) -> None:
@@ -191,7 +189,6 @@ class LogWriter:
         _pack_varint(out, 0 if line is None else line + 1)
         _pack_varint(out, 0 if ref is None else ref)
         self._emit(bytes(out))
-        self.records += 1
 
     def state(self, time: int, cpu: int, line: int, state_index: int,
               flags: int) -> None:
@@ -202,7 +199,6 @@ class LogWriter:
         out.append(state_index)
         out.append(flags)
         self._emit(bytes(out))
-        self.records += 1
 
     def defer_edit(self, time: int, cpu: int, op: int, depth: int) -> None:
         out = bytearray((OP_DEFER,))
@@ -211,7 +207,6 @@ class LogWriter:
         out.append(op)
         _pack_varint(out, depth)
         self._emit(bytes(out))
-        self.records += 1
 
     def sched(self, time: int, kind: int, slot: int, thread: int) -> None:
         out = bytearray((OP_SCHED,))
@@ -220,7 +215,6 @@ class LogWriter:
         _pack_varint(out, slot + 1)
         _pack_varint(out, thread + 1)
         self._emit(bytes(out))
-        self.records += 1
 
     def txn_begin(self, time: int, cpu: int, lock_line: Optional[int],
                   pc_id: int, attempts: int) -> None:
@@ -232,7 +226,6 @@ class LogWriter:
         _pack_varint(out, pc_id)
         _pack_varint(out, attempts)
         self._emit(bytes(out))
-        self.records += 1
 
     def txn_commit(self, time: int, cpu: int) -> None:
         out = bytearray((OP_TXN,))
@@ -240,7 +233,6 @@ class LogWriter:
         out.append(TXN_COMMIT)
         _pack_varint(out, cpu + 1)
         self._emit(bytes(out))
-        self.records += 1
 
     def txn_abort(self, time: int, cpu: int, reason_id: int,
                   conflict_line: Optional[int], aborter: int) -> None:
@@ -252,7 +244,6 @@ class LogWriter:
         _pack_varint(out, 0 if conflict_line is None else conflict_line + 1)
         _pack_varint(out, aborter + 1)
         self._emit(bytes(out))
-        self.records += 1
 
     def end(self, final_time: int, events_fired: int,
             fingerprint: str) -> None:

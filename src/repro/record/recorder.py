@@ -11,6 +11,13 @@ observation seam (:mod:`repro.sim.taps`):
   ``cache.peek``;
 * the scheduler's ``sched`` point (switch-in/out/migration).
 
+The log it writes is a run's one event history and drops nothing:
+:class:`~repro.record.timeline.Timeline`, ``repro replay``, the VCD
+export and the verifier's failure window
+(:func:`repro.verify.shrink_failure`) all read the same records.  Each
+tap's cache line and request id come from the payload rules in
+:mod:`repro.sim.taps`.
+
 Request ids come from a process-global counter, so the recorder maps
 each ``req_id`` to a dense first-seen index; that keeps logs
 byte-reproducible across processes.
@@ -27,8 +34,7 @@ from repro.harness.runner import RunResult, result_fingerprint
 from repro.harness.spec import FINGERPRINT_VERSION, RunSpec
 from repro.record.format import (DEFER_DRAIN, DEFER_PUSH, LOG_SCHEMA,
                                  STATE_ABSENT, STATE_NAMES, LogWriter)
-from repro.sim.taps import TAP_KINDS
-from repro.sim.trace import _line_of_args, _ref_of_args
+from repro.sim.taps import TAP_KINDS, _line_of_args, _ref_of_args
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.machine import Machine
@@ -66,21 +72,16 @@ class _TxnWriterSink:
     def txn_begin(self, time: int, cpu: int, lock_line, pc: str,
                   attempts: int) -> None:
         self.open[cpu] = time
-        if self._recorder._drop("txn"):
-            return
         writer = self._recorder._writer
         writer.txn_begin(time, cpu, lock_line, writer.intern(pc), attempts)
 
     def txn_commit(self, time: int, cpu: int) -> None:
         del self.open[cpu]
-        if not self._recorder._drop("txn"):
-            self._recorder._writer.txn_commit(time, cpu)
+        self._recorder._writer.txn_commit(time, cpu)
 
     def txn_abort(self, time: int, cpu: int, reason: str, conflict_line,
                   aborter: int) -> None:
         del self.open[cpu]
-        if self._recorder._drop("txn"):
-            return
         writer = self._recorder._writer
         writer.txn_abort(time, cpu, writer.intern(reason), conflict_line,
                          aborter)
@@ -103,22 +104,14 @@ class FlightRecorder:
     monitor-scheduled watchdog events whose kernel dispatches are part
     of the log.
 
-    ``capacity`` optionally bounds the number of tap/state/defer
-    records; once reached, further ones are dropped and tallied per
-    kind in :attr:`dropped_by_kind` (kernel dispatch records are never
-    dropped, END is always written).  Each attached consumer keeps its
-    own such accounting -- a saturated tracer does not cost the
-    recorder records, and vice versa.
+    Every record is kept: the log is the run's whole event history, up
+    to the END record :meth:`finish` writes.
     """
 
     def __init__(self, spec: RunSpec, *, locks: Optional[list] = None,
-                 harness: Optional[dict] = None, stream=None,
-                 capacity: Optional[int] = None):
+                 harness: Optional[dict] = None, stream=None):
         self.spec = spec
         self._buffer = stream if stream is not None else io.BytesIO()
-        self.capacity = capacity
-        self.dropped = 0
-        self.dropped_by_kind: dict[str, int] = {}
         header = {
             "log_schema": LOG_SCHEMA,
             "fingerprint_version": FINGERPRINT_VERSION,
@@ -172,14 +165,6 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # Machine points
     # ------------------------------------------------------------------
-    def _drop(self, kind: str) -> bool:
-        if self.capacity is not None and self._writer.records >= self.capacity:
-            self.dropped += 1
-            self.dropped_by_kind[kind] = \
-                self.dropped_by_kind.get(kind, 0) + 1
-            return True
-        return False
-
     def _ref_id(self, req_id: Optional[int]) -> Optional[int]:
         """Dense, first-seen-order request id (the raw counter is
         process-global and would break byte reproducibility)."""
@@ -193,8 +178,6 @@ class FlightRecorder:
 
     def on_tap(self, time: int, cpu: int, kind: str, args: tuple,
                obj: object) -> None:
-        if self._drop(kind):
-            return
         kind_id = self._kind_ids.get(kind)
         if kind_id is None:
             kind_id = self._writer.intern(kind)
@@ -204,8 +187,6 @@ class FlightRecorder:
 
     def _on_sched(self, time: int, slot: int, kind: str, args: tuple,
                   obj: object) -> None:
-        if self._drop("sched"):
-            return
         sched_kind, thread = args
         self._writer.sched(time, sched_kind, slot, thread)
 
@@ -215,22 +196,21 @@ class FlightRecorder:
             line_addr = _line_of_args(args, kind)
             cache = getattr(obj, "cache", None)
             if line_addr is not None and cache is not None:
-                if not self._drop("state"):
-                    line = cache.peek(line_addr)
-                    if line is None:
-                        snapshot = (STATE_ABSENT, 0)
-                    else:
-                        flags = (1 if line.accessed else 0) | (
-                            2 if line.spec_written else 0)
-                        snapshot = (_STATE_INDEX[line.state.value], flags)
-                    key = (cpu, line_addr)
-                    if self._line_states.get(key) != snapshot:
-                        self._line_states[key] = snapshot
-                        self._writer.state(time, cpu, line_addr,
-                                           snapshot[0], snapshot[1])
+                line = cache.peek(line_addr)
+                if line is None:
+                    snapshot = (STATE_ABSENT, 0)
+                else:
+                    flags = (1 if line.accessed else 0) | (
+                        2 if line.spec_written else 0)
+                    snapshot = (_STATE_INDEX[line.state.value], flags)
+                key = (cpu, line_addr)
+                if self._line_states.get(key) != snapshot:
+                    self._line_states[key] = snapshot
+                    self._writer.state(time, cpu, line_addr,
+                                       snapshot[0], snapshot[1])
         if kind in _DEFER_KINDS:
             deferred = getattr(obj, "deferred", None)
-            if deferred is not None and not self._drop("defer-edit"):
+            if deferred is not None:
                 depth = len(deferred)
                 known = self._defer_depth.get(cpu, 0)
                 if depth != known:

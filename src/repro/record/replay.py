@@ -63,7 +63,7 @@ def _reexecute(image: LogImage) -> tuple[bytes, str, Optional[str]]:
         # events are part of the recorded schedule; replay must attach
         # the same monitors.
         from repro.verify.explorer import verify_run
-        result, _ = verify_run(spec, record=True)
+        result = verify_run(spec, record=True)
         log = result.log_bytes or b""
         return log, _end_fingerprint(log), result.error
     recorded = record_run(spec)

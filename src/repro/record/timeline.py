@@ -206,8 +206,8 @@ class Timeline:
         Aborted windows carry the restart reason from the co-located
         ``OP_TXN`` abort record (e.g. ``loss:conflict-lost``,
         ``abort:deschedule``) -- the same reason vocabulary
-        :mod:`repro.cpu.processor` uses.  Logs whose txn records were
-        capacity-dropped fall back to the bare closing tap kind.
+        :mod:`repro.cpu.processor` uses.  A window with no txn abort
+        record at its close keeps the bare closing tap kind.
         """
         reasons = {(record.cpu, record.time): record.label
                    for record in self.records

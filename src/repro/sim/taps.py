@@ -1,11 +1,11 @@
 """The machine's observation seam: declared emit points, per-kind subscribers.
 
-Every observer -- metrics collector, lock profiler, tracer, flight
-recorder, footprint recorder, invariant monitors, commit log -- sees the
-machine through one :class:`MachineTaps`, which ``Machine.__init__``
-hands to the kernel, the interconnect, every cache controller and
-processor, and the scheduler engine.  Each component fires its declared
-points by name at the moment the event happens::
+Every observer -- metrics collector, lock profiler, flight recorder,
+footprint recorder, invariant monitors, commit log -- sees the machine
+through one :class:`MachineTaps`, which ``Machine.__init__`` hands to
+the kernel, the interconnect, every cache controller and processor, and
+the scheduler engine.  Each component fires its declared points by
+name at the moment the event happens::
 
     if taps.defer:
         taps.defer.emit(self, request)
@@ -28,10 +28,12 @@ any early return, with the handler's positional arguments, except that
 ``probe`` and ``marker`` pass one :class:`~repro.coherence.messages.Probe`
 or :class:`~repro.coherence.messages.Marker` built from them (only when
 the point has subscribers; ``probe`` and its post point share it); the
-kinds in
-:data:`POST_KINDS` fire again (``post=True``) on every return path.  The
-other points, with their ``args``: ``issued``/``nacked``/``filled``
-(request; a live miss left for the bus, was refused, was filled),
+kinds in :data:`POST_KINDS` fire again (``post=True``) on every return
+path.  A tap's payload names its cache line and request id by the rules
+of :func:`_line_of_args` and :func:`_ref_of_args`, which the flight
+recorder applies to every tap it logs.  The other points, with their
+``args``: ``issued``/``nacked``/``filled`` (request; a live miss left
+for the bus, was refused, was filled),
 ``restart`` (reason, backoff, streak), ``line-state`` (line) after a
 coherence state change, ``deferred`` (request) once queued,
 ``arch-read``/``plain-write`` (addr, value) for a speculative read
@@ -48,9 +50,9 @@ stats is read from there at the end of the run, not counted per emit.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Optional
 
-#: The tap vocabulary: the kinds the tracer and the flight recorder log.
+#: The tap vocabulary: the kinds the flight recorder logs.
 TAP_KINDS = ("forward", "invalidation", "data", "marker", "probe", "nack",
              "defer", "service", "loss", "commit", "abort", "txn-begin",
              "txn-commit", "misspec", "request")
@@ -58,6 +60,38 @@ TAP_KINDS = ("forward", "invalidation", "data", "marker", "probe", "nack",
 #: Tap kinds that also fire after the handler returns.
 POST_KINDS = ("forward", "invalidation", "data", "probe", "service",
               "loss", "defer", "commit", "abort")
+
+#: Tap kinds that carry a bare-``int`` cache line at a known position
+#: in ``args`` (every other kind's line rides on a message object's
+#: ``.line`` attribute).  ``loss`` (reason, line, ts, aborter) and
+#: ``misspec`` (reason, line) both carry it second.
+_INT_LINE_POS = {"loss": 1, "misspec": 1}
+
+
+def _line_of_args(args, kind: Optional[str] = None) -> Optional[int]:
+    """The cache line a tap payload names, if any."""
+    for arg in args:
+        line = getattr(arg, "line", None)
+        if isinstance(line, int):
+            return line
+    # Bare ints are accepted only from positions known to carry a line
+    # address: an arbitrary int argument (a timestamp component, a
+    # count) must not be misattributed as a cache line.
+    pos = _INT_LINE_POS.get(kind)
+    if pos is not None and pos < len(args) and isinstance(args[pos], int):
+        return args[pos]
+    return None
+
+
+def _ref_of_args(args) -> Optional[int]:
+    """The request id carried by the first message argument, if any
+    (pairs a ``defer`` with its ``service`` and a ``request`` with its
+    ``data``)."""
+    for arg in args:
+        req_id = getattr(arg, "req_id", None)
+        if isinstance(req_id, int):
+            return req_id
+    return None
 
 
 class Point(list):

@@ -15,7 +15,7 @@ Three layers, composable or standalone:
 :mod:`repro.verify.explorer` fans all of it across seeds (and the
 kernel's schedule-chaos choice points) through the parallel engine
 (``execute(..., verified=True)``), and shrinks any failing seed to a
-minimal traced reproduction.  The verifier has one configuration:
+minimal reproduction with its record log.  The verifier has one configuration:
 every verified run attaches the recorder, the oracle and every
 monitor.  CLI: ``repro verify --seeds N --jobs J``.
 """

@@ -14,8 +14,11 @@ violation stops it.  Verification failures are **findings**, so unlike
 performance sweeps there are no retry-with-bumped-seed semantics: a
 failing seed is reported, then *shrunk* -- workload size halved while
 the failure reproduces, then the processor count -- and the minimal
-reproduction is re-run with a :class:`~repro.sim.trace.Tracer` attached
-to render the events around the first violation.
+reproduction is re-run with a :class:`~repro.record.FlightRecorder`
+attached.  That record log is the failure's one event history: it is
+saved for ``repro replay`` and time-travel queries, and the records
+around the first violation, rendered one per line, are the window the
+shrunk failure prints.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from repro.harness.spec import (SIZE_PARAM, RunSpec, check_schema,
 from repro.obs import MachineMetrics
 from repro.runtime.program import ValidationError
 from repro.sim.kernel import RunTimeout, SimulationError
-from repro.sim.trace import Tracer
 from repro.verify.monitors import InvariantViolation, MonitorSuite
 from repro.verify.oracle import SerializabilityOracle
 from repro.verify.recorder import FootprintRecorder
@@ -54,9 +56,11 @@ from repro.verify.recorder import FootprintRecorder
 #     and the watchdog period and patience) that v5 keys carried.
 VERIFY_FINGERPRINT_VERSION = 6
 
-#: Cycles of trace to render before/after the first violation.
+#: Cycles of log to render before/after the first violation.
 TRACE_WINDOW_BEFORE = 2_000
 TRACE_WINDOW_AFTER = 500
+#: Tap records to render when no violation names its time.
+TRACE_TAIL_TAPS = 80
 
 
 @dataclass
@@ -130,20 +134,16 @@ class VerifyResult:
 # ----------------------------------------------------------------------
 # One verified run
 # ----------------------------------------------------------------------
-def verify_run(spec: RunSpec, collect_trace: bool = False,
-               record: bool = False,
-               timeout: Optional[float] = None
-               ) -> tuple[VerifyResult, Optional[Tracer]]:
+def verify_run(spec: RunSpec, record: bool = False,
+               timeout: Optional[float] = None) -> VerifyResult:
     """Build, instrument and run one spec; judge the execution.
 
-    Returns the verdict and (when ``collect_trace``) the attached
-    :class:`~repro.sim.trace.Tracer` for rendering.  With ``record``,
-    a :class:`~repro.record.FlightRecorder` captures the run's binary
-    event log into the verdict's ``log_bytes`` -- the harness mode is
-    embedded so ``repro replay`` re-attaches the monitors (their
-    watchdog events are part of the recorded schedule).  ``timeout``
-    bounds the simulation's wall-clock seconds (not the oracle's
-    post-pass): past it the kernel raises
+    With ``record``, a :class:`~repro.record.FlightRecorder` captures
+    the run's binary event log into the verdict's ``log_bytes`` -- the
+    harness mode is embedded so ``repro replay`` re-attaches the
+    monitors (their watchdog events are part of the recorded
+    schedule).  ``timeout`` bounds the simulation's wall-clock seconds
+    (not the oracle's post-pass): past it the kernel raises
     :class:`~repro.sim.kernel.RunTimeout`, which propagates.
     """
     started = time.perf_counter()
@@ -151,7 +151,6 @@ def verify_run(spec: RunSpec, collect_trace: bool = False,
     machine = Machine(spec.config)
     if timeout:
         machine.sim.deadline = time.monotonic() + timeout
-    tracer = Tracer().attach(machine) if collect_trace else None
     flight = None
     if record:
         from repro.record import FlightRecorder
@@ -200,7 +199,7 @@ def verify_run(spec: RunSpec, collect_trace: bool = False,
             config=spec.config, workload_name=workload.name,
             stats=machine.stats, store=machine.store))
         result.log_bytes = flight.finish(run_fingerprint)
-    return result, tracer
+    return result
 
 
 def verify_fingerprint(spec: RunSpec) -> str:
@@ -217,7 +216,7 @@ def _verify_one(spec: RunSpec, timeout: Optional[float]) -> VerifyResult:
     out becomes a failing verdict, never a retry."""
     started = time.perf_counter()
     try:
-        result, _ = verify_run(spec, timeout=timeout)
+        result = verify_run(spec, timeout=timeout)
     except Exception as exc:  # timeout or an unexpected verifier crash
         result = VerifyResult(
             workload=spec.workload,
@@ -328,8 +327,8 @@ def shrink_failure(spec: RunSpec, *,
 
     Greedily halves the workload's size knob while the failure still
     reproduces, then halves the processor count (floor 2), then re-runs
-    the survivor with a :class:`~repro.sim.trace.Tracer` attached and
-    renders the window around the first violation.
+    the survivor with a record log captured and renders the log's
+    window around the first violation.
     """
     current = spec
     steps = 0
@@ -366,30 +365,31 @@ def shrink_failure(spec: RunSpec, *,
     # Final instrumented run of the minimal reproduction, with a
     # record log captured so the exact failing schedule can be
     # replayed and time-travel-debugged offline.
-    result, tracer = verify_run(current, collect_trace=True, record=True)
+    result = verify_run(current, record=True)
     if result.ok:
         # The failure is flaky at this size (e.g. pool-vs-serial timing
         # of the wall clock); fall back to the unshrunk spec.
         current, steps = spec, 0
-        result, tracer = verify_run(current, collect_trace=True,
-                                    record=True)
-    if result.log_bytes:
-        from repro.record import artifact_dir
-        log_path = os.path.join(
-            artifact_dir(),
-            f"record-{current.workload}-s{current.config.seed}.rlog")
-        with open(log_path, "wb") as fh:
-            fh.write(result.log_bytes)
-        result.record_log = log_path
+        result = verify_run(current, record=True)
+    from repro.record import artifact_dir, load_log
+    log_path = os.path.join(
+        artifact_dir(),
+        f"record-{current.workload}-s{current.config.seed}.rlog")
+    with open(log_path, "wb") as fh:
+        fh.write(result.log_bytes)
+    result.record_log = log_path
+    records = load_log(result.log_bytes).records
     first_violation = _first_violation_time(result)
     if first_violation is not None:
-        trace = tracer.render(since=max(0, first_violation
-                                        - TRACE_WINDOW_BEFORE),
-                              until=first_violation + TRACE_WINDOW_AFTER)
+        since = first_violation - TRACE_WINDOW_BEFORE
+        until = first_violation + TRACE_WINDOW_AFTER
+        window = [record for record in records
+                  if record.op != "dispatch"
+                  and since <= record.time <= until]
     else:
-        events = tracer.events
-        since = events[-80].time if len(events) > 80 else 0
-        trace = tracer.render(since=since)
+        window = [record for record in records
+                  if record.op == "tap"][-TRACE_TAIL_TAPS:]
+    trace = "\n".join(record.render() for record in window)
     return ShrunkFailure(spec=current, result=result, trace=trace,
                          shrink_steps=steps)
 

@@ -20,7 +20,7 @@ from repro.cpu.processor import _PENDING, Processor
 from repro.harness.machine import Machine
 from repro.harness.spec import RunSpec
 from repro.harness.config import SyncScheme, SystemConfig
-from repro.sim.trace import Tracer
+from repro.record import FlightRecorder, load_log
 from repro.verify import FootprintRecorder, SerializabilityOracle
 
 
@@ -105,11 +105,13 @@ def _spec(workload: str, scheme: SyncScheme,
 
 
 def _observed_run(spec: RunSpec):
+    workload = spec.build_workload()
     machine = Machine(spec.config)
-    tracer = Tracer().attach(machine)
+    flight = FlightRecorder(
+        spec, locks=sorted(workload.lock_addrs)).attach(machine)
     footprint = FootprintRecorder().attach(machine)
-    machine.run_workload(spec.build_workload())
-    return machine, tracer, footprint
+    machine.run_workload(workload)
+    return machine, flight.finish("0" * 64), footprint
 
 
 # A two-entry write buffer forces wb-overflow fallbacks (misspecs
@@ -124,9 +126,9 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_early_bound_handles_stay_observed(case, monkeypatch):
     spec = CASES[case]
-    reference, ref_tracer, ref_footprint = _observed_run(spec)
+    reference, ref_log, ref_footprint = _observed_run(spec)
     monkeypatch.setattr(machine_module, "Processor", EarlyBoundProcessor)
-    machine, tracer, footprint = _observed_run(spec)
+    machine, log, footprint = _observed_run(spec)
     assert all(isinstance(p, EarlyBoundProcessor)
                for p in machine.processors)
     # The runs themselves are identical...
@@ -134,10 +136,11 @@ def test_early_bound_handles_stay_observed(case, monkeypatch):
     # ...and so is everything the observers saw through the handles.
     assert footprint.plain_writes > 0
     assert any(txn.reads for txn in footprint.committed)
-    assert tracer.counts().get("misspec", 0) > 0
+    assert any(record.op == "tap" and record.label == "misspec"
+               for record in load_log(log).records)
     assert footprint.log == ref_footprint.log
     assert footprint.committed == ref_footprint.committed
-    assert tracer.counts() == ref_tracer.counts()
-    assert tracer.spans == ref_tracer.spans
+    # The flight log holds every tap, state, deferral and txn record.
+    assert log == ref_log
     report = SerializabilityOracle(footprint).check(machine.store.snapshot())
     assert report.ok, report.violations

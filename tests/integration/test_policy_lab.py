@@ -137,7 +137,7 @@ def test_policy_serializability_fanout(policy, workload):
                            num_cpus=4, scheme=SyncScheme.TLR,
                            seed=seed, spec=base.spec),
                        workload_args={size_key: 96})
-        result, _ = verify_run(spec)
+        result = verify_run(spec)
         assert result.ok, (f"{policy}/{workload}/seed{seed}: "
                            f"{result.violations or result.error}")
         assert result.num_txns > 0
@@ -155,7 +155,7 @@ def test_nack_chained_request_corner():
                    config=SystemConfig(num_cpus=4, scheme=SyncScheme.TLR)
                    .with_policy("nack"),
                    workload_args={"total_increments": 96})
-    result, _ = verify_run(spec)
+    result = verify_run(spec)
     assert result.ok, result.violations or result.error
     assert result.summary["nacks_sent"] > 0
     assert result.summary["requests_deferred"] > 0
@@ -207,6 +207,6 @@ def test_oracle_handles_mixed_lock_and_transactional_history():
                            ).with_policy("requester-wins", fallback_k=1)
         spec = RunSpec(workload="single-counter", config=cfg,
                        workload_args={"total_increments": 96})
-        result, _ = verify_run(spec)
+        result = verify_run(spec)
         assert result.ok, result.violations or result.error
         assert result.summary["lock_fallbacks"] > 0  # mixing occurred

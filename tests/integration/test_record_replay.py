@@ -102,6 +102,22 @@ class TestRecordReplayMatrix:
         assert image.header["harness"] == {"kind": "run"}
         assert image.end.fingerprint == recorded.fingerprint
 
+    def test_failed_run_log_holds_everything_up_to_the_failure(self):
+        """A run cut by its cycle budget still returns a complete log:
+        END names the cycle it stopped at, and replay reproduces it."""
+        config = SystemConfig(num_cpus=4, scheme=SyncScheme.TLR,
+                              max_cycles=2000)
+        spec = RunSpec(workload="linked-list", config=config,
+                       workload_args={"total_ops": 64})
+        recorded = record_run(spec)
+        assert recorded.error.startswith("SimulationError")
+        image = load_log(recorded.log)
+        assert image.end.final_time == 2000
+        assert image.records
+        report = replay_log(recorded.log)
+        assert report.ok, report.render()
+        assert report.records == len(image.records)
+
 
 # ----------------------------------------------------------------------
 # Schedule chaos: the kernel choice hook's draws are part of the log
@@ -136,7 +152,7 @@ class TestChaosRecordReplay:
         assert report.ok, report.render()
 
     def test_chaos_verify_log_replays_pure(self):
-        result, _ = verify_run(_chaos_spec("snoop"), record=True)
+        result = verify_run(_chaos_spec("snoop"), record=True)
         assert result.ok, result.headline()
         assert load_log(result.log_bytes).header["harness"] == \
             {"kind": "verify"}
@@ -149,7 +165,7 @@ class TestChaosRecordReplay:
 # ----------------------------------------------------------------------
 class TestVerifyCapture:
     def test_verify_recorded_run_replays_pure(self):
-        result, _ = verify_run(_spec(), record=True)
+        result = verify_run(_spec(), record=True)
         assert result.ok and result.log_bytes
         image = load_log(result.log_bytes)
         assert image.header["harness"]["kind"] == "verify"
@@ -166,7 +182,7 @@ class TestVerifyCapture:
             controller_module.CacheController, "_handle_loss",
             lambda self, reason, line_addr, ts=None, aborter=-1: None)
         spec = replace(_spec(ops=64), validate=False)
-        result, _ = verify_run(spec)
+        result = verify_run(spec)
         assert not result.ok, "injected lost updates went undetected"
 
         shrunk = shrink_failure(spec)

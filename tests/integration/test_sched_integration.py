@@ -87,7 +87,7 @@ def test_verifier_accepts_preemptive_runs():
         cfg = _sched_cfg(scheduler, quantum=150, threads_per_cpu=2)
         spec = RunSpec(workload="single-counter", config=cfg,
                        workload_args={"total_increments": 96})
-        outcome, _trace = verify_run(spec)
+        outcome = verify_run(spec)
         assert outcome.ok, (scheduler, outcome.violations, outcome.error)
         assert outcome.num_txns > 0
 

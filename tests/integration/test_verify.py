@@ -1,7 +1,7 @@
 """Integration tests for the repro.verify subsystem: clean TLR runs
 pass the oracle and monitors, instrumentation does not perturb the
 execution, and deliberately broken conflict resolution is caught and
-shrunk to a traced minimal reproduction."""
+shrunk to a minimal reproduction rendered from its record log."""
 
 import os
 from dataclasses import replace
@@ -15,9 +15,12 @@ from repro.coherence.messages import beats as real_beats
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.machine import Machine
 from repro.harness.spec import SIZE_PARAM, RunSpec
+from repro.record import load_log
 from repro.verify import (FootprintRecorder, InvariantViolation,
                           MonitorSuite, SerializabilityOracle, explore,
                           shrink_failure, verify_run, verify_suite)
+from repro.verify.explorer import (TRACE_WINDOW_AFTER, TRACE_WINDOW_BEFORE,
+                                   _first_violation_time)
 from repro.workloads.microbench import single_counter
 
 from tests.conftest import small_config
@@ -39,7 +42,7 @@ class TestVerifyRun:
                      id="linked-list-directory"),
     ])
     def test_clean_tlr_run_passes(self, workload, overrides):
-        result, _ = verify_run(_spec(workload, **overrides))
+        result = verify_run(_spec(workload, **overrides))
         assert result.ok, result.headline()
         assert result.num_txns > 0
 
@@ -48,8 +51,8 @@ class TestVerifyRun:
         """16 CPUs on the directory protocol: thousands of probes a run
         (against a few dozen at 4 CPUs), and a probe beats both an owner
         and a mid-chain node along the way."""
-        result, _ = verify_run(_spec("linked-list", num_cpus=16, seed=seed,
-                                     protocol="directory"))
+        result = verify_run(_spec("linked-list", num_cpus=16, seed=seed,
+                                  protocol="directory"))
         assert result.ok, result.headline()
         counters = result.metrics["counters"]
         assert counters["probe.sent"] > 1000
@@ -59,11 +62,11 @@ class TestVerifyRun:
     @pytest.mark.parametrize("scheme", [SyncScheme.SLE, SyncScheme.BASE,
                                         SyncScheme.MCS])
     def test_other_schemes_pass(self, scheme):
-        result, _ = verify_run(_spec(scheme=scheme))
+        result = verify_run(_spec(scheme=scheme))
         assert result.ok, result.headline()
 
     def test_chaos_mode_passes(self):
-        result, _ = verify_run(_spec("linked-list", schedule_chaos=3))
+        result = verify_run(_spec("linked-list", schedule_chaos=3))
         assert result.ok, result.headline()
 
     def test_recorder_does_not_perturb_execution(self):
@@ -176,6 +179,21 @@ class TestMutationDetection:
         assert "minimal reproduction" in rendering
         assert "failure:" in rendering
         assert any(ch.isdigit() for ch in shrunk.trace)
+
+        # The window is rendered from the failure's own record log:
+        # every line is a logged record near the first violation.
+        violation = _first_violation_time(shrunk.result)
+        assert violation is not None
+        times_of: dict[str, list[int]] = {}
+        for record in load_log(shrunk.result.record_log).records:
+            times_of.setdefault(record.render(), []).append(record.time)
+        lines = shrunk.trace.splitlines()
+        assert lines
+        for line in lines:
+            assert line in times_of, line
+            assert any(violation - TRACE_WINDOW_BEFORE <= time
+                       <= violation + TRACE_WINDOW_AFTER
+                       for time in times_of[line]), line
 
     def test_ignored_losses_caught_by_oracle_alone(self, ignored_losses):
         # No monitors attached: the serializability oracle must catch

@@ -68,6 +68,28 @@ class TestCli:
         assert payload["ok"] is True
         assert payload["workloads"]["single-counter"]["seeds"] == 2
 
+    def test_verify_failure_prints_log_and_window(self, capsys,
+                                                   monkeypatch):
+        import repro.policies.base as policy_base
+        import repro.policies.timestamp as policy_timestamp
+        from repro.coherence.messages import beats
+
+        def inverted(challenger, incumbent):
+            if challenger is None or incumbent is None:
+                return beats(challenger, incumbent)
+            return not beats(challenger, incumbent)
+
+        monkeypatch.setattr(policy_base, "beats", inverted)
+        monkeypatch.setattr(policy_timestamp, "beats", inverted)
+        assert cli_main(["verify", "linked-list", "--cpus", "8",
+                         "--seeds", "4", "--ops", "128",
+                         "--no-cache"]) == 1
+        out = capsys.readouterr().out
+        assert "minimal reproduction" in out
+        assert "record log: " in out
+        window = out.split("(replay with `repro replay`)\n\n", 1)[1]
+        assert " tap " in window
+
     def test_verify_rejects_unknown_workload(self, capsys):
         assert cli_main(["verify", "no-such-workload",
                          "--seeds", "1"]) == 2

@@ -116,70 +116,13 @@ class TestTracer:
         assert counts.get("txn-commit", 0) > 0
         assert counts.get("data", 0) > 0
 
-    def test_filtering(self):
-        cfg = small_config(2, SyncScheme.TLR)
-        machine = Machine(cfg)
-        tracer = Tracer().attach(machine)
-        machine.run_workload(single_counter(2, 64))
-        only_cpu0 = tracer.filter(cpu=0)
-        assert only_cpu0 and all(e.cpu == 0 for e in only_cpu0)
-        commits = tracer.filter(kinds=["txn-commit"])
-        assert all(e.kind == "txn-commit" for e in commits)
-        windowed = tracer.filter(since=100, until=200)
-        assert all(100 <= e.time <= 200 for e in windowed)
-
-    def test_capacity_bound(self):
-        cfg = small_config(2, SyncScheme.TLR)
-        machine = Machine(cfg)
-        tracer = Tracer(capacity=10).attach(machine)
-        machine.run_workload(single_counter(2, 64))
-        assert len(tracer.events) == 10
-        assert tracer.dropped > 0
-        assert "dropped" in tracer.render()
-
     def test_render_is_readable(self):
         cfg = small_config(2, SyncScheme.TLR)
         machine = Machine(cfg)
         tracer = Tracer().attach(machine)
         machine.run_workload(single_counter(2, 32))
-        text = tracer.render(kinds=["txn-commit"])
+        text = tracer.render()
         assert "txn-commit" in text
-
-    def test_chrome_trace_export(self, tmp_path):
-        import json as jsonlib
-
-        cfg = small_config(2, SyncScheme.TLR)
-        machine = Machine(cfg)
-        tracer = Tracer().attach(machine)
-        machine.run_workload(single_counter(2, 64))
-        path = tmp_path / "trace.json"
-        written = tracer.to_chrome_trace(path)
-        assert written == len(tracer.events)
-        payload = jsonlib.loads(path.read_text())
-        events = payload["traceEvents"]
-        instants = [e for e in events if e["ph"] == "i"]
-        assert len(instants) == written
-        assert all(e["s"] == "t" for e in instants)
-        # One thread-name metadata record per cpu that traced anything.
-        meta = [e for e in events if e["ph"] == "M"]
-        assert {m["args"]["name"] for m in meta} == {
-            f"cpu{e.cpu}" for e in tracer.events}
-        commit = next(e for e in instants if e["name"] == "txn-commit")
-        assert isinstance(commit["ts"], int) and commit["tid"] in (0, 1)
-
-    def test_chrome_trace_export_respects_filters(self, tmp_path):
-        import json as jsonlib
-
-        cfg = small_config(2, SyncScheme.TLR)
-        machine = Machine(cfg)
-        tracer = Tracer().attach(machine)
-        machine.run_workload(single_counter(2, 64))
-        path = tmp_path / "commits.json"
-        written = tracer.to_chrome_trace(path, kinds=["txn-commit"])
-        payload = jsonlib.loads(path.read_text())
-        instants = [e for e in payload["traceEvents"] if e["ph"] == "i"]
-        assert written == len(instants) > 0
-        assert all(e["name"] == "txn-commit" for e in instants)
 
 
 class TestMachineDump:
@@ -203,7 +146,7 @@ class TestTracerSpans:
 
     def test_txn_spans_pair_begin_with_outcome(self):
         machine, tracer = self._traced_run()
-        txn = tracer.filter_spans(kinds=["txn"])
+        txn = [s for s in tracer.spans if s.kind == "txn"]
         assert txn, "no transaction spans recorded"
         assert all(s.end >= s.begin for s in txn)
         outcomes = {s.detail for s in txn}
@@ -216,117 +159,7 @@ class TestTracerSpans:
 
     def test_defer_and_request_spans(self):
         _, tracer = self._traced_run()
-        defer = tracer.filter_spans(kinds=["defer"])
+        defer = [s for s in tracer.spans if s.kind == "defer"]
         assert defer and all(s.duration > 0 for s in defer)
-        requests = tracer.filter_spans(kinds=["request"])
+        requests = [s for s in tracer.spans if s.kind == "request"]
         assert requests and all(s.end >= s.begin for s in requests)
-
-    def test_span_window_filter_matches_overlap(self):
-        _, tracer = self._traced_run()
-        span = tracer.spans[len(tracer.spans) // 2]
-        mid = (span.begin + span.end) // 2
-        window = tracer.filter_spans(since=mid, until=mid)
-        assert span in window
-
-    def test_chrome_export_emits_async_span_pairs(self, tmp_path):
-        import json as jsonlib
-
-        _, tracer = self._traced_run()
-        path = tmp_path / "spans.json"
-        written = tracer.to_chrome_trace(path)
-        events = jsonlib.loads(path.read_text())["traceEvents"]
-        begins = [e for e in events if e["ph"] == "b"]
-        ends = [e for e in events if e["ph"] == "e"]
-        assert len(begins) == len(ends) == len(tracer.spans) > 0
-        # Return value counts instants only (the pre-span contract).
-        assert written == len([e for e in events if e["ph"] == "i"])
-        by_id = {e["id"]: e for e in begins}
-        for end in ends:
-            begin = by_id[end["id"]]
-            assert begin["ts"] <= end["ts"]
-            assert begin["pid"] == end["pid"] == 0
-            assert begin["tid"] == end["tid"]
-            assert begin["cat"] == end["cat"] in {"txn", "defer",
-                                                  "request"}
-
-    def test_chrome_export_filter_kwargs_apply_to_spans(self, tmp_path):
-        import json as jsonlib
-
-        _, tracer = self._traced_run()
-        path = tmp_path / "cpu0.json"
-        tracer.to_chrome_trace(path, cpu=0)
-        events = jsonlib.loads(path.read_text())["traceEvents"]
-        rows = [e for e in events if e["ph"] in ("i", "b", "e")]
-        assert rows and all(e["tid"] == 0 for e in rows)
-
-    def test_spans_survive_instant_capacity(self):
-        cfg = small_config(2, SyncScheme.TLR)
-        machine = Machine(cfg)
-        full = Tracer().attach(machine)
-        machine.run_workload(single_counter(2, 64))
-
-        machine2 = Machine(small_config(2, SyncScheme.TLR))
-        tiny = Tracer(capacity=5).attach(machine2)
-        machine2.run_workload(single_counter(2, 64))
-        assert len(tiny.spans) == len(full.spans) > 0
-
-
-class TestTracerRingMode:
-    def test_ring_keeps_newest_events(self):
-        cfg = small_config(2, SyncScheme.TLR)
-        machine = Machine(cfg)
-        tracer = Tracer(capacity=10, ring=True).attach(machine)
-        machine.run_workload(single_counter(2, 64))
-        assert len(tracer.events) == 10
-        assert tracer.dropped > 0
-        # The ring holds the *end* of the run, not its start.
-        assert min(e.time for e in tracer.events) > machine.sim.now // 2
-        assert "ring" in tracer.render()
-
-    def test_drop_accounting_per_kind(self):
-        cfg = small_config(2, SyncScheme.TLR)
-        machine = Machine(cfg)
-        tracer = Tracer(capacity=10, ring=True).attach(machine)
-        machine.run_workload(single_counter(2, 64))
-        dropped = tracer.counts(dropped=True)
-        assert sum(dropped.values()) == tracer.dropped > 0
-
-    def test_default_mode_drops_newest(self):
-        cfg = small_config(2, SyncScheme.TLR)
-        machine = Machine(cfg)
-        tracer = Tracer(capacity=10).attach(machine)
-        machine.run_workload(single_counter(2, 64))
-        dropped = tracer.counts(dropped=True)
-        assert sum(dropped.values()) == tracer.dropped > 0
-        # Default mode keeps the *start* of the run (ring keeps the end).
-        assert max(e.time for e in tracer.events) < machine.sim.now // 2
-
-
-class TestLineOfArgs:
-    def test_message_line_attribute_wins(self):
-        from repro.sim.trace import _line_of_args
-
-        class Msg:
-            line = 0x80
-        assert _line_of_args((Msg(),)) == 0x80
-
-    def test_bare_int_only_from_known_positions(self):
-        from repro.sim.trace import _line_of_args
-
-        # _handle_loss(reason, line, ts) / _on_misspeculation(reason,
-        # line) carry the line at position 1.
-        assert _line_of_args(("probe-lost", 0x40, (3, 1)),
-                             kind="loss") == 0x40
-        assert _line_of_args(("invalidated", 0x40),
-                             kind="misspec") == 0x40
-        # An int in an unknown hook must not be misread as a line.
-        assert _line_of_args((7,), kind="nack") is None
-        assert _line_of_args((7,)) is None
-        assert _line_of_args(("reason",), kind="loss") is None
-
-    def test_non_int_line_attribute_ignored(self):
-        from repro.sim.trace import _line_of_args
-
-        class Odd:
-            line = "not-a-line"
-        assert _line_of_args((Odd(),)) is None

@@ -1,20 +1,15 @@
 """Unit tests for repro.record: the binary log format, the timeline
-debugger, VCD export, and the per-consumer drop accounting when a
-recorder and a tracer share the machine tap layer."""
+debugger and VCD export."""
 
 import io
 
 import pytest
 
 from repro.harness.config import SyncScheme, SystemConfig
-from repro.harness.machine import Machine
 from repro.harness.spec import RunSpec
-from repro.record import (LOG_SCHEMA, SCHEMA_HISTORY, FlightRecorder,
-                          Timeline, export_vcd, first_divergence, load_log,
-                          record_run)
+from repro.record import (LOG_SCHEMA, SCHEMA_HISTORY, Timeline, export_vcd,
+                          first_divergence, load_log, record_run)
 from repro.record.format import (LogFormatError, LogWriter, read_header)
-from repro.sim.trace import Tracer
-from repro.workloads.microbench import single_counter
 
 
 def _spec(seed=0, ops=48):
@@ -206,51 +201,3 @@ class TestVcd:
         export_vcd(recorded.log, b)
         assert a.getvalue() == b.getvalue()
         assert "$date" not in a.getvalue()
-
-
-# ----------------------------------------------------------------------
-# Per-consumer drop accounting on the shared tap layer
-# ----------------------------------------------------------------------
-class TestSharedTapDrops:
-    def _run_both(self, tracer, recorder_capacity):
-        spec = _spec(ops=48)
-        workload = spec.build_workload()
-        machine = Machine(spec.config)
-        tracer.attach(machine)
-        recorder = FlightRecorder(
-            spec, locks=sorted(workload.lock_addrs),
-            capacity=recorder_capacity).attach(machine)
-        machine.run_workload(workload)
-        return recorder
-
-    def test_ring_tracer_and_recorder_count_drops_independently(self):
-        tracer = Tracer(capacity=20, ring=True)
-        recorder = self._run_both(tracer, recorder_capacity=30)
-        # Both consumers saturated -- each tallied its own evictions.
-        assert tracer.dropped > 0
-        assert recorder.dropped > 0
-        assert sum(tracer.dropped_by_kind.values()) == tracer.dropped
-        assert sum(recorder.dropped_by_kind.values()) == recorder.dropped
-        # Ring mode keeps the *latest* window.
-        assert len(tracer.events) == 20
-
-    def test_saturated_tracer_costs_recorder_nothing(self):
-        tracer = Tracer(capacity=10, ring=True)
-        recorder = self._run_both(tracer, recorder_capacity=None)
-        assert tracer.dropped > 0
-        assert recorder.dropped == 0 and recorder.dropped_by_kind == {}
-        # The unsaturated recorder still produced a loadable log.
-        log = recorder.finish("0" * 64)
-        assert load_log(log).records
-
-    def test_bounded_recorder_keeps_dispatch_stream(self):
-        """Capacity drops tap/state/defer records, never the kernel
-        dispatch stream or the END summary."""
-        recorder = self._run_both(Tracer(capacity=100_000),
-                                  recorder_capacity=25)
-        log = recorder.finish("0" * 64)
-        image = load_log(log)
-        assert image.end is not None
-        dispatches = sum(1 for r in image.records if r.op == "dispatch")
-        assert dispatches > 25                     # never capped
-        assert recorder.dropped_by_kind           # taps were capped

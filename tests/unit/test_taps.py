@@ -9,8 +9,7 @@ from repro.harness.machine import Machine
 from repro.harness.spec import RunSpec
 from repro.obs import LockProfiler, MachineMetrics
 from repro.record import FlightRecorder
-from repro.sim.taps import POST_KINDS, MachineTaps, Point
-from repro.sim.trace import Tracer
+from repro.sim.taps import POST_KINDS, MachineTaps, Point, _line_of_args
 from repro.verify import FootprintRecorder
 from repro.verify.monitors import MonitorSuite
 
@@ -69,7 +68,6 @@ class TestSeam:
         machine = Machine(spec.config)
         MachineMetrics().attach(machine)
         LockProfiler().attach(machine)
-        Tracer().attach(machine)
         FlightRecorder(spec).attach(machine)
         FootprintRecorder().attach(machine)
         MonitorSuite(machine).attach()
@@ -92,3 +90,27 @@ class TestSeam:
         machine = Machine(SystemConfig(num_cpus=2))
         assert not any(value for value in vars(machine.taps).values()
                        if isinstance(value, Point))
+
+
+class TestLineOfArgs:
+    def test_message_line_attribute_wins(self):
+        class Msg:
+            line = 0x80
+        assert _line_of_args((Msg(),)) == 0x80
+
+    def test_bare_int_only_from_known_positions(self):
+        # _handle_loss(reason, line, ts) / _on_misspeculation(reason,
+        # line) carry the line at position 1.
+        assert _line_of_args(("probe-lost", 0x40, (3, 1)),
+                             kind="loss") == 0x40
+        assert _line_of_args(("invalidated", 0x40),
+                             kind="misspec") == 0x40
+        # An int in an unknown hook must not be misread as a line.
+        assert _line_of_args((7,), kind="nack") is None
+        assert _line_of_args((7,)) is None
+        assert _line_of_args(("reason",), kind="loss") is None
+
+    def test_non_int_line_attribute_ignored(self):
+        class Odd:
+            line = "not-a-line"
+        assert _line_of_args((Odd(),)) is None

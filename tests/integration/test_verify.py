@@ -17,9 +17,10 @@ from repro.harness.machine import Machine
 from repro.harness.spec import SIZE_PARAM, RunSpec
 from repro.record import load_log
 from repro.verify import (FootprintRecorder, InvariantViolation,
-                          MonitorSuite, SerializabilityOracle, explore,
-                          shrink_failure, verify_run, verify_suite)
-from repro.verify.explorer import (TRACE_WINDOW_AFTER, TRACE_WINDOW_BEFORE,
+                          MonitorSuite, SerializabilityOracle, VerifyResult,
+                          explore, shrink_failure, verify_run, verify_suite)
+from repro.verify.explorer import (TRACE_TAIL_TAPS, TRACE_WINDOW_AFTER,
+                                   TRACE_WINDOW_BEFORE,
                                    _first_violation_time)
 from repro.workloads.microbench import single_counter
 
@@ -69,6 +70,14 @@ class TestVerifyRun:
         result = verify_run(_spec("linked-list", schedule_chaos=3))
         assert result.ok, result.headline()
 
+    def test_recording_does_not_change_the_verdict(self):
+        plain = verify_run(_spec("linked-list"))
+        recorded = verify_run(_spec("linked-list"), record=True)
+        assert isinstance(plain, VerifyResult) and plain.log_bytes is None
+        assert recorded.log_bytes
+        for key in ("ok", "num_txns", "edges", "cycles", "summary"):
+            assert getattr(recorded, key) == getattr(plain, key), key
+
     def test_recorder_does_not_perturb_execution(self):
         cfg = small_config(4, SyncScheme.TLR)
         plain = Machine(cfg)
@@ -110,6 +119,26 @@ class TestVerifyRun:
         assert sample.writes and sample.commit_time > 0
         # Every non-first increment read the counter from memory.
         assert any(t.reads for t in recorder.committed)
+
+
+class TestVerdict:
+    def test_first_violation_time_takes_the_earliest_cycle(self):
+        result = VerifyResult("linked-list", "TLR", 4, 0, ok=False,
+                              violations=["[coherence t=450] two owners",
+                                          "stale-read t=x of line 0x40",
+                                          "[oracle t=120] stale-read",
+                                          "final-state mismatch"])
+        assert _first_violation_time(result) == 120
+        result.violations = ["final-state mismatch"]
+        assert _first_violation_time(result) is None
+
+    def test_recorded_verdict_serializes_without_its_log(self):
+        recorded = verify_run(_spec(ops=16), record=True)
+        assert recorded.log_bytes
+        data = recorded.to_dict()
+        assert not any(isinstance(value, bytes) for value in data.values())
+        loaded = VerifyResult.from_dict(data)
+        assert loaded == recorded and loaded.log_bytes is None
 
 
 class TestExplore:
@@ -194,6 +223,23 @@ class TestMutationDetection:
             assert any(violation - TRACE_WINDOW_BEFORE <= time
                        <= violation + TRACE_WINDOW_AFTER
                        for time in times_of[line]), line
+
+    def test_window_without_a_violation_time_is_the_log_tail(self):
+        """A run that dies of an error names no violation cycle: the
+        window is the last taps of its record log."""
+        spec = RunSpec("linked-list",
+                       SystemConfig(num_cpus=4, scheme=SyncScheme.TLR,
+                                    max_cycles=2000),
+                       {SIZE_PARAM["linked-list"]: 64})
+        shrunk = shrink_failure(spec, max_rounds=0)
+        assert shrunk.result.error.startswith("SimulationError")
+        assert _first_violation_time(shrunk.result) is None
+        taps = [record for record in
+                load_log(shrunk.result.record_log).records
+                if record.op == "tap"]
+        assert len(taps) > TRACE_TAIL_TAPS
+        assert shrunk.trace.splitlines() == \
+            [record.render() for record in taps[-TRACE_TAIL_TAPS:]]
 
     def test_ignored_losses_caught_by_oracle_alone(self, ignored_losses):
         # No monitors attached: the serializability oracle must catch

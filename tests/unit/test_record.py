@@ -1,15 +1,20 @@
 """Unit tests for repro.record: the binary log format, the timeline
-debugger and VCD export."""
+debugger, VCD export, and the recorder's promise that the log is the
+run's whole event history."""
 
 import io
 
 import pytest
 
 from repro.harness.config import SyncScheme, SystemConfig
+from repro.harness.machine import Machine
 from repro.harness.spec import RunSpec
-from repro.record import (LOG_SCHEMA, SCHEMA_HISTORY, Timeline, export_vcd,
-                          first_divergence, load_log, record_run)
+from repro.obs import LockProfiler, MachineMetrics
+from repro.record import (LOG_SCHEMA, SCHEMA_HISTORY, FlightRecorder,
+                          Timeline, export_vcd, first_divergence, load_log,
+                          record_run)
 from repro.record.format import (LogFormatError, LogWriter, read_header)
+from repro.sim.taps import TAP_KINDS, Point
 
 
 def _spec(seed=0, ops=48):
@@ -162,6 +167,26 @@ class TestTimeline:
         assert all(r.cpu == 0 for r in timeline.cpu_history(0))
         assert timeline.cpu_history(1) == []
 
+    def test_histories_window_a_real_run(self):
+        timeline = Timeline(record_run(_spec()).log)
+        since, until = timeline.final_time // 4, timeline.final_time // 2
+        in_window = [r for r in timeline.records
+                     if since <= r.time <= until]
+        on_cpu1 = timeline.cpu_history(1, since=since, until=until)
+        assert on_cpu1 == [r for r in in_window if r.cpu == 1]
+        assert on_cpu1
+        line = next(r.line for r in in_window if r.line is not None)
+        assert timeline.line_history(line, since=since, until=until) == \
+            [r for r in in_window if r.line == line]
+
+    def test_txn_spans_filter_by_cpu(self):
+        timeline = Timeline(record_run(_spec()).log)
+        spans = timeline.txn_spans()
+        per_cpu = [timeline.txn_spans(cpu) for cpu in range(4)]
+        for cpu, own in enumerate(per_cpu):
+            assert own and own == [s for s in spans if s[0] == cpu]
+        assert sum(len(own) for own in per_cpu) == len(spans)
+
     def test_real_run_state_is_sane(self):
         recorded = record_run(_spec())
         timeline = Timeline(recorded.log)
@@ -201,3 +226,70 @@ class TestVcd:
         export_vcd(recorded.log, b)
         assert a.getvalue() == b.getvalue()
         assert "$date" not in a.getvalue()
+
+
+# ----------------------------------------------------------------------
+# The log is the run's whole event history
+# ----------------------------------------------------------------------
+class TestWholeHistory:
+    def _record(self, *observers):
+        """Record one run of ``_spec()``; each ``observers`` entry
+        attaches another subscriber to the same machine first."""
+        spec = _spec()
+        workload = spec.build_workload()
+        machine = Machine(spec.config)
+        recorder = FlightRecorder(
+            spec, locks=sorted(workload.lock_addrs)).attach(machine)
+        for attach in observers:
+            attach(machine)
+        machine.run_workload(workload)
+        return recorder, machine
+
+    def test_recorder_keeps_every_tap(self):
+        seen = []
+
+        def count(machine):
+            machine.taps.subscribe(
+                lambda time, cpu, kind, args, obj:
+                    seen.append((time, cpu, kind)), *TAP_KINDS)
+
+        recorder, _ = self._record(count)
+        image = load_log(recorder.finish("0" * 64))
+        assert [(r.time, r.cpu, r.label) for r in image.records
+                if r.op == "tap"] == seen
+        assert len(seen) > 100
+
+    def test_recorder_keeps_dispatch_stream(self):
+        recorder, machine = self._record()
+        image = load_log(recorder.finish("0" * 64))
+        dispatches = [r for r in image.records if r.op == "dispatch"]
+        assert len(dispatches) == image.end.events_fired \
+            == machine.sim.events_fired > 0
+
+    def test_log_spans_the_whole_run(self):
+        recorder, machine = self._record()
+        image = load_log(recorder.finish("0" * 64))
+        assert image.records[0].op == "dispatch"
+        assert image.records[0].time < machine.sim.now // 4
+        assert image.end.final_time == machine.sim.now
+        assert image.records[-1].time <= image.end.final_time
+        assert image.records[-1].time > machine.sim.now // 2
+
+    def test_other_subscribers_cost_the_recorder_nothing(self):
+        alone, _ = self._record()
+        crowded, _ = self._record(
+            lambda machine: MachineMetrics().attach(machine),
+            lambda machine: LockProfiler().attach(machine),
+            lambda machine: machine.taps.subscribe(
+                lambda *event: None, *TAP_KINDS))
+        assert alone.finish("0" * 64) == crowded.finish("0" * 64)
+
+    def test_finish_is_final(self):
+        recorder, machine = self._record()
+        recorder.finish("0" * 64)
+        with pytest.raises(RuntimeError, match="already finished"):
+            recorder.finish("0" * 64)
+        # Nothing may follow END: every point the recorder (and its txn
+        # folder) subscribed to is empty again.
+        assert not any(value for value in vars(machine.taps).values()
+                       if isinstance(value, Point))

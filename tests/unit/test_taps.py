@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.harness.config import SyncScheme, SystemConfig
@@ -9,7 +14,8 @@ from repro.harness.machine import Machine
 from repro.harness.spec import RunSpec
 from repro.obs import LockProfiler, MachineMetrics
 from repro.record import FlightRecorder
-from repro.sim.taps import POST_KINDS, MachineTaps, Point, _line_of_args
+from repro.sim.taps import (POST_KINDS, MachineTaps, Point, _line_of_args,
+                             _ref_of_args)
 from repro.verify import FootprintRecorder
 from repro.verify.monitors import MonitorSuite
 
@@ -114,3 +120,31 @@ class TestLineOfArgs:
         class Odd:
             line = "not-a-line"
         assert _line_of_args((Odd(),)) is None
+
+
+class TestRefOfArgs:
+    def test_first_message_req_id_wins(self):
+        class Msg:
+            def __init__(self, req_id):
+                self.req_id = req_id
+        assert _ref_of_args(("reason", Msg(7), Msg(9))) == 7
+
+    def test_no_int_req_id_means_no_ref(self):
+        class Odd:
+            req_id = "not-an-id"
+        # A bare int is never read as a request id.
+        assert _ref_of_args((Odd(), 5)) is None
+        assert _ref_of_args(()) is None
+
+
+def test_library_imports_do_not_load_the_tracer():
+    """The payload helpers live here, so no library, CLI or serve
+    import pulls in the in-memory Tracer."""
+    code = ("import sys, repro.verify, repro.record, repro.serve, "
+            "repro.cli; print('repro.sim.trace' in sys.modules)")
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True, env=env).stdout
+    assert out.strip() == "False"

@@ -18,6 +18,7 @@ The session this walks through:
 Run:  python examples/time_travel_debug.py
 """
 
+import contextlib
 import os
 import tempfile
 
@@ -42,9 +43,7 @@ def set_beat(fn) -> None:
     policy_timestamp.beats = fn
 
 
-def main() -> None:
-    workdir = tempfile.mkdtemp(prefix="time-travel-")
-    os.environ["REPRO_ARTIFACT_DIR"] = workdir
+def session() -> None:
     spec = RunSpec(
         workload="linked-list",
         config=SystemConfig(num_cpus=8, scheme=SyncScheme.TLR),
@@ -117,6 +116,17 @@ def main() -> None:
           "first picked a")
     print("different conflict winner -- the bisection anchor for the "
           "bug.")
+
+
+def main() -> None:
+    """Run the session.  The shrunk failure's record log lands in the
+    caller's ``$REPRO_ARTIFACT_DIR`` when one is set, and otherwise in a
+    temporary directory removed at exit."""
+    with contextlib.ExitStack() as stack:
+        if not os.environ.get("REPRO_ARTIFACT_DIR"):
+            os.environ["REPRO_ARTIFACT_DIR"] = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="time-travel-"))
+        session()
 
 
 if __name__ == "__main__":

@@ -311,15 +311,25 @@ class Processor:
         if pc is not None:
             self.rmw.train_rmw(pc)
 
-    def _want_exclusive(self, op) -> bool:
+    def _want_exclusive(self, op, line: int) -> bool:
         """Read-exclusive prediction (Section 3.1.2)."""
         if op.is_lock:
             return False  # SLE never requests exclusive lock permissions
+        # ``.get``: a missing key on a Counter costs a __missing__ call.
         if (self.spec.active
-                and self.controller.upgrade_violations[isa.line_of(op.addr)]
+                and self.controller.upgrade_violations.get(line, 0)
                 >= self._read_esc_threshold):
             return True
         return self.in_cs and self.rmw.predict_exclusive(op.pc)
+
+    # The hit legs of loads, LL and stores look the line up once and
+    # then do what ``try_hit``, ``set_link`` and ``mark_accessed`` would
+    # each have looked it up again for, in the same order.  Every lookup
+    # bumps the line's LRU stamp; one bump leaves it as the set's most
+    # recent line just as two did, and a victim-cache promotion happens
+    # in the first lookup, so replacement is unchanged.  The miss legs
+    # keep the helpers: their effect runs in the fill's event and looks
+    # the line up there.
 
     # -- loads ----------------------------------------------------------
     def _do_read(self, op: isa.Read) -> Any:
@@ -331,16 +341,25 @@ class Processor:
                 self._debt += self._hit_latency
                 return buffered
         line = isa.line_of(op.addr)
-        want_x = self._want_exclusive(op)
+        want_x = self._want_exclusive(op, line)
         # A read the predictor fetched exclusive belongs to the write set:
         # letting another reader demote the line mid-transaction would
         # force the predicted store into an upgrade (and, if we are also
         # deferring that reader's chain, a self-deadlock).
         as_written = want_x and self.spec.active
-        if self.controller.try_hit(line, want_x):
+        controller = self.controller
+        cached = controller.cache.lookup(line)
+        if cached is not None and cached.state.valid and (
+                not want_x or cached.state.writable):
+            self.stats.l1_hits += 1
             value = self._arch_read(op.addr)
-            self.controller.mark_accessed(line, written=as_written)
-            self._note_cs_load(op)
+            if controller.speculating:
+                cached.accessed = True
+                if as_written:
+                    cached.spec_written = True
+                controller._spec_touched[line] = cached
+            if self.cs_depth and op.pc and not op.is_lock:
+                self._cs_loads[op.addr] = op.pc
             self._debt += self._hit_latency
             return value
         issue_time = self.sim.now
@@ -371,19 +390,37 @@ class Processor:
     def _do_write(self, op: isa.Write) -> Any:
         self.stats.stores += 1
         self.stats.ops_completed += 1
-        epoch_before = self.epoch
-        if self.spec.absorbs_release(op):
-            self._debt += self._hit_latency
-            return None
-        if self.epoch != epoch_before:
-            # Absorption killed the speculation (non-silent store pair):
-            # this store belongs to the squashed transaction and the
-            # restart is already scheduled.
-            return _PENDING
-        line = isa.line_of(op.addr)
-        if self.controller.try_hit(line, True):
-            if not self._apply_store(op):
+        spec = self.spec
+        if spec.active:  # only an open checkpoint absorbs a release
+            epoch_before = self.epoch
+            if spec.absorbs_release(op):
+                self._debt += self._hit_latency
+                return None
+            if self.epoch != epoch_before:
+                # Absorption killed the speculation (non-silent store
+                # pair): this store belongs to the squashed transaction
+                # and the restart is already scheduled.
                 return _PENDING
+        line = isa.line_of(op.addr)
+        controller = self.controller
+        cached = controller.cache.lookup(line)
+        if cached is not None and cached.state.writable:
+            self.stats.l1_hits += 1
+            if spec.active:
+                try:
+                    self.write_buffer.write(op.addr, op.value)
+                except WriteBufferOverflow:
+                    self.resource_fallback("wb-overflow")
+                    return _PENDING
+                if controller.speculating:
+                    cached.accessed = True
+                    cached.spec_written = True
+                    controller._spec_touched[line] = cached
+            else:
+                self._arch_write(op.addr, op.value)
+            pc = self._cs_loads.pop(op.addr, None)
+            if pc is not None:
+                self.rmw.train_rmw(pc)
             self._debt += self._hit_latency
             return None
         issue_time = self.sim.now
@@ -444,8 +481,16 @@ class Processor:
         self.stats.loads += 1
         self.stats.ops_completed += 1
         line = isa.line_of(op.addr)
-        if self.controller.try_hit(line, False):
-            value = self._ll_apply(op, line)
+        controller = self.controller
+        cached = controller.cache.lookup(line)
+        if cached is not None and cached.state.valid:
+            self.stats.l1_hits += 1
+            value = self._arch_read(op.addr)
+            controller._link = line  # set_link on a valid line
+            self._last_ll = (op.addr, value)
+            if controller.speculating:
+                cached.accessed = True
+                controller._spec_touched[line] = cached
             self._debt += self._hit_latency
             return value
         issue_time = self.sim.now

@@ -22,18 +22,38 @@ from repro.cpu import isa
 FREE = 0
 HELD = 1
 
+#: One lock site's ops: its LL, SC and release store.
+_SiteOps = tuple[isa.LoadLinked, isa.StoreConditional, isa.Write]
+
 
 class TestAndTestAndSetLock:
     """The shared-executable lock API for BASE/SLE/TLR."""
 
     name = "test&test&set"
 
+    def __init__(self):
+        # (lock_addr, pc) -> (LL, SC, release store).  Every acquire and
+        # release of one lock at one site issues the same three ops, and
+        # ops are never mutated after construction, so each is built
+        # once (as ThreadEnv interns its reads and computes).
+        self._ops: dict[tuple[int, str], _SiteOps] = {}
+
+    def _ops_for(self, lock_addr: int, pc: str) -> _SiteOps:
+        key = (lock_addr, pc)
+        ops = self._ops.get(key)
+        if ops is None:
+            ops = self._ops[key] = (
+                isa.LoadLinked(lock_addr, pc=f"{pc}.ll"),
+                isa.StoreConditional(lock_addr, HELD, pc=f"{pc}.sc"),
+                isa.Write(lock_addr, FREE, pc=f"{pc}.rel", is_lock=True))
+        return ops
+
     def acquire(self, env, lock_addr: int, pc: str) -> Generator:
+        ll, sc, _ = self._ops_for(lock_addr, pc)
         while True:
-            value = yield isa.LoadLinked(lock_addr, pc=f"{pc}.ll")
+            value = yield ll
             if value == FREE:
-                ok = yield isa.StoreConditional(lock_addr, HELD,
-                                                pc=f"{pc}.sc")
+                ok = yield sc
                 if ok:
                     return
                 # SC failed (link lost to an interfering access): brief
@@ -43,4 +63,4 @@ class TestAndTestAndSetLock:
                 yield isa.Watch(lock_addr, expect=value)
 
     def release(self, env, lock_addr: int, pc: str) -> Generator:
-        yield isa.Write(lock_addr, FREE, pc=f"{pc}.rel", is_lock=True)
+        yield self._ops_for(lock_addr, pc)[2]

@@ -54,12 +54,21 @@ class EarlyBoundProcessor(Processor):
                 self._debt += self._hit_latency
                 return buffered
         line = isa.line_of(op.addr)
-        want_x = self._want_exclusive(op)
+        want_x = self._want_exclusive(op, line)
         as_written = want_x and self.spec.active
-        if self.controller.try_hit(line, want_x):
+        controller = self.controller
+        cached = controller.cache.lookup(line)
+        if cached is not None and cached.state.valid and (
+                not want_x or cached.state.writable):
+            self.stats.l1_hits += 1
             value = self._read_now(op.addr)
-            self.controller.mark_accessed(line, written=as_written)
-            self._note_cs_load(op)
+            if controller.speculating:
+                cached.accessed = True
+                if as_written:
+                    cached.spec_written = True
+                controller._spec_touched[line] = cached
+            if self.cs_depth and op.pc and not op.is_lock:
+                self._cs_loads[op.addr] = op.pc
             self._debt += self._hit_latency
             return value
         issue_time = self.sim.now

@@ -24,6 +24,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.coherence.cache import CacheArray
 from repro.harness.config import SchedConfig, SyncScheme, SystemConfig
 from repro.harness.machine import Machine
 from repro.harness.spec import RunSpec
@@ -347,3 +348,35 @@ def test_default_path_subscriber_calls_do_not_grow(workload):
     assert calls <= pinned, (
         f"the default observers took {calls} subscriber calls, "
         f"more than the pinned {pinned}")
+
+
+#: L1 lookups (``CacheArray.lookup`` calls) per run on the same specs,
+#: default observers attached.  An L1 hit looks its line up once; the
+#: count is exact and repeats from run to run; it may fall, never rise.
+LOOKUPS_PER_RUN = {
+    "multiple-counter": ("total_increments", 2048, 8261),
+    "linked-list": ("total_ops", 256, 18369),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(LOOKUPS_PER_RUN))
+def test_cache_lookups_per_run_do_not_grow(workload, monkeypatch):
+    size_key, size, pinned = LOOKUPS_PER_RUN[workload]
+    spec = RunSpec(workload=workload,
+                   config=SystemConfig(num_cpus=8, scheme=SyncScheme.TLR,
+                                       seed=0),
+                   workload_args={size_key: size})
+    calls = 0
+    lookup = CacheArray.lookup
+
+    def counted(self, line_addr):
+        nonlocal calls
+        calls += 1
+        return lookup(self, line_addr)
+
+    monkeypatch.setattr(CacheArray, "lookup", counted)
+    machine = Machine(spec.config)
+    default_observers(machine)
+    machine.run_workload(spec.build_workload())
+    assert calls <= pinned, (
+        f"the run made {calls} L1 lookups, more than the pinned {pinned}")

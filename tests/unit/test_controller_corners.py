@@ -12,11 +12,13 @@ from repro.coherence.messages import (MEMORY, BusRequest, Marker, Probe,
                                       ReqKind)
 from repro.coherence.states import State
 from repro.cpu import isa
+from repro.cpu.processor import _PENDING
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.machine import Machine
 from repro.harness.runner import execute_workload
 from repro.harness.spec import RunSpec
 from repro.runtime.program import Workload
+from repro.sync.locks import FREE, HELD
 from repro.tlr.deferral import ChainState
 from repro.workloads.common import AddressSpace
 
@@ -428,3 +430,136 @@ class TestJudgedConflict:
                              ts=(1, 0))
         assert getattr(ctl, judge)(request) == verdict
         assert lookups == [self.LINE]
+
+
+class TestFusedHitLegs:
+    """An L1 hit looks its line up once.  The load, LL and store hit
+    legs do in one lookup what ``try_hit``, ``set_link`` and
+    ``mark_accessed`` did with up to three, with the same effects; and
+    one LRU bump leaves the line its set's most recent, as more did."""
+
+    LINE = 0x40
+    ADDR = LINE * isa.WORDS_PER_LINE
+    LOCK = 0x100 * isa.WORDS_PER_LINE
+
+    def core(self, in_txn, state):
+        """CPU 0 inside a critical section, elided when ``in_txn``, with
+        LINE cached in ``state`` as its set's least recent line."""
+        machine = Machine(small_config(2, SyncScheme.TLR))
+        proc = machine.processors[0]
+        ctl = proc.controller
+        line = ctl.cache.install(self.LINE, state)
+        ctl.cache.install(self.LINE + ctl.cache.config.num_sets,
+                          State.SHARED)
+        machine.store.write(self.ADDR, 7)
+        if in_txn:
+            assert proc.spec.try_elide(
+                isa.StoreConditional(self.LOCK, HELD, pc="t.sc"),
+                free_value=FREE, cs_depth=0)
+        proc.enter_cs()
+        lookups = []
+        lookup = ctl.cache.lookup
+        ctl.cache.lookup = lambda addr: lookups.append(addr) or lookup(addr)
+        return machine, proc, ctl, line, lookups
+
+    def assert_most_recent(self, ctl, line):
+        cache_set = ctl.cache._sets[ctl.cache.set_index(self.LINE)]
+        assert len(cache_set) == 2
+        assert max(cache_set.values(), key=lambda l: l.last_use) is line
+
+    def assert_access_bits(self, ctl, line, in_txn, written):
+        assert line.accessed is in_txn
+        assert line.spec_written is (in_txn and written)
+        assert ctl._spec_touched == ({self.LINE: line} if in_txn else {})
+
+    @pytest.mark.parametrize("in_txn", [False, True])
+    def test_read_hit(self, in_txn):
+        machine, proc, ctl, line, lookups = self.core(in_txn, State.SHARED)
+        hits = proc.stats.l1_hits
+        assert proc._do_read(isa.Read(self.ADDR, pc="t.load")) == 7
+        assert lookups == [self.LINE]
+        assert proc.stats.l1_hits == hits + 1
+        self.assert_access_bits(ctl, line, in_txn, written=False)
+        assert proc._cs_loads == {self.ADDR: "t.load"}
+        self.assert_most_recent(ctl, line)
+
+    @pytest.mark.parametrize("in_txn", [False, True])
+    def test_read_hit_predicted_exclusive(self, in_txn):
+        # A trained RMW load asks for a writable line; inside a
+        # transaction it joins the write set.
+        machine, proc, ctl, line, lookups = self.core(in_txn,
+                                                      State.EXCLUSIVE)
+        proc.rmw.train_rmw("t.load")
+        hits = proc.stats.l1_hits
+        assert proc._do_read(isa.Read(self.ADDR, pc="t.load")) == 7
+        assert lookups == [self.LINE]
+        assert proc.stats.l1_hits == hits + 1
+        self.assert_access_bits(ctl, line, in_txn, written=True)
+        assert proc._cs_loads == {self.ADDR: "t.load"}
+        self.assert_most_recent(ctl, line)
+
+    def test_read_escalated_by_upgrade_violations(self):
+        machine, proc, ctl, line, lookups = self.core(True, State.EXCLUSIVE)
+        threshold = machine.config.spec.read_escalation_threshold
+        ctl.upgrade_violations[self.LINE] = threshold
+        assert proc._do_read(isa.Read(self.ADDR, pc="t.load")) == 7
+        assert lookups == [self.LINE]
+        self.assert_access_bits(ctl, line, True, written=True)
+        # A shared line is no hit for an escalated read.
+        machine, proc, ctl, line, lookups = self.core(True, State.SHARED)
+        ctl.upgrade_violations[self.LINE] = threshold
+        hits = proc.stats.l1_hits
+        proc._do_read(isa.Read(self.ADDR, pc="t.load"))
+        assert proc.stats.l1_hits == hits
+        assert proc.stats.l1_misses == 1
+
+    @pytest.mark.parametrize("in_txn", [False, True])
+    def test_ll_hit(self, in_txn):
+        machine, proc, ctl, line, lookups = self.core(in_txn, State.SHARED)
+        hits = proc.stats.l1_hits
+        assert proc._do_ll(isa.LoadLinked(self.ADDR, pc="t.ll")) == 7
+        assert lookups == [self.LINE]
+        assert proc.stats.l1_hits == hits + 1
+        assert ctl.link_valid(self.LINE)
+        assert proc._last_ll == (self.ADDR, 7)
+        self.assert_access_bits(ctl, line, in_txn, written=False)
+        assert proc._cs_loads == {}
+        self.assert_most_recent(ctl, line)
+
+    @pytest.mark.parametrize("in_txn", [False, True])
+    def test_write_hit(self, in_txn):
+        machine, proc, ctl, line, lookups = self.core(in_txn,
+                                                      State.EXCLUSIVE)
+        proc._cs_loads[self.ADDR] = "t.load"  # loaded earlier in the CS
+        absorbs = []
+        absorbs_release = proc.spec.absorbs_release
+        proc.spec.absorbs_release = (
+            lambda op: absorbs.append(op) or absorbs_release(op))
+        hits = proc.stats.l1_hits
+        op = isa.Write(self.ADDR, 9, pc="t.store")
+        assert proc._do_write(op) is None
+        assert lookups == [self.LINE]
+        assert proc.stats.l1_hits == hits + 1
+        # Only an open checkpoint can absorb a release.
+        assert absorbs == ([op] if in_txn else [])
+        self.assert_access_bits(ctl, line, in_txn, written=True)
+        if in_txn:
+            assert proc.write_buffer.read(self.ADDR) == 9
+            assert machine.store.read(self.ADDR) == 7
+        else:
+            assert machine.store.read(self.ADDR) == 9
+        assert proc._cs_loads == {}
+        assert proc.rmw.predict_exclusive("t.load")  # trained as an RMW
+        self.assert_most_recent(ctl, line)
+
+    def test_write_hit_overflowing_the_write_buffer_falls_back(self):
+        machine, proc, ctl, line, lookups = self.core(True, State.EXCLUSIVE)
+        proc.write_buffer.capacity_lines = 0
+        reasons = []
+        proc.resource_fallback = reasons.append
+        assert proc._do_write(isa.Write(self.ADDR, 9, pc="t.store")) \
+            is _PENDING
+        assert lookups == [self.LINE]
+        assert reasons == ["wb-overflow"]
+        assert not line.accessed
+        assert machine.store.read(self.ADDR) == 7

@@ -4,8 +4,11 @@ small machines."""
 
 import pytest
 
+import repro.harness.machine as machine_module
 from repro.cpu import isa
-from repro.harness.config import SyncScheme
+from repro.harness.config import SyncScheme, SystemConfig
+from repro.harness.spec import RunSpec
+from repro.sync import locks as locks_module
 from repro.sync.locks import FREE, HELD
 
 from tests.conftest import run_threads, small_config
@@ -268,3 +271,56 @@ class TestNestedLocks:
         assert machine.store.read(data) == 1
         for lock in locks:
             assert machine.store.read(lock) == FREE
+
+
+class TestInternedLockOps:
+    """test&test&set builds its LL, SC and release store once per
+    (lock, pc) and yields the same objects on every acquisition."""
+
+    @staticmethod
+    def acquire_ops(lock, lock_addr, pc):
+        acquire = lock.acquire(None, lock_addr, pc)
+        ll = next(acquire)
+        sc = acquire.send(FREE)
+        release = next(lock.release(None, lock_addr, pc))
+        return ll, sc, release
+
+    def test_one_object_per_lock_and_pc(self):
+        lock = locks_module.TestAndTestAndSetLock()
+        first = self.acquire_ops(lock, 8, "cs")
+        second = self.acquire_ops(lock, 8, "cs")
+        assert all(a is b for a, b in zip(first, second))
+        assert first == (isa.LoadLinked(8, pc="cs.ll"),
+                         isa.StoreConditional(8, HELD, pc="cs.sc"),
+                         isa.Write(8, FREE, pc="cs.rel", is_lock=True))
+        for other in (self.acquire_ops(lock, 8, "other"),
+                      self.acquire_ops(lock, 16, "cs")):
+            assert not any(a is b for a, b in zip(first, other))
+
+    @pytest.mark.parametrize("scheme", [SyncScheme.TLR, SyncScheme.BASE])
+    def test_interned_ops_survive_a_contended_run(self, scheme,
+                                                  monkeypatch):
+        locks = []
+
+        class Recorded(locks_module.TestAndTestAndSetLock):
+            def __init__(self):
+                super().__init__()
+                locks.append(self)
+
+        monkeypatch.setattr(machine_module, "TestAndTestAndSetLock",
+                            Recorded)
+        spec = RunSpec(workload="linked-list",
+                       config=SystemConfig(num_cpus=8, scheme=scheme,
+                                           seed=0),
+                       workload_args={"total_ops": 256})
+        machine = machine_module.Machine(spec.config)
+        machine.run_workload(spec.build_workload())
+        if scheme is SyncScheme.TLR:
+            assert machine.stats.total("restarts") > 0
+        [lock] = locks
+        assert lock._ops
+        for (lock_addr, pc), ops in lock._ops.items():
+            assert ops == (
+                isa.LoadLinked(lock_addr, pc=f"{pc}.ll"),
+                isa.StoreConditional(lock_addr, HELD, pc=f"{pc}.sc"),
+                isa.Write(lock_addr, FREE, pc=f"{pc}.rel", is_lock=True))

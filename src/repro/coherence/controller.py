@@ -125,41 +125,31 @@ class CacheController:
     # ------------------------------------------------------------------
     # Processor-facing interface
     # ------------------------------------------------------------------
-    def access(self, line_addr: int, write: bool, on_effect: Callable[[], None],
-               want_exclusive: bool = False, is_lock: bool = False,
-               still_wanted: Optional[Callable[[], bool]] = None) -> bool:
-        """Request permission to perform an access.
+    def miss(self, line_addr: int, line: Optional[Line],
+             need_writable: bool, on_effect: Callable[[], None],
+             is_lock: bool = False,
+             still_wanted: Optional[Callable[[], bool]] = None) -> None:
+        """Start a miss the processor found by its one lookup of the
+        line (``line`` is that lookup's result).
 
-        Returns True on an L1 hit -- the caller performs its architectural
-        effect immediately (synchronously) and charges the hit latency
-        itself.  On a miss, returns False and ``on_effect`` is invoked
-        synchronously at the instant the fill (or upgrade grant) arrives,
-        which is the access's effect point.
+        ``on_effect`` is invoked synchronously at the instant the fill
+        (or upgrade grant) arrives, which is the access's effect point.
         """
-        need_writable = write or want_exclusive
         # Single-block relaxation bookkeeping (Section 3.2): taking a new
         # miss while holding a relaxation-deferred earlier-timestamp
         # request would risk deadlock, so timestamp order is enforced
         # *now*: lose, release, restart.
-        line = self.cache.lookup(line_addr)
-        hit = line is not None and line.state.valid and (
-            not need_writable or line.state.writable)
-        if (not hit and self.speculating
-                and self._must_release_before_miss(line_addr)):
+        if self.speculating and self._must_release_before_miss(line_addr):
             self._handle_loss("relaxation-revoked", line_addr, None)
-            return False
-        if hit:
-            self.stats.l1_hits += 1
-            return True
+            return
         self.stats.l1_misses += 1
         pending = self.mshrs.get(line_addr)
         if pending is not None:
             # Merge: retry the access when the outstanding fill lands.
             pending.waiters.append(
-                lambda: self._retry_access(line_addr, write, on_effect,
-                                           want_exclusive, is_lock,
-                                           still_wanted))
-            return False
+                lambda: self._retry_access(line_addr, need_writable,
+                                           on_effect, is_lock, still_wanted))
+            return
         kind = self._miss_kind(line, need_writable)
         ts = self.current_ts if self.speculating else None
         prio = self.policy.request_priority() if self.speculating else 0
@@ -181,22 +171,6 @@ class CacheController:
             # transaction, and its priority must still be championed.
             self.sim.schedule(PROBE_WATCHDOG_PERIOD, self._probe_watchdog,
                               line_addr, request.req_id, label="probe-wd")
-        return False
-
-    def try_hit(self, line_addr: int, need_writable: bool) -> bool:
-        """Hit-only fast path for the processor: mirrors the hit leg of
-        :meth:`access` exactly (same lookup, same stats) without the
-        caller having to build effect/squash closures first.  Returns
-        False on a miss with no side effects beyond the lookup's
-        (order-preserving) LRU bump; the caller then takes the full
-        :meth:`access` path.
-        """
-        line = self.cache.lookup(line_addr)
-        if line is not None and line.state.valid and (
-                not need_writable or line.state.writable):
-            self.stats.l1_hits += 1
-            return True
-        return False
 
     def _probe_watchdog(self, line_addr: int, req_id: int) -> None:
         """Re-champion our own timestamp upstream while a transactional
@@ -219,16 +193,21 @@ class CacheController:
         self.sim.schedule(PROBE_WATCHDOG_PERIOD, self._probe_watchdog,
                           line_addr, req_id, label="probe-wd")
 
-    def _retry_access(self, line_addr: int, write: bool,
-                      on_effect: Callable[[], None], want_exclusive: bool,
-                      is_lock: bool,
+    def _retry_access(self, line_addr: int, need_writable: bool,
+                      on_effect: Callable[[], None], is_lock: bool,
                       still_wanted: Optional[Callable[[], bool]]) -> None:
+        """A merged waiter's turn: the fill it waited on may not be the
+        permission it needs, so it looks again and hits or misses."""
         if still_wanted is not None and not still_wanted():
             return  # The access was squashed; don't issue a stale request.
-        if self.access(line_addr, write, on_effect,
-                       want_exclusive=want_exclusive, is_lock=is_lock,
-                       still_wanted=still_wanted):
+        line = self.cache.lookup(line_addr)
+        if line is not None and line.state.valid and (
+                not need_writable or line.state.writable):
+            self.stats.l1_hits += 1
             on_effect()
+            return
+        self.miss(line_addr, line, need_writable, on_effect, is_lock,
+                  still_wanted)
 
     def _miss_kind(self, line: Optional[Line], need_writable: bool) -> ReqKind:
         if not need_writable:

@@ -33,10 +33,11 @@ exactly TLR's non-blocking property.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from repro.coherence.controller import CacheController
 from repro.coherence.memory import ValueStore
+from repro.coherence.states import Line
 from repro.cpu import isa
 from repro.cpu.checkpoint import RestartSignal
 from repro.cpu.predictor import RmwPredictor
@@ -97,8 +98,7 @@ class Processor:
         self._label_compute = f"cpu{cpu_id}-compute"
         self._label_restart = f"cpu{cpu_id}-restart"
         self._label_spinpoll = f"cpu{cpu_id}-spinpoll"
-        # Type-keyed op dispatch instead of an isinstance chain; falls
-        # back to the chain for Op subclasses (see _execute_slow).
+        # Type-keyed op dispatch instead of an isinstance chain.
         self._dispatch = {
             isa.Read: self._do_read,
             isa.Write: self._do_write,
@@ -237,29 +237,9 @@ class Processor:
     # ------------------------------------------------------------------
     def _execute(self, op: isa.Op) -> Any:
         handler = self._dispatch.get(type(op))
-        if handler is not None:
-            return handler(op)
-        return self._execute_slow(op)
-
-    def _execute_slow(self, op: isa.Op) -> Any:
-        """isinstance fallback for Op subclasses not in the type table."""
-        if isinstance(op, isa.Read):
-            return self._do_read(op)
-        if isinstance(op, isa.Write):
-            return self._do_write(op)
-        if isinstance(op, isa.Compute):
-            return self._do_compute(op)
-        if isinstance(op, isa.LoadLinked):
-            return self._do_ll(op)
-        if isinstance(op, isa.StoreConditional):
-            return self._do_sc(op)
-        if isinstance(op, isa.AtomicSwap):
-            return self._do_swap(op)
-        if isinstance(op, isa.AtomicCas):
-            return self._do_cas(op)
-        if isinstance(op, isa.Watch):
-            return self._do_watch(op)
-        raise TypeError(f"unknown operation {op!r}")
+        if handler is None:
+            raise TypeError(f"unknown operation {op!r}")
+        return handler(op)
 
     # -- helpers --------------------------------------------------------
     def _arch_read(self, addr: int) -> int:
@@ -272,12 +252,6 @@ class Processor:
         if self.taps.arch_read:
             self.taps.arch_read.emit(self, addr, value)
         return value
-
-    def _arch_write(self, addr: int, value: int) -> None:
-        """A non-speculative store's architectural effect."""
-        self.store.write(addr, value)
-        if self.taps.plain_write:
-            self.taps.plain_write.emit(self, addr, value)
 
     def _charge_wait(self, issue_time: int, is_lock: bool) -> None:
         self.stats.charge_stall(self.sim.now - issue_time, is_lock)
@@ -322,14 +296,59 @@ class Processor:
             return True
         return self.in_cs and self.rmw.predict_exclusive(op.pc)
 
-    # The hit legs of loads, LL and stores look the line up once and
-    # then do what ``try_hit``, ``set_link`` and ``mark_accessed`` would
-    # each have looked it up again for, in the same order.  Every lookup
-    # bumps the line's LRU stamp; one bump leaves it as the set's most
-    # recent line just as two did, and a victim-cache promotion happens
-    # in the first lookup, so replacement is unchanged.  The miss legs
-    # keep the helpers: their effect runs in the fill's event and looks
-    # the line up there.
+    # Every memory op looks its line up once at issue.  A hit does its
+    # effect there and then; a miss hands that lookup to ``_miss`` with
+    # the op's fill, which runs in the fill's event.  Every lookup bumps
+    # the line's LRU stamp; one bump leaves it its set's most recent
+    # line just as more did, and a victim-cache promotion happens in the
+    # first lookup, so replacement is unchanged.  The read, LL and store
+    # hit legs are written out in place: they are most of a run's ops.
+
+    def _miss(self, op, line: int, cached: Optional[Line],
+              need_writable: bool, fill: Callable[[], Any]) -> Any:
+        """Issue ``op``'s miss; at the fill, run ``fill`` and resume the
+        program with its value.  ``cached`` is the op's lookup."""
+        issue_time = self.sim.now
+        epoch = self.epoch
+
+        def effect() -> None:
+            if self.epoch != epoch:
+                return
+            value = fill()
+            if self.epoch != epoch:
+                return  # the fill fell back, squashing its op
+            self._charge_wait(issue_time, op.is_lock)
+            self._resume_later(value)
+
+        self.controller.miss(line, cached, need_writable, effect,
+                             op.is_lock, lambda: self.epoch == epoch)
+        return _PENDING
+
+    def _store_effect(self, addr: int, value: int, line: int,
+                      cached: Optional[Line]) -> bool:
+        """A store's architectural effect: buffered while speculating,
+        written through otherwise.  A value the write buffer cannot hold
+        ends the speculation (Section 3.3): the lock is taken for real,
+        the op is squashed, and this returns False.  ``cached`` is the
+        line from a hit's lookup; a fill (None) looks it up again."""
+        if not self.spec.active:
+            self.store.write(addr, value)
+            if self.taps.plain_write:
+                self.taps.plain_write.emit(self, addr, value)
+            return True
+        try:
+            self.write_buffer.write(addr, value)
+        except WriteBufferOverflow:
+            self.resource_fallback("wb-overflow")
+            return False
+        controller = self.controller
+        if cached is None:
+            controller.mark_accessed(line, written=True)
+        elif controller.speculating:
+            cached.accessed = True
+            cached.spec_written = True
+            controller._spec_touched[line] = cached
+        return True
 
     # -- loads ----------------------------------------------------------
     def _do_read(self, op: isa.Read) -> Any:
@@ -362,29 +381,14 @@ class Processor:
                 self._cs_loads[op.addr] = op.pc
             self._debt += self._hit_latency
             return value
-        issue_time = self.sim.now
-        epoch = self.epoch
 
-        def effect() -> None:
-            if self.epoch != epoch:
-                return
+        def fill() -> int:
             value = self._arch_read(op.addr)
-            self.controller.mark_accessed(line, written=as_written)
+            controller.mark_accessed(line, written=as_written)
             self._note_cs_load(op)
-            self._charge_wait(issue_time, op.is_lock)
-            self._resume_later(value)
-
-        hit = self.controller.access(line, write=False, on_effect=effect,
-                                     want_exclusive=want_x,
-                                     is_lock=op.is_lock,
-                                     still_wanted=lambda: self.epoch == epoch)
-        if hit:
-            value = self._arch_read(op.addr)
-            self.controller.mark_accessed(line, written=as_written)
-            self._note_cs_load(op)
-            self._debt += self._hit_latency
             return value
-        return _PENDING
+
+        return self._miss(op, line, cached, want_x, fill)
 
     # -- stores ---------------------------------------------------------
     def _do_write(self, op: isa.Write) -> Any:
@@ -402,62 +406,22 @@ class Processor:
                 # and the restart is already scheduled.
                 return _PENDING
         line = isa.line_of(op.addr)
-        controller = self.controller
-        cached = controller.cache.lookup(line)
+        cached = self.controller.cache.lookup(line)
         if cached is not None and cached.state.writable:
             self.stats.l1_hits += 1
-            if spec.active:
-                try:
-                    self.write_buffer.write(op.addr, op.value)
-                except WriteBufferOverflow:
-                    self.resource_fallback("wb-overflow")
-                    return _PENDING
-                if controller.speculating:
-                    cached.accessed = True
-                    cached.spec_written = True
-                    controller._spec_touched[line] = cached
-            else:
-                self._arch_write(op.addr, op.value)
+            if not self._store_effect(op.addr, op.value, line, cached):
+                return _PENDING
             pc = self._cs_loads.pop(op.addr, None)
             if pc is not None:
                 self.rmw.train_rmw(pc)
             self._debt += self._hit_latency
             return None
-        issue_time = self.sim.now
-        epoch = self.epoch
 
-        def effect() -> None:
-            if self.epoch != epoch:
-                return
-            if not self._apply_store(op):
-                return  # resource fallback under way; op squashed
-            self._charge_wait(issue_time, op.is_lock)
-            self._resume_later(None)
+        def fill() -> None:
+            if self._store_effect(op.addr, op.value, line, None):
+                self._train_store(op.addr)
 
-        hit = self.controller.access(line, write=True, on_effect=effect,
-                                     is_lock=op.is_lock,
-                                     still_wanted=lambda: self.epoch == epoch)
-        if hit:
-            if not self._apply_store(op):
-                return _PENDING
-            self._debt += self._hit_latency
-            return None
-        return _PENDING
-
-    def _apply_store(self, op) -> bool:
-        """Perform a store's architectural effect; False on fallback."""
-        line = isa.line_of(op.addr)
-        if self.spec.active:
-            try:
-                self.write_buffer.write(op.addr, op.value)
-            except WriteBufferOverflow:
-                self.resource_fallback("wb-overflow")
-                return False
-            self.controller.mark_accessed(line, written=True)
-        else:
-            self._arch_write(op.addr, op.value)
-        self._train_store(op.addr)
-        return True
+        return self._miss(op, line, cached, True, fill)
 
     # -- compute ----------------------------------------------------
     def _do_compute(self, op: isa.Compute) -> Any:
@@ -493,39 +457,23 @@ class Processor:
                 controller._spec_touched[line] = cached
             self._debt += self._hit_latency
             return value
-        issue_time = self.sim.now
-        epoch = self.epoch
 
-        def effect() -> None:
-            if self.epoch != epoch:
-                return
-            value = self._ll_apply(op, line)
-            self._charge_wait(issue_time, op.is_lock)
-            self._resume_later(value)
-
-        hit = self.controller.access(line, write=False, on_effect=effect,
-                                     is_lock=op.is_lock,
-                                     still_wanted=lambda: self.epoch == epoch)
-        if hit:
-            value = self._ll_apply(op, line)
-            self._debt += self._hit_latency
+        def fill() -> int:
+            value = self._arch_read(op.addr)
+            controller.set_link(line)
+            self._last_ll = (op.addr, value)
+            if self.spec.active:
+                controller.mark_accessed(line, written=False)
             return value
-        return _PENDING
 
-    def _ll_apply(self, op: isa.LoadLinked, line: int) -> int:
-        """LL's architectural effect (shared by the hit and fill paths)."""
-        value = self._arch_read(op.addr)
-        self.controller.set_link(line)
-        self._last_ll = (op.addr, value)
-        if self.spec.active:
-            self.controller.mark_accessed(line, written=False)
-        return value
+        return self._miss(op, line, cached, False, fill)
 
     def _do_sc(self, op: isa.StoreConditional) -> Any:
         self.stats.stores += 1
         self.stats.ops_completed += 1
         line = isa.line_of(op.addr)
-        if not self.controller.link_valid(line):
+        controller = self.controller
+        if not controller.link_valid(line):
             self._debt += self._hit_latency
             return False
         ll_addr, ll_value = self._last_ll
@@ -533,46 +481,26 @@ class Processor:
                 op, free_value=ll_value, cs_depth=self.cs_depth):
             # Elided: the lock line stays shared; mark it accessed so any
             # external write to the lock kills the speculation.
-            self.controller.mark_accessed(line, written=False)
+            controller.mark_accessed(line, written=False)
             self._debt += self._hit_latency
             return True
-        if self.controller.try_hit(line, True):
-            success = self._sc_apply(op, line)
+        cached = controller.cache.lookup(line)
+        if cached is not None and cached.state.writable:
+            self.stats.l1_hits += 1
+            if not self._store_effect(op.addr, op.value, line, cached):
+                return _PENDING
             self._debt += self._hit_latency
-            return success
-        issue_time = self.sim.now
-        epoch = self.epoch
+            return True
 
-        def effect() -> None:
-            if self.epoch != epoch:
-                return
-            success = self._sc_apply(op, line)
-            self._charge_wait(issue_time, op.is_lock)
-            self._resume_later(success)
-
-        hit = self.controller.access(line, write=True, on_effect=effect,
-                                     is_lock=op.is_lock,
-                                     still_wanted=lambda: self.epoch == epoch)
-        if hit:
-            success = self._sc_apply(op, line)
-            self._debt += self._hit_latency
-            return success
-        return _PENDING
-
-    def _sc_apply(self, op: isa.StoreConditional, line: int) -> bool:
-        """SC's architectural effect (shared by the hit and fill paths)."""
-        if not self.controller.link_valid(line):
-            return False
-        if self.spec.active:
-            try:
-                self.write_buffer.write(op.addr, op.value)
-            except WriteBufferOverflow:
-                self.resource_fallback("wb-overflow")
+        def fill() -> bool:
+            # An invalidation ordered while the miss was in flight
+            # cleared the link: the SC fails.
+            if not controller.link_valid(line):
                 return False
-            self.controller.mark_accessed(line, written=True)
-        else:
-            self._arch_write(op.addr, op.value)
-        return True
+            self._store_effect(op.addr, op.value, line, None)
+            return True
+
+        return self._miss(op, line, cached, True, fill)
 
     # -- atomics ------------------------------------------------------
     def _do_swap(self, op: isa.AtomicSwap) -> Any:
@@ -585,40 +513,26 @@ class Processor:
         self.stats.stores += 1
         self.stats.ops_completed += 1
         line = isa.line_of(op.addr)
-        if self.controller.try_hit(line, True):
-            old = self._atomic_apply(op, line, swap)
-            self._debt += self._hit_latency
+        cached = self.controller.cache.lookup(line)
+        if cached is not None and cached.state.writable:
+            self.stats.l1_hits += 1
+            old = self._atomic_effect(op, line, swap, cached)
+            if old is not _PENDING:
+                self._debt += self._hit_latency
             return old
-        issue_time = self.sim.now
-        epoch = self.epoch
+        return self._miss(op, line, cached, True,
+                          lambda: self._atomic_effect(op, line, swap, None))
 
-        def effect() -> None:
-            if self.epoch != epoch:
-                return
-            old = self._atomic_apply(op, line, swap)
-            self._charge_wait(issue_time, op.is_lock)
-            self._resume_later(old)
-
-        hit = self.controller.access(line, write=True, on_effect=effect,
-                                     is_lock=op.is_lock,
-                                     still_wanted=lambda: self.epoch == epoch)
-        if hit:
-            old = self._atomic_apply(op, line, swap)
-            self._debt += self._hit_latency
-            return old
-        return _PENDING
-
-    def _atomic_apply(self, op, line: int, swap: bool) -> int:
-        """Swap/CAS architectural effect (hit and fill paths)."""
+    def _atomic_effect(self, op, line: int, swap: bool,
+                       cached: Optional[Line]) -> Any:
+        """Swap/CAS architectural effect: the old value, or _PENDING if
+        the store fell back."""
         old = self._arch_read(op.addr)
         new = op.value if swap else (
             op.new if old == op.expect else None)
         if new is not None:
-            if self.spec.active:
-                self.write_buffer.write(op.addr, new)
-                self.controller.mark_accessed(line, written=True)
-            else:
-                self._arch_write(op.addr, new)
+            if not self._store_effect(op.addr, new, line, cached):
+                return _PENDING
         elif self.spec.active:
             self.controller.mark_accessed(line, written=True)
         return old

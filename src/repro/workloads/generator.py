@@ -120,19 +120,35 @@ def generate(spec: WorkloadSpec) -> Workload:
         for region in seq:
             hits[region] += 1
 
-    def region_body(region: int, rotate: int):
+    def region_body(region: int, rotate: int, inner: Optional[int]):
         lines = data[region]
 
-        def body(env: ThreadEnv) -> Generator:
-            for i in range(spec.cs_writes):
-                addr = lines[(rotate + i) % len(lines)]
-                value = yield env.read(addr, pc=f"{spec.name}.w{i}.ld")
-                yield env.write(addr, value + 1, pc=f"{spec.name}.w{i}.st")
+        def write(env: ThreadEnv, i: int) -> Generator:
+            addr = lines[(rotate + i) % len(lines)]
+            value = yield env.read(addr, pc=f"{spec.name}.w{i}.ld")
+            yield env.write(addr, value + 1, pc=f"{spec.name}.w{i}.st")
+
+        def rest(env: ThreadEnv, first: int) -> Generator:
+            for i in range(first, spec.cs_writes):
+                yield from write(env, i)
             for i in range(spec.cs_reads):
                 addr = lines[(rotate + spec.cs_writes + i) % len(lines)]
                 yield env.read(addr, pc=f"{spec.name}.r{i}")
             if spec.cs_work:
                 yield env.compute(spec.cs_work)
+
+        def body(env: ThreadEnv) -> Generator:
+            if inner is None:
+                yield from rest(env, 0)
+                return
+            # Nested: the outer section writes once before it takes the
+            # inner lock, so the inner lock's SC can be the store that
+            # overflows a transaction's write buffer.
+            first = min(1, spec.cs_writes)
+            for i in range(first):
+                yield from write(env, i)
+            yield from env.critical(inner, lambda env: rest(env, first),
+                                    pc=f"{spec.name}.in")
 
         return body
 
@@ -141,20 +157,10 @@ def generate(spec: WorkloadSpec) -> Workload:
             for region in choices[tid]:
                 rotate = (tid % max(1, spec.data_lines_per_region)
                           if spec.rotate_writes else 0)
-                body = region_body(region, rotate)
-                if inner_locks is not None:
-                    inner = inner_locks[region]
-
-                    def outer(env: ThreadEnv, inner=inner,
-                              body=body) -> Generator:
-                        yield from env.critical(inner, body,
-                                                pc=f"{spec.name}.in")
-
-                    yield from env.critical(locks[region], outer,
-                                            pc=f"{spec.name}.out")
-                else:
-                    yield from env.critical(locks[region], body,
-                                            pc=f"{spec.name}.cs")
+                inner = inner_locks[region] if inner_locks else None
+                yield from env.critical(
+                    locks[region], region_body(region, rotate, inner),
+                    pc=f"{spec.name}.{'cs' if inner is None else 'out'}")
                 if spec.outside_work:
                     yield env.compute(spec.outside_work)
                 yield env.compute(env.fair_delay(lo=1,

@@ -15,8 +15,7 @@ from __future__ import annotations
 import pytest
 
 import repro.harness.machine as machine_module
-from repro.cpu import isa
-from repro.cpu.processor import _PENDING, Processor
+from repro.cpu.processor import Processor
 from repro.harness.machine import Machine
 from repro.harness.spec import RunSpec
 from repro.harness.config import SyncScheme, SystemConfig
@@ -40,60 +39,10 @@ class EarlyBoundProcessor(Processor):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.store = _BoundStore(self.store)
-        self._read_now = self._arch_read
+        # The bound handle shadows the method, so every architectural
+        # read (load hit and fill, LL, swap, CAS) goes through it.
+        self._arch_read = self._arch_read
         self._misspec_now = self.controller.on_misspeculation
-
-    def _do_read(self, op: isa.Read):
-        # Processor._do_read with every architectural read through the
-        # handle bound at construction.
-        self.stats.loads += 1
-        self.stats.ops_completed += 1
-        if self.spec.active:
-            buffered = self.write_buffer.read(op.addr)
-            if buffered is not None:
-                self._debt += self._hit_latency
-                return buffered
-        line = isa.line_of(op.addr)
-        want_x = self._want_exclusive(op, line)
-        as_written = want_x and self.spec.active
-        controller = self.controller
-        cached = controller.cache.lookup(line)
-        if cached is not None and cached.state.valid and (
-                not want_x or cached.state.writable):
-            self.stats.l1_hits += 1
-            value = self._read_now(op.addr)
-            if controller.speculating:
-                cached.accessed = True
-                if as_written:
-                    cached.spec_written = True
-                controller._spec_touched[line] = cached
-            if self.cs_depth and op.pc and not op.is_lock:
-                self._cs_loads[op.addr] = op.pc
-            self._debt += self._hit_latency
-            return value
-        issue_time = self.sim.now
-        epoch = self.epoch
-
-        def effect() -> None:
-            if self.epoch != epoch:
-                return
-            value = self._read_now(op.addr)
-            self.controller.mark_accessed(line, written=as_written)
-            self._note_cs_load(op)
-            self._charge_wait(issue_time, op.is_lock)
-            self._resume_later(value)
-
-        hit = self.controller.access(line, write=False, on_effect=effect,
-                                     want_exclusive=want_x,
-                                     is_lock=op.is_lock,
-                                     still_wanted=lambda: self.epoch == epoch)
-        if hit:
-            value = self._read_now(op.addr)
-            self.controller.mark_accessed(line, written=as_written)
-            self._note_cs_load(op)
-            self._debt += self._hit_latency
-            return value
-        return _PENDING
 
     def resource_fallback(self, reason: str) -> None:
         if not self.spec.active:
@@ -139,7 +88,7 @@ def test_early_bound_handles_stay_observed(case, monkeypatch):
     monkeypatch.setattr(machine_module, "Processor", EarlyBoundProcessor)
     machine, log, footprint = _observed_run(spec)
     assert all(isinstance(p, EarlyBoundProcessor)
-               for p in machine.processors)
+               and "_arch_read" in vars(p) for p in machine.processors)
     # The runs themselves are identical...
     assert machine.stats.to_dict() == reference.stats.to_dict()
     # ...and so is everything the observers saw through the handles.

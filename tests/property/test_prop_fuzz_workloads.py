@@ -24,10 +24,20 @@ def _cfg(scheme, num_cpus, seed=0):
 
 @settings(max_examples=15, deadline=None)
 @given(fuzz_seed=st.integers(0, 10_000),
-       scheme=st.sampled_from([SyncScheme.TLR, SyncScheme.TLR_STRICT_TS]))
-def test_fuzzed_workloads_serialize_under_tlr(fuzz_seed, scheme):
+       scheme=st.sampled_from([SyncScheme.TLR, SyncScheme.TLR_STRICT_TS]),
+       elision_depth=st.sampled_from([1, 8]),
+       write_buffer_entries=st.sampled_from([1, 2, 64]))
+def test_fuzzed_workloads_serialize_under_tlr(fuzz_seed, scheme,
+                                              elision_depth,
+                                              write_buffer_entries):
+    # Small speculation resources drive nested locks past elision_depth
+    # into the transaction and its stores, SCs and atomics into
+    # write-buffer overflow fallbacks.
     spec = random_spec(random.Random(fuzz_seed), num_threads=3)
-    result = run(generate(spec), _cfg(scheme, spec.num_threads))
+    config = _cfg(scheme, spec.num_threads)
+    config.spec.elision_depth = elision_depth
+    config.spec.write_buffer_entries = write_buffer_entries
+    result = run(generate(spec), config)
     assert result.cycles > 0
 
 

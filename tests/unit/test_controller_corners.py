@@ -433,8 +433,8 @@ class TestJudgedConflict:
 
 
 class TestFusedHitLegs:
-    """An L1 hit looks its line up once.  The load, LL and store hit
-    legs do in one lookup what ``try_hit``, ``set_link`` and
+    """An L1 hit looks its line up once.  The load, LL, store, SC and
+    swap hit legs do in one lookup what a hit check, ``set_link`` and
     ``mark_accessed`` did with up to three, with the same effects; and
     one LRU bump leaves the line its set's most recent, as more did."""
 
@@ -563,3 +563,78 @@ class TestFusedHitLegs:
         assert reasons == ["wb-overflow"]
         assert not line.accessed
         assert machine.store.read(self.ADDR) == 7
+
+    @pytest.mark.parametrize("in_txn", [False, True])
+    def test_sc_hit(self, in_txn):
+        # An SC that is not elided (inside a transaction: a lock past
+        # elision_depth) is a store.
+        machine, proc, ctl, line, lookups = self.core(in_txn,
+                                                      State.EXCLUSIVE)
+        proc.spec.try_elide = lambda op, **kwargs: False
+        ctl._link = self.LINE
+        proc._last_ll = (self.ADDR, 7)
+        hits = proc.stats.l1_hits
+        op = isa.StoreConditional(self.ADDR, 9, pc="t.sc")
+        assert proc._do_sc(op) is True
+        assert lookups == [self.LINE]
+        assert proc.stats.l1_hits == hits + 1
+        self.assert_access_bits(ctl, line, in_txn, written=True)
+        if in_txn:
+            assert proc.write_buffer.read(self.ADDR) == 9
+            assert machine.store.read(self.ADDR) == 7
+        else:
+            assert machine.store.read(self.ADDR) == 9
+        self.assert_most_recent(ctl, line)
+
+    @pytest.mark.parametrize("in_txn", [False, True])
+    def test_swap_hit(self, in_txn):
+        machine, proc, ctl, line, lookups = self.core(in_txn,
+                                                      State.MODIFIED)
+        hits = proc.stats.l1_hits
+        assert proc._do_swap(isa.AtomicSwap(self.ADDR, 9, pc="t.swap")) == 7
+        assert lookups == [self.LINE]
+        assert proc.stats.l1_hits == hits + 1
+        self.assert_access_bits(ctl, line, in_txn, written=True)
+        if in_txn:
+            assert proc.write_buffer.read(self.ADDR) == 9
+            assert machine.store.read(self.ADDR) == 7
+        else:
+            assert machine.store.read(self.ADDR) == 9
+        self.assert_most_recent(ctl, line)
+
+    @pytest.mark.parametrize("kind", ["sc", "swap", "cas"])
+    def test_store_hits_overflowing_the_write_buffer_fall_back(self, kind):
+        # Every store shape squashes its op when the buffer is full: the
+        # program is not resumed, and the fallback restarts it.
+        machine, proc, ctl, line, lookups = self.core(True, State.EXCLUSIVE)
+        proc.write_buffer.capacity_lines = 0
+        reasons = []
+        proc.resource_fallback = reasons.append
+        if kind == "sc":
+            proc.spec.try_elide = lambda op, **kwargs: False
+            ctl._link = self.LINE
+            result = proc._do_sc(isa.StoreConditional(self.ADDR, 9))
+        elif kind == "swap":
+            result = proc._do_swap(isa.AtomicSwap(self.ADDR, 9))
+        else:
+            result = proc._do_cas(isa.AtomicCas(self.ADDR, expect=7, new=9))
+        assert result is _PENDING
+        assert lookups == [self.LINE]
+        assert reasons == ["wb-overflow"]
+        assert not line.accessed
+        assert machine.store.read(self.ADDR) == 7
+
+
+class TestOpDispatch:
+    def test_unknown_op_type_raises_type_error(self):
+        class Fence(isa.Op):
+            pass
+
+        class TaggedRead(isa.Read):
+            pass
+
+        proc = Machine(small_config(1, SyncScheme.TLR)).processors[0]
+        for op in (Fence(), TaggedRead(0x400)):
+            with pytest.raises(TypeError, match="unknown operation"):
+                proc._execute(op)
+        assert proc.stats.ops_completed == 0

@@ -135,6 +135,78 @@ class TestFailureAtomicity:
         assert [machine.store.read(a) for a in lines] == list(range(1, 9))
         assert machine.store.read(lock) == FREE
 
+    @staticmethod
+    def one_entry_config():
+        """Two CPUs whose transactions hold one lock and one buffered
+        line: an inner lock is data, and a second store overflows."""
+        cfg = small_config(2, SyncScheme.TLR)
+        cfg.spec.elision_depth = 1
+        cfg.spec.write_buffer_entries = 1
+        return cfg
+
+    def test_nested_sc_overflow_squashes_its_program(self):
+        # The inner lock's SC is the transaction's second buffered line.
+        # Its fallback must squash the SC as a store's does; a squashed
+        # program left running beside the restart never finishes.  The
+        # clean run takes about 7,300 cycles.
+        space = AddressSpace()
+        outer, inner = space.alloc_word(), space.alloc_word()
+        a, b = space.alloc_word(), space.alloc_word()
+
+        def thread(env):
+            def inner_body(env):
+                value = yield env.read(b, pc="in.ld")
+                yield env.write(b, value + 1, pc="in.st")
+
+            def outer_body(env):
+                value = yield env.read(a, pc="out.ld")
+                yield env.write(a, value + 1, pc="out.st")
+                yield from env.critical(inner, inner_body, pc="in")
+
+            for _ in range(20):
+                yield from env.critical(outer, outer_body, pc="out")
+                yield env.compute(env.fair_delay())
+
+        cfg = self.one_entry_config()
+        cfg.max_cycles = 730_000
+        machine = run_threads([thread, thread], cfg, space=space)
+        assert [machine.store.read(w) for w in (a, b)] == [40, 40]
+        assert [machine.store.read(w) for w in (outer, inner)] == [FREE,
+                                                                   FREE]
+        assert sum(machine.stats.cpu(i).restart_reasons["wb-overflow"]
+                   for i in range(2)) >= 1
+
+    @pytest.mark.parametrize("atomic", ["swap", "cas"])
+    def test_atomic_overflow_falls_back_to_lock(self, atomic):
+        # A swap or CAS is a store: one that overflows the write buffer
+        # ends the speculation and the section takes the lock.
+        space = AddressSpace()
+        lock, data, word = (space.alloc_word() for _ in range(3))
+
+        def thread(env):
+            def body(env):
+                value = yield env.read(data, pc="t.ld")
+                yield env.write(data, value + 1, pc="t.st")
+                if atomic == "swap":
+                    yield isa.AtomicSwap(word, env.cpu_id + 1, pc="t.swap")
+                else:
+                    old = yield env.read(word, pc="t.cas.ld")
+                    yield isa.AtomicCas(word, expect=old, new=old + 1,
+                                        pc="t.cas")
+
+            for _ in range(4):
+                yield from env.critical(lock, body, pc="t")
+                yield env.compute(env.fair_delay())
+
+        machine = run_threads([thread, thread], self.one_entry_config(),
+                              space=space)
+        assert machine.store.read(data) == 8
+        if atomic == "cas":
+            assert machine.store.read(word) == 8
+        assert machine.store.read(lock) == FREE
+        assert sum(machine.stats.cpu(i).restart_reasons["wb-overflow"]
+                   for i in range(2)) >= 1
+
     def test_non_silent_store_to_lock_aborts_elision(self):
         space = AddressSpace()
         lock = space.alloc_word()

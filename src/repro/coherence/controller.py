@@ -94,11 +94,11 @@ class CacheController:
         # through config dataclasses otherwise).
         self._hit_latency = config.cache.hit_latency
         self._single_block_relax = config.spec.single_block_relaxation
-        # Lines touched by the current transaction (addr -> Line).  The
-        # controller is the only writer of the per-line access bits, so
-        # this registry is always a superset of {lines with accessed set}
-        # and replaces whole-cache scans at commit/abort time; entries
-        # whose bits were cleared individually are filtered on read.
+        # Lines touched by the current transaction (addr -> Line).  Every
+        # site that sets a line's access bits registers it here, so this
+        # registry is always a superset of {lines with accessed set} and
+        # replaces whole-cache scans at commit/abort time; clearing an
+        # entry whose bits were already cleared individually is a no-op.
         self._spec_touched: dict[int, Line] = {}
         self.chains: dict[int, ChainState] = {}
         self.watchers: dict[int, list[Callable[[], None]]] = {}
@@ -228,14 +228,6 @@ class CacheController:
             line.spec_written = True
         self._spec_touched[line_addr] = line
 
-    def _speculative_lines(self) -> list[Line]:
-        """The transaction's accessed lines, from the touched-line
-        registry instead of a whole-cache scan.  Identical contents to
-        ``cache.speculative_lines()``: the registry is a superset of the
-        accessed set and the filter drops individually-cleared entries.
-        """
-        return [l for l in self._spec_touched.values() if l.accessed]
-
     # -- spin-wait support ---------------------------------------------
     def watch(self, line_addr: int, callback: Callable[[], None]) -> None:
         """One-shot wakeup when the line is invalidated or refilled."""
@@ -305,20 +297,23 @@ class CacheController:
             taps.abort_post.emit(self)
 
     def _exit_speculation(self) -> None:
-        for line in self._speculative_lines():
-            line.clear_speculative()
-        self._spec_touched.clear()
+        """``end_defer`` for commit and loss alike: clear the access
+        bits of every registered line (``spec_written`` is never set
+        without ``accessed``), leave speculation and service the
+        deferred queue in arrival order."""
+        touched = self._spec_touched
+        for line in touched.values():
+            line.accessed = False
+            line.spec_written = False
+        touched.clear()
         self.speculating = False
         self.current_ts = None
-        self._service_deferred()
-
-    def _service_deferred(self) -> None:
-        if not self.deferred:
-            return
-        for entry in self.deferred.drain():
-            self.sim.schedule(self._hit_latency,
-                              self._service_obligation, entry.request,
-                              label="svc-deferred")
+        # The queue's list, not its __bool__: it is nearly always empty.
+        if self.deferred._entries:
+            for entry in self.deferred.drain():
+                self.sim.schedule(self._hit_latency,
+                                  self._service_obligation, entry.request,
+                                  label="svc-deferred")
 
     # ------------------------------------------------------------------
     # Conflict resolution (the heart of TLR)
@@ -874,12 +869,7 @@ class CacheController:
         if taps.loss:
             taps.loss.emit(self, *args)
         if self.speculating:
-            for spec_line in self._speculative_lines():
-                spec_line.clear_speculative()
-            self._spec_touched.clear()
-            self.speculating = False
-            self.current_ts = None
-            self._service_deferred()
+            self._exit_speculation()
             self.stats.misspeculations += 1
             self.on_misspeculation(reason, line_addr)
         if taps.loss_post:

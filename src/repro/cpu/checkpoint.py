@@ -11,7 +11,7 @@ each store pair must restore, and bookkeeping about the current attempt
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.coherence.messages import Timestamp
@@ -32,7 +32,7 @@ class RestartSignal(Exception):
         self.reason = reason
 
 
-@dataclass
+@dataclass(slots=True)
 class ElisionRecord:
     """One elided lock (one silent store pair in flight)."""
 
@@ -43,29 +43,17 @@ class ElisionRecord:
     depth: int          # critical-section nesting depth at elision time
 
 
-@dataclass
+@dataclass(slots=True)
 class SpeculationCheckpoint:
-    """State of the current speculative episode."""
+    """State of the current speculative episode.  ``elisions`` is the
+    elision stack, innermost last; the root record stays on it until
+    the transaction commits or aborts."""
 
     start_time: int
     ts: Optional[Timestamp]
     root_depth: int
-    elisions: list[ElisionRecord] = field(default_factory=list)
+    elisions: list[ElisionRecord]
     attempts: int = 1
-
-    def push(self, record: ElisionRecord) -> None:
-        self.elisions.append(record)
-
-    def pop_matching(self, lock_addr: int, value: int) -> Optional[ElisionRecord]:
-        """Match a store against the innermost elision (store pairs nest)."""
-        if self.elisions and self.elisions[-1].lock_addr == lock_addr \
-                and self.elisions[-1].free_value == value:
-            return self.elisions.pop()
-        return None
-
-    @property
-    def committed(self) -> bool:
-        return not self.elisions
 
     @property
     def nest_level(self) -> int:

@@ -36,21 +36,32 @@ class _SaturatingTable:
         self.initial = initial
         self._table: "OrderedDict[str, int]" = OrderedDict()
 
-    def _touch(self, pc: str) -> int:
-        if pc in self._table:
-            self._table.move_to_end(pc)
-            return self._table[pc]
+    def _insert(self, pc: str) -> int:
+        """Allocate ``pc``'s entry, evicting the least recently used."""
         if len(self._table) >= self.entries:
             self._table.popitem(last=False)
         self._table[pc] = self.initial
         return self.initial
 
     def value(self, pc: str) -> int:
-        return self._touch(pc)
+        table = self._table
+        if pc in table:
+            table.move_to_end(pc)
+            return table[pc]
+        return self._insert(pc)
 
     def bump(self, pc: str, delta: int) -> None:
-        current = self._touch(pc)
-        self._table[pc] = max(0, min(self.ceiling, current + delta))
+        table = self._table
+        if pc in table:
+            table.move_to_end(pc)
+            current = table[pc] + delta
+        else:
+            current = self._insert(pc) + delta
+        if current < 0:
+            current = 0
+        elif current > self.ceiling:
+            current = self.ceiling
+        table[pc] = current
 
     def known(self, pc: str) -> bool:
         return pc in self._table

@@ -186,11 +186,15 @@ class Processor:
             self.stats.critical_sections += 1
 
     def exit_cs(self) -> None:
-        self.cs_depth = max(0, self.cs_depth - 1)
-        if self.cs_depth == 0:
-            for pc in self._cs_loads.values():
+        if self.cs_depth > 1:
+            self.cs_depth -= 1
+            return
+        self.cs_depth = 0
+        cs_loads = self._cs_loads
+        if cs_loads:
+            for pc in cs_loads.values():
                 self.rmw.train_not_rmw(pc)
-            self._cs_loads.clear()
+            cs_loads.clear()
 
     @property
     def in_cs(self) -> bool:

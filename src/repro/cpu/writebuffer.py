@@ -57,11 +57,13 @@ class WriteBuffer:
         Returns the number of words written.  The caller performs this in
         a single simulation event, which is what makes the commit atomic.
         """
-        count = 0
-        for addr, value in self._words.items():
-            store.write(addr, value)
-            count += 1
-        self.clear()
+        words = self._words
+        write = store.write
+        for addr, value in words.items():
+            write(addr, value)
+        count = len(words)
+        words.clear()
+        self._lines.clear()
         return count
 
     def clear(self) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.cpu.checkpoint import ElisionRecord, SpeculationCheckpoint
-from repro.cpu.isa import StoreConditional, Write, line_of
+from repro.cpu.isa import StoreConditional, Write
 from repro.cpu.predictor import StorePairPredictor
 from repro.tlr.timestamp import TimestampAuthority
 from repro.harness.config import SystemConfig
@@ -58,14 +58,6 @@ class SpeculationManager:
         self._attempts = 0
 
     # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    @property
-    def root_pc(self) -> str:
-        return self.checkpoint.elisions[0].pc if (
-            self.checkpoint and self.checkpoint.elisions) else ""
-
-    # ------------------------------------------------------------------
     # Elision (transaction start / nesting)
     # ------------------------------------------------------------------
     def try_elide(self, op: StoreConditional, free_value: int,
@@ -80,13 +72,13 @@ class SpeculationManager:
         """
         if not self.enabled:
             return False
-        if self.checkpoint is not None:
+        checkpoint = self.checkpoint
+        if checkpoint is not None:
             # Nested elision inside an ongoing transaction.
-            if self.checkpoint.nest_level >= self.config.spec.elision_depth:
+            if checkpoint.nest_level >= self.config.spec.elision_depth:
                 return False  # treat the inner lock as ordinary data
-            self.checkpoint.push(ElisionRecord(
-                lock_addr=op.addr, free_value=free_value,
-                held_value=op.value, pc=op.pc, depth=cs_depth))
+            checkpoint.elisions.append(ElisionRecord(
+                op.addr, free_value, op.value, op.pc, cs_depth))
             return True
         if self._suppress_next:
             self._suppress_next = False
@@ -96,12 +88,10 @@ class SpeculationManager:
         ts = self.authority.begin() if self.tlr else None
         self._attempts += 1
         self.checkpoint = SpeculationCheckpoint(
-            start_time=self.processor.sim.now, ts=ts, root_depth=cs_depth,
-            attempts=self._attempts)
+            self.processor.sim.now, ts, cs_depth,
+            [ElisionRecord(op.addr, free_value, op.value, op.pc, cs_depth)],
+            self._attempts)
         self.active = True
-        self.checkpoint.push(ElisionRecord(
-            lock_addr=op.addr, free_value=free_value,
-            held_value=op.value, pc=op.pc, depth=cs_depth))
         self.stats.elisions_started += 1
         self.processor.controller.enter_speculation(ts)
         return True
@@ -116,26 +106,35 @@ class SpeculationManager:
         lock to its free value -- is absorbed; if it closes the outermost
         elision, the transaction commits.  A store to an elided lock with
         a *different* value breaks the silent-pair assumption and kills
-        the speculation.
+        the speculation.  Store pairs nest, so only the innermost
+        elision can match; the root's match commits with the root still
+        on the stack, for :meth:`on_commit` to credit its pc.
         """
-        if self.checkpoint is None:
+        checkpoint = self.checkpoint
+        if checkpoint is None:
             return False
-        record = self.checkpoint.pop_matching(op.addr, op.value)
-        if record is not None:
-            if self.checkpoint.committed:
+        elisions = checkpoint.elisions
+        addr = op.addr
+        top = elisions[-1]
+        if top.lock_addr == addr and top.free_value == op.value:
+            if len(elisions) == 1:
                 self.processor.commit_transaction()
+            else:
+                elisions.pop()
             return True
-        if any(e.lock_addr == op.addr for e in self.checkpoint.elisions):
-            # Non-silent store to an elided lock: elision assumption broken.
-            self.processor.resource_fallback("non-silent-pair")
-            return False
+        for record in elisions:
+            if record.lock_addr == addr:
+                # Non-silent store to an elided lock: elision assumption
+                # broken.
+                self.processor.resource_fallback("non-silent-pair")
+                return False
         return False
 
     # ------------------------------------------------------------------
     # Outcome notifications (from the processor)
     # ------------------------------------------------------------------
     def on_commit(self) -> None:
-        self.predictor.elision_succeeded(self.root_pc)
+        self.predictor.elision_succeeded(self.checkpoint.elisions[0].pc)
         if self.tlr:
             self.authority.commit()
             self.stats.timestamp_updates += 1
@@ -151,10 +150,11 @@ class SpeculationManager:
         the lock for real): always after resource limits; after the retry
         threshold under plain SLE; never for TLR data conflicts.
         """
-        if self.checkpoint is None:
+        checkpoint = self.checkpoint
+        if checkpoint is None:
             return 0
-        depth = self.checkpoint.root_depth
-        self.predictor.elision_failed(self.root_pc, resource)
+        depth = checkpoint.root_depth
+        self.predictor.elision_failed(checkpoint.elisions[0].pc, resource)
         if resource:
             self._suppress_next = True
             self.stats.lock_fallbacks += 1
@@ -180,9 +180,3 @@ class SpeculationManager:
         self.checkpoint = None
         self.active = False
         return depth
-
-    def lock_lines(self) -> set[int]:
-        """Lines of currently elided locks (watched for writes)."""
-        if self.checkpoint is None:
-            return set()
-        return {line_of(e.lock_addr) for e in self.checkpoint.elisions}

@@ -17,6 +17,7 @@ The load-bearing contracts:
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,10 @@ from repro.record.timeline import Timeline
 
 from tests.integration.test_policy_lab import GOLDEN_DEFAULT
 from tests.integration.test_record_replay import _spec
+
+#: Restart reasons that are resource fallbacks, not conflict aborts.
+RESOURCE_REASONS = {"capacity", "wb-overflow", "non-silent-pair",
+                    "deschedule"}
 
 
 # ----------------------------------------------------------------------
@@ -58,13 +63,30 @@ class TestProfilerPurity:
 # Live ≡ post-hoc causal attribution
 # ----------------------------------------------------------------------
 class TestLiveVsPostHoc:
-    @pytest.mark.parametrize("policy", ["timestamp", "nack"])
-    @pytest.mark.parametrize("workload", ["linked-list",
-                                          "multiple-counter"])
-    def test_conflict_matrix_byte_identical(self, workload, policy):
+    @pytest.mark.parametrize("workload,policy,write_buffer", [
+        pytest.param(workload, policy, None, id=f"{workload}-{policy}")
+        for workload in ("linked-list", "multiple-counter")
+        for policy in ("timestamp", "nack")
+    ] + [
+        # A two-line write buffer mixes commits, conflict aborts and
+        # wb-overflow lock fallbacks in one run.
+        pytest.param("linked-list", "timestamp", 2,
+                     id="linked-list-timestamp-wb2"),
+    ])
+    def test_conflict_matrix_byte_identical(self, workload, policy,
+                                            write_buffer):
         spec = _spec(workload, policy=policy, ops=96)
+        if write_buffer is not None:
+            spec.config.spec.write_buffer_entries = write_buffer
         recorded = record_run(spec)
         assert recorded.error is None
+        if write_buffer is not None:
+            cpus = recorded.result.stats.cpus
+            reasons = sum((cpu.restart_reasons for cpu in cpus), Counter())
+            assert sum(cpu.elisions_committed for cpu in cpus) > 0
+            assert reasons["wb-overflow"] > 0
+            assert sum(n for reason, n in reasons.items()
+                       if reason not in RESOURCE_REASONS) > 0
         live = recorded.result.metrics["profile"]
         posthoc = profile_from_log(recorded.log)
         assert matrix_canonical_json(live) == \

@@ -1,12 +1,16 @@
 """Property-based tests over richer program shapes: nested locks,
 multi-line transactions, and fault injection (deschedule/terminate)."""
 
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
+from repro.cpu import isa
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.machine import Machine
 from repro.runtime.program import Workload
 from repro.sync.locks import FREE
+from repro.verify import FootprintRecorder, SerializabilityOracle
 from repro.workloads.common import AddressSpace
 
 
@@ -73,6 +77,81 @@ def test_nested_lock_programs_conserve_increments(plans, scheme):
     assert got == expected
     for lock in outer_locks + inner_locks:
         assert machine.store.read(lock) == FREE
+
+
+# ----------------------------------------------------------------------
+# Swap and CAS inside transactions
+# ----------------------------------------------------------------------
+# Each op is (atomic kind, counter index, extra counter index or None).
+# The section increments its counter through the atomic -- a swap of the
+# read value plus one, or a CAS from it -- and the extra counter with a
+# plain store, so a section writes one or two lines: a small write
+# buffer overflows on the atomic's store or on the plain one.
+atomic_plan = st.lists(
+    st.tuples(st.sampled_from(["swap", "cas"]),
+              st.integers(0, 2),
+              st.one_of(st.none(), st.integers(0, 2))),
+    min_size=1, max_size=5)
+
+
+@settings(max_examples=12, deadline=None)
+@given(plans=st.lists(atomic_plan, min_size=2, max_size=3),
+       write_buffer=st.sampled_from([1, 2, 64]),
+       seed=st.integers(0, 3))
+def test_speculative_atomics_conserve_and_serialize(plans, write_buffer,
+                                                    seed):
+    space = AddressSpace()
+    lock = space.alloc_word()
+    counters = space.alloc_lines(3)
+
+    def make_thread(tid):
+        def thread(env):
+            for kind, counter_idx, extra_idx in plans[tid]:
+                def body(env, kind=kind, counter=counters[counter_idx],
+                         extra_idx=extra_idx):
+                    value = yield env.read(counter, pc="a.ld")
+                    if kind == "swap":
+                        yield isa.AtomicSwap(counter, value + 1, pc="a.swap")
+                    else:
+                        yield isa.AtomicCas(counter, expect=value,
+                                            new=value + 1, pc="a.cas")
+                    if extra_idx is not None:
+                        extra = counters[extra_idx]
+                        value = yield env.read(extra, pc="a.x.ld")
+                        yield env.write(extra, value + 1, pc="a.x.st")
+
+                yield from env.critical(lock, body, pc="a")
+                yield env.compute(env.fair_delay(lo=1, hi=30))
+
+        return thread
+
+    config = SystemConfig(num_cpus=len(plans), scheme=SyncScheme.TLR,
+                          seed=seed, max_cycles=50_000_000)
+    config = replace(config, spec=replace(
+        config.spec, write_buffer_entries=write_buffer))
+    machine = Machine(config)
+    recorder = FootprintRecorder().attach(machine)
+    workload = Workload(name="atomics",
+                        threads=[make_thread(t) for t in range(len(plans))],
+                        meta={"space": space})
+    machine.run_workload(workload)
+
+    expected = [0, 0, 0]
+    for plan in plans:
+        for _, counter_idx, extra_idx in plan:
+            expected[counter_idx] += 1
+            if extra_idx is not None:
+                expected[extra_idx] += 1
+    assert [machine.store.read(c) for c in counters] == expected
+    assert machine.store.read(lock) == FREE
+    report = SerializabilityOracle(recorder).check(machine.store.snapshot())
+    assert report.ok, [str(v) for v in report.violations]
+    if write_buffer == 64:
+        # Nothing overflows: every section's atomic ran speculatively
+        # and committed.
+        committed = sum(cpu.elisions_committed
+                        for cpu in machine.stats.cpus)
+        assert committed == sum(len(plan) for plan in plans)
 
 
 # ----------------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Unit tests for CPU building blocks: write buffer, predictors,
 checkpoints, ISA helpers."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.coherence.memory import ValueStore
 from repro.cpu.checkpoint import (ElisionRecord, RestartSignal,
                                   SpeculationCheckpoint)
-from repro.cpu.isa import WORDS_PER_LINE, line_of
+from repro.cpu.isa import WORDS_PER_LINE, StoreConditional, Write, line_of
 from repro.cpu.predictor import RmwPredictor, StorePairPredictor
 from repro.cpu.writebuffer import WriteBuffer, WriteBufferOverflow
+from repro.harness.config import SystemConfig
+from repro.sim.stats import CpuStats
+from repro.sle.elision import SpeculationManager
 
 
 class TestIsaHelpers:
@@ -133,34 +138,75 @@ class TestStorePairPredictor:
         assert predictor.should_elide("acq")
 
 
+class _StubCore:
+    """The processor surface a SpeculationManager calls back into."""
+
+    def __init__(self):
+        self.cpu_id = 0
+        self.sim = SimpleNamespace(now=0)
+        self.controller = SimpleNamespace(enter_speculation=lambda ts: None)
+        self.calls = []
+
+    def commit_transaction(self):
+        self.calls.append("commit")
+        self.manager.on_commit()
+
+    def resource_fallback(self, reason):
+        self.calls.append(reason)
+        self.manager.on_misspeculation(reason, resource=True)
+
+
 class TestSpeculationCheckpoint:
-    def make(self) -> SpeculationCheckpoint:
-        return SpeculationCheckpoint(start_time=0, ts=(0, 0), root_depth=0)
+    """The elision stack, driven the way the processor drives it."""
+
+    def make(self) -> SpeculationManager:
+        core = _StubCore()
+        core.manager = SpeculationManager(core, SystemConfig(),
+                                          CpuStats(cpu_id=0))
+        return core.manager
+
+    def elide(self, manager, lock_addr, pc, depth):
+        assert manager.try_elide(StoreConditional(lock_addr, 1, pc=pc),
+                                 free_value=0, cs_depth=depth)
+
+    def test_root_record_built_with_checkpoint(self):
+        manager = self.make()
+        self.elide(manager, 1, "outer", 0)
+        cp = manager.checkpoint
+        assert isinstance(cp, SpeculationCheckpoint)
+        assert cp.elisions == [ElisionRecord(lock_addr=1, free_value=0,
+                                             held_value=1, pc="outer",
+                                             depth=0)]
+        assert not hasattr(cp, "__dict__")  # slots
+        assert not hasattr(cp.elisions[0], "__dict__")
 
     def test_nested_pop_order(self):
-        cp = self.make()
-        cp.push(ElisionRecord(lock_addr=1, free_value=0, held_value=1,
-                              pc="outer", depth=0))
-        cp.push(ElisionRecord(lock_addr=2, free_value=0, held_value=1,
-                              pc="inner", depth=1))
-        assert cp.nest_level == 2
-        assert cp.pop_matching(2, 0).pc == "inner"
-        assert cp.pop_matching(1, 0).pc == "outer"
-        assert cp.committed
+        manager = self.make()
+        self.elide(manager, 1, "outer", 0)
+        self.elide(manager, 2, "inner", 1)
+        assert manager.checkpoint.nest_level == 2
+        assert manager.absorbs_release(Write(2, 0))
+        assert [e.pc for e in manager.checkpoint.elisions] == ["outer"]
+        assert manager.absorbs_release(Write(1, 0))
+        assert manager.processor.calls == ["commit"]
+        assert manager.checkpoint is None
+        # The commit credits the root's pc, not an empty one.
+        assert dict(manager.predictor._table._table) == {"outer": 3}
 
     def test_pop_wrong_order_refused(self):
-        cp = self.make()
-        cp.push(ElisionRecord(lock_addr=1, free_value=0, held_value=1,
-                              pc="outer", depth=0))
-        cp.push(ElisionRecord(lock_addr=2, free_value=0, held_value=1,
-                              pc="inner", depth=1))
-        assert cp.pop_matching(1, 0) is None  # outer is not on top
+        manager = self.make()
+        self.elide(manager, 1, "outer", 0)
+        self.elide(manager, 2, "inner", 1)
+        # The outer lock is not on top: a non-silent pair.
+        assert not manager.absorbs_release(Write(1, 0))
+        assert manager.processor.calls == ["non-silent-pair"]
+        assert manager.checkpoint is None
 
     def test_pop_wrong_value_refused(self):
-        cp = self.make()
-        cp.push(ElisionRecord(lock_addr=1, free_value=0, held_value=1,
-                              pc="x", depth=0))
-        assert cp.pop_matching(1, 7) is None
+        manager = self.make()
+        self.elide(manager, 1, "x", 0)
+        assert not manager.absorbs_release(Write(1, 7))
+        assert manager.processor.calls == ["non-silent-pair"]
 
     def test_restart_signal_carries_depth(self):
         signal = RestartSignal(depth=2, reason="test")

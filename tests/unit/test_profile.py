@@ -145,10 +145,11 @@ class _Sink:
 
 
 def _machine_stub(lock_addr=0x40, pc="site.a", attempts=3):
-    checkpoint = SpeculationCheckpoint(start_time=0, ts=(0, 0),
-                                       root_depth=0, attempts=attempts)
-    checkpoint.push(ElisionRecord(lock_addr=lock_addr, free_value=0,
-                                  held_value=1, pc=pc, depth=0))
+    checkpoint = SpeculationCheckpoint(
+        start_time=0, ts=(0, 0), root_depth=0,
+        elisions=[ElisionRecord(lock_addr=lock_addr, free_value=0,
+                                held_value=1, pc=pc, depth=0)],
+        attempts=attempts)
     spec = SimpleNamespace(checkpoint=checkpoint)
     return SimpleNamespace(processors=[SimpleNamespace(spec=spec)] * 8,
                            taps=MachineTaps())

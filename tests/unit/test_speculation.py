@@ -2,10 +2,13 @@
 atomicity, fallbacks, and the TLR deferral path -- observed through
 small machines."""
 
+from collections import Counter
+
 import pytest
 
 import repro.harness.machine as machine_module
 from repro.cpu import isa
+from repro.cpu.checkpoint import RestartSignal
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.spec import RunSpec
 from repro.sync import locks as locks_module
@@ -68,6 +71,19 @@ class TestElision:
         total_elided = sum(machine.stats.cpu(i).elisions_committed
                            for i in range(2))
         assert total_elided == 12
+
+    def test_commit_credits_the_elided_pc(self):
+        # The store-pair predictor's success credit goes to the root
+        # elision's pc, read before the release empties the stack; it
+        # used to land on a phantom "" entry.
+        spec = RunSpec(workload="multiple-counter",
+                       config=SystemConfig(num_cpus=8, scheme=SyncScheme.TLR,
+                                           seed=0))
+        machine = machine_module.Machine(spec.config)
+        machine.run_workload(spec.build_workload())
+        tables = [dict(p.spec.predictor._table._table)
+                  for p in machine.processors]
+        assert tables == [{"mc.sc": 3}] * 8
 
 
 class TestAtomicCommit:
@@ -229,6 +245,87 @@ class TestFailureAtomicity:
         assert machine.store.read(marker) == 1
         assert machine.stats.cpu(0).resource_fallbacks >= 1
         assert machine.stats.cpu(0).elisions_committed == 0
+
+    @staticmethod
+    def counted(counter, total):
+        def validate(store):
+            assert store.read(counter) == total
+        return validate
+
+    def test_non_silent_pair_takes_the_lock_for_real(self):
+        # A store of another value to the elided lock is no silent pair:
+        # the elision falls back, and the retry runs with the lock held.
+        space = AddressSpace()
+        lock, counter = space.alloc_word(), space.alloc_word()
+        held_inside = []
+
+        def thread(env):
+            def body(env):
+                value = yield env.read(counter, pc="ns.ld")
+                yield env.write(counter, value + 1, pc="ns.st")
+                yield env.write(lock, HELD + 1, pc="ns.bad", lock=True)
+                held_inside.append(env.processor.store.read(lock))
+
+            for _ in range(3):
+                yield from env.critical(lock, body, pc="ns")
+                yield env.compute(env.fair_delay())
+
+        machine = run_threads([thread, thread],
+                              small_config(2, SyncScheme.TLR),
+                              validate=self.counted(counter, 6), space=space)
+        reasons = sum((machine.stats.cpu(i).restart_reasons
+                       for i in range(2)), Counter())
+        assert reasons["non-silent-pair"] >= 1
+        assert sum(machine.stats.cpu(i).lock_fallbacks
+                   for i in range(2)) >= 1
+        # Every completed section ran with the lock taken for real.
+        assert held_inside and set(held_inside) == {HELD + 1}
+        assert machine.store.read(lock) == FREE
+
+    def test_out_of_order_release_is_a_non_silent_pair(self):
+        # Releasing the outer elided lock while the inner one is on top
+        # of the elision stack does not match it: the transaction falls
+        # back and restarts to its root.
+        space = AddressSpace()
+        outer, inner = space.alloc_word(), space.alloc_word()
+        counter = space.alloc_word()
+
+        def restartable(env, steps):
+            """``critical``'s restart loop around a body that acquires
+            and releases its locks itself."""
+            depth = env.processor.cs_depth
+            while True:
+                try:
+                    return (yield from steps(env))
+                except RestartSignal as signal:
+                    if signal.depth != depth:
+                        raise
+
+        def inner_steps(env):
+            yield from env.acquire(inner, pc="oo.inner")
+            value = yield env.read(counter, pc="oo.ld")
+            yield env.write(counter, value + 1, pc="oo.st")
+            yield from env.release(outer, pc="oo.outer")
+            yield from env.release(inner, pc="oo.inner")
+
+        def outer_steps(env):
+            yield from env.acquire(outer, pc="oo.outer")
+            # With the outer lock taken for real the inner one can be
+            # the speculation root, which restarts from here.
+            yield from restartable(env, inner_steps)
+
+        def thread(env):
+            for _ in range(3):
+                yield from restartable(env, outer_steps)
+                yield env.compute(env.fair_delay())
+
+        machine = run_threads([thread, thread],
+                              small_config(2, SyncScheme.TLR),
+                              validate=self.counted(counter, 6), space=space)
+        assert sum(machine.stats.cpu(i).restart_reasons["non-silent-pair"]
+                   for i in range(2)) >= 1
+        assert [machine.store.read(w) for w in (outer, inner)] == [FREE,
+                                                                   FREE]
 
 
 class TestTlrDeferral:

@@ -37,7 +37,8 @@ from dataclasses import replace
 from typing import Optional
 
 from repro.harness import report
-from repro.harness.config import SchedConfig, SystemConfig
+from repro.harness.config import (SchedConfig, SpeculationConfig,
+                                  SyncScheme, SystemConfig)
 from repro.harness.experiments import (AppResult, PolicyGridResult,
                                        SchedGridResult, SweepResult)
 from repro.harness.jobs import JobResult, submit
@@ -47,10 +48,33 @@ from repro.harness.spec import (SIZE_PARAM, WORKLOAD_BUILDERS, JobSpec,
                                 RunSpec, scheme_from_str)
 
 SCHEME_ALIASES = ("BASE", "SLE", "TLR", "TLR-STRICT-TS", "MCS")
+WORKLOADS = tuple(sorted(WORKLOAD_BUILDERS))
+POLICIES = SpeculationConfig.KNOWN_POLICIES
+SCHEDULERS = tuple(name for name in SchedConfig.KNOWN_SCHEDULERS
+                   if name != "none")
 
 
 def _parse_procs(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(","))
+
+
+def _known(kind: str, names: tuple[str, ...], many: bool = False):
+    """argparse ``type`` for one of ``names``, or with ``many`` a
+    comma-separated tuple of them; a bad name exits 2 listing them."""
+    def parse(text: str):
+        picked = text.split(",") if many else [text]
+        for name in picked:
+            if name not in names:
+                raise argparse.ArgumentTypeError(
+                    f"unknown {kind} {name}; one of {' '.join(names)}")
+        return tuple(picked) if many else text
+    return parse
+
+
+def _scheme(text: str) -> SyncScheme:
+    """argparse ``type`` for ``--scheme``: any case, ``_`` or ``-``."""
+    name = _known("scheme", SCHEME_ALIASES)(text.upper().replace("_", "-"))
+    return scheme_from_str(name.replace("-", "_"))
 
 
 def _engine_opts(cmd: argparse.ArgumentParser) -> None:
@@ -122,9 +146,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        "over a seed fan-out")
     verify_cmd.add_argument(
         "workloads", nargs="*", metavar="workload",
+        type=_known("workload", WORKLOADS),
         help="workloads to verify (default: single-counter, "
              "multiple-counter, linked-list)")
-    verify_cmd.add_argument("--scheme", type=str, default="TLR",
+    verify_cmd.add_argument("--scheme", type=_scheme, default="TLR",
                             help="|".join(SCHEME_ALIASES))
     verify_cmd.add_argument("--cpus", type=int, default=4)
     verify_cmd.add_argument("--seeds", type=int, default=100,
@@ -143,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "log")
     verify_cmd.add_argument("--no-shrink", action="store_true",
                             help="report failing seeds without shrinking")
-    verify_cmd.add_argument("--policy", type=str, default=None,
+    verify_cmd.add_argument("--policy", type=_known("policy", POLICIES),
                             help="contention policy to verify under "
                                  "(default: the paper's timestamp "
                                  "deferral)")
@@ -153,10 +178,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "policies", help="contention-policy grid (policies x workloads "
                          "x processors), every run oracle-checked")
     policies_cmd.add_argument(
-        "--policy", type=str, default=None,
+        "--policy", type=_known("policy", POLICIES, many=True),
         help="comma-separated policies (default: all four)")
     policies_cmd.add_argument(
-        "--workloads", type=str, default=None,
+        "--workloads", type=_known("workload", WORKLOADS, many=True),
         help="comma-separated workloads (default: single-counter, "
              "linked-list, ocean-cont, barnes)")
     policies_cmd.add_argument("--procs", type=_parse_procs,
@@ -176,17 +201,17 @@ def _build_parser() -> argparse.ArgumentParser:
                       "x policies x workloads) with more threads than "
                       "CPUs, every run oracle-checked")
     sched_cmd.add_argument(
-        "--schedulers", type=str, default=None,
+        "--schedulers", type=_known("scheduler", SCHEDULERS, many=True),
         help="comma-separated scheduler cores (default: rr,mlfq,cfs)")
     sched_cmd.add_argument(
         "--quanta", type=str, default=None,
         help="comma-separated timer quanta in cycles (default: 200,800)")
     sched_cmd.add_argument(
-        "--policy", type=str, default=None,
+        "--policy", type=_known("policy", POLICIES, many=True),
         help="comma-separated contention policies (default: "
              "timestamp,nack)")
     sched_cmd.add_argument(
-        "--workloads", type=str, default=None,
+        "--workloads", type=_known("workload", WORKLOADS, many=True),
         help="comma-separated workloads (default: single-counter, "
              "linked-list)")
     sched_cmd.add_argument("--cpus", type=int, default=4,
@@ -244,8 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _engine_opts(serve_cmd)
 
     runner = sub.add_parser("run", help="run one workload")
-    runner.add_argument("workload", choices=sorted(WORKLOAD_BUILDERS))
-    runner.add_argument("--scheme", type=str, default="TLR",
+    runner.add_argument("workload", choices=WORKLOADS)
+    runner.add_argument("--scheme", type=_scheme, default="TLR",
                         help="|".join(SCHEME_ALIASES))
     runner.add_argument("--cpus", type=int, default=8)
     runner.add_argument("--ops", type=int, default=None,
@@ -265,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="capture the run's binary record log to "
                              "PATH (always executes: recorded runs "
                              "never replay from the cache)")
-    runner.add_argument("--sched", type=str, default=None,
+    runner.add_argument("--sched", type=_known("scheduler", SCHEDULERS),
                         metavar="SCHEDULER",
                         help="preemptive scheduler core (rr|mlfq|cfs): "
                              "multiplex the threads over fewer CPU "
@@ -328,14 +353,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         "existing record log (--from-log) without "
                         "re-simulating")
     profile_cmd.add_argument("workload", nargs="?", default=None,
-                             choices=sorted(WORKLOAD_BUILDERS),
+                             choices=WORKLOADS,
                              help="workload to run live (omit when "
                                   "using --from-log)")
     profile_cmd.add_argument("--from-log", type=str, default=None,
                              metavar="PATH",
                              help="fold a v3 record log's transaction "
                                   "records instead of running anything")
-    profile_cmd.add_argument("--scheme", type=str, default="TLR",
+    profile_cmd.add_argument("--scheme", type=_scheme, default="TLR",
                              help="|".join(SCHEME_ALIASES))
     profile_cmd.add_argument("--cpus", type=int, default=8)
     profile_cmd.add_argument("--ops", type=int, default=None,
@@ -521,12 +546,7 @@ def _do_profile(args) -> int:
             return 2
         title = f"contention profile of {args.from_log}"
     elif args.workload:
-        scheme_name = args.scheme.upper().replace("_", "-")
-        if scheme_name not in SCHEME_ALIASES:
-            print(f"unknown scheme {args.scheme}; one of "
-                  f"{' '.join(SCHEME_ALIASES)}", file=sys.stderr)
-            return 2
-        scheme = scheme_from_str(scheme_name.replace("-", "_"))
+        scheme = args.scheme
         workload_args = ({SIZE_PARAM[args.workload]: args.ops}
                          if args.ops is not None else {})
         config = SystemConfig(num_cpus=args.cpus, scheme=scheme,
@@ -561,7 +581,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.command == "list":
         print("workloads:")
-        for name in sorted(WORKLOAD_BUILDERS):
+        for name in WORKLOADS:
             print(f"  {name}")
         print("schemes:", " ".join(SCHEME_ALIASES))
         return 0
@@ -617,22 +637,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0
 
     if args.command == "verify":
-        scheme_name = args.scheme.upper().replace("_", "-")
-        if scheme_name not in SCHEME_ALIASES:
-            print(f"unknown scheme {args.scheme}; one of "
-                  f"{' '.join(SCHEME_ALIASES)}", file=sys.stderr)
-            return 2
-        for name in args.workloads:
-            if name not in WORKLOAD_BUILDERS:
-                print(f"unknown workload {name}; one of "
-                      f"{' '.join(sorted(WORKLOAD_BUILDERS))}",
-                      file=sys.stderr)
-                return 2
-        from repro.policies import POLICY_NAMES
-        if args.policy is not None and args.policy not in POLICY_NAMES:
-            print(f"unknown policy {args.policy}; one of "
-                  f"{' '.join(POLICY_NAMES)}", file=sys.stderr)
-            return 2
         workloads = args.workloads or None
         if args.litmus:
             from repro.verify.explorer import DEFAULT_VERIFY_WORKLOADS
@@ -642,7 +646,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                          + list(LITMUS_WORKLOADS))
         job = _submit(JobSpec.verify(
             workloads=workloads,
-            scheme=scheme_from_str(scheme_name.replace("-", "_")),
+            scheme=args.scheme,
             num_cpus=args.cpus, seeds=args.seeds, ops=args.ops,
             chaos=args.chaos, base_seed=args.base_seed,
             shrink=not args.no_shrink, policy=args.policy), args)
@@ -654,24 +658,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if job.result["ok"] else 1
 
     if args.command == "policies":
-        from repro.policies import POLICY_NAMES
-        policies = (tuple(args.policy.split(","))
-                    if args.policy else None)
-        for name in policies or ():
-            if name not in POLICY_NAMES:
-                print(f"unknown policy {name}; one of "
-                      f"{' '.join(POLICY_NAMES)}", file=sys.stderr)
-                return 2
-        workloads = (tuple(args.workloads.split(","))
-                     if args.workloads else None)
-        for name in workloads or ():
-            if name not in WORKLOAD_BUILDERS:
-                print(f"unknown workload {name}; one of "
-                      f"{' '.join(sorted(WORKLOAD_BUILDERS))}",
-                      file=sys.stderr)
-                return 2
         job = _submit(JobSpec.sweep(
-            "policies", policies=policies, workloads=workloads,
+            "policies", policies=args.policy, workloads=args.workloads,
             processor_counts=list(args.procs), seeds=args.seeds,
             ops=args.ops, app_scale=args.app_scale,
             base_seed=args.base_seed), args)
@@ -684,35 +672,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if grid.ok else 1
 
     if args.command == "sched":
-        from repro.policies import POLICY_NAMES
-        from repro.sched import KNOWN_SCHEDULERS
-        schedulers = (tuple(args.schedulers.split(","))
-                      if args.schedulers else None)
-        for name in schedulers or ():
-            if name not in KNOWN_SCHEDULERS:
-                print(f"unknown scheduler {name}; one of "
-                      f"{' '.join(KNOWN_SCHEDULERS)}", file=sys.stderr)
-                return 2
-        policies = (tuple(args.policy.split(","))
-                    if args.policy else None)
-        for name in policies or ():
-            if name not in POLICY_NAMES:
-                print(f"unknown policy {name}; one of "
-                      f"{' '.join(POLICY_NAMES)}", file=sys.stderr)
-                return 2
-        workloads = (tuple(args.workloads.split(","))
-                     if args.workloads else None)
-        for name in workloads or ():
-            if name not in WORKLOAD_BUILDERS:
-                print(f"unknown workload {name}; one of "
-                      f"{' '.join(sorted(WORKLOAD_BUILDERS))}",
-                      file=sys.stderr)
-                return 2
         quanta = (tuple(int(q) for q in args.quanta.split(","))
                   if args.quanta else None)
         job = _submit(JobSpec.sweep(
-            "sched", schedulers=schedulers, quanta=quanta, policies=policies,
-            workloads=workloads, num_cpus=args.cpus,
+            "sched", schedulers=args.schedulers, quanta=quanta,
+            policies=args.policy, workloads=args.workloads,
+            num_cpus=args.cpus,
             threads_per_cpu=args.threads_per_cpu, migrate=args.migrate,
             seeds=args.seeds, ops=args.ops, app_scale=args.app_scale,
             base_seed=args.base_seed), args)
@@ -725,22 +690,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 0 if grid.ok else 1
 
     if args.command == "run":
-        scheme_name = args.scheme.upper().replace("_", "-")
-        if scheme_name not in SCHEME_ALIASES:
-            print(f"unknown scheme {args.scheme}; one of "
-                  f"{' '.join(SCHEME_ALIASES)}", file=sys.stderr)
-            return 2
-        scheme = scheme_from_str(scheme_name.replace("-", "_"))
+        scheme = args.scheme
         workload_args = ({SIZE_PARAM[args.workload]: args.ops}
                          if args.ops is not None else {})
         config = SystemConfig(num_cpus=args.cpus, scheme=scheme,
                               seed=args.seed)
         if args.sched:
-            from repro.sched import KNOWN_SCHEDULERS
-            if args.sched not in KNOWN_SCHEDULERS:
-                print(f"unknown scheduler {args.sched}; one of "
-                      f"{' '.join(KNOWN_SCHEDULERS)}", file=sys.stderr)
-                return 2
             config = replace(config, sched=SchedConfig(
                 scheduler=args.sched, quantum=args.quantum,
                 threads_per_cpu=args.threads_per_cpu,

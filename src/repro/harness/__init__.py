@@ -17,7 +17,7 @@ from repro.harness.config import (BusConfig, CacheConfig, MemoryConfig,
 from repro.harness.cache import ResultCache, default_cache_dir
 from repro.harness.machine import Machine
 from repro.harness.parallel import (FailedRun, RunTimeout, SweepTelemetry,
-                                    WorkerPool, execute, run, use_engine)
+                                    execute, run, use_engine)
 from repro.harness.jobs import JobResult, submit
 from repro.harness.runner import RunResult, execute_workload
 from repro.harness.spec import JobSpec, RunSpec, SchemaError
@@ -31,5 +31,5 @@ __all__ = [
     "RunSpec", "EXPERIMENTS", "ResultCache",
     "default_cache_dir", "FailedRun", "RunTimeout", "SweepTelemetry",
     "execute", "JobSpec", "JobResult", "submit", "SchemaError",
-    "WorkerPool", "use_engine",
+    "use_engine",
 ]

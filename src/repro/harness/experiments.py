@@ -61,7 +61,8 @@ class SweepResult:
     """One microbenchmark figure: cycles[scheme][processor_count].
 
     A series slot is ``None`` when that configuration failed (see
-    ``failures``).
+    ``failures``).  A run that completed only under a bumped seed is
+    listed in ``substituted`` with its ``seed_used`` and ``attempts``.
     """
 
     name: str
@@ -70,6 +71,7 @@ class SweepResult:
         default_factory=dict)
     extra: dict[str, dict] = field(default_factory=dict)
     failures: list[FailedRun] = field(default_factory=list)
+    substituted: list[dict] = field(default_factory=list)
 
     def cycles(self, scheme: SyncScheme, num_cpus: int) -> int:
         if scheme not in self.series:
@@ -91,14 +93,17 @@ class SweepResult:
 
     # -- serialization (stable public contract) ------------------------
     def to_dict(self) -> dict:
-        return stamp_schema({
+        data = {
             "name": self.name,
             "processor_counts": list(self.processor_counts),
             "series": {scheme_to_str(s): list(v)
                        for s, v in self.series.items()},
             "failures": [f.to_dict() for f in self.failures],
             "extra": dict(self.extra),
-        })
+        }
+        if self.substituted:  # absent from a clean sweep's image
+            data["substituted"] = [dict(s) for s in self.substituted]
+        return stamp_schema(data)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepResult":
@@ -110,7 +115,8 @@ class SweepResult:
                     for k, v in (data.get("series") or {}).items()},
             extra=dict(data.get("extra") or {}),
             failures=[FailedRun.from_dict(f)
-                      for f in (data.get("failures") or [])])
+                      for f in (data.get("failures") or [])],
+            substituted=[dict(s) for s in data.get("substituted", [])])
 
 
 @dataclass
@@ -259,6 +265,12 @@ def reduce_sweep(specs: Sequence[RunSpec],
             result.failures.append(outcome)
         else:
             series.append(outcome.cycles)
+            if outcome.attempts > 1:
+                result.substituted.append({
+                    "scheme": scheme_to_str(scheme), "num_cpus": n,
+                    "seed": spec.config.seed,
+                    "seed_used": outcome.seed_used,
+                    "attempts": outcome.attempts})
             # Summarized conflict telemetry per sweep point (None when
             # the run had config.metrics off or came from a pre-metrics
             # cache payload); deterministic, so safe in to_dict().

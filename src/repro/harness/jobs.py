@@ -172,8 +172,9 @@ def submit(spec: JobSpec, *, jobs: int = 1,
 
     ``jobs``/``timeout``/``cache``/``retries`` are the uniform engine
     keywords (see :func:`repro.harness.parallel.execute`).  ``pool``
-    installs a persistent :class:`~repro.harness.parallel.WorkerPool`
-    and ``progress`` a per-cell tap for every engine call the job makes
+    installs a persistent process pool
+    (:func:`~repro.harness.parallel.process_pool`) and ``progress`` a
+    per-cell tap for every engine call the job makes
     (via :func:`~repro.harness.parallel.use_engine`), however deeply
     buried in experiment code; the same context collects those calls'
     telemetry, so concurrent jobs never see each other's.

@@ -2,8 +2,8 @@
 
 Every paper figure is a sweep of *independent* ``(workload, scheme,
 num_cpus, seed)`` simulations, so :func:`execute` fans a list of
-:class:`~repro.harness.spec.RunSpec` out over a ``multiprocessing``
-pool.  Guarantees:
+:class:`~repro.harness.spec.RunSpec` out over a process pool
+(:func:`process_pool`).  Guarantees:
 
 * **Determinism** -- each run builds a fresh machine seeded only from
   its own config, and the serial (``jobs=1``) and parallel paths share
@@ -20,6 +20,11 @@ pool.  Guarantees:
   deadline the kernel's run loop checks
   (:class:`~repro.sim.kernel.RunTimeout`), so it holds in any thread,
   a ``repro serve`` worker thread included.
+* **No hangs** -- a worker process that dies (killed, out of memory)
+  raises ``BrokenProcessPool`` out of :func:`execute` instead of
+  leaving the sweep waiting for its result.  With a cache, the cells
+  that landed before it are stored, so re-running the sweep simulates
+  only the rest.
 * **Verified cells** -- with ``verified=True`` the same loop runs
   every spec under the verifier (:mod:`repro.verify`: recorder,
   oracle, monitors, in their one fixed configuration).  Its outcome
@@ -39,6 +44,7 @@ pool.  Guarantees:
 from __future__ import annotations
 
 import multiprocessing
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -54,6 +60,8 @@ from repro.runtime.program import Workload
 from repro.sim.kernel import RunTimeout, SimulationError
 
 if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.verify.explorer import VerifyResult
 
 DEFAULT_RETRIES = 2
@@ -205,43 +213,37 @@ Outcome = Union[RunResult, FailedRun, "VerifyResult"]
 ProgressCallback = Callable[[int, int, Outcome], None]
 
 
-def _pool_context():
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        return multiprocessing.get_context()
-
-
-class WorkerPool:
-    """A persistent multiprocessing pool reusable across engine calls.
-
-    The sweep engine normally forks a fresh pool per :func:`execute`
-    call, which is fine for one-shot sweeps but wasteful for an
-    always-on service running many jobs.  A ``WorkerPool`` keeps the
-    worker processes alive; install it for a region of code with
-    :func:`use_engine` and every engine call inside (including those
-    made by experiment functions and the verifier) shards its cells
-    across the shared workers.  ``Pool.imap`` is safe to call from
-    several service threads concurrently -- each call gets its own
-    result iterator.
+def process_pool(workers: int, *,
+                 persistent: bool = False) -> ProcessPoolExecutor:
+    """A pool of ``workers`` processes, and the one place a start
+    method is chosen.  A per-call pool forks: its callers (the CLI,
+    ``bench/``, tests, ``repro serve --regen``) are single-threaded.  A
+    persistent pool lives in ``repro serve``, a multi-threaded process
+    where a fork can copy a lock another thread holds (an import lock,
+    say) into the child, so it uses ``forkserver``.  Those workers
+    re-import the main script: a script that builds a ``JobQueue`` with
+    ``jobs > 1`` needs an ``if __name__ == "__main__":`` guard.
     """
+    # Lazy: a process that never starts a pool never loads its modules.
+    from concurrent.futures import ProcessPoolExecutor
+    method = "forkserver" if persistent else "fork"
+    return ProcessPoolExecutor(max_workers=workers,
+                               mp_context=multiprocessing.get_context(method),
+                               initializer=_exit_with_parent)
 
-    def __init__(self, processes: Optional[int] = None):
-        self.processes = processes or multiprocessing.cpu_count()
-        self._pool = _pool_context().Pool(processes=self.processes)
 
-    def imap(self, fn, iterable):
-        return self._pool.imap(fn, iterable)
+def _exit_with_parent() -> None:
+    """Pool worker initializer: end the worker when the process that
+    made the pool dies without shutting it down (SIGKILL, a ``kill``).
+    An idle ``concurrent.futures`` worker would wait for work forever."""
+    from multiprocessing.connection import wait
+    sentinel = multiprocessing.parent_process().sentinel
 
-    def close(self) -> None:
-        self._pool.terminate()
-        self._pool.join()
+    def watch() -> None:
+        wait([sentinel])
+        os._exit(1)
 
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+    threading.Thread(target=watch, daemon=True).start()
 
 
 class _EngineContext(threading.local):
@@ -250,11 +252,11 @@ class _EngineContext(threading.local):
 
     Thread-local so concurrent service threads can run jobs with
     independent progress hooks and telemetry while sharing one
-    :class:`WorkerPool` object (each thread installs the same pool into
-    its own context).
+    persistent pool (each thread installs the same pool into its own
+    context; ``submit`` and ``map`` are thread-safe).
     """
 
-    pool: Optional[WorkerPool] = None
+    pool: Optional[ProcessPoolExecutor] = None
     progress: Optional["ProgressCallback"] = None
     calls: Optional[list[SweepTelemetry]] = None
 
@@ -263,11 +265,11 @@ _ENGINE = _EngineContext()
 
 
 @contextmanager
-def use_engine(pool: Optional[WorkerPool] = None, progress=None):
-    """Install a persistent :class:`WorkerPool` and/or a progress tap
-    for every engine call made inside the ``with`` body (including
-    calls buried in experiment functions, which do not take these
-    arguments directly).  Yields the list that collects the
+def use_engine(pool: Optional[ProcessPoolExecutor] = None, progress=None):
+    """Install a persistent pool (see :func:`process_pool`) and/or a
+    progress tap for every engine call made inside the ``with`` body
+    (including calls buried in experiment functions, which do not take
+    these arguments directly).  Yields the list that collects the
     :class:`SweepTelemetry` of each of those calls."""
     previous = (_ENGINE.pool, _ENGINE.progress, _ENGINE.calls)
     calls: list[SweepTelemetry] = []
@@ -284,19 +286,18 @@ def map_payloads(worker, payloads: Sequence, jobs: int):
     """Yield ``worker(payload)`` for each payload, in order.
 
     Serial in-process when ``jobs <= 1`` or there is a single payload
-    (the determinism baseline); otherwise through the ambient
-    :class:`WorkerPool` if one is installed, else a fresh fork pool.
+    (the determinism baseline); otherwise through the pool
+    :func:`use_engine` installed, else a per-call one.  A worker that
+    dies raises ``BrokenProcessPool`` here instead of leaving its
+    result to wait forever.
     """
     if jobs <= 1 or len(payloads) == 1:
-        for payload in payloads:
-            yield worker(payload)
-        return
-    if _ENGINE.pool is not None:
-        yield from _ENGINE.pool.imap(worker, payloads)
-        return
-    ctx = _pool_context()
-    with ctx.Pool(processes=min(jobs, len(payloads))) as pool:
-        yield from pool.imap(worker, payloads)
+        yield from map(worker, payloads)
+    elif _ENGINE.pool is not None:
+        yield from _ENGINE.pool.map(worker, payloads)
+    else:
+        with process_pool(min(jobs, len(payloads))) as pool:
+            yield from pool.map(worker, payloads)
 
 
 def cell_key(spec: RunSpec, verified: bool = False) -> str:

@@ -14,6 +14,7 @@ from typing import Iterable, Mapping, Optional
 from repro.harness.config import SyncScheme
 from repro.harness.experiments import (AppResult, PolicyGridResult,
                                        SchedGridResult, SweepResult)
+from repro.harness.spec import scheme_to_str
 
 
 def _cell(value) -> str:
@@ -22,16 +23,23 @@ def _cell(value) -> str:
 
 
 def sweep_table(result: SweepResult) -> str:
-    """Cycles-vs-processors table for one microbenchmark figure."""
+    """Cycles-vs-processors table for one microbenchmark figure; a
+    ``*`` marks a run that completed only under a bumped seed."""
     schemes = list(result.series)
+    marked = {(sub["scheme"], sub["num_cpus"]) for sub in result.substituted}
     header = ["procs"] + [s.value for s in schemes]
-    rows = [[str(n)] + [_cell(result.series[s][i]) for s in schemes]
+    rows = [[str(n)] + [_cell(result.series[s][i])
+                        + ("*" if (scheme_to_str(s), n) in marked else "")
+                        for s in schemes]
             for i, n in enumerate(result.processor_counts)]
     widths = [max(len(header[c]), *(len(r[c]) for r in rows)) + 2
               for c in range(len(header))]
     lines = ["".join(h.rjust(w) for h, w in zip(header, widths))]
     lines += ["".join(c.rjust(w) for c, w in zip(row, widths))
               for row in rows]
+    lines += [f"* {sub['scheme']} on {sub['num_cpus']} procs: seed "
+              f"{sub['seed']} livelocked, ran at seed {sub['seed_used']} "
+              f"({sub['attempts']} attempts)" for sub in result.substituted]
     return "\n".join(lines)
 
 

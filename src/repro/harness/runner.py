@@ -2,8 +2,7 @@
 
 :func:`execute_workload` is the one low-level entry point -- everything
 else (the unified API :func:`repro.harness.run`, the parallel sweep
-engine, the job-queue service) routes through it.  The old per-style
-shims (``run``, ``run_scheme``, ``compare_schemes``) are gone; use
+engine, the job-queue service) routes through it.  Above it, use
 ``repro.harness.run(spec, *, jobs=..., timeout=..., cache=...,
 validate=...)`` with a :class:`~repro.harness.spec.RunSpec`, a raw
 :class:`~repro.runtime.program.Workload`, or a registered experiment

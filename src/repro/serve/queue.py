@@ -2,10 +2,12 @@
 
 A :class:`JobQueue` owns a bounded set of worker *threads* (each
 running one job at a time through :func:`repro.harness.jobs.submit`)
-and, when engine parallelism is requested, one persistent
-:class:`~repro.harness.parallel.WorkerPool` of *processes* shared by
-every job -- the pool survives across jobs, so the service never pays
-fork/teardown per submission.
+and, when engine parallelism is requested, one persistent pool of
+*processes* (:func:`~repro.harness.parallel.process_pool`: ``forkserver``
+workers, so a script that builds one needs a main guard) shared by
+every job, so the service never pays process start-up per submission.
+A worker that dies fails the jobs on the pool with
+``BrokenProcessPool``, and the queue replaces the pool once.
 
 Dedup happens at two distinct moments, both in ``submit()`` under the
 queue lock, through one fingerprint -> job index:
@@ -37,7 +39,7 @@ from typing import Iterator, Optional
 
 from repro.harness.cache import resolve_cache
 from repro.harness.jobs import JobResult, submit
-from repro.harness.parallel import WorkerPool
+from repro.harness.parallel import process_pool
 from repro.harness.spec import JobSpec
 from repro.obs.metrics import MetricsRegistry
 
@@ -120,10 +122,11 @@ class JobQueue:
 
     ``workers`` threads drain the queue concurrently (several *jobs* in
     flight); ``jobs`` is the engine parallelism *within* one job --
-    when > 1 a persistent :class:`WorkerPool` of that many processes is
-    created and shared by all workers.  ``start=False`` leaves the
-    workers unstarted so tests can assert queue state (e.g. coalescing)
-    before anything executes; call :meth:`start` to begin draining.
+    when > 1 a persistent pool of that many processes is created and
+    shared by all workers (see the module docstring).  ``start=False``
+    leaves the workers unstarted so tests can assert queue state (e.g.
+    coalescing) before anything executes; call :meth:`start` to begin
+    draining.
     """
 
     def __init__(self, *, workers: int = 2, jobs: int = 1,
@@ -134,7 +137,8 @@ class JobQueue:
         self.cache = resolve_cache(cache)
         self.timeout = timeout
         self.retries = retries
-        self.pool = WorkerPool(processes=self.jobs) if self.jobs > 1 else None
+        self.pool = (process_pool(self.jobs, persistent=True)
+                     if self.jobs > 1 else None)
         self.metrics = MetricsRegistry()
         self._cond = threading.Condition()
         self._jobs: dict[str, Job] = {}
@@ -180,7 +184,7 @@ class JobQueue:
         for thread in self._threads:
             thread.join(timeout=30)
         if self.pool is not None:
-            self.pool.close()
+            self.pool.shutdown(cancel_futures=True)
         if self.cache is not None:
             self.cache.persist_counters()
 
@@ -324,12 +328,21 @@ class JobQueue:
                 self.metrics.counter("serve.cells.completed").inc()
                 self._emit(job, "progress", {"done": done, "total": total})
 
+        pool = self.pool
         try:
             result = submit(job.spec, jobs=self.jobs, timeout=self.timeout,
                             cache=self.cache, retries=self.retries,
-                            pool=self.pool, progress=tap)
+                            pool=pool, progress=tap)
         except Exception as exc:  # a failed job must not kill its worker
             with self._cond:
+                if pool is not None and pool is self.pool:
+                    # Imported here: a queue without a pool never loads it.
+                    from concurrent.futures.process import BrokenProcessPool
+                    if isinstance(exc, BrokenProcessPool):
+                        # The first job to see the dead worker replaces
+                        # the pool; the others that shared it fail too.
+                        self.pool = process_pool(self.jobs, persistent=True)
+                        pool.shutdown(wait=False)
                 job.state = "failed"
                 job.finished_at = time.time()
                 job.error = f"{type(exc).__name__}: {exc}"

@@ -5,11 +5,24 @@ bit-identical to ``jobs=1`` for the same seeds -- plus cache
 incrementality and livelock degradation at the figure level.
 """
 
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
+import repro
+from repro.harness.artifacts import _sweep_results
 from repro.harness.cache import ResultCache
 from repro.harness.config import SyncScheme, SystemConfig
-from repro.harness.parallel import FailedRun, execute, run, use_engine
+from repro.harness.experiments import SweepResult
+from repro.harness.parallel import (SEED_BUMP, FailedRun, execute, run,
+                                    use_engine)
+from repro.harness.report import sweep_table
+from repro.harness.runner import result_fingerprint
 from repro.harness.spec import RunSpec
 
 PROCS = (2, 4)
@@ -112,6 +125,35 @@ class TestLivelockDegradation:
             assert failed.error in ("SimulationError", "DeadlockError")
             assert failed.attempts == 2
 
+    def test_seed_substitution_is_reported_fresh_and_replayed(
+            self, tmp_path):
+        # Under this budget at seed 2, TLR on 2 CPUs livelocks and then
+        # completes at the bumped seed: its cycles are not seed 2's.
+        kwargs = dict(total_increments=OPS, processor_counts=PROCS,
+                      config=_cfg(seed=2, max_cycles=5080), retries=1,
+                      cache=ResultCache(tmp_path), jobs=2)
+        fresh = figure9(**kwargs)
+        replayed, telemetry = figure9_telemetry(**kwargs)
+        assert telemetry["simulated"] == 0 and telemetry["cache_hits"] == 3
+        expected = [{"scheme": "TLR", "num_cpus": 2, "seed": 2,
+                     "seed_used": 2 + SEED_BUMP, "attempts": 2}]
+        assert fresh.substituted == replayed.substituted == expected
+        image = replayed.to_dict()
+        assert image["substituted"] == expected
+        assert SweepResult.from_dict(image).substituted == expected
+        assert _sweep_results(replayed)["substituted"] == expected
+        cycles = replayed.cycles(SyncScheme.TLR, 2)
+        table = sweep_table(replayed)
+        assert f" {cycles}*" in table
+        assert (f"* TLR on 2 procs: seed 2 livelocked, ran at seed "
+                f"{2 + SEED_BUMP} (2 attempts)") in table
+        clean = figure9(total_increments=OPS, processor_counts=PROCS,
+                        config=_cfg(seed=2))
+        assert not clean.substituted
+        assert "substituted" not in clean.to_dict()
+        assert "substituted" not in _sweep_results(clean)
+        assert "*" not in sweep_table(clean)
+
 
 class TestParallelFigureShape:
     @pytest.mark.parametrize("jobs", [1, 3])
@@ -122,3 +164,104 @@ class TestParallelFigureShape:
                         include_strict_ts=False)
         assert sweep.cycles(SyncScheme.TLR, 4) < \
             sweep.cycles(SyncScheme.BASE, 4)
+
+
+# Runs in a child process, so a sweep that hangs on a lost worker fails
+# the test at the subprocess timeout instead of hanging the suite.
+_KILL_ONE_WORKER = """
+import json, os, signal, sys
+from repro.harness import parallel
+from repro.harness.cache import ResultCache
+from repro.harness.spec import RunSpec
+
+marker, cache_dir, specs = sys.argv[1], sys.argv[2], sys.argv[3]
+simulate = parallel._simulate
+
+def killed_once(spec, timeout):
+    # The seed-3 cell SIGKILLs the forked worker running it, once.
+    if spec.config.seed == 3 and not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return simulate(spec, timeout)
+
+parallel._simulate = killed_once
+landed = []
+try:
+    parallel.execute([RunSpec.from_dict(d) for d in json.loads(specs)],
+                     jobs=2, cache=ResultCache(cache_dir),
+                     progress=lambda done, total, outcome: landed.append(done))
+except Exception as exc:
+    print(json.dumps({"error": type(exc).__name__, "landed": len(landed)}))
+else:
+    print(json.dumps({"error": None, "landed": len(landed)}))
+"""
+
+_KILL_THE_PARENT = """
+import json, multiprocessing, os, signal, sys
+from repro.harness.parallel import process_pool
+
+pool = process_pool(2, persistent=sys.argv[1] == "persistent")
+for future in [pool.submit(abs, n) for n in range(8)]:
+    future.result()
+print(json.dumps([p.pid for p in multiprocessing.active_children()]),
+      flush=True)
+os.kill(os.getpid(), signal.SIGKILL)  # no shutdown, no atexit
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _child_env() -> dict:
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+class TestWorkerLoss:
+    def test_killed_worker_raises_and_the_rerun_simulates_the_rest(
+            self, tmp_path):
+        specs = [RunSpec(workload="single-counter", config=_cfg(seed=seed),
+                         workload_args={"total_increments": 32})
+                 for seed in range(8)]
+        child = subprocess.run(
+            [sys.executable, "-c", _KILL_ONE_WORKER, str(tmp_path / "killed"),
+             str(tmp_path / "cache"),
+             json.dumps([spec.to_dict() for spec in specs])],
+            capture_output=True, text=True, env=_child_env(), timeout=60)
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout)
+        assert report["error"] == "BrokenProcessPool"
+        cache = ResultCache(tmp_path / "cache")
+        assert len(cache) == report["landed"] < len(specs)
+
+        outcomes, telemetry = execute(specs, jobs=2, cache=cache)
+        assert telemetry.cache_hits == report["landed"]
+        assert telemetry.simulated == len(specs) - report["landed"]
+        serial, _ = execute(specs, jobs=1)
+        assert [result_fingerprint(o) for o in outcomes] == \
+            [result_fingerprint(o) for o in serial]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="reads process states from /proc")
+    @pytest.mark.parametrize("kind", ["per-call", "persistent"])
+    def test_workers_exit_when_the_parent_is_killed(self, kind, tmp_path):
+        # A file, not a pipe: an orphaned worker would hold a pipe open.
+        with open(tmp_path / "pids", "w") as out:
+            subprocess.run([sys.executable, "-c", _KILL_THE_PARENT, kind],
+                           stdout=out, env=_child_env(), timeout=60)
+        workers = json.loads((tmp_path / "pids").read_text())
+        assert workers
+        deadline = time.monotonic() + 20
+        try:
+            while any(_running(pid) for pid in workers):
+                assert time.monotonic() < deadline, "orphaned pool workers"
+                time.sleep(0.05)
+        finally:
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)

@@ -11,6 +11,9 @@ warmed by) the developer's real cache.
 
 import contextlib
 import json
+import multiprocessing
+import os
+import signal
 import sys
 import threading
 import time
@@ -20,7 +23,10 @@ import urllib.request
 import pytest
 
 from repro.harness.cache import ResultCache
-from repro.harness.jobs import JOB_CACHE_PREFIX, JobResult
+from repro.harness.experiments import EXPERIMENTS
+from repro.harness.jobs import JOB_CACHE_PREFIX, JobResult, submit
+from repro.harness.parallel import execute
+from repro.harness.runner import result_fingerprint
 from repro.harness.spec import JobSpec
 from repro.serve import JobQueue, build_server
 from repro.serve import queue as queue_module
@@ -507,3 +513,58 @@ class TestFinishedJobBound:
                 with pytest.raises(urllib.error.HTTPError) as missing:
                     urllib.request.urlopen(base + path)
                 assert missing.value.code == 404
+
+
+class TestPersistentPool:
+    """``JobQueue(jobs > 1)``: the process pool the queue owns and
+    shares across jobs."""
+
+    SWEEP = {"processor_counts": [2, 4], "total_increments": 64}
+
+    @staticmethod
+    def _pool_workers(before):
+        return [process for process in multiprocessing.active_children()
+                if process.pid not in before]
+
+    def test_pooled_sweep_matches_the_serial_fingerprints(self):
+        spec = JobSpec.sweep("figure9", **self.SWEEP)
+        specs = EXPERIMENTS["figure9"].plan(**self.SWEEP)
+        queue = JobQueue(workers=2, jobs=2)
+        try:
+            job, _ = queue.submit(spec)
+            job = queue.wait(job.id, timeout=120)
+        finally:
+            queue.stop()
+        assert job.state == "done", job.error
+        assert job.result.telemetry["simulated"] == len(specs)
+        assert job.result.result == submit(spec, cache=False).result
+        # The pool's cells are in the queue's cache; replay them.
+        pooled, telemetry = execute(specs, cache=queue.cache)
+        assert telemetry.cache_hits == len(specs)
+        serial, _ = execute(specs)
+        assert [result_fingerprint(o) for o in pooled] == \
+            [result_fingerprint(o) for o in serial]
+
+    def test_killed_worker_fails_its_job_and_the_next_job_runs(self):
+        before = {process.pid for process in
+                  multiprocessing.active_children()}
+        queue = JobQueue(workers=1, jobs=2)
+        try:
+            doomed, _ = queue.submit(JobSpec.sweep(
+                "figure9", processor_counts=[2, 4, 8, 16],
+                total_increments=1024))
+            for event in queue.events(doomed.id):
+                if event["event"] == "progress":
+                    break  # the workers are up and cells remain
+            os.kill(self._pool_workers(before)[0].pid, signal.SIGKILL)
+            doomed = queue.wait(doomed.id, timeout=120)
+            assert doomed.state == "failed"
+            assert doomed.error.startswith("BrokenProcessPool"), doomed.error
+            after, _ = queue.submit(JobSpec.sweep("figure9", **self.SWEEP))
+            assert queue.wait(after.id, timeout=120).state == "done"
+            workers = self._pool_workers(before)
+            assert workers
+        finally:
+            queue.stop()
+        assert not any(worker.is_alive() for worker in workers)
+        assert not self._pool_workers(before)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main as cli_main
+from repro.cli import (POLICIES, SCHEDULERS, SCHEME_ALIASES, WORKLOADS,
+                       main as cli_main)
 from repro.harness.config import SyncScheme
 from repro.harness.experiments import AppResult, SweepResult
 from repro.harness import report
@@ -22,9 +23,34 @@ class TestCli:
         assert "cycles:" in out
         assert "elisions_committed" in out
 
-    def test_run_rejects_unknown_scheme(self, capsys):
-        assert cli_main(["run", "single-counter", "--scheme", "XYZ",
-                         "--cpus", "2", "--ops", "32"]) == 2
+    @pytest.mark.parametrize("argv, kind, known", [
+        (["run", "single-counter", "--scheme", "XYZ"], "scheme",
+         SCHEME_ALIASES),
+        (["profile", "single-counter", "--scheme", "XYZ"], "scheme",
+         SCHEME_ALIASES),
+        (["verify", "--scheme", "XYZ"], "scheme", SCHEME_ALIASES),
+        (["verify", "single-counter", "no-such"], "workload", WORKLOADS),
+        (["verify", "--policy", "greedy"], "policy", POLICIES),
+        (["policies", "--policy", "nack,greedy"], "policy", POLICIES),
+        (["policies", "--workloads", "no-such"], "workload", WORKLOADS),
+        (["sched", "--schedulers", "rr,fifo"], "scheduler", SCHEDULERS),
+        (["sched", "--policy", "greedy"], "policy", POLICIES),
+        (["sched", "--workloads", "single-counter,no-such"], "workload",
+         WORKLOADS),
+        (["run", "single-counter", "--sched", "none"], "scheduler",
+         SCHEDULERS),
+    ], ids=["run-scheme", "profile-scheme", "verify-scheme",
+            "verify-workload", "verify-policy", "policies-policy",
+            "policies-workloads", "sched-schedulers", "sched-policy",
+            "sched-workloads", "run-sched"])
+    def test_unknown_name_exits_2_listing_the_known_ones(
+            self, capsys, argv, kind, known):
+        with pytest.raises(SystemExit) as exited:
+            cli_main(argv)
+        assert exited.value.code == 2
+        bad = argv[-1].split(",")[-1]
+        assert (f"unknown {kind} {bad}; one of {' '.join(known)}"
+                in capsys.readouterr().err)
 
     def test_perf_is_not_a_subcommand(self, capsys):
         # Wall time is measured by bench/run.py only.
@@ -89,13 +115,6 @@ class TestCli:
         assert "record log: " in out
         window = out.split("(replay with `repro replay`)\n\n", 1)[1]
         assert " tap " in window
-
-    def test_verify_rejects_unknown_workload(self, capsys):
-        assert cli_main(["verify", "no-such-workload",
-                         "--seeds", "1"]) == 2
-
-    def test_verify_rejects_unknown_scheme(self, capsys):
-        assert cli_main(["verify", "--scheme", "XYZ", "--seeds", "1"]) == 2
 
 
 def _sweep() -> SweepResult:

@@ -722,7 +722,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         job = _submit(JobSpec.run(spec), args)
         if not job.result["ok"]:
             failed = FailedRun.from_dict(job.result["outcome"])
-            print(f"run failed after {failed.attempts} attempts: "
+            print(f"run failed at seed {failed.seed}: "
                   f"{failed.error}: {failed.message}", file=sys.stderr)
             return 1
         outcome = RunResult.from_dict(job.result["outcome"])

@@ -386,8 +386,7 @@ class CacheController:
             holder_wrote=written,
             relaxation_ok=self._relaxation_ok(request.line),
             requester_prio=request.prio, holder_has_miss=has_miss,
-            holder_retries=self.policy.retries, at_snoop=at_snoop,
-            now=self.sim.now)
+            at_snoop=at_snoop, now=self.sim.now)
 
     def _decide(self, request: BusRequest) -> Decision:
         conflicts, written = self._conflicts(request)

@@ -5,7 +5,10 @@
 :class:`~repro.harness.spec.RunSpec`, the name of an experiment in
 :data:`~repro.harness.experiments.EXPERIMENTS` ("figure9", ...), or a
 raw :class:`~repro.runtime.program.Workload`, with keyword-only engine
-options ``jobs``/``timeout``/``cache``/``validate``/``retries``.
+options ``jobs``/``timeout``/``cache``/``validate``.  A run that
+livelocks, deadlocks or times out is a
+:class:`~repro.harness.parallel.FailedRun` at the seed it asked for;
+nothing re-runs it under another seed.
 :func:`~repro.harness.jobs.submit` wraps the same dispatch in the
 :class:`~repro.harness.spec.JobSpec` envelope shared with the
 ``repro serve`` HTTP service; :func:`~repro.harness.runner.execute_workload`

@@ -106,9 +106,8 @@ def _cell(workload: str, num_cpus: int, size: Optional[int] = None, *,
 # ----------------------------------------------------------------------
 def _sweep_results(result: ex.SweepResult) -> dict:
     """Per-scheme cycles at each processor count, speedups over BASE
-    (``None`` where a run failed), the summarized conflict telemetry
-    per point and, if any run completed under a bumped seed, those
-    runs."""
+    (``None`` where a run failed) and the summarized conflict telemetry
+    per point."""
     cycles = {scheme.value: list(series)
               for scheme, series in result.series.items()}
     out = {"processor_counts": list(result.processor_counts),
@@ -122,8 +121,6 @@ def _sweep_results(result: ex.SweepResult) -> dict:
     metrics = result.extra.get("metrics")
     if metrics:
         out["metrics"] = metrics
-    if result.substituted:
-        out["substituted"] = result.substituted
     return out
 
 

@@ -15,15 +15,18 @@ reduce.  ``repro.harness.run("figure9", jobs=4)``,
 its committed artifact cannot plan different cells.  The runner takes
 the uniform engine keywords -- ``jobs`` (worker processes; 1 = serial,
 the determinism baseline), ``timeout`` (per-run wall-clock seconds),
-``cache`` (result cache), ``retries`` (livelock retries) and
-``validate`` -- and passes every other keyword to the planner.
+``cache`` (result cache) and ``validate`` -- and passes every other
+keyword to the planner.
 
 Workload sizes default to simulator scale (see EXPERIMENTS.md) but
 accept overrides so the benchmarks can run quick or thorough.
 
-A run that livelocks past its retries appears as a ``None`` in the
-sweep series plus a :class:`~repro.harness.parallel.FailedRun` in
-``SweepResult.failures`` instead of aborting the whole sweep.
+A run that livelocks, deadlocks or times out appears as a ``None`` in
+the sweep series plus a :class:`~repro.harness.parallel.FailedRun` at
+its requested seed in ``SweepResult.failures``, instead of aborting
+the whole sweep.  A reducer that cannot do without a run raises
+:class:`~repro.sim.kernel.SimulationError` naming its seed.  No cell
+is ever re-run under another seed.
 """
 
 from __future__ import annotations
@@ -61,8 +64,7 @@ class SweepResult:
     """One microbenchmark figure: cycles[scheme][processor_count].
 
     A series slot is ``None`` when that configuration failed (see
-    ``failures``).  A run that completed only under a bumped seed is
-    listed in ``substituted`` with its ``seed_used`` and ``attempts``.
+    ``failures``).
     """
 
     name: str
@@ -71,7 +73,6 @@ class SweepResult:
         default_factory=dict)
     extra: dict[str, dict] = field(default_factory=dict)
     failures: list[FailedRun] = field(default_factory=list)
-    substituted: list[dict] = field(default_factory=list)
 
     def cycles(self, scheme: SyncScheme, num_cpus: int) -> int:
         if scheme not in self.series:
@@ -93,17 +94,14 @@ class SweepResult:
 
     # -- serialization (stable public contract) ------------------------
     def to_dict(self) -> dict:
-        data = {
+        return stamp_schema({
             "name": self.name,
             "processor_counts": list(self.processor_counts),
             "series": {scheme_to_str(s): list(v)
                        for s, v in self.series.items()},
             "failures": [f.to_dict() for f in self.failures],
             "extra": dict(self.extra),
-        }
-        if self.substituted:  # absent from a clean sweep's image
-            data["substituted"] = [dict(s) for s in self.substituted]
-        return stamp_schema(data)
+        })
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepResult":
@@ -115,8 +113,7 @@ class SweepResult:
                     for k, v in (data.get("series") or {}).items()},
             extra=dict(data.get("extra") or {}),
             failures=[FailedRun.from_dict(f)
-                      for f in (data.get("failures") or [])],
-            substituted=[dict(s) for s in data.get("substituted", [])])
+                      for f in (data.get("failures") or [])])
 
 
 @dataclass
@@ -198,9 +195,8 @@ def _require(outcome: parallel.Outcome) -> RunResult:
     if isinstance(outcome, FailedRun):
         raise parallel.SimulationError(
             f"run ({outcome.workload!r}, {outcome.scheme}, "
-            f"{outcome.num_cpus} cpus, seed {outcome.seed}) failed after "
-            f"{outcome.attempts} attempts: {outcome.error}: "
-            f"{outcome.message}")
+            f"{outcome.num_cpus} cpus, seed {outcome.seed}) failed: "
+            f"{outcome.error}: {outcome.message}")
     return outcome
 
 
@@ -265,12 +261,6 @@ def reduce_sweep(specs: Sequence[RunSpec],
             result.failures.append(outcome)
         else:
             series.append(outcome.cycles)
-            if outcome.attempts > 1:
-                result.substituted.append({
-                    "scheme": scheme_to_str(scheme), "num_cpus": n,
-                    "seed": spec.config.seed,
-                    "seed_used": outcome.seed_used,
-                    "attempts": outcome.attempts})
             # Summarized conflict telemetry per sweep point (None when
             # the run had config.metrics off or came from a pre-metrics
             # cache payload); deterministic, so safe in to_dict().
@@ -735,12 +725,10 @@ EXPERIMENTS: dict[str, Experiment] = {entry.name: entry for entry in (
 def run_experiment(name: str, *, jobs: int = 1,
                    timeout: Optional[float] = None,
                    cache=None,
-                   retries: Optional[int] = None,
                    validate: bool = True,
                    **params) -> Any:
     """Plan, execute and reduce the registered experiment ``name``;
-    ``params`` go to its planner.  ``retries`` does not apply to a
-    verified experiment: a verification failure is a finding."""
+    ``params`` go to its planner."""
     try:
         experiment = EXPERIMENTS[name]
     except KeyError:
@@ -749,6 +737,5 @@ def run_experiment(name: str, *, jobs: int = 1,
             f"{sorted(EXPERIMENTS)}") from None
     specs = experiment.plan(validate=validate, **params)
     outcomes, _ = parallel.execute(specs, jobs=jobs, timeout=timeout,
-                                   cache=cache, retries=retries,
-                                   verified=experiment.verified)
+                                   cache=cache, verified=experiment.verified)
     return experiment.reduce(specs, outcomes)

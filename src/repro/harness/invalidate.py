@@ -108,7 +108,6 @@ def render_plan(plans: list[ArtifactPlan]) -> str:
 
 def regenerate(plans: list[ArtifactPlan], *, jobs: int = 1,
                timeout: Optional[float] = None,
-               retries: Optional[int] = None,
                cache=True, progress=None) -> dict:
     """Re-simulate every stale cell (deduplicated across artifacts --
     figures share points), priming the cache.  Returns a summary dict.
@@ -124,8 +123,7 @@ def regenerate(plans: list[ArtifactPlan], *, jobs: int = 1,
     for verified, specs in batches.items():
         _, telemetry = execute(
             list(specs.values()), jobs=jobs, timeout=timeout,
-            retries=retries, cache=store, progress=progress,
-            verified=verified)
+            cache=store, progress=progress, verified=verified)
         simulated += telemetry.simulated
         failures += telemetry.failures
     return {"artifacts": sum(1 for entry in plans if not entry.skipped),

@@ -118,18 +118,17 @@ def _decode_params(params: dict) -> dict:
 
 
 def _execute_job(spec: JobSpec, *, jobs: int, timeout: Optional[float],
-                 cache, retries: Optional[int]) -> Any:
+                 cache) -> Any:
     """Dispatch one job by kind; returns its serialized payload."""
     if spec.kind == "run":
         outcomes, _ = parallel.execute(
-            [spec.run_spec()], jobs=jobs, timeout=timeout,
-            retries=retries, cache=cache)
+            [spec.run_spec()], jobs=jobs, timeout=timeout, cache=cache)
         outcome = outcomes[0]
         return {"ok": outcome.ok, "outcome": outcome.to_dict()}
     params = _decode_params(spec.params)
     if spec.kind == "sweep":
         value = run_experiment(params.pop("experiment"), **params, jobs=jobs,
-                               timeout=timeout, cache=cache, retries=retries)
+                               timeout=timeout, cache=cache)
     else:
         # Imported lazily: repro.verify imports harness modules.
         from repro.verify import DEFAULT_VERIFY_WORKLOADS, verify_suite
@@ -165,12 +164,11 @@ def collect_artifacts(payload: Any) -> dict[str, str]:
 def submit(spec: JobSpec, *, jobs: int = 1,
            timeout: Optional[float] = None,
            cache=None,
-           retries: Optional[int] = None,
            pool=None,
            progress=None) -> JobResult:
     """Execute (or replay) one job.
 
-    ``jobs``/``timeout``/``cache``/``retries`` are the uniform engine
+    ``jobs``/``timeout``/``cache`` are the uniform engine
     keywords (see :func:`repro.harness.parallel.execute`).  ``pool``
     installs a persistent process pool
     (:func:`~repro.harness.parallel.process_pool`) and ``progress`` a
@@ -196,7 +194,7 @@ def submit(spec: JobSpec, *, jobs: int = 1,
     started = time.perf_counter()
     with parallel.use_engine(pool=pool, progress=progress) as calls:
         payload = _execute_job(
-            spec, jobs=jobs, timeout=timeout, cache=store, retries=retries)
+            spec, jobs=jobs, timeout=timeout, cache=store)
     telemetry = (parallel.SweepTelemetry.total(calls).to_dict()
                  if calls else None)
     result = JobResult(kind=spec.kind, fingerprint=fingerprint,

@@ -9,17 +9,17 @@ num_cpus, seed)`` simulations, so :func:`execute` fans a list of
   its own config, and the serial (``jobs=1``) and parallel paths share
   the same per-run execution function, so results are bit-identical for
   the same specs regardless of ``jobs``.
-* **Graceful degradation** -- a run that livelocks
+* **Failures are findings** -- a run that livelocks
   (:class:`~repro.sim.kernel.SimulationError` on cycle-budget overrun),
-  deadlocks, or exceeds its wall-clock ``timeout`` is retried with a
-  bumped seed; a configuration that stays pathological after
-  ``retries`` attempts yields a structured :class:`FailedRun` in its
-  slot instead of aborting the sweep.  Functional-validation failures
-  (:class:`~repro.runtime.program.ValidationError`) are *not* retried:
-  they indicate a correctness bug and abort loudly.  The timeout is a
-  deadline the kernel's run loop checks
-  (:class:`~repro.sim.kernel.RunTimeout`), so it holds in any thread,
-  a ``repro serve`` worker thread included.
+  deadlocks, or exceeds its wall-clock ``timeout`` yields a structured
+  :class:`FailedRun` at the seed it asked for, in its slot, instead of
+  aborting the sweep.  Nothing re-runs it under another seed: TLR is
+  starvation-free, so such a run is a result to report, never one to
+  replace.  Functional-validation failures
+  (:class:`~repro.runtime.program.ValidationError`) indicate a
+  correctness bug and abort loudly.  The timeout is a deadline the
+  kernel's run loop checks (:class:`~repro.sim.kernel.RunTimeout`), so
+  it holds in any thread, a ``repro serve`` worker thread included.
 * **No hangs** -- a worker process that dies (killed, out of memory)
   raises ``BrokenProcessPool`` out of :func:`execute` instead of
   leaving the sweep waiting for its result.  With a cache, the cells
@@ -29,13 +29,13 @@ num_cpus, seed)`` simulations, so :func:`execute` fans a list of
   every spec under the verifier (:mod:`repro.verify`: recorder,
   oracle, monitors, in their one fixed configuration).  Its outcome
   is a ``VerifyResult`` cached under the verification fingerprint; a
-  crash or timeout is a failing verdict, never retried.
+  crash or timeout is a failing verdict.
 * **Incrementality** -- with a :class:`~repro.harness.cache.ResultCache`,
   cells whose cache key already has a stored outcome are reconstructed
-  from disk instead of simulated.  A cell that hit the timeout (in any
-  attempt) is not stored: the timeout is not part of its key.
+  from disk instead of simulated.  A failed run is not stored, nor is
+  a cell that hit the timeout: the timeout is not part of its key.
 * **Telemetry** -- :class:`SweepTelemetry` reports runs simulated,
-  cache hits, retries, failures, wall time and worker utilization;
+  cache hits, failures, wall time and worker utilization;
   :func:`repro.harness.report.telemetry_line` renders it.  Every call
   returns its own; :func:`use_engine` also collects the telemetry of
   the calls made inside it.
@@ -48,7 +48,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, Union
 
 from repro.harness.cache import resolve_cache
@@ -64,33 +64,24 @@ if TYPE_CHECKING:
 
     from repro.verify.explorer import VerifyResult
 
-DEFAULT_RETRIES = 2
-#: Seed increment per retry.  Large and odd, so retry seeds stay far
-#: from the dense 0..N seed ranges sweeps normally use.
-SEED_BUMP = 1_000_003
-
-
 @dataclass
 class FailedRun:
-    """One configuration that stayed pathological through its retries."""
+    """One run that livelocked, deadlocked or timed out."""
 
     workload: str
     scheme: str                 # scheme name, e.g. "TLR"
     num_cpus: int
-    seed: int                   # the originally requested seed
+    seed: int                   # the requested seed, the one that failed
     fingerprint: str
-    error: str                  # last exception class name
-    message: str                # last exception message
-    attempts: int
-    seeds_tried: list[int] = field(default_factory=list)
+    error: str                  # exception class name
+    message: str                # exception message
 
     def to_dict(self) -> dict:
         return stamp_schema(
             {"workload": self.workload, "scheme": self.scheme,
              "num_cpus": self.num_cpus, "seed": self.seed,
              "fingerprint": self.fingerprint, "error": self.error,
-             "message": self.message, "attempts": self.attempts,
-             "seeds_tried": list(self.seeds_tried)})
+             "message": self.message})
 
     @classmethod
     def from_dict(cls, data: dict) -> "FailedRun":
@@ -112,7 +103,6 @@ class SweepTelemetry:
     total_runs: int = 0
     simulated: int = 0
     cache_hits: int = 0
-    retries: int = 0
     failures: int = 0
     timeouts: int = 0           # cells that hit the wall-clock timeout
     jobs: int = 1
@@ -137,9 +127,8 @@ class SweepTelemetry:
 
     def to_dict(self) -> dict:
         return {"total_runs": self.total_runs, "simulated": self.simulated,
-                "cache_hits": self.cache_hits, "retries": self.retries,
-                "failures": self.failures, "timeouts": self.timeouts,
-                "jobs": self.jobs,
+                "cache_hits": self.cache_hits, "failures": self.failures,
+                "timeouts": self.timeouts, "jobs": self.jobs,
                 "wall_seconds": self.wall_seconds,
                 "busy_seconds": self.busy_seconds,
                 "utilization": self.utilization}
@@ -154,56 +143,40 @@ def _simulate(spec: RunSpec, timeout: Optional[float]) -> RunResult:
                             validate=spec.validate, timeout=timeout)
 
 
-def _execute_with_retries(spec_dict: dict, timeout: Optional[float],
-                          retries: int, seed_bump: int) -> dict:
-    """Run one spec, retrying livelock/timeout with bumped seeds.
+def _run_worker(payload: tuple) -> dict:
+    """Run one spec once; a livelock, deadlock or timeout becomes a
+    :class:`FailedRun` at the requested seed.  The pool entry point
+    (must be picklable), shaped like the verifier's ``_verify_worker``.
 
     Takes and returns plain dicts so it can cross the process boundary
     unchanged; the serial path calls it in-process, which is what makes
     ``jobs=1`` and ``jobs=N`` bit-identical.
     """
+    spec_dict, timeout = payload
     spec = RunSpec.from_dict(spec_dict)
-    base_seed = spec.config.seed
-    seeds_tried: list[int] = []
-    last_error: Optional[BaseException] = None
-    timed_out = False
     started = time.perf_counter()
-    for attempt in range(retries + 1):
-        seed = base_seed + attempt * seed_bump
-        seeds_tried.append(seed)
-        try:
-            result = _simulate(spec.with_seed(seed), timeout)
-        except SimulationError as exc:
-            # Cycle-budget overrun (livelock), drained-queue deadlock,
-            # or wall-clock timeout: retry under a different seed.
-            last_error = exc
-            timed_out = timed_out or isinstance(exc, RunTimeout)
-            continue
-        # The retry metadata rides in the cached payload, so a replay
-        # shows a seed substitution just as the fresh run does.
-        result.attempts = attempt + 1
-        result.seed_used = seed
-        return {"result": result.to_dict(),
-                "attempts": attempt + 1, "timed_out": timed_out,
-                "elapsed": time.perf_counter() - started}
-    failed = FailedRun(
-        workload=spec.workload,
-        scheme=scheme_to_str(spec.config.scheme),
-        num_cpus=spec.config.num_cpus,
-        seed=base_seed,
-        fingerprint=spec.fingerprint(),
-        error=type(last_error).__name__,
-        message=str(last_error),
-        attempts=len(seeds_tried),
-        seeds_tried=seeds_tried)
-    return {"failed": failed.to_dict(),
-            "attempts": len(seeds_tried), "timed_out": timed_out,
+    timed_out = False
+    try:
+        outcome: Union[RunResult, FailedRun] = _simulate(spec, timeout)
+    except SimulationError as exc:
+        # Cycle-budget overrun (livelock), drained-queue deadlock, or
+        # wall-clock timeout.
+        timed_out = isinstance(exc, RunTimeout)
+        outcome = FailedRun(
+            workload=spec.workload,
+            scheme=scheme_to_str(spec.config.scheme),
+            num_cpus=spec.config.num_cpus,
+            seed=spec.config.seed,
+            fingerprint=spec.fingerprint(),
+            error=type(exc).__name__,
+            message=str(exc))
+    return {"outcome": outcome.to_dict(), "timed_out": timed_out,
             "elapsed": time.perf_counter() - started}
 
 
-def _worker_execute(payload: tuple) -> dict:
-    """Top-level pool entry point (must be picklable)."""
-    return _execute_with_retries(*payload)
+def _decode_run(image: dict) -> Union[RunResult, FailedRun]:
+    """A plain cell's outcome image; only a failed run's names an error."""
+    return (FailedRun if "error" in image else RunResult).from_dict(image)
 
 
 # ----------------------------------------------------------------------
@@ -312,8 +285,6 @@ def cell_key(spec: RunSpec, verified: bool = False) -> str:
 def execute(specs: Sequence[RunSpec], *,
             jobs: Optional[int] = 1,
             timeout: Optional[float] = None,
-            retries: Optional[int] = None,
-            seed_bump: int = SEED_BUMP,
             cache=None,
             progress: Optional[ProgressCallback] = None,
             verified: bool = False,
@@ -322,27 +293,24 @@ def execute(specs: Sequence[RunSpec], *,
 
     ``jobs``: worker processes (``None``/``0`` = one per CPU; ``1`` =
     serial in-process, the determinism baseline).  ``timeout``:
-    per-run wall-clock seconds.  ``retries``: extra attempts (with
-    seed bumps) before a run is recorded as :class:`FailedRun`.
+    per-run wall-clock seconds.  A run that livelocks, deadlocks or
+    times out is a :class:`FailedRun` at its own seed, never cached.
     ``cache`` accepts anything :func:`~repro.harness.cache.resolve_cache`
     does.  ``progress(done, total, outcome)`` fires as results land.
 
     ``verified`` runs every spec under the verifier: outcomes are
-    ``VerifyResult`` verdicts, ``retries`` does not apply, and
-    ``failures`` counts the verdicts that are not ok.
+    ``VerifyResult`` verdicts, and ``failures`` counts the verdicts
+    that are not ok.
     """
-    if retries is None:
-        retries = DEFAULT_RETRIES
     if not jobs:
         jobs = multiprocessing.cpu_count()
     if not verified:
-        entry_field, decode = "result", RunResult.from_dict
-        worker, worker_args = _worker_execute, (timeout, retries, seed_bump)
+        entry_field, decode, worker = "result", _decode_run, _run_worker
     else:
         # Lazy: repro.verify imports this module.
         from repro.verify.explorer import VerifyResult, _verify_worker
         entry_field, decode = "verdict", VerifyResult.from_dict
-        worker, worker_args = _verify_worker, (timeout,)
+        worker = _verify_worker
     store = resolve_cache(cache)
     started = time.perf_counter()
     telemetry = SweepTelemetry(total_runs=len(specs), jobs=jobs)
@@ -378,13 +346,10 @@ def execute(specs: Sequence[RunSpec], *,
 
     def _absorb(index: int, raw: dict) -> None:
         telemetry.busy_seconds += raw["elapsed"]
-        telemetry.retries += raw["attempts"] - 1
         telemetry.timeouts += raw["timed_out"]
-        if "failed" in raw:
-            outcome = FailedRun.from_dict(raw["failed"])
-        else:
-            image = raw[entry_field]
-            outcome = decode(image)
+        image = raw["outcome"]
+        outcome = decode(image)
+        if not isinstance(outcome, FailedRun):
             telemetry.simulated += 1
             # A timed-out outcome depends on the timeout, which is not
             # part of the cache key: never store one.
@@ -396,7 +361,7 @@ def execute(specs: Sequence[RunSpec], *,
     # One image per pending spec: the worker payload and the cache
     # entry share it (nothing on either side mutates it).
     spec_dicts = {i: specs[i].to_dict() for i in pending}
-    payloads = [(spec_dicts[i], *worker_args) for i in pending]
+    payloads = [(spec_dicts[i], timeout) for i in pending]
     for index, raw in zip(pending, map_payloads(worker, payloads, jobs)):
         _absorb(index, raw)
 
@@ -414,15 +379,14 @@ def run(spec, config: Optional[SystemConfig] = None, *,
         timeout: Optional[float] = None,
         cache=None,
         validate: bool = True,
-        retries: Optional[int] = None,
         **params) -> Any:
     """Run a spec -- the single entry point for every kind of work.
 
     ``spec`` may be:
 
     * a :class:`~repro.harness.spec.RunSpec` -- one simulation; returns
-      a :class:`RunResult` (or a :class:`FailedRun` if it stayed
-      pathological through its retries);
+      a :class:`RunResult` (or a :class:`FailedRun` if it livelocked,
+      deadlocked or timed out);
     * the name of an experiment in
       :data:`repro.harness.experiments.EXPERIMENTS` (``"figure9"``,
       ``"coarse-vs-fine"``, ...) -- the full figure/table sweep or
@@ -435,7 +399,7 @@ def run(spec, config: Optional[SystemConfig] = None, *,
     Engine options are keyword-only: ``jobs`` (worker processes),
     ``timeout`` (per-run wall-clock seconds), ``cache`` (``True`` /
     path / :class:`~repro.harness.cache.ResultCache`), ``validate``
-    (run the functional checker), ``retries`` (livelock retries).
+    (run the functional checker).
     """
     if isinstance(spec, Workload):
         base = config or SystemConfig()
@@ -444,7 +408,7 @@ def run(spec, config: Optional[SystemConfig] = None, *,
         if not validate:
             spec = replace(spec, validate=False)
         outcomes, _ = execute([spec], jobs=jobs, timeout=timeout,
-                              retries=retries, cache=cache)
+                              cache=cache)
         return outcomes[0]
     if isinstance(spec, str):
         # Lazy: repro.harness.experiments imports this module.
@@ -452,7 +416,7 @@ def run(spec, config: Optional[SystemConfig] = None, *,
         if config is not None:
             params.setdefault("config", config)
         return run_experiment(spec, jobs=jobs, timeout=timeout, cache=cache,
-                              validate=validate, retries=retries, **params)
+                              validate=validate, **params)
     raise TypeError(
         f"cannot run {type(spec).__name__!r}: expected RunSpec, Workload, "
         "or a registered experiment name")

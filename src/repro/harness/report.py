@@ -14,7 +14,6 @@ from typing import Iterable, Mapping, Optional
 from repro.harness.config import SyncScheme
 from repro.harness.experiments import (AppResult, PolicyGridResult,
                                        SchedGridResult, SweepResult)
-from repro.harness.spec import scheme_to_str
 
 
 def _cell(value) -> str:
@@ -23,23 +22,16 @@ def _cell(value) -> str:
 
 
 def sweep_table(result: SweepResult) -> str:
-    """Cycles-vs-processors table for one microbenchmark figure; a
-    ``*`` marks a run that completed only under a bumped seed."""
+    """Cycles-vs-processors table for one microbenchmark figure."""
     schemes = list(result.series)
-    marked = {(sub["scheme"], sub["num_cpus"]) for sub in result.substituted}
     header = ["procs"] + [s.value for s in schemes]
-    rows = [[str(n)] + [_cell(result.series[s][i])
-                        + ("*" if (scheme_to_str(s), n) in marked else "")
-                        for s in schemes]
+    rows = [[str(n)] + [_cell(result.series[s][i]) for s in schemes]
             for i, n in enumerate(result.processor_counts)]
     widths = [max(len(header[c]), *(len(r[c]) for r in rows)) + 2
               for c in range(len(header))]
     lines = ["".join(h.rjust(w) for h, w in zip(header, widths))]
     lines += ["".join(c.rjust(w) for c, w in zip(row, widths))
               for row in rows]
-    lines += [f"* {sub['scheme']} on {sub['num_cpus']} procs: seed "
-              f"{sub['seed']} livelocked, ran at seed {sub['seed_used']} "
-              f"({sub['attempts']} attempts)" for sub in result.substituted]
     return "\n".join(lines)
 
 
@@ -102,14 +94,13 @@ def speedup_summary(results: Mapping[str, AppResult]) -> str:
 
 def telemetry_line(telemetry: Optional[Mapping]) -> str:
     """One-line summary of a sweep's engine telemetry: how many runs
-    were simulated vs served from cache, retries, failures, wall time
-    and (when parallel) worker utilization."""
+    were simulated vs served from cache, failures, wall time and (when
+    parallel) worker utilization."""
     if not telemetry:
         return ""
     parts = [f"{telemetry.get('total_runs', 0)} runs:",
              f"{telemetry.get('simulated', 0)} simulated,",
              f"{telemetry.get('cache_hits', 0)} cached,",
-             f"{telemetry.get('retries', 0)} retried,",
              f"{telemetry.get('failures', 0)} failed;",
              f"jobs={telemetry.get('jobs', 1)}",
              f"wall={telemetry.get('wall_seconds', 0.0):.2f}s"]
@@ -125,8 +116,7 @@ def failures_table(failures: Iterable) -> str:
         lines.append(
             f"FAILED {failed.workload} scheme={failed.scheme} "
             f"cpus={failed.num_cpus} seed={failed.seed} "
-            f"attempts={failed.attempts} ({failed.error}: "
-            f"{failed.message})")
+            f"({failed.error}: {failed.message})")
     return "\n".join(lines)
 
 

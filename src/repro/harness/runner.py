@@ -29,19 +29,12 @@ from repro.sim.stats import SimStats
 
 @dataclass
 class RunResult:
-    """Everything one simulation produced.
-
-    ``seed_used``/``attempts`` record livelock-retry outcomes from the
-    sweep engine: a run that needed a seed bump reports the seed it
-    actually completed with and how many attempts it took.
-    """
+    """Everything one simulation produced."""
 
     config: SystemConfig
     workload_name: str
     stats: SimStats
     store: ValueStore
-    seed_used: Optional[int] = None
-    attempts: int = 1
     # Conflict/latency telemetry (repro.obs registry export); None when
     # the run was executed with config.metrics off or loaded from a
     # pre-metrics cache payload.  Deliberately NOT part of
@@ -74,8 +67,6 @@ class RunResult:
             "stats": self.stats.to_dict(),
             "store": {str(addr): value
                       for addr, value in self.store.snapshot().items()},
-            "seed_used": self.seed_used,
-            "attempts": self.attempts,
             "metrics": self.metrics,
         })
 
@@ -89,8 +80,6 @@ class RunResult:
                    workload_name=data["workload_name"],
                    stats=SimStats.from_dict(data["stats"]),
                    store=store,
-                   seed_used=data.get("seed_used"),
-                   attempts=data.get("attempts", 1),
                    metrics=data.get("metrics"))
 
 

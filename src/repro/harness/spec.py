@@ -71,7 +71,11 @@ FINGERPRINT_VERSION = 11
 #: back with fields quietly dropped.  Now every payload carries an
 #: explicit ``"schema"`` field and ``from_dict`` fails loudly on a
 #: missing or unknown version.
-RESULT_SCHEMA = 1
+#: v2: the RunResult, FailedRun and SweepResult images lost the fields
+#: of the seed-bump retries, which are gone; a v1 cache entry could
+#: replay a run of another seed under this one's key, so it is dropped
+#: and re-simulated.
+RESULT_SCHEMA = 2
 
 
 class SchemaError(ValueError):

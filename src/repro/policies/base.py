@@ -63,7 +63,6 @@ class ConflictContext:
     relaxation_ok: bool      # Section 3.2 single-block preconditions hold
     requester_prio: int = 0  # accumulated priority carried by the request
     holder_has_miss: bool = False  # holder has other transactional misses
-    holder_retries: int = 0  # holder's consecutive-restart count
     at_snoop: bool = False   # decided at the snoop (NACK still possible)
     now: int = 0
 

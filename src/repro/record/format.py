@@ -333,7 +333,7 @@ class LogImage:
 
     header: dict
     records: list[LogRecord]
-    end: Optional[LogEnd]
+    end: LogEnd
 
     @property
     def spec_dict(self) -> dict:
@@ -354,13 +354,18 @@ def read_header(data: bytes) -> tuple[dict, int]:
     (header_len,) = _U32.unpack_from(data, 6)
     start = 10
     header = json.loads(data[start:start + header_len].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise LogFormatError("log header is not a JSON object")
     return header, start + header_len
 
 
 def iter_records(data: bytes, pos: int
                  ) -> Iterator[Union[LogRecord, LogEnd]]:
     """Stream-decode records from ``pos``; yields :class:`LogRecord`
-    instances and finally one :class:`LogEnd`."""
+    instances and finally one :class:`LogEnd`, which must end just
+    before the CRC trailer.  A record cut short can also raise
+    ``IndexError``, ``KeyError`` or ``ValueError``; :func:`load_log`
+    reports those as :class:`LogFormatError`."""
     strings: dict[int, str] = {}
     last_time = 0
     limit = len(data) - 4  # trailing CRC
@@ -436,7 +441,7 @@ def iter_records(data: bytes, pos: int
             elif kind == TXN_COMMIT:
                 yield LogRecord(op="txn", time=last_time, cpu=cpu - 1,
                                 flags=kind)
-            else:
+            elif kind == TXN_ABORT:
                 reason_id, pos = _read_varint(data, pos)
                 line, pos = _read_varint(data, pos)
                 aborter, pos = _read_varint(data, pos)
@@ -445,13 +450,17 @@ def iter_records(data: bytes, pos: int
                                 line=line - 1 if line else None,
                                 ref=aborter - 1 if aborter else None,
                                 flags=kind)
+            else:
+                raise LogFormatError(f"unknown txn kind {kind}")
         elif op == OP_END:
             final_time, pos = _read_varint(data, pos)
             fired, pos = _read_varint(data, pos)
-            fp_len = data[pos]
-            pos += 1
-            fingerprint = data[pos:pos + fp_len].decode("ascii")
-            pos += fp_len
+            fp_end = pos + 1 + data[pos]
+            if fp_end != limit:
+                raise LogFormatError(
+                    "END record cut short" if fp_end > limit
+                    else f"{limit - fp_end} byte(s) after the END record")
+            fingerprint = data[pos + 1:fp_end].decode("ascii")
             yield LogEnd(final_time=final_time, events_fired=fired,
                          fingerprint=fingerprint)
             return
@@ -462,7 +471,8 @@ def iter_records(data: bytes, pos: int
 
 def load_log(source: Union[str, bytes, "os.PathLike"]) -> LogImage:
     """Read and fully decode a log from a path or raw bytes, verifying
-    the CRC trailer."""
+    the CRC trailer.  Any malformed log, even one whose CRC matches,
+    raises :class:`LogFormatError`."""
     if isinstance(source, (bytes, bytearray)):
         data = bytes(source)
     else:
@@ -476,14 +486,19 @@ def load_log(source: Union[str, bytes, "os.PathLike"]) -> LogImage:
         raise LogFormatError(
             f"CRC mismatch: stored {stored_crc:#010x}, "
             f"computed {actual_crc:#010x} (corrupt or truncated log)")
-    header, pos = read_header(data)
     records: list[LogRecord] = []
-    end: Optional[LogEnd] = None
-    for item in iter_records(data, pos):
-        if isinstance(item, LogEnd):
-            end = item
-        else:
-            records.append(item)
+    try:
+        header, pos = read_header(data)
+        for item in iter_records(data, pos):
+            if isinstance(item, LogEnd):
+                end = item
+            else:
+                records.append(item)
+    except LogFormatError:
+        raise
+    except (IndexError, KeyError, ValueError) as exc:
+        raise LogFormatError(
+            f"malformed log: {type(exc).__name__}: {exc}") from exc
     return LogImage(header=header, records=records, end=end)
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.harness.spec import RunSpec
-from repro.record.format import (Divergence, LogFormatError, LogImage,
-                                 first_divergence, load_log)
+from repro.record.format import (Divergence, LogImage, first_divergence,
+                                 load_log)
 from repro.record.recorder import record_run
 
 
@@ -73,8 +73,7 @@ def _reexecute(image: LogImage) -> tuple[bytes, str, Optional[str]]:
 def _end_fingerprint(log_bytes: bytes) -> str:
     if not log_bytes:
         return ""
-    image = load_log(log_bytes)
-    return image.end.fingerprint if image.end is not None else ""
+    return load_log(log_bytes).end.fingerprint
 
 
 def replay_log(source: Union[str, bytes, "os.PathLike"]) -> ReplayReport:
@@ -85,8 +84,6 @@ def replay_log(source: Union[str, bytes, "os.PathLike"]) -> ReplayReport:
         with open(source, "rb") as fh:
             original = fh.read()
     image = load_log(original)
-    if image.end is None:
-        raise LogFormatError("log has no END record; cannot replay-check")
     replayed, replay_fp, error = _reexecute(image)
     log_identical = replayed == original
     fingerprint_identical = replay_fp == image.end.fingerprint

@@ -103,8 +103,7 @@ class Timeline:
     # ------------------------------------------------------------------
     @property
     def final_time(self) -> int:
-        return self.image.end.final_time if self.image.end else (
-            self._times[-1] if self._times else 0)
+        return self.image.end.final_time
 
     def index_at(self, cycle: int) -> int:
         """Number of records with ``time <= cycle``."""

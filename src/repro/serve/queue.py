@@ -131,12 +131,11 @@ class JobQueue:
 
     def __init__(self, *, workers: int = 2, jobs: int = 1,
                  cache=True, timeout: Optional[float] = None,
-                 retries: Optional[int] = None, start: bool = True):
+                 start: bool = True):
         self.workers = max(1, workers)
         self.jobs = max(1, jobs or 1)
         self.cache = resolve_cache(cache)
         self.timeout = timeout
-        self.retries = retries
         self.pool = (process_pool(self.jobs, persistent=True)
                      if self.jobs > 1 else None)
         self.metrics = MetricsRegistry()
@@ -331,8 +330,7 @@ class JobQueue:
         pool = self.pool
         try:
             result = submit(job.spec, jobs=self.jobs, timeout=self.timeout,
-                            cache=self.cache, retries=self.retries,
-                            pool=pool, progress=tap)
+                            cache=self.cache, pool=pool, progress=tap)
         except Exception as exc:  # a failed job must not kill its worker
             with self._cond:
                 if pool is not None and pool is self.pool:

@@ -213,7 +213,7 @@ def verify_fingerprint(spec: RunSpec) -> str:
 
 def _verify_one(spec: RunSpec, timeout: Optional[float]) -> VerifyResult:
     """One verdict.  Failures are findings: a run that dies or times
-    out becomes a failing verdict, never a retry."""
+    out becomes a failing verdict."""
     started = time.perf_counter()
     try:
         result = verify_run(spec, timeout=timeout)
@@ -235,8 +235,8 @@ def _verify_worker(payload: tuple) -> dict:
     spec_dict, timeout = payload
     result = _verify_one(RunSpec.from_dict(spec_dict), timeout)
     timed_out = (result.error or "").startswith(RunTimeout.__name__ + ":")
-    return {"verdict": result.to_dict(), "attempts": 1,
-            "timed_out": timed_out, "elapsed": result.elapsed}
+    return {"outcome": result.to_dict(), "timed_out": timed_out,
+            "elapsed": result.elapsed}
 
 
 # ----------------------------------------------------------------------

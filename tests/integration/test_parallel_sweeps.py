@@ -15,15 +15,13 @@ import time
 import pytest
 
 import repro
-from repro.harness.artifacts import _sweep_results
 from repro.harness.cache import ResultCache
 from repro.harness.config import SyncScheme, SystemConfig
-from repro.harness.experiments import SweepResult
-from repro.harness.parallel import (SEED_BUMP, FailedRun, execute, run,
-                                    use_engine)
+from repro.harness.parallel import FailedRun, execute, run, use_engine
 from repro.harness.report import sweep_table
 from repro.harness.runner import result_fingerprint
 from repro.harness.spec import RunSpec
+from repro.sim.kernel import SimulationError
 
 PROCS = (2, 4)
 OPS = 64
@@ -103,18 +101,17 @@ class TestLivelockDegradation:
         bad = RunSpec(workload="single-counter",
                       config=_cfg(max_cycles=500),
                       workload_args={"total_increments": OPS})
-        outcomes, telemetry = execute([good[0], bad, good[1]],
-                                      jobs=4, retries=1)
+        outcomes, telemetry = execute([good[0], bad, good[1]], jobs=4)
         assert not isinstance(outcomes[0], FailedRun)
         assert isinstance(outcomes[1], FailedRun)
         assert not isinstance(outcomes[2], FailedRun)
-        assert outcomes[1].attempts == 2
-        assert telemetry.failures == 1
+        assert outcomes[1].seed == 0
+        assert (telemetry.failures, telemetry.simulated) == (1, 2)
 
     def test_figure_level_failure_lands_in_failures_list(self):
         sweep = figure9(
             total_increments=OPS, processor_counts=PROCS,
-            config=_cfg(max_cycles=3500), jobs=2, retries=1)
+            config=_cfg(max_cycles=3500), jobs=2)
         assert sweep.failures, "expected at least one failed cell"
         # TLR still completes at some point of the sweep even under
         # this budget; the sweep as a whole must not have aborted.
@@ -123,36 +120,41 @@ class TestLivelockDegradation:
                    for value in series)
         for failed in sweep.failures:
             assert failed.error in ("SimulationError", "DeadlockError")
-            assert failed.attempts == 2
+            assert failed.seed == 0
 
-    def test_seed_substitution_is_reported_fresh_and_replayed(
-            self, tmp_path):
-        # Under this budget at seed 2, TLR on 2 CPUs livelocks and then
-        # completes at the bumped seed: its cycles are not seed 2's.
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_livelocked_cell_is_one_failed_run_at_its_seed(
+            self, jobs, tmp_path):
+        # Under this budget at seed 2, TLR on 2 CPUs livelocks (it
+        # completed only at a bumped seed while the engine retried).
         kwargs = dict(total_increments=OPS, processor_counts=PROCS,
-                      config=_cfg(seed=2, max_cycles=5080), retries=1,
-                      cache=ResultCache(tmp_path), jobs=2)
-        fresh = figure9(**kwargs)
-        replayed, telemetry = figure9_telemetry(**kwargs)
-        assert telemetry["simulated"] == 0 and telemetry["cache_hits"] == 3
-        expected = [{"scheme": "TLR", "num_cpus": 2, "seed": 2,
-                     "seed_used": 2 + SEED_BUMP, "attempts": 2}]
-        assert fresh.substituted == replayed.substituted == expected
-        image = replayed.to_dict()
-        assert image["substituted"] == expected
-        assert SweepResult.from_dict(image).substituted == expected
-        assert _sweep_results(replayed)["substituted"] == expected
-        cycles = replayed.cycles(SyncScheme.TLR, 2)
-        table = sweep_table(replayed)
-        assert f" {cycles}*" in table
-        assert (f"* TLR on 2 procs: seed 2 livelocked, ran at seed "
-                f"{2 + SEED_BUMP} (2 attempts)") in table
-        clean = figure9(total_increments=OPS, processor_counts=PROCS,
-                        config=_cfg(seed=2))
-        assert not clean.substituted
-        assert "substituted" not in clean.to_dict()
-        assert "substituted" not in _sweep_results(clean)
-        assert "*" not in sweep_table(clean)
+                      config=_cfg(seed=2, max_cycles=5080),
+                      include_strict_ts=False)
+        serial = figure9(jobs=1, **kwargs)
+        sweep, telemetry = figure9_telemetry(
+            jobs=jobs, cache=ResultCache(tmp_path), **kwargs)
+        assert sweep.to_dict() == serial.to_dict()
+        tlr = [f for f in sweep.failures if f.scheme == "TLR"]
+        assert [(f.num_cpus, f.seed, f.error) for f in tlr] == \
+            [(2, 2, "SimulationError")]
+        assert "cycle budget exhausted at 5080" in tlr[0].message
+        assert sweep.series[SyncScheme.TLR][0] is None
+        assert telemetry["simulated"] == 8 - len(sweep.failures)
+        assert telemetry["failures"] == len(sweep.failures)
+        # A failure is not cached: a re-run simulates it again.
+        again, replay = figure9_telemetry(
+            jobs=jobs, cache=ResultCache(tmp_path), **kwargs)
+        assert again.to_dict() == sweep.to_dict()
+        assert (replay["cache_hits"], replay["simulated"]) == \
+            (telemetry["simulated"], 0)
+        assert "FAIL" in sweep_table(sweep)
+
+    def test_experiment_that_needs_a_failed_run_names_its_seed(self):
+        # The call that used to return seed 1000005's run as seed 2's.
+        with pytest.raises(SimulationError,
+                           match=r"'single-counter', TLR, 4 cpus, seed 2"):
+            repro.run("figure7", config=_cfg(seed=2, max_cycles=12100))
+        assert repro.run("figure7", config=_cfg(seed=2))["cycles"] == 12233
 
 
 class TestParallelFigureShape:

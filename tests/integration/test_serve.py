@@ -13,7 +13,9 @@ import contextlib
 import json
 import multiprocessing
 import os
+import re
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -22,7 +24,7 @@ import urllib.request
 
 import pytest
 
-from repro.harness.cache import ResultCache
+from repro.harness.cache import STATS_FILE, ResultCache
 from repro.harness.experiments import EXPERIMENTS
 from repro.harness.jobs import JOB_CACHE_PREFIX, JobResult, submit
 from repro.harness.parallel import execute
@@ -31,6 +33,7 @@ from repro.harness.spec import JobSpec
 from repro.serve import JobQueue, build_server
 from repro.serve import queue as queue_module
 from repro.serve.http import job_body
+from tests.integration.test_parallel_sweeps import _child_env
 
 
 def _tiny_sweep():
@@ -568,3 +571,41 @@ class TestPersistentPool:
             queue.stop()
         assert not any(worker.is_alive() for worker in workers)
         assert not self._pool_workers(before)
+
+
+class TestShutdown:
+    """``repro serve`` as a process: a plain ``kill`` (SIGTERM) takes
+    the same shutdown path as Ctrl-C."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sigterm_stops_the_queue_and_exits_0(self, jobs, tmp_path):
+        env = dict(_child_env(), PYTHONUNBUFFERED="1",
+                   REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "1", "--jobs", str(jobs)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+        try:
+            banner = child.stdout.readline()
+            port = re.search(r"http://[\d.]+:(\d+)", banner)
+            assert port, banner + child.stderr.read()
+            base = f"http://127.0.0.1:{port.group(1)}"
+            # Ten cells, so with --jobs 2 the pool does the work.
+            job = _post_job(base, JobSpec.sweep(
+                "figure9", processor_counts=[2, 4], total_increments=16))
+            deadline = time.monotonic() + 120
+            while _get_json(base, f"/jobs/{job['id']}")["state"] != "done":
+                assert time.monotonic() < deadline, "job never finished"
+                time.sleep(0.05)
+            child.send_signal(signal.SIGTERM)
+            out, err = child.communicate(timeout=30)
+        finally:
+            if child.poll() is None:
+                child.kill()
+                child.communicate()
+        assert child.returncode == 0, err
+        assert "shutting down" in out
+        assert "leaked semaphore" not in err
+        stats = json.loads((tmp_path / "cache" / STATS_FILE).read_text())
+        assert stats["misses"] >= 10

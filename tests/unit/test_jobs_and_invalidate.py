@@ -10,7 +10,7 @@ from repro.harness import invalidate, jobs
 from repro.harness.cache import ResultCache
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.jobs import JOB_CACHE_PREFIX, submit
-from repro.harness.spec import JobSpec, RunSpec
+from repro.harness.spec import RESULT_SCHEMA, JobSpec, RunSpec
 
 
 def _run_spec():
@@ -57,6 +57,20 @@ class TestSubmit:
         replay = submit(spec, cache=store)
         assert replay.cached is False  # fell back to simulating
         assert replay.result["ok"] is True
+
+    def test_schema1_job_entry_is_re_executed(self, tmp_path):
+        store = ResultCache(tmp_path / "cache")
+        spec = JobSpec.run(_run_spec())
+        first = submit(spec, cache=store)
+        key = JOB_CACHE_PREFIX + spec.fingerprint()
+        entry = store.get(key)
+        entry["schema"] = 1
+        entry["result"]["outcome"].update(schema=1, attempts=2)
+        store.put(key, entry)
+        again = submit(spec, cache=store)
+        assert again.cached is False
+        assert again.result == first.result
+        assert store.get(key)["schema"] == RESULT_SCHEMA
 
     def test_verify_job(self, tmp_path):
         store = ResultCache(tmp_path / "cache")

@@ -1,6 +1,7 @@
-"""Unit tests for the parallel sweep engine: retry-with-seed-bump on
-livelock, FailedRun degradation, wall-clock timeouts, cache integration,
-telemetry, and the unified ``repro.harness.run`` dispatch."""
+"""Unit tests for the parallel sweep engine: a livelocked or timed-out
+run is one FailedRun at its requested seed, wall-clock timeouts, cache
+integration, telemetry, and the unified ``repro.harness.run``
+dispatch."""
 
 import os
 import threading
@@ -26,75 +27,38 @@ def _spec(seed=0, ops=32, cpus=2, max_cycles=20_000_000) -> RunSpec:
                    workload_args={"total_increments": ops})
 
 
-class TestRetries:
-    def test_livelock_retried_with_bumped_seed(self, monkeypatch):
-        real = parallel._simulate
-        attempts = []
+class TestFailuresAreFindings:
+    def test_livelock_is_one_failed_run_at_its_seed(self, monkeypatch):
+        seeds = []
 
-        def flaky(spec, timeout):
-            attempts.append(spec.config.seed)
-            if len(attempts) == 1:
-                raise SimulationError("synthetic livelock")
-            return real(spec, timeout)
+        def stuck(spec, timeout):
+            seeds.append(spec.config.seed)
+            raise SimulationError("synthetic livelock")
 
-        monkeypatch.setattr(parallel, "_simulate", flaky)
-        outcomes, telemetry = execute([_spec(seed=5)], jobs=1, retries=2)
-        result = outcomes[0]
-        assert isinstance(result, RunResult)
-        assert result.attempts == 2
-        assert result.seed_used == 5 + parallel.SEED_BUMP
-        assert attempts == [5, 5 + parallel.SEED_BUMP]
-        assert telemetry.retries == 1 and telemetry.failures == 0
-
-    def test_retried_cell_replays_its_retry_metadata(self, monkeypatch,
-                                                     tmp_path):
-        real = parallel._simulate
-        attempts = []
-
-        def flaky(spec, timeout):
-            attempts.append(spec.config.seed)
-            if len(attempts) == 1:
-                raise SimulationError("synthetic livelock")
-            return real(spec, timeout)
-
-        monkeypatch.setattr(parallel, "_simulate", flaky)
-        specs = [_spec(seed=5), _spec(seed=6)]
-        cold, cold_tel = execute(specs, jobs=1, cache=tmp_path)
-        warm, warm_tel = execute(specs, jobs=1, cache=tmp_path)
-        assert (cold_tel.retries, cold_tel.simulated) == (1, 2)
-        assert (warm_tel.cache_hits, warm_tel.simulated) == (2, 0)
-        assert [o.to_dict() for o in warm] == [o.to_dict() for o in cold]
-        assert warm[0].attempts == 2
-        assert warm[0].seed_used == 5 + parallel.SEED_BUMP
-        assert (warm[1].attempts, warm[1].seed_used) == (1, 6)
-
-    def test_exhausted_retries_yield_failed_run(self, monkeypatch):
-        monkeypatch.setattr(
-            parallel, "_simulate",
-            lambda spec, timeout: (_ for _ in ()).throw(
-                SimulationError("stuck")))
-        outcomes, telemetry = execute([_spec(seed=3)], jobs=1, retries=2)
-        failed = outcomes[0]
-        assert isinstance(failed, FailedRun)
-        assert failed.attempts == 3
-        assert failed.error == "SimulationError"
-        assert failed.seed == 3
-        assert len(failed.seeds_tried) == 3
-        assert telemetry.failures == 1
+        monkeypatch.setattr(parallel, "_simulate", stuck)
+        outcomes, telemetry = execute([_spec(seed=5)], jobs=1)
+        (failed,) = outcomes
+        assert seeds == [5]
+        assert failed == FailedRun(
+            workload="single-counter", scheme="TLR", num_cpus=2, seed=5,
+            fingerprint=_spec(seed=5).fingerprint(),
+            error="SimulationError", message="synthetic livelock")
+        assert (telemetry.failures, telemetry.simulated,
+                telemetry.timeouts) == (1, 0, 0)
 
     def test_real_cycle_budget_overrun_degrades_not_raises(self):
-        # max_cycles far below what the run needs: every attempt
-        # overruns, the sweep still completes.
+        # max_cycles far below what the run needs: the run overruns,
+        # the sweep still completes.
         ok, bad = _spec(), _spec(max_cycles=500)
-        outcomes, telemetry = execute([ok, bad, ok], jobs=1, retries=1)
+        outcomes, telemetry = execute([ok, bad, ok], jobs=1)
         assert isinstance(outcomes[0], RunResult)
         assert isinstance(outcomes[1], FailedRun)
         assert isinstance(outcomes[2], RunResult)
         assert "cycle budget" in outcomes[1].message
-        assert telemetry.failures == 1
-        assert telemetry.retries >= 1
+        assert outcomes[1].seed == 0
+        assert (telemetry.failures, telemetry.simulated) == (1, 2)
 
-    def test_validation_error_is_not_retried(self, monkeypatch):
+    def test_validation_error_is_raised(self, monkeypatch):
         calls = []
 
         def broken(spec, timeout):
@@ -103,7 +67,7 @@ class TestRetries:
 
         monkeypatch.setattr(parallel, "_simulate", broken)
         with pytest.raises(ValidationError):
-            execute([_spec()], jobs=1, retries=3)
+            execute([_spec()], jobs=1)
         assert len(calls) == 1
 
 
@@ -115,20 +79,28 @@ def _long_spec() -> RunSpec:
 
 
 class TestTimeout:
-    def test_timed_out_run_becomes_failed_run(self):
-        outcomes, telemetry = execute([_long_spec()], jobs=1, retries=0,
-                                      timeout=0.001)
-        failed = outcomes[0]
+    def test_timed_out_run_is_one_failed_run_after_one_window(
+            self, monkeypatch):
+        real, windows = parallel._simulate, []
+
+        def counted(spec, timeout):
+            windows.append((spec.config.seed, timeout))
+            return real(spec, timeout)
+
+        monkeypatch.setattr(parallel, "_simulate", counted)
+        outcomes, telemetry = execute([_long_spec()], jobs=1, timeout=0.001)
+        (failed,) = outcomes
+        assert windows == [(0, 0.001)]
         assert isinstance(failed, FailedRun)
-        assert failed.error == "RunTimeout"
-        assert telemetry.failures == 1
+        assert (failed.error, failed.seed) == ("RunTimeout", 0)
+        assert (telemetry.failures, telemetry.timeouts,
+                telemetry.simulated) == (1, 1, 0)
 
     def test_timeout_fires_off_the_main_thread(self):
         # A `repro serve` worker runs a jobs=1 job in its own thread.
         box = {}
         thread = threading.Thread(target=lambda: box.update(
-            outcomes=execute([_long_spec()], jobs=1, timeout=0.001,
-                             retries=0)[0]))
+            outcomes=execute([_long_spec()], jobs=1, timeout=0.001)[0]))
         thread.start()
         thread.join(timeout=120)
         assert not thread.is_alive()
@@ -141,7 +113,7 @@ class TestTimeout:
                                         timeout=0.001, verified=True)
         assert not verdict.ok
         assert verdict.error.startswith("RunTimeout")
-        assert (telemetry.failures, telemetry.retries) == (1, 0)
+        assert (telemetry.failures, telemetry.timeouts) == (1, 1)
 
     def test_timed_out_verdict_is_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -201,10 +173,28 @@ class TestCacheIntegration:
     def test_failures_are_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path)
         bad = _spec(max_cycles=500)
-        execute([bad], jobs=1, retries=0, cache=cache)
+        execute([bad], jobs=1, cache=cache)
         assert len(cache) == 0
-        _, telemetry = execute([bad], jobs=1, retries=0, cache=cache)
+        _, telemetry = execute([bad], jobs=1, cache=cache)
         assert telemetry.cache_hits == 0
+
+    def test_schema1_entry_of_a_bumped_seed_is_resimulated(self, tmp_path):
+        # An entry written while the engine still retried livelocks
+        # under bumped seeds: it may hold another seed's run under this
+        # spec's key.  Its schema no longer matches, so it is dropped.
+        cache = ResultCache(tmp_path)
+        spec = _spec(seed=5)
+        (fresh,), _ = execute([spec], jobs=1, cache=cache)
+        entry = cache.get(spec.fingerprint())
+        entry["result"].update(schema=1, attempts=2, seed_used=1_000_008)
+        entry["result"]["stats"]["total_cycles"] += 1
+        cache.put(spec.fingerprint(), entry)
+        (again,), telemetry = execute([spec], jobs=1, cache=cache)
+        assert (telemetry.cache_hits, telemetry.simulated) == (0, 1)
+        assert again.to_dict() == fresh.to_dict()
+        stored = cache.get(spec.fingerprint())["result"]
+        assert stored == fresh.to_dict()
+        assert "attempts" not in stored and "seed_used" not in stored
 
     def test_progress_callback_sees_every_run(self, tmp_path):
         seen = []
@@ -221,7 +211,7 @@ class TestUnifiedRun:
         assert result.cycles > 0
 
     def test_failed_spec_returns_failed_run(self):
-        outcome = harness_run(_spec(max_cycles=500), retries=0)
+        outcome = harness_run(_spec(max_cycles=500))
         assert isinstance(outcome, FailedRun)
 
     def test_workload_legacy_path(self):

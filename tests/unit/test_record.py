@@ -3,6 +3,8 @@ debugger, VCD export, and the recorder's promise that the log is the
 run's whole event history."""
 
 import io
+import struct
+import zlib
 
 import pytest
 
@@ -93,6 +95,32 @@ class TestFormat:
         assert set(SCHEMA_HISTORY) == set(range(1, LOG_SCHEMA + 1))
         assert all(isinstance(note, str) and note
                    for note in SCHEMA_HISTORY.values())
+
+    @staticmethod
+    def _sealed(body):
+        """``body`` with a CRC trailer that matches it."""
+        return body + struct.pack("<I", zlib.crc32(body))
+
+    def test_every_cut_with_a_matching_crc_is_rejected(self):
+        log = record_run(RunSpec(
+            workload="single-counter",
+            config=SystemConfig(num_cpus=2, scheme=SyncScheme.TLR),
+            workload_args={"total_increments": 8})).log
+        body = log[:-4]
+        assert load_log(self._sealed(body)).end.fingerprint
+        loaded = []
+        for cut in range(len(body)):
+            try:
+                load_log(self._sealed(body[:cut]))
+            except LogFormatError:
+                continue
+            loaded.append(cut)
+        assert loaded == []
+
+    def test_bytes_after_end_are_rejected(self):
+        body = _tiny_log()[:-4]
+        with pytest.raises(LogFormatError, match="after the END record"):
+            load_log(self._sealed(body + b"\x00"))
 
     def test_records_render(self):
         for record in load_log(_tiny_log()).records:

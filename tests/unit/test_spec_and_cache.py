@@ -114,8 +114,7 @@ class TestSweepAndAppSerialization:
         sweep.series[SyncScheme.TLR] = [50, None]
         sweep.failures.append(FailedRun(
             workload="single-counter", scheme="TLR", num_cpus=4, seed=0,
-            fingerprint="ff", error="SimulationError", message="livelock",
-            attempts=3, seeds_tried=[0, 1, 2]))
+            fingerprint="ff", error="SimulationError", message="livelock"))
         return sweep
 
     def test_sweep_round_trip(self):

@@ -163,8 +163,6 @@ class CacheController:
         self.chains[line_addr] = ChainState()
         self.cache.pin(line_addr)
         self.bus.issue(request)
-        if self.taps.issued:
-            self.taps.issued.emit(self, request)
         if self.tlr_enabled:
             # Watch every miss, not just transactional ones: a restarted
             # transaction may merge onto a request issued outside the

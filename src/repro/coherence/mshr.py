@@ -53,6 +53,10 @@ class MshrFile:
     def __init__(self, entries: int = 16):
         self.entries = entries
         self._by_line: dict[int, Mshr] = {}
+        #: MSHRs ever allocated: one per miss that left for the bus (a
+        #: NACK reissue keeps its MSHR).  Read by the metrics export as
+        #: ``requests.issued``.
+        self.allocated = 0
         # ``get`` is the hottest MSHR operation (every snoop and every
         # access probes it); bind the dict's own ``get`` so the call
         # costs no Python frame.  allocate/release mutate the same dict,
@@ -70,6 +74,7 @@ class MshrFile:
             raise RuntimeError("MSHR file full")
         mshr = Mshr(request=request, issue_time=issue_time)
         self._by_line[request.line] = mshr
+        self.allocated += 1
         return mshr
 
     def release(self, line: int) -> Mshr:

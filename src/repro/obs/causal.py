@@ -1,14 +1,17 @@
 """Post-hoc causal profiling from record logs.
 
 A v3 record log carries ``OP_TXN`` records -- normalized transaction
-begin/commit/abort events emitted by the *same*
-:class:`~repro.obs.profile.TxnTapFolder` that feeds the live profiler,
-written in tap order right behind the raw ``OP_TAP`` records they fold.
-Replaying them (plus the ``defer``/``service`` taps, whose dense
-request refs pair each deferral push with its service) through a fresh
+begin/commit/abort events emitted by
+:class:`~repro.obs.profile.TxnTapFolder`, written in tap order right
+behind the raw ``OP_TAP`` records they fold.  The folder attributes
+aborts by the same rules the live profiler applies at each
+transaction's close, and a begin record carries what the live profiler
+reads off the transaction's checkpoint.  Replaying the records (plus
+the ``defer``/``service`` taps, whose dense request refs pair each
+deferral push with its service) through a fresh
 :class:`~repro.obs.profile.ProfileBuilder` therefore reconstructs the
 live profile exactly: same conflict matrix, same histograms, same
-causal chains.  The integration tests compare the two snapshots'
+causal chains, same open transactions.  The integration tests compare the two snapshots'
 canonical JSON byte for byte.  The recorder drops no record, so every
 log folds to its run's whole profile.
 """
@@ -39,8 +42,9 @@ def builder_from_log(image: LogImage) -> ProfileBuilder:
                     record.ref if record.ref is not None else -1)
         elif record.op == "tap" and record.ref is not None:
             # Deferral waits: the dense request ref pairs each push
-            # with its eventual service, mirroring the live folder's
-            # req_id matching (keys differ, durations do not).
+            # with its eventual service, mirroring the live
+            # DeferralTally's req_id matching (keys differ, durations
+            # do not).
             if record.label == "defer":
                 builder.defer_push(record.time, record.cpu, record.ref)
             elif record.label == "service":

@@ -9,11 +9,15 @@ self-rescheduling sampler event would keep the kernel's queue non-empty
 and turn a genuine deadlock (queue drained with incomplete actors) into
 a max-cycles livelock diagnostic.  Deferral-queue depth is therefore
 observed at each push -- every change of the queue passes through a
-hook anyway -- and latencies are measured by pairing the open/close
-events (request->data, defer->service).  Counts the machine already
-keeps in :class:`~repro.sim.stats.CpuStats` (probes and markers sent,
-NACKs received, requests deferred) are read from it in
-:meth:`MachineMetrics.finalize`, not counted again per event.
+hook anyway -- by the machine's
+:class:`~repro.obs.profile.DeferralTally`, which it shares with the lock
+profiler and which pairs each push with its service.  A miss's latency
+is read at its fill, off the MSHR that has held its first-issue time
+since the miss left for the bus.  Counts the machine already keeps --
+in :class:`~repro.sim.stats.CpuStats` (probes and markers sent, NACKs
+received, requests deferred) and in the MSHR files (requests issued) --
+are read in :meth:`MachineMetrics.finalize`, not counted again per
+event.
 
 The collector only *reads* simulation state; it schedules nothing and
 mutates nothing, so attaching it cannot change a run's fingerprint
@@ -27,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.obs.metrics import (DEPTH_BUCKETS, LATENCY_BUCKETS, RETRY_BUCKETS,
                                MetricsRegistry)
-from repro.obs.profile import LockProfiler
+from repro.obs.profile import DeferralTally, LockProfiler
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.harness.machine import Machine
@@ -39,9 +43,7 @@ class MachineMetrics:
     def __init__(self, registry: Optional[MetricsRegistry] = None):
         self.registry = registry or MetricsRegistry()
         self._machine: Optional["Machine"] = None
-        # Open measurements, closed by the matching completion event.
-        self._miss_open: dict[int, int] = {}          # req_id -> issue time
-        self._defer_open: dict[int, int] = {}         # req_id -> defer time
+        self._deferrals: Optional[DeferralTally] = None
         self._nack_retries: TallyCounter = TallyCounter()  # req_id -> nacks
         # Fills with no NACK before them: each is a 0 in
         # nack.retries_per_request, observed at once in finalize.
@@ -66,10 +68,8 @@ class MachineMetrics:
         """Subscribe to the machine's emit points (idempotent).  Call
         before ``run_workload``."""
         self._machine = machine
+        self._deferrals = DeferralTally.of(machine)
         subscribe = machine.taps.subscribe
-        subscribe(self.on_request_issued, "issued")
-        subscribe(self.on_defer, "defer", post=True)
-        subscribe(self.on_obligation_serviced, "service")
         subscribe(self.on_nack, "nacked")
         subscribe(self.on_data, "filled")
         subscribe(self.on_restart, "restart")
@@ -81,34 +81,19 @@ class MachineMetrics:
     # Controller points (``args[0]`` is the message, ``obj`` the
     # controller)
     # ------------------------------------------------------------------
-    def on_request_issued(self, time, cpu, kind, args, obj) -> None:
-        """A miss left for the bus (first issue; NACK reissues keep the
-        original start so miss.latency covers the whole retry loop)."""
-        self._requests_issued.inc()
-        self._miss_open.setdefault(args[0].req_id, time)
-
-    def on_defer(self, time, cpu, kind, args, obj) -> None:
-        """After a deferral (the request is in the holder's queue)."""
-        depth = len(obj.deferred)
-        self._defer_depth_hist.observe(depth)
-        self._defer_depth_gauge.set(depth)
-        self._defer_open.setdefault(args[0].req_id, time)
-
-    def on_obligation_serviced(self, time, cpu, kind, args, obj) -> None:
-        started = self._defer_open.pop(args[0].req_id, None)
-        if started is not None:
-            self._defer_latency.observe(time - started)
-
     def on_nack(self, time, cpu, kind, args, obj) -> None:
         """Our own request came back refused (requester side)."""
         self._nack_retries[args[0].req_id] += 1
 
     def on_data(self, time, cpu, kind, args, obj) -> None:
-        """The fill arrived: close the miss and its retry tally."""
-        req_id = args[0].req_id
-        issued = self._miss_open.pop(req_id, None)
-        if issued is not None:
-            self._miss_latency.observe(time - issued)
+        """The fill arrived: close the miss and its retry tally.  The
+        MSHR is still allocated and kept its first issue time through
+        any NACK reissues, so miss.latency covers the whole retry
+        loop."""
+        request = args[0]
+        req_id = request.req_id
+        self._miss_latency.observe(
+            time - obj.mshrs.get(request.line).issue_time)
         retries = self._nack_retries.pop(req_id, 0) \
             if self._nack_retries else 0
         if retries:
@@ -160,9 +145,19 @@ class MachineMetrics:
         if self._unrefused_fills:
             self._nack_retries_hist.observe_many(0, self._unrefused_fills)
             self._unrefused_fills = 0
+        deferrals = self._deferrals
+        if deferrals is not None:
+            # Copied, not added: a second call leaves the same values.
+            self._defer_depth_hist.tally = dict(deferrals.depths)
+            self._defer_depth_gauge.value = deferrals.last_depth
+            self._defer_depth_gauge.max = max(deferrals.depths, default=0)
+            self._defer_latency.tally = dict(deferrals.latencies)
         counter = self.registry.counter
         counter("defer.serviced").value = self._defer_latency.count
         if machine is not None:
+            self._requests_issued.value = sum(
+                controller.mshrs.allocated
+                for controller in machine.controllers)
             for controller in machine.controllers:
                 for key, value in controller.policy.telemetry().items():
                     self.registry.gauge(f"policy.{key}").set(value)

@@ -56,12 +56,11 @@ class _TxnWriterSink:
     """Adapts :class:`~repro.obs.profile.TxnTapFolder` events into
     ``OP_TXN`` records on the recorder's writer.
 
-    The folder is attached without deferral handlers: the raw
-    ``defer``/``service`` taps are already in the log as ``OP_TAP``
-    records carrying the dense request ref, and the post-hoc fold
+    Deferrals get no txn records: the raw ``defer``/``service`` taps
+    are already in the log as ``OP_TAP`` records carrying the dense
+    request ref, and the post-hoc fold
     (:func:`repro.obs.causal.profile_from_log`) rebuilds wait times
-    from those -- duplicating them as txn records would bloat the log
-    for no information.
+    from those.
     """
 
     def __init__(self, recorder: "FlightRecorder"):
@@ -145,8 +144,7 @@ class FlightRecorder:
         # so each OP_TXN record lands right behind the OP_TAP record of
         # the event it folds -- a deterministic interleaving the
         # post-hoc profiler relies on.
-        self._folder = TxnTapFolder(_TxnWriterSink(self)).attach(
-            machine, deferrals=False)
+        self._folder = TxnTapFolder(_TxnWriterSink(self)).attach(machine)
         # Scheduler switch-in/out/migration events (repro.sched) become
         # OP_SCHED records.  With the scheduler off (the default) the
         # engine is never constructed, the point never fires, and the

@@ -32,8 +32,8 @@ kinds in :data:`POST_KINDS` fire again (``post=True``) on every return
 path.  A tap's payload names its cache line and request id by the rules
 of :func:`_line_of_args` and :func:`_ref_of_args`, which the flight
 recorder applies to every tap it logs.  The other points, with their
-``args``: ``issued``/``nacked``/``filled`` (request; a live miss left
-for the bus, was refused, was filled),
+``args``: ``nacked``/``filled`` (request; a live miss was refused,
+was filled, its MSHR still allocated),
 ``restart`` (reason, backoff, streak), ``line-state`` (line) after a
 coherence state change, ``deferred`` (request) once queued,
 ``arch-read``/``plain-write`` (addr, value) for a speculative read
@@ -44,8 +44,12 @@ from_slot) and ``dispatch`` (event label).
 
 The default observers (metrics and the lock profiler) subscribe to no
 point that fires per control message (``marker``, ``probe``) or per
-kernel event (``dispatch``): a count the machine already keeps in its
-stats is read from there at the end of the run, not counted per emit.
+kernel event (``dispatch``), and pay one call per closed event: a
+transaction is read off its checkpoint when it commits or aborts, a
+miss off its MSHR when it fills, a deferral at its push and its
+service by one tally both share, and a count the machine already keeps
+(in its stats or its MSHR files) is read at the end of the run, not
+counted per emit.
 """
 
 from __future__ import annotations
@@ -150,7 +154,6 @@ class MachineTaps:
         self.commit_post = Point("commit")
         self.abort_post = Point("abort")
         # Telemetry.
-        self.issued = Point("issued")
         self.nacked = Point("nacked")
         self.filled = Point("filled")
         self.restart = Point("restart")

@@ -88,30 +88,38 @@ class TestFootprintGuarantee:
         assert machine.store.read(words[-1]) == len(words)
 
 
+def kill_workload():
+    """A victim thread that computes for 5,000 cycles inside its critical
+    section (kill it at cycle 700 to kill it mid-transaction) and a
+    bystander that takes the same lock four times.  Returns the
+    workload, the lock and the counter both increment."""
+    space = AddressSpace()
+    lock, counter = space.alloc_word(), space.alloc_word()
+
+    def victim(env):
+        def body(env):
+            value = yield env.read(counter, pc="v.ld")
+            yield env.compute(5000)
+            yield env.write(counter, value + 1, pc="v.st")
+
+        yield from env.critical(lock, body, pc="v")
+
+    def bystander(env):
+        def body(env):
+            value = yield env.read(counter, pc="b.ld")
+            yield env.write(counter, value + 1, pc="b.st")
+
+        for _ in range(4):
+            yield from env.critical(lock, body, pc="b")
+            yield env.compute(env.fair_delay())
+
+    return (Workload(name="kill", threads=[victim, bystander],
+                     meta={"space": space}), lock, counter)
+
+
 class TestTermination:
     def _workload(self):
-        space = AddressSpace()
-        lock, counter = space.alloc_word(), space.alloc_word()
-
-        def victim(env):
-            def body(env):
-                value = yield env.read(counter, pc="v.ld")
-                yield env.compute(5000)
-                yield env.write(counter, value + 1, pc="v.st")
-
-            yield from env.critical(lock, body, pc="v")
-
-        def bystander(env):
-            def body(env):
-                value = yield env.read(counter, pc="b.ld")
-                yield env.write(counter, value + 1, pc="b.st")
-
-            for _ in range(4):
-                yield from env.critical(lock, body, pc="b")
-                yield env.compute(env.fair_delay())
-
-        return (Workload(name="kill", threads=[victim, bystander],
-                         meta={"space": space}), lock, counter)
+        return kill_workload()
 
     def test_tlr_killed_holder_leaves_lock_unheld(self):
         workload, lock, counter = self._workload()

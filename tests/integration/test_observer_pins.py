@@ -315,20 +315,29 @@ def test_observer_output_is_pinned(case):
 
 #: Subscriber calls the default observers (``default_observers``: metrics
 #: and the lock profiler) take per run, at seed 0, on the benchmark's
-#: ``private_counters`` and ``contended_list`` specs.  The count is exact
-#: and repeats from run to run; it may fall, never rise.
+#: ``private_counters``, ``contended_list`` and ``big_directory`` specs
+#: and the serve job spec: (workload, CPUs, size knob, size, protocol,
+#: calls).  The count is exact and repeats from run to run; it may
+#: fall, never rise.  Each closed transaction costs one call (its
+#: commit, or its loss and misspec), each fill one, each obligation
+#: service one and each deferral one more.
 DEFAULT_PATH_CALLS = {
-    "multiple-counter": ("total_increments", 2048, 4142),
-    "linked-list": ("total_ops", 256, 11128),
+    "private_counters": ("multiple-counter", 8, "total_increments", 2048,
+                         "snoop", 2071),
+    "contended_list": ("linked-list", 8, "total_ops", 256, "snoop", 5880),
+    "big_directory": ("linked-list", 64, "total_ops", 64, "directory",
+                      4532),
+    "serve_job": ("linked-list", 4, "total_ops", 128, "snoop", 2337),
 }
 
 
-@pytest.mark.parametrize("workload", sorted(DEFAULT_PATH_CALLS))
-def test_default_path_subscriber_calls_do_not_grow(workload):
-    size_key, size, pinned = DEFAULT_PATH_CALLS[workload]
+@pytest.mark.parametrize("name", sorted(DEFAULT_PATH_CALLS))
+def test_default_path_subscriber_calls_do_not_grow(name):
+    workload, cpus, size_key, size, protocol, pinned = \
+        DEFAULT_PATH_CALLS[name]
     spec = RunSpec(workload=workload,
-                   config=SystemConfig(num_cpus=8, scheme=SyncScheme.TLR,
-                                       seed=0),
+                   config=SystemConfig(num_cpus=cpus, scheme=SyncScheme.TLR,
+                                       seed=0, protocol=protocol),
                    workload_args={size_key: size})
     machine = Machine(spec.config)
     default_observers(machine)

@@ -22,12 +22,17 @@ from collections import Counter
 import pytest
 
 from repro.cli import main
+from repro.harness.config import SyncScheme
+from repro.harness.machine import Machine
 from repro.harness.runner import execute_workload, result_fingerprint
+from repro.obs import default_observers
 from repro.obs.causal import profile_from_log
 from repro.obs.profile import matrix_canonical_json
-from repro.record import load_log, record_run
+from repro.record import FlightRecorder, load_log, record_run
 from repro.record.timeline import Timeline
 
+from tests.conftest import small_config
+from tests.integration.test_guarantees import kill_workload
 from tests.integration.test_policy_lab import GOLDEN_DEFAULT
 from tests.integration.test_record_replay import _spec
 
@@ -109,6 +114,45 @@ class TestLiveVsPostHoc:
             aborters = {a for row in live["conflicts"].values()
                         for a in row}
             assert aborters != {"-1"}
+
+    # The live profiler reads a transaction's begin off its checkpoint,
+    # so a transaction that never closes must still count, as its
+    # begin record does in the log.
+    @pytest.mark.parametrize("workload,seed,max_cycles", [
+        ("single-counter", 0, 3000), ("linked-list", 1, 2500)])
+    def test_run_cut_by_the_cycle_budget_keeps_its_open_transactions(
+            self, workload, seed, max_cycles):
+        spec = _spec(workload, seed=seed, ops=96)
+        spec.config.max_cycles = max_cycles
+        recorded = record_run(spec)
+        assert recorded.error.startswith("SimulationError")
+        live = recorded.result.metrics["profile"]
+        posthoc = profile_from_log(recorded.log)
+        assert live["totals"]["unclosed"] > 0
+        assert posthoc["totals"]["unclosed"] == live["totals"]["unclosed"]
+        assert json.dumps(live, sort_keys=True) == \
+            json.dumps(posthoc, sort_keys=True)
+
+    def test_terminated_transaction_stays_open(self):
+        """``terminate`` clears the victim's checkpoint without a
+        misspec: its transaction is begun and unclosed, live and in the
+        log alike."""
+        workload, _lock, _counter = kill_workload()
+        config = small_config(2, SyncScheme.TLR)
+        machine = Machine(config)
+        recorder = FlightRecorder(_spec(cpus=2)).attach(machine)
+        export = default_observers(machine)
+        machine.sim.schedule(700, machine.processors[0].terminate)
+        machine.run_workload(workload, validate=False)
+        assert machine.processors[0].spec.checkpoint is None
+        live = export()["profile"]
+        posthoc = profile_from_log(recorder.finish("0" * 16))
+        totals = live["totals"]
+        assert totals["unclosed"] == 1
+        assert totals["attempts"] == \
+            totals["commits"] + totals["aborts"] + 1
+        assert json.dumps(live, sort_keys=True) == \
+            json.dumps(posthoc, sort_keys=True)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the causal profiling layer (``repro.obs.profile``):
 cause bucketing, the event-folding builder, the tap folder's abort
-attribution, OP_TXN record round-trips, the renderers, and the
+attribution, the live profiler's close-time checkpoint reads, the
+shared deferral tally, OP_TXN record round-trips, the renderers, and the
 ``MachineMetrics.finalize`` edge cases the profiler wiring leans on."""
 
 import json
@@ -9,12 +10,14 @@ from types import SimpleNamespace
 import pytest
 
 from repro.cpu.checkpoint import ElisionRecord, SpeculationCheckpoint
+from repro.cpu.isa import line_of
 from repro.harness.config import SyncScheme
+from repro.harness.machine import Machine
 from repro.harness.runner import execute_workload
 from repro.obs import MachineMetrics
-from repro.obs.profile import (ABORT_CAUSES, CAUSE_OF, LockProfiler,
-                               ProfileBuilder, TxnTapFolder, cause_of,
-                               critical_path, describe_chain,
+from repro.obs.profile import (ABORT_CAUSES, CAUSE_OF, DeferralTally,
+                               LockProfiler, ProfileBuilder, TxnTapFolder,
+                               cause_of, critical_path, describe_chain,
                                matrix_canonical_json, render_folded,
                                render_markdown)
 from repro.record.format import (TXN_ABORT, TXN_BEGIN, TXN_COMMIT,
@@ -162,7 +165,6 @@ class TestTxnTapFolder:
             _machine_stub(lock_addr=0x87, pc="x.y", attempts=5))
         folder.on_txn_begin(10, 2, "txn-begin", ((0, 2),), None)
         # lock addr 0x87 -> its cache line, pc and attempts verbatim.
-        from repro.cpu.isa import line_of
         assert sink.events == [
             ("txn_begin", 10, 2, line_of(0x87), "x.y", 5)]
 
@@ -214,17 +216,135 @@ class TestTxnTapFolder:
         assert list(taps.txn_commit) == [folder.on_txn_commit]
         assert list(taps.loss) == [folder.on_loss]
         assert list(taps.misspec) == [folder.on_misspec]
-        assert list(taps.defer) == [folder.on_defer]
-        assert list(taps.service) == [folder.on_service]
+        # Deferrals reach the log as raw defer/service taps.
+        assert not taps.defer and not taps.service
         folder.detach(machine)
         assert not any(point for point in vars(taps).values()
                        if isinstance(point, Point))
 
-    def test_deferrals_off_skips_defer_and_service(self):
-        machine = _machine_stub()
-        TxnTapFolder(_Sink()).attach(machine, deferrals=False)
-        assert not machine.taps.defer and not machine.taps.service
-        assert machine.taps.txn_begin and machine.taps.misspec
+
+def _cpus(count=4):
+    """A machine stub of ``count`` processors, none speculating."""
+    processors = [SimpleNamespace(spec=SimpleNamespace(checkpoint=None))
+                  for _ in range(count)]
+    return SimpleNamespace(processors=processors, taps=MachineTaps())
+
+
+def _speculate(processor, start_time=0, lock_addr=0x40, pc="site.a",
+               attempts=1):
+    processor.spec.checkpoint = SpeculationCheckpoint(
+        start_time=start_time, ts=(0, 0), root_depth=0,
+        elisions=[ElisionRecord(lock_addr=lock_addr, free_value=0,
+                                held_value=1, pc=pc, depth=0)],
+        attempts=attempts)
+
+
+class TestLockProfilerLive:
+    """The live profiler reads each transaction off its checkpoint when
+    it closes, and the ones still open at the snapshot."""
+
+    def test_commit_reads_the_checkpoint(self):
+        machine = _cpus()
+        profiler = LockProfiler().attach(machine)
+        cpu = machine.processors[2]
+        _speculate(cpu, start_time=100, lock_addr=0x87, pc="x.y",
+                   attempts=5)
+        profiler.on_txn_commit(140, 2, "txn-commit", (), cpu)
+        cpu.spec.checkpoint = None
+        stats = profiler.snapshot()["locks"][f"{line_of(0x87):#x}"]
+        assert stats["commits"] == 1 and stats["cycles_committed"] == 40
+        assert stats["pcs"] == {"x.y": 1}
+        assert stats["attempts_per_txn"]["max"] == 5
+
+    def test_one_call_per_closed_transaction(self):
+        machine = _cpus()
+        profiler = LockProfiler().attach(machine)
+        taps = machine.taps
+        assert not taps.txn_begin
+        assert list(taps.txn_commit) == [profiler.on_txn_commit]
+        assert list(taps.misspec) == [profiler.on_misspec]
+
+    def test_loss_stash_consumed_by_same_cycle_misspec(self):
+        machine = _cpus()
+        profiler = LockProfiler().attach(machine)
+        cpu = machine.processors[1]
+        _speculate(cpu, start_time=10)
+        profiler.on_loss(50, 1, "loss", ("probe-lost", 0x48, (4, 3), -1),
+                         None)
+        profiler.on_misspec(50, 1, "misspec", ("probe-lost", 0x48), cpu)
+        cpu.spec.checkpoint = None
+        snap = profiler.snapshot()
+        assert snap["conflicts"] == {"1": {"3": 1}}
+        assert snap["chains"][0]["cycles_lost"] == 40
+        assert snap["totals"]["unclosed"] == 0
+
+    def test_open_checkpoint_counts_as_begun_and_unclosed(self):
+        machine = _cpus()
+        profiler = LockProfiler().attach(machine)
+        _speculate(machine.processors[3], attempts=2)
+        for _ in range(2):
+            totals = profiler.snapshot()["totals"]
+            assert totals["unclosed"] == 1 and totals["attempts"] == 1
+
+    def test_terminated_transaction_stays_open(self):
+        machine = _cpus()
+        profiler = LockProfiler().attach(machine)
+        cpu = machine.processors[0]
+        _speculate(cpu)
+        # terminate(): the abort tap, then the checkpoint is dropped
+        # without a misspec.
+        profiler.on_abort(700, 0, "abort", (), None)
+        cpu.spec.checkpoint = None
+        assert profiler.snapshot()["totals"]["unclosed"] == 1
+
+    def test_resource_abort_closes_its_transaction(self):
+        machine = _cpus()
+        profiler = LockProfiler().attach(machine)
+        cpu = machine.processors[0]
+        _speculate(cpu)
+        profiler.on_abort(30, 0, "abort", (), None)
+        profiler.on_misspec(30, 0, "misspec", ("wb-overflow", 0), cpu)
+        cpu.spec.checkpoint = None
+        totals = profiler.snapshot()["totals"]
+        assert totals["aborts"] == 1 and totals["unclosed"] == 0
+
+
+class TestDeferralTally:
+    def test_one_tally_per_machine(self):
+        machine = Machine(small_config(4, SyncScheme.TLR))
+        MachineMetrics().attach(machine)
+        LockProfiler().attach(machine)
+        tally = DeferralTally.of(machine)
+        assert list(machine.taps.defer_post) == [tally.on_defer]
+        assert list(machine.taps.service) == [tally.on_service]
+        assert not machine.taps.defer
+
+    def test_first_push_for_latency_last_push_for_wait(self):
+        machine = _cpus()
+        tally = DeferralTally.of(machine)
+        _speculate(machine.processors[0], lock_addr=0x40)
+        holder = SimpleNamespace(deferred=[1, 2])
+        request = SimpleNamespace(req_id=7)
+        tally.on_defer(10, 0, "defer", (request,), holder)
+        tally.on_defer(20, 0, "defer", (request,), holder)
+        tally.on_service(35, 0, "service", (request,), holder)
+        tally.on_service(36, 0, "service", (request,), holder)  # ignored
+        assert tally.depths == {2: 2} and tally.last_depth == 2
+        assert tally.latencies == {25: 1}
+        assert tally.waits == {(line_of(0x40), 15): 1}
+
+    def test_shared_tally_counts_each_deferral_once(self):
+        def metrics(with_profiler):
+            machine = Machine(small_config(4, SyncScheme.TLR))
+            collector = MachineMetrics().attach(machine)
+            if with_profiler:
+                LockProfiler().attach(machine)
+            machine.run_workload(linked_list(4, 64))
+            return collector.finalize(machine)
+
+        alone = metrics(False)
+        assert alone["counters"]["defer.serviced"] > 0
+        assert metrics(True) == alone
 
 
 class TestLockProfilerExport:
@@ -232,7 +352,6 @@ class TestLockProfilerExport:
     either order and more than once."""
 
     def _profiled_run(self):
-        from repro.harness.machine import Machine
         from repro.obs.metrics import MetricsRegistry
         machine = Machine(small_config(4, SyncScheme.TLR))
         profiler = LockProfiler().attach(machine)
@@ -363,7 +482,6 @@ class TestMachineMetricsFinalizeEdges:
         config = small_config(2, SyncScheme.TLR)
         single = execute_workload(workload, config).metrics
 
-        from repro.harness.machine import Machine
         machine = Machine(small_config(2, SyncScheme.TLR))
         collector = MachineMetrics()
         assert collector.attach(machine) is collector

@@ -2,7 +2,7 @@
 
 from repro.coherence.bus import Bus, LineDirectory
 from repro.coherence.cache import CacheArray, CapacityError, VictimCache
-from repro.coherence.controller import CacheController, Decision
+from repro.coherence.controller import CacheController
 from repro.coherence.datanet import DataNetwork
 from repro.coherence.memory import MemoryController, ValueStore
 from repro.coherence.messages import (MEMORY, BusRequest, Marker, Probe,
@@ -12,7 +12,7 @@ from repro.coherence.states import Line, State
 
 __all__ = [
     "Bus", "LineDirectory", "CacheArray", "VictimCache", "CapacityError",
-    "CacheController", "Decision", "DataNetwork", "MemoryController",
+    "CacheController", "DataNetwork", "MemoryController",
     "ValueStore", "BusRequest", "Marker", "Probe", "ReqKind", "Timestamp",
     "beats", "MEMORY", "Mshr", "MshrFile", "Line", "State",
 ]

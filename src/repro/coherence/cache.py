@@ -186,11 +186,3 @@ class CacheArray:
         for cache_set in self._sets:
             yield from cache_set.values()
         yield from self.victim
-
-    def speculative_lines(self) -> list[Line]:
-        return [l for l in self if l.accessed]
-
-    def drop(self, line_addr: int) -> None:
-        """Remove a line entirely (post-invalidation tidy-up)."""
-        self._sets[self.set_index(line_addr)].pop(line_addr, None)
-        self.victim.remove(line_addr)

@@ -77,10 +77,9 @@ class BusRequest:
 
     ``grant_state`` is stamped by the requester's controller when its own
     request reaches the order point (the state the directory granted);
-    ``abort_on_nack`` rides on a NACKed request when the refusing holder
-    also decided to kill the requester's transaction -- encoded as the
-    holder's cpu id + 1 (any truthy value means "abort"; the offset lets
-    the victim attribute the kill for abort-attribution profiling).
+    ``killed_by`` rides on a NACKed request when the refusing holder
+    also decided to kill the requester's transaction: it names that
+    holder's cpu id.
     """
 
     kind: ReqKind
@@ -92,7 +91,7 @@ class BusRequest:
     req_id: int = field(default_factory=lambda: next(_request_ids))
     order_time: Optional[int] = None
     grant_state: Optional["State"] = None
-    abort_on_nack: bool = False
+    killed_by: Optional[int] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ts = f" ts={self.ts}" if self.ts is not None else ""

@@ -21,9 +21,10 @@ probes held until it is known) is the controller's per-line
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.coherence.messages import BusRequest
+from repro.coherence.states import Line
 
 
 @dataclass(slots=True)
@@ -31,7 +32,7 @@ class Mshr:
     """One outstanding miss."""
 
     request: BusRequest
-    waiters: list[Callable[[], None]] = field(default_factory=list)
+    waiters: list[Callable[[Line], None]] = field(default_factory=list)
     # Forward obligations chained behind this miss, in bus order.  Any
     # number of GETS may chain (ownership does not move on a read), but
     # a GETX moves ownership to its requester, so it is always last.
@@ -57,14 +58,11 @@ class MshrFile:
         #: NACK reissue keeps its MSHR).  Read by the metrics export as
         #: ``requests.issued``.
         self.allocated = 0
-        # ``get`` is the hottest MSHR operation (every snoop and every
-        # access probes it); bind the dict's own ``get`` so the call
-        # costs no Python frame.  allocate/release mutate the same dict,
-        # so the binding never goes stale.
+        # ``get(line) -> Optional[Mshr]`` is the hottest MSHR operation
+        # (every snoop and every access probes it): the dict's own
+        # ``get``, so the call costs no Python frame.  allocate/release
+        # mutate the same dict, so the binding never goes stale.
         self.get = self._by_line.get
-
-    def get(self, line: int) -> Optional[Mshr]:  # overridden per-instance
-        return self._by_line.get(line)
 
     def allocate(self, request: BusRequest, issue_time: int) -> Mshr:
         if request.line in self._by_line:
@@ -90,6 +88,3 @@ class MshrFile:
         """No-copy iteration for read-only scans (hot paths); callers
         must not allocate or release MSHRs while iterating."""
         return self._by_line.values()
-
-    def lines(self) -> set[int]:
-        return set(self._by_line)

@@ -302,23 +302,26 @@ class Processor:
 
     # Every memory op looks its line up once at issue.  A hit does its
     # effect there and then; a miss hands that lookup to ``_miss`` with
-    # the op's fill, which runs in the fill's event.  Every lookup bumps
-    # the line's LRU stamp; one bump leaves it its set's most recent
-    # line just as more did, and a victim-cache promotion happens in the
-    # first lookup, so replacement is unchanged.  The read, LL and store
-    # hit legs are written out in place: they are most of a run's ops.
+    # the op's fill, which runs in the fill's event on the line the
+    # controller installed (or found, for an upgrade).  Every lookup
+    # bumps the line's LRU stamp; one bump leaves it its set's most
+    # recent line just as more did, and a victim-cache promotion happens
+    # in the first lookup, so replacement is unchanged.  The read, LL
+    # and store hit legs are written out in place: they are most of a
+    # run's ops.
 
     def _miss(self, op, line: int, cached: Optional[Line],
-              need_writable: bool, fill: Callable[[], Any]) -> Any:
-        """Issue ``op``'s miss; at the fill, run ``fill`` and resume the
-        program with its value.  ``cached`` is the op's lookup."""
+              need_writable: bool, fill: Callable[[Line], Any]) -> Any:
+        """Issue ``op``'s miss; at the fill, run ``fill`` on the filled
+        line and resume the program with its value.  ``cached`` is the
+        op's lookup."""
         issue_time = self.sim.now
         epoch = self.epoch
 
-        def effect() -> None:
+        def effect(filled: Line) -> None:
             if self.epoch != epoch:
                 return
-            value = fill()
+            value = fill(filled)
             if self.epoch != epoch:
                 return  # the fill fell back, squashing its op
             self._charge_wait(issue_time, op.is_lock)
@@ -329,12 +332,12 @@ class Processor:
         return _PENDING
 
     def _store_effect(self, addr: int, value: int, line: int,
-                      cached: Optional[Line]) -> bool:
+                      cached: Line) -> bool:
         """A store's architectural effect: buffered while speculating,
         written through otherwise.  A value the write buffer cannot hold
         ends the speculation (Section 3.3): the lock is taken for real,
         the op is squashed, and this returns False.  ``cached`` is the
-        line from a hit's lookup; a fill (None) looks it up again."""
+        line: a hit's lookup or a fill's line."""
         if not self.spec.active:
             self.store.write(addr, value)
             if self.taps.plain_write:
@@ -346,9 +349,7 @@ class Processor:
             self.resource_fallback("wb-overflow")
             return False
         controller = self.controller
-        if cached is None:
-            controller.mark_accessed(line, written=True)
-        elif controller.speculating:
+        if controller.speculating:
             cached.accessed = True
             cached.spec_written = True
             controller._spec_touched[line] = cached
@@ -386,9 +387,9 @@ class Processor:
             self._debt += self._hit_latency
             return value
 
-        def fill() -> int:
+        def fill(filled: Line) -> int:
             value = self._arch_read(op.addr)
-            controller.mark_accessed(line, written=as_written)
+            controller.mark_accessed(filled, written=as_written)
             self._note_cs_load(op)
             return value
 
@@ -421,8 +422,8 @@ class Processor:
             self._debt += self._hit_latency
             return None
 
-        def fill() -> None:
-            if self._store_effect(op.addr, op.value, line, None):
+        def fill(filled: Line) -> None:
+            if self._store_effect(op.addr, op.value, line, filled):
                 self._train_store(op.addr)
 
         return self._miss(op, line, cached, True, fill)
@@ -462,12 +463,12 @@ class Processor:
             self._debt += self._hit_latency
             return value
 
-        def fill() -> int:
+        def fill(filled: Line) -> int:
             value = self._arch_read(op.addr)
-            controller.set_link(line)
+            controller.set_link(filled)
             self._last_ll = (op.addr, value)
             if self.spec.active:
-                controller.mark_accessed(line, written=False)
+                controller.mark_accessed(filled, written=False)
             return value
 
         return self._miss(op, line, cached, False, fill)
@@ -484,8 +485,11 @@ class Processor:
         if ll_addr == op.addr and self.spec.try_elide(
                 op, free_value=ll_value, cs_depth=self.cs_depth):
             # Elided: the lock line stays shared; mark it accessed so any
-            # external write to the lock kills the speculation.
-            controller.mark_accessed(line, written=False)
+            # external write to the lock kills the speculation.  Events
+            # may have run since the LL's lookup, so look it up again.
+            if controller.speculating:
+                controller.mark_accessed(controller.cache.lookup(line),
+                                         written=False)
             self._debt += self._hit_latency
             return True
         cached = controller.cache.lookup(line)
@@ -496,12 +500,12 @@ class Processor:
             self._debt += self._hit_latency
             return True
 
-        def fill() -> bool:
+        def fill(filled: Line) -> bool:
             # An invalidation ordered while the miss was in flight
             # cleared the link: the SC fails.
             if not controller.link_valid(line):
                 return False
-            self._store_effect(op.addr, op.value, line, None)
+            self._store_effect(op.addr, op.value, line, filled)
             return True
 
         return self._miss(op, line, cached, True, fill)
@@ -525,12 +529,14 @@ class Processor:
                 self._debt += self._hit_latency
             return old
         return self._miss(op, line, cached, True,
-                          lambda: self._atomic_effect(op, line, swap, None))
+                          lambda filled: self._atomic_effect(op, line, swap,
+                                                             filled))
 
     def _atomic_effect(self, op, line: int, swap: bool,
-                       cached: Optional[Line]) -> Any:
+                       cached: Line) -> Any:
         """Swap/CAS architectural effect: the old value, or _PENDING if
-        the store fell back."""
+        the store fell back.  ``cached`` is the hit's or the fill's
+        line."""
         old = self._arch_read(op.addr)
         new = op.value if swap else (
             op.new if old == op.expect else None)
@@ -538,7 +544,7 @@ class Processor:
             if not self._store_effect(op.addr, new, line, cached):
                 return _PENDING
         elif self.spec.active:
-            self.controller.mark_accessed(line, written=True)
+            self.controller.mark_accessed(cached, written=True)
         return old
 
     # -- spin-wait ----------------------------------------------------

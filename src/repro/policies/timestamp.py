@@ -1,7 +1,7 @@
 """The paper's policy: timestamp-ordered conflict deferral.
 
 A behavior-preserving extraction of the decision logic that previously
-lived inline in ``CacheController._decide``: with
+lived inline in the cache controller: with
 ``contention_policy="timestamp"`` (the default), run fingerprints are
 bit-identical to the pre-refactor controller.
 """

@@ -123,12 +123,13 @@ class TestCacheArray:
         with pytest.raises(CapacityError):
             cache.install(c, State.SHARED)
 
-    def test_speculative_lines_enumeration(self):
+    def test_iteration_yields_every_line(self):
         cache = make_cache()
         line = cache.install(9, State.MODIFIED)
         line.accessed = True
         cache.install(10, State.SHARED)
-        assert [l.addr for l in cache.speculative_lines()] == [9]
+        assert sorted(l.addr for l in cache) == [9, 10]
+        assert [l.addr for l in cache if l.accessed] == [9]
 
     def test_eviction_callback_for_displaced_dirty_lines(self):
         evicted = []
@@ -151,12 +152,6 @@ class TestCacheArray:
         cache.install(c, State.SHARED)
         assert cache.lookup(a) is not None
         assert cache.lookup(c) is not None
-
-    def test_drop_removes_everywhere(self):
-        cache = make_cache()
-        cache.install(5, State.SHARED)
-        cache.drop(5)
-        assert cache.lookup(5) is None
 
     def test_geometry_validation(self):
         with pytest.raises(ValueError):
@@ -206,11 +201,12 @@ class TestMshrFile:
         with pytest.raises(RuntimeError):
             file.allocate(BusRequest(ReqKind.GETS, line=2, requester=0), 0)
 
-    def test_lines_view(self):
+    def test_iteration_yields_every_entry(self):
         file = MshrFile()
         file.allocate(BusRequest(ReqKind.GETS, line=1, requester=0), 0)
         file.allocate(BusRequest(ReqKind.GETS, line=9, requester=0), 0)
-        assert file.lines() == {1, 9}
+        assert len(file) == 2
+        assert sorted(m.line for m in file) == [1, 9]
 
 
 class TestValueStore:

@@ -396,8 +396,10 @@ ARTIFACTS: dict[str, Artifact] = {entry.bench: entry for entry in (
     _keyed(
         "ablation_retention_policy",
         {"num_cpus": 8, "ops": 512, "policies": ["defer", "nack"]},
+        # Retention by deferral is the timestamp policy; by NACK, nack.
         lambda c: {policy: _cell("linked-list", c["num_cpus"], c["ops"],
-                                 retention_policy=policy)
+                                 contention_policy={"defer": "timestamp",
+                                                    "nack": "nack"}[policy])
                    for policy in c["policies"]},
         _fields(cycles=_CYCLES, restarts=_RESTARTS,
                 nacks=lambda run: run.stats.total("nacks_sent")), {

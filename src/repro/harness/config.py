@@ -122,19 +122,13 @@ class SpeculationConfig:
     # Section 3.2: relax strict timestamp order when only a single block is
     # under conflict (deadlock impossible).  Off for TLR-strict-ts.
     single_block_relaxation: bool = True
-    # Ownership-retention policy (Section 3): "defer" buffers conflicting
-    # requests in the deferred input queue and answers them at commit
-    # (needs no protocol support -- the paper's choice); "nack" refuses
-    # the request with a negative acknowledgement at the snoop, forcing
-    # the requester to retry (needs NACK support in the protocol).
-    # Legacy knob: configs that set only retention_policy="nack" are
-    # normalized onto contention_policy="nack" below.
-    retention_policy: str = "defer"
     # Contention-management policy (repro.policies): how transactional
     # conflicts are resolved.  "timestamp" is the paper's TLR policy
-    # (timestamp-ordered deferral, the behavior-preserving default);
-    # "nack" is timestamp order retained by NACKs (Section 3's
-    # alternative); "requester-wins" is TSX-like best-effort HTM with an
+    # (timestamp-ordered deferral in the deferred input queue, answered
+    # at commit; needs no protocol support -- the behavior-preserving
+    # default); "nack" is timestamp order retained by refusing the
+    # request at the snoop (Section 3's alternative; needs NACK support
+    # in the protocol); "requester-wins" is TSX-like best-effort HTM with an
     # abort-count fallback to real lock acquisition; "backoff" is
     # Polka-style exponential backoff with priority accumulation.
     contention_policy: str = "timestamp"
@@ -163,8 +157,6 @@ class SpeculationConfig:
     KNOWN_POLICIES = ("timestamp", "nack", "requester-wins", "backoff")
 
     def __post_init__(self) -> None:
-        if self.retention_policy not in ("defer", "nack"):
-            raise ValueError(f"bad retention_policy {self.retention_policy}")
         if self.untimestamped_policy not in ("defer", "abort"):
             raise ValueError(
                 f"bad untimestamped_policy {self.untimestamped_policy}")
@@ -175,11 +167,6 @@ class SpeculationConfig:
         if self.contention_fallback_k is not None \
                 and self.contention_fallback_k < 1:
             raise ValueError("contention_fallback_k must be >= 1 or None")
-        # Legacy spelling: retention_policy="nack" alone selects the
-        # NACK-retention policy through the new interface.
-        if (self.retention_policy == "nack"
-                and self.contention_policy == "timestamp"):
-            self.contention_policy = "nack"
 
 
 @dataclass
@@ -272,15 +259,8 @@ class SystemConfig:
         return cfg
 
     def with_policy(self, policy: str, fallback_k=...) -> "SystemConfig":
-        """A copy of this config under a different contention policy.
-
-        ``retention_policy`` is set consistently (it is the legacy
-        spelling of the nack-vs-defer retention choice), so round trips
-        through ``with_policy`` never resurrect a stale value.
-        """
-        spec = replace(self.spec, contention_policy=policy,
-                       retention_policy=("nack" if policy == "nack"
-                                         else "defer"))
+        """A copy of this config under a different contention policy."""
+        spec = replace(self.spec, contention_policy=policy)
         if fallback_k is not ...:
             spec = replace(spec, contention_fallback_k=fallback_k)
         return replace(self, spec=spec)

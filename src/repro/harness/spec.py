@@ -58,7 +58,11 @@ from repro.workloads.microbench import (linked_list, multiple_counter,
 # v11: the metrics lost the kernel's lazy-cancel compaction counter
 #     (the kernel no longer compacts).  Simulated behaviour is
 #     unchanged; cached v10 payloads would replay the dropped family.
-FINGERPRINT_VERSION = 11
+# v12: SpeculationConfig lost the legacy ``retention_policy`` knob
+#     (``contention_policy`` alone selects NACK retention), so the
+#     config image changed shape.  Simulated behaviour is unchanged;
+#     :func:`config_from_dict` still accepts (and drops) the v11 key.
+FINGERPRINT_VERSION = 12
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +204,11 @@ def config_from_dict(data: dict) -> SystemConfig:
         directory=DirectoryConfig(**data["directory"]),
         protocol=data["protocol"],
         memory=MemoryConfig(**data["memory"]),
-        spec=SpeculationConfig(**data["spec"]),
+        # v11 images also carry the retired retention_policy key; its
+        # value always matched contention_policy, so it is dropped.
+        spec=SpeculationConfig(**{key: value for key, value
+                                  in data["spec"].items()
+                                  if key != "retention_policy"}),
         seed=data["seed"],
         latency_jitter=data["latency_jitter"],
         metrics=data.get("metrics", True),

@@ -19,10 +19,6 @@ from repro.policies.timestamp import TimestampDeferral
 class NackRetention(TimestampDeferral):
     """Timestamp order, retained by NACK at the snoop.
 
-    Re-homes the legacy ``retention_policy="nack"`` configuration into
-    the policy interface (configs setting only ``retention_policy`` are
-    normalized onto this policy).
-
     Guarantees: the same timestamp-order starvation freedom as deferral.
     Forfeits: protocol NACK support, and retry traffic the deferred
     input queue avoids.

@@ -79,7 +79,7 @@ def test_directory_scales_disjoint_traffic_better_than_bus():
 def test_nack_policy_on_directory():
     from dataclasses import replace
     cfg = _cfg(SyncScheme.TLR)
-    cfg.spec = replace(cfg.spec, retention_policy="nack")
+    cfg.spec = replace(cfg.spec, contention_policy="nack")
     result = run(linked_list(4, 256), cfg)
     assert result.cycles > 0
 

@@ -24,20 +24,20 @@ def _with_spec(cfg: SystemConfig, **spec_overrides) -> SystemConfig:
 class TestRetentionPolicies:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
-            SpeculationConfig(retention_policy="bogus")
+            SpeculationConfig(contention_policy="bogus")
         with pytest.raises(ValueError):
             SpeculationConfig(untimestamped_policy="bogus")
 
-    @pytest.mark.parametrize("policy", ["defer", "nack"])
+    @pytest.mark.parametrize("policy", ["timestamp", "nack"])
     def test_both_policies_serialize_correctly(self, policy):
         cfg = _with_spec(small_config(4, SyncScheme.TLR),
-                         retention_policy=policy)
+                         contention_policy=policy)
         result = run(single_counter(4, 256), cfg)
         assert result.cycles > 0
 
     def test_nack_policy_sends_nacks_under_conflict(self):
         cfg = _with_spec(small_config(4, SyncScheme.TLR),
-                         retention_policy="nack")
+                         contention_policy="nack")
         result = run(linked_list(4, 256), cfg)
         assert result.stats.total("nacks_sent") > 0
         assert result.stats.total("nacks_received") > 0
@@ -52,7 +52,7 @@ class TestRetentionPolicies:
         never told to retry, so progress is preserved (no run-away retry
         loops -- the run completing within the cycle cap is the check)."""
         cfg = _with_spec(small_config(6, SyncScheme.TLR),
-                         retention_policy="nack")
+                         contention_policy="nack")
         result = run(single_counter(6, 384), cfg)
         assert result.cycles > 0
 

@@ -2,8 +2,7 @@
 
 Truth-tables the four policies' ``resolve`` decisions against hand-built
 conflicts, and pins the config plumbing: registry/name consistency, the
-``with_policy`` convenience, and the legacy ``retention_policy="nack"``
-normalization.
+``with_policy`` convenience.
 """
 
 import pytest
@@ -49,22 +48,17 @@ def test_make_policy_instantiates_each_and_rejects_unknown():
         SpeculationConfig(contention_policy="optimism")
 
 
-def test_with_policy_and_legacy_nack_normalization():
+def test_with_policy():
     base = SystemConfig(num_cpus=4, scheme=SyncScheme.TLR)
     nack = base.with_policy("nack")
     assert nack.spec.contention_policy == "nack"
-    assert nack.spec.retention_policy == "nack"  # legacy spelling synced
     back = nack.with_policy("timestamp")
     assert back.spec.contention_policy == "timestamp"
-    assert back.spec.retention_policy == "defer"  # no stale resurrection
     # fallback_k passes through only when given.
     assert base.with_policy("requester-wins").spec.contention_fallback_k \
         == base.spec.contention_fallback_k
     assert base.with_policy("requester-wins", fallback_k=None) \
         .spec.contention_fallback_k is None
-    # The legacy knob alone selects the NACK policy.
-    legacy = SpeculationConfig(retention_policy="nack")
-    assert legacy.contention_policy == "nack"
     with pytest.raises(ValueError):
         SpeculationConfig(contention_fallback_k=0)
 

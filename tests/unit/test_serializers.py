@@ -43,7 +43,7 @@ def _non_default_config() -> SystemConfig:
             store_pair_predictor_entries=32, rmw_predictor_entries=64,
             rmw_predictor_enabled=False, sle_restart_threshold=2,
             read_escalation_threshold=3, single_block_relaxation=False,
-            retention_policy="nack", contention_policy="nack",
+            contention_policy="nack",
             contention_fallback_k=None, nack_retry_delay=40,
             misspec_penalty=11, restart_backoff_step=21,
             untimestamped_policy="abort"),

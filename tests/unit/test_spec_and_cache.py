@@ -80,6 +80,17 @@ class TestSpecSerialization:
         assert config_from_dict({**image, "kernel_backend": backend}) \
             == config_from_dict(image) == cfg
 
+    @pytest.mark.parametrize("policy,retention", [
+        ("timestamp", "defer"), ("nack", "nack"), ("backoff", "defer")])
+    def test_v11_config_image_with_retention_key_still_loads(
+            self, policy, retention):
+        # v11 images carry the retired retention_policy knob; it always
+        # matched contention_policy, so dropping it loses nothing.
+        cfg = SystemConfig(num_cpus=4, seed=3).with_policy(policy)
+        image = config_to_dict(cfg)
+        image["spec"] = {**image["spec"], "retention_policy": retention}
+        assert config_from_dict(image) == cfg
+
     def test_scheme_string_forms(self):
         for scheme in SyncScheme:
             assert scheme_from_str(scheme_to_str(scheme)) is scheme

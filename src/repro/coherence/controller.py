@@ -69,8 +69,8 @@ class CacheController:
         self.sim = sim
         self.bus = bus
         self._controllers = bus.controllers
-        # Markers, probes and remote aborts take one data-network hop but
-        # are not data transfers, so the controller schedules them itself
+        # Markers and probes take one data-network hop but are not data
+        # transfers, so the controller schedules them itself
         # (Machine always gives the network a perturber).
         self._ctl_latency = datanet.config.data_latency
         self._ctl_perturb = datanet.perturber.perturb
@@ -330,18 +330,28 @@ class CacheController:
         if not self.tlr_enabled:
             # Plain SLE: a data conflict simply kills the speculation.
             return PolicyDecision.ABORT_HOLDER
-        return self.policy.resolve(self._policy_ctx(request, written,
-                                                    at_snoop))
+        has_miss = self._other_txn_miss(request.line)
+        return self.policy.resolve(ConflictContext(
+            requester_ts=request.ts, holder_ts=self.current_ts,
+            relaxation_ok=self._relaxation_ok(request.line, has_miss),
+            requester_prio=request.prio, holder_has_miss=has_miss,
+            at_snoop=at_snoop))
 
-    def _relaxation_ok(self, line_addr: int) -> bool:
-        if not self._single_block_relax:
-            return False
-        if not self.deferred.only_line(line_addr):
-            return False
+    def _other_txn_miss(self, line_addr: int) -> bool:
+        """Is a miss issued inside the transaction outstanding for a
+        line other than ``line_addr``?  One scan of the MSHR file."""
         for m in self.mshrs.entries_view():
             if m.in_txn and m.request.line != line_addr:
-                return False
-        return True
+                return True
+        return False
+
+    def _relaxation_ok(self, line_addr: int, has_miss: bool) -> bool:
+        """Section 3.2's single-block relaxation holds for ``line_addr``:
+        it is enabled, no other transactional miss is outstanding
+        (``has_miss``, from :meth:`_other_txn_miss`) and nothing is
+        deferred for another line."""
+        return (self._single_block_relax and not has_miss
+                and self.deferred.only_line(line_addr))
 
     def _must_release_before_miss(self, new_line: int) -> bool:
         """Two situations force a release before taking a new miss:
@@ -366,20 +376,6 @@ class CacheController:
         return self.policy.must_release_before_miss(deferred,
                                                     self.current_ts)
 
-    def _policy_ctx(self, request: BusRequest, written: bool,
-                    at_snoop: bool = False) -> ConflictContext:
-        """Package one conflict for the contention policy."""
-        has_miss = any(m.in_txn and m.request.line != request.line
-                       for m in self.mshrs.entries_view())
-        return ConflictContext(
-            line=request.line, requester=request.requester,
-            holder=self.cpu_id, requester_ts=request.ts,
-            holder_ts=self.current_ts, is_write=request.kind.is_write,
-            holder_wrote=written,
-            relaxation_ok=self._relaxation_ok(request.line),
-            requester_prio=request.prio, holder_has_miss=has_miss,
-            at_snoop=at_snoop, now=self.sim.now)
-
     # ------------------------------------------------------------------
     # Bus-side handlers
     # ------------------------------------------------------------------
@@ -397,12 +393,8 @@ class CacheController:
         if line is None or line.state not in (State.MODIFIED,
                                               State.EXCLUSIVE):
             return False
-        verdict = self._verdict(request, line, at_snoop=True)
-        if verdict is PolicyDecision.ABORT_REQUESTER:
-            # Refuse *and* kill: the requester's transaction restarts
-            # before its retry (consumed by handle_nack).
-            request.killed_by = self.cpu_id
-        elif verdict is not PolicyDecision.NACK_RETRY:
+        if self._verdict(request, line,
+                         at_snoop=True) is not PolicyDecision.NACK_RETRY:
             return False  # no conflict, or the incoming request wins
         self.stats.nacks_sent += 1
         return True
@@ -419,12 +411,6 @@ class CacheController:
         if taps.nacked:
             taps.nacked.emit(self, request)
         self.policy.on_nacked(request)
-        holder = request.killed_by
-        if holder is not None:
-            request.killed_by = None
-            if self.speculating and mshr.in_txn:
-                self._handle_loss("aborted-by-holder", request.line,
-                                  request.ts, holder)
         mshr.ordered = False
         request.order_time = None
         self.sim.schedule(self.policy.nack_delay(request),
@@ -503,11 +489,6 @@ class CacheController:
         if verdict is PolicyDecision.ABORT_HOLDER:
             self._handle_loss("conflict-lost", request.line, request.ts,
                               request.requester)
-        elif verdict is PolicyDecision.ABORT_REQUESTER:
-            # Serve the data but kill the requester's transaction: it
-            # consumes the value outside any speculation the holder must
-            # order against.
-            self._send_remote_abort(request)
         self.sim.schedule(self._hit_latency, self._service_obligation,
                           request, label="svc")
 
@@ -561,21 +542,6 @@ class CacheController:
             delay = self._ctl_perturb(self._ctl_latency)
             self.sim.schedule(delay, target.handle_marker, request.line,
                               self.cpu_id, request.req_id, label="marker")
-
-    def _send_remote_abort(self, request: BusRequest) -> None:
-        """Tell the requester its transaction lost (ABORT_REQUESTER)."""
-        target = self._controllers.get(request.requester)
-        if target is not None:
-            delay = self._ctl_perturb(self._ctl_latency)
-            self.sim.schedule(delay, target.remote_abort, request.line,
-                              self.current_ts, self.cpu_id, label="rabort")
-
-    def remote_abort(self, line_addr: int, ts: Optional[Timestamp],
-                     holder: int = -1) -> None:
-        """A holder served our request but killed our speculation."""
-        if self.speculating:
-            self._handle_loss("aborted-by-holder", line_addr, ts,
-                              holder)
 
     def _send_probe(self, target_id: int, line_addr: int, ts: Timestamp,
                     origin: int) -> None:
@@ -633,7 +599,8 @@ class CacheController:
                         self.stats.probe_losses += 1
                         self._handle_loss("probe-lost", line_addr, ts,
                                           origin)
-                    elif not self._relaxation_ok(line_addr):
+                    elif not self._relaxation_ok(
+                            line_addr, self._other_txn_miss(line_addr)):
                         mshr.pass_through = True
                         self._handle_loss("probe-lost-pending", line_addr,
                                           ts, origin)

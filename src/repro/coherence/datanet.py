@@ -4,10 +4,10 @@ The paper's target machine ships data over a pipelined point-to-point
 network with a 20-cycle latency; address traffic rides the broadcast bus.
 Because the network is pipelined, the first-order contention effect in the
 evaluation is address-bus occupancy, not data-network queueing, so this
-model charges a fixed (jittered) hop latency per message.  Markers,
-probes and remote aborts -- small directed control messages -- travel the
-same network with the same hop latency; ``CacheController`` schedules
-them itself, since they are not data transfers.
+model charges a fixed (jittered) hop latency per message.  Markers and
+probes -- small directed control messages -- travel the same network
+with the same hop latency; ``CacheController`` schedules them itself,
+since they are not data transfers.
 """
 
 from __future__ import annotations

@@ -76,10 +76,7 @@ class BusRequest:
     paper's timestamp policies).
 
     ``grant_state`` is stamped by the requester's controller when its own
-    request reaches the order point (the state the directory granted);
-    ``killed_by`` rides on a NACKed request when the refusing holder
-    also decided to kill the requester's transaction: it names that
-    holder's cpu id.
+    request reaches the order point (the state the directory granted).
     """
 
     kind: ReqKind
@@ -91,7 +88,6 @@ class BusRequest:
     req_id: int = field(default_factory=lambda: next(_request_ids))
     order_time: Optional[int] = None
     grant_state: Optional["State"] = None
-    killed_by: Optional[int] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         ts = f" ts={self.ts}" if self.ts is not None else ""

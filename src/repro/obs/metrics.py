@@ -90,12 +90,6 @@ class Histogram:
         tally = self.tally
         tally[value] = tally.get(value, 0) + count
 
-    def observe_tally(self, tally: dict) -> None:
-        """Every observation of a ``{value: count}`` tally."""
-        own = self.tally
-        for value, count in tally.items():
-            own[value] = own.get(value, 0) + count
-
     @property
     def count(self) -> int:
         return sum(self.tally.values())

@@ -26,10 +26,9 @@ and what each abort **cost**.  The pieces:
 
 Abort causes follow the restart-reason vocabulary of
 :mod:`repro.cpu.processor`, bucketed as: ``conflict`` (timestamp-order
-losses, invalidations, probe losses), ``nack`` (killed by a NACK-
-retaining holder), ``context-switch`` (scheduler preemption),
-``capacity`` (speculative buffering limits) and ``fallback``
-(non-silent store pair broke the elision assumption).
+losses, invalidations, probe losses), ``context-switch`` (scheduler
+preemption), ``capacity`` (speculative buffering limits) and
+``fallback`` (non-silent store pair broke the elision assumption).
 """
 
 from __future__ import annotations
@@ -56,15 +55,14 @@ CAUSE_OF = {
     "invalidated-in-flight": "conflict",
     "conflict-at-service": "conflict",
     "relaxation-revoked": "conflict",
-    "aborted-by-holder": "nack",
     "deschedule": "context-switch",
     "capacity": "capacity",
     "wb-overflow": "capacity",
     "non-silent-pair": "fallback",
 }
 
-ABORT_CAUSES = ("conflict", "nack", "context-switch", "capacity",
-                "fallback", "other")
+ABORT_CAUSES = ("conflict", "context-switch", "capacity", "fallback",
+                "other")
 
 #: How many per-abort causal chains a profile retains (event order).
 MAX_CHAINS = 128

@@ -78,7 +78,7 @@ class BackoffAborts(ContentionPolicy):
     def must_release_before_miss(self, deferred, holder_ts) -> bool:
         # Mirror image of the resolve() rule: never hold deferrals
         # across a new transactional miss.
-        return bool(deferred.lines())
+        return bool(deferred)
 
     # ------------------------------------------------------------------
     # Lifecycle: priority accumulation across retries

@@ -12,12 +12,14 @@ a first-class interface so those alternatives run on the *same* machine,
 sweep engine and verification oracle as the paper's policy.
 
 A policy sees each conflict as a :class:`ConflictContext` -- requester
-and holder timestamps, the line, the transactional state, retry counts --
-and answers with a :class:`PolicyDecision`.  The controller stays the
-owner of all protocol mechanics (deferred queue, markers/probes, NACK
-transport, restart plumbing); the policy only picks winners and paces
-retries.  ``resolve`` must therefore be side-effect-free on coherence
-state: lifecycle bookkeeping belongs in the ``on_restart``/``on_commit``/
+and holder timestamps, the requester's priority, the holder's other
+misses, the Section 3.2 relaxation and whether a refusal is still
+possible -- and answers with a :class:`PolicyDecision`: the holder keeps
+the line (defer or NACK) or loses it.  The controller stays the owner of
+all protocol mechanics (deferred queue, markers/probes, NACK transport,
+restart plumbing); the policy only picks winners and paces retries.
+``resolve`` must therefore be side-effect-free on coherence state:
+lifecycle bookkeeping belongs in the ``on_restart``/``on_commit``/
 ``on_nacked`` hooks.
 
 Each policy also *declares* its ordering contract (``ordering``), which
@@ -43,28 +45,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class PolicyDecision(enum.Enum):
     """What to do with a conflicting incoming request."""
 
-    DEFER = "defer"                      # buffer it; answer at commit
-    NACK_RETRY = "nack-retry"            # refuse it (snoop time only)
-    ABORT_REQUESTER = "abort-requester"  # serve, but kill the requester
-    ABORT_HOLDER = "abort-holder"        # the local transaction loses
+    DEFER = "defer"                  # buffer it; answer at commit
+    NACK_RETRY = "nack-retry"        # refuse it (snoop time only)
+    ABORT_HOLDER = "abort-holder"    # the local transaction loses
 
 
 @dataclass(frozen=True, slots=True)
 class ConflictContext:
-    """One conflict, as seen by the transaction *holding* the data."""
+    """One conflict, as seen by the transaction *holding* the data.
 
-    line: int
-    requester: int
-    holder: int
+    It carries what the shipped policies decide on and nothing more;
+    ``relaxation_ok`` and ``holder_has_miss`` rest on one scan of the
+    holder's MSHR file.
+    """
+
     requester_ts: Optional[Timestamp]
     holder_ts: Optional[Timestamp]
-    is_write: bool           # the incoming request wants the line writable
-    holder_wrote: bool       # the holder speculatively wrote the line
     relaxation_ok: bool      # Section 3.2 single-block preconditions hold
     requester_prio: int = 0  # accumulated priority carried by the request
     holder_has_miss: bool = False  # holder has other transactional misses
     at_snoop: bool = False   # decided at the snoop (NACK still possible)
-    now: int = 0
 
 
 class ContentionPolicy:

@@ -8,7 +8,7 @@ Four angles:
   the default policy (and the NACK policy) must reproduce them
   bit-for-bit.  Further goldens pin the
   conflict paths the timestamp policy never takes: plain SLE,
-  requester-wins, backoff and the ABORT_REQUESTER verdict.
+  requester-wins and backoff.
 * **Liveness contrast.**  Requester-wins without its lock fallback is
   the paper's Figure 2 livelock; the verify layer's starvation watchdog
   must flag it, while every bounded policy finishes the same workload.
@@ -18,19 +18,16 @@ Four angles:
   rule may cost cycles, never serializability.
 * **Corners.**  The NACK policy's chained-request fallback (a refusal
   is impossible past the order point, so retention degrades to
-  deferral) and the ABORT_REQUESTER verdict, served and refused.
+  deferral).
 """
 
 import pytest
 
 from repro.harness.config import SpeculationConfig, SyncScheme, SystemConfig
 from repro.harness.machine import Machine
-from repro.harness.runner import (RunResult, execute_workload,
-                                  result_fingerprint)
+from repro.harness.runner import execute_workload, result_fingerprint
 from repro.harness.spec import RunSpec
-from repro.policies import POLICY_NAMES, PolicyDecision
-from repro.policies.nack import NackRetention
-from repro.policies.timestamp import TimestampDeferral
+from repro.policies import POLICY_NAMES
 from repro.verify import verify_run
 from repro.verify.monitors import InvariantViolation, MonitorSuite
 from repro.workloads.microbench import linked_list, single_counter
@@ -226,74 +223,6 @@ def test_nack_chained_request_corner():
     assert result.ok, result.violations or result.error
     assert result.summary["nacks_sent"] > 0
     assert result.summary["requests_deferred"] > 0
-
-
-# Fingerprints of the two ABORT_REQUESTER corners below (single
-# counter, 4 CPUs, 96 increments, seed 0), captured with the goldens
-# above.
-GOLDEN_ABORT_REQUESTER = {
-    "holder-always-wins":
-        "4d8ed792cb3706a922af7f31e4e548a76e758cb235766b9478291ed67e0c3b0a",
-    "refuse-and-kill":
-        "e39ff15b128ae7afd8134c651ead19ad89cb2b8245f2a5f5b8d436ac84a4ab60",
-}
-
-
-def _run_with_policy(policy_cls) -> RunResult:
-    """Run the single counter with ``policy_cls`` installed on every
-    controller after construction (no built-in policy gives the
-    verdict these corners need)."""
-    cfg = SystemConfig(num_cpus=4, scheme=SyncScheme.TLR)
-    machine = Machine(cfg)
-    for controller in machine.controllers:
-        controller.policy = policy_cls(cfg, controller.cpu_id)
-    workload = single_counter(4, 96)
-    stats = machine.run_workload(workload)
-    return RunResult(config=cfg, workload_name=workload.name, stats=stats,
-                     store=machine.store)
-
-
-def test_abort_requester_verdict_serves_and_kills():
-    """A policy verdict of ABORT_REQUESTER surfaces as a remote abort:
-    the holder serves the data, the requester's speculation dies.  No
-    built-in policy uses it, so install a stub post-construction."""
-
-    class HolderAlwaysWins(TimestampDeferral):
-        name = "holder-always-wins"
-        ordering = "none"
-
-        def resolve(self, ctx):
-            return PolicyDecision.ABORT_REQUESTER
-
-    result = _run_with_policy(HolderAlwaysWins)
-    # The workload validator ran (counter correct); conflicts were
-    # resolved by killing requesters, not by deferral.
-    assert result.stats.summary()["restarts"] > 0
-    assert result.stats.summary()["requests_deferred"] == 0
-    assert result_fingerprint(result) == GOLDEN_ABORT_REQUESTER[
-        "holder-always-wins"]
-
-
-def test_abort_requester_at_the_snoop_refuses_and_kills():
-    """Under a NACK-retaining policy an ABORT_REQUESTER verdict at the
-    snoop refuses the request and names the refusing holder on it; the
-    requester's transaction restarts before its retry."""
-
-    class RefuseAndKill(NackRetention):
-        name = "refuse-and-kill"
-        ordering = "none"
-
-        def resolve(self, ctx):
-            decision = super().resolve(ctx)
-            if decision is PolicyDecision.NACK_RETRY:
-                return PolicyDecision.ABORT_REQUESTER
-            return decision
-
-    result = _run_with_policy(RefuseAndKill)
-    assert result.stats.summary()["nacks_sent"] > 0
-    assert result.stats.summary()["restarts"] > 0
-    assert result_fingerprint(result) == GOLDEN_ABORT_REQUESTER[
-        "refuse-and-kill"]
 
 
 def test_monitor_flags_deferral_under_no_ordering_policy():

@@ -409,12 +409,15 @@ class TestControlMessagesAsArguments:
 
 class TestJudgedConflict:
     """A request the policy judges looks the line up once: each lookup
-    bumps LRU, and the one bump already makes the line most recent."""
+    bumps LRU, and the one bump already makes the line most recent.  It
+    also scans the MSHR file once, and that scan decides both the
+    holder's other-miss flag and the Section 3.2 relaxation."""
 
     LINE = 0x40
+    OTHER = 0x80
 
-    def holder(self, policy):
-        machine = Machine(small_config(3, SyncScheme.TLR).with_policy(policy))
+    def holder(self, policy, scheme=SyncScheme.TLR):
+        machine = Machine(small_config(3, scheme).with_policy(policy))
         ctl = machine.controllers[1]
         ctl.enter_speculation((5, 1))
         ctl.cache.install(self.LINE, State.MODIFIED).accessed = True
@@ -435,8 +438,45 @@ class TestJudgedConflict:
     def test_one_lookup_per_snooped_conflict(self):
         ctl, request, lookups = self.holder("nack")
         assert ctl.would_nack(request)
-        assert request.killed_by is None
         assert lookups == [self.LINE]
+
+    # The requester's earlier timestamp wins unless the relaxation holds.
+    @pytest.mark.parametrize("state, want", [
+        ("empty-queue", (True, False)),
+        ("other-miss", (False, True)),
+        ("other-deferral", (False, False)),
+        ("strict-ts", (False, False)),
+    ])
+    def test_context_relaxation_and_other_misses(self, state, want):
+        scheme = (SyncScheme.TLR_STRICT_TS if state == "strict-ts"
+                  else SyncScheme.TLR)
+        ctl, request, _ = self.holder("timestamp", scheme)
+        if state == "other-miss":
+            ctl.mshrs.allocate(BusRequest(ReqKind.GETS, line=self.OTHER,
+                                          requester=1, ts=(5, 1)),
+                               0).in_txn = True
+        elif state == "other-deferral":
+            ctl.deferred.push(BusRequest(ReqKind.GETX, line=self.OTHER,
+                                         requester=0, ts=(9, 0)), 0)
+        seen = []
+        resolve = ctl.policy.resolve
+        ctl.policy.resolve = lambda ctx: seen.append(ctx) or resolve(ctx)
+        ctl.handle_forward(request)
+        assert [(ctx.relaxation_ok, ctx.holder_has_miss)
+                for ctx in seen] == [want]
+        assert ctl.deferred.has_line(self.LINE) is want[0]
+
+    @pytest.mark.parametrize("policy, judge", [
+        ("timestamp", CacheController.handle_forward),
+        ("nack", CacheController.would_nack),
+    ])
+    def test_one_mshr_scan_per_judged_conflict(self, policy, judge):
+        ctl, request, _ = self.holder(policy)
+        scans = []
+        entries_view = ctl.mshrs.entries_view
+        ctl.mshrs.entries_view = lambda: scans.append(1) or entries_view()
+        judge(ctl, request)
+        assert len(scans) == 1
 
 
 class TestFusedHitLegs:

@@ -20,9 +20,8 @@ def _cfg(policy="timestamp", **spec_kwargs):
 
 
 def _ctx(requester_ts, holder_ts, **kwargs):
-    defaults = dict(line=0x40, requester=1, holder=0,
-                    requester_ts=requester_ts, holder_ts=holder_ts,
-                    is_write=True, holder_wrote=True, relaxation_ok=False)
+    defaults = dict(requester_ts=requester_ts, holder_ts=holder_ts,
+                    relaxation_ok=False)
     defaults.update(kwargs)
     return ConflictContext(**defaults)
 

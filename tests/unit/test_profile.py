@@ -39,7 +39,6 @@ class TestCauseBuckets:
 
     def test_representative_buckets(self):
         assert cause_of("conflict-lost") == "conflict"
-        assert cause_of("aborted-by-holder") == "nack"
         assert cause_of("deschedule") == "context-switch"
         assert cause_of("capacity") == "capacity"
         assert cause_of("non-silent-pair") == "fallback"

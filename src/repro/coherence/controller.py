@@ -102,8 +102,8 @@ class CacheController:
         # because policies may carry per-processor state (priorities).
         self.policy = make_policy(config, cpu_id)
         # Callback into the processor, wired by the machine builder.
-        self.on_misspeculation: Callable[[str, int], None] = \
-            lambda reason, line: None
+        self.on_misspeculation: Callable[[str, int, int], None] = \
+            lambda reason, line, aborter=-1: None
         self.on_conflict_ts: Callable[[Optional[Timestamp]], None] = \
             lambda ts: None
         # The machine's observation seam (repro.sim.taps).
@@ -529,8 +529,6 @@ class CacheController:
         self.deferred.push(request, self.sim.now)
         self.cache.pin(request.line)
         self.stats.requests_deferred += 1
-        if taps.deferred:
-            taps.deferred.emit(self, request)
         self._send_marker(request)
         if taps.defer_post:
             taps.defer_post.emit(self, request)
@@ -786,23 +784,24 @@ class CacheController:
         """We lost a conflict: give up retained ownership (service the
         deferred queue in order), clear speculative state, restart.
 
-        ``aborter`` is the cpu id whose request/probe caused the loss.
-        It is consumed only by ``loss`` subscribers (the abort-
-        attribution profiler); nothing on the simulation path reads it.
-        An unattributable loss (relaxation revocation) omits it, and
-        its ``loss`` args are the first three only.
+        ``aborter`` is the cpu id whose request/probe caused the loss;
+        the processor's ``misspec`` point carries it and nothing on the
+        simulation path reads it.  A probe forwarded through the
+        directory carries origin=MEMORY (-1), so a missing or negative
+        aborter falls back to the cpu in ``incoming_ts``; a loss with
+        neither (relaxation revocation) has aborter -1.
         """
         taps = self.taps
-        args = ((reason, line_addr, incoming_ts) if aborter is None
-                else (reason, line_addr, incoming_ts, aborter))
         if taps.loss:
-            taps.loss.emit(self, *args)
+            taps.loss.emit(self, reason, line_addr, incoming_ts)
         if self.speculating:
             self._exit_speculation()
             self.stats.misspeculations += 1
-            self.on_misspeculation(reason, line_addr)
+            if aborter is None or aborter < 0:
+                aborter = incoming_ts[1] if incoming_ts is not None else -1
+            self.on_misspeculation(reason, line_addr, aborter)
         if taps.loss_post:
-            taps.loss_post.emit(self, *args)
+            taps.loss_post.emit(self, reason, line_addr, incoming_ts)
 
     def _resource_overflow(self, line_addr: int) -> None:
         """A fill found no victim: drop speculation (resource fallback)."""

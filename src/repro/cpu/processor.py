@@ -609,11 +609,13 @@ class Processor:
         self.controller.abort_speculation()
         self._on_misspeculation(reason, 0)
 
-    def _on_misspeculation(self, reason: str, line_addr: int) -> None:
-        """Controller (or self) reports the speculation died."""
+    def _on_misspeculation(self, reason: str, line_addr: int,
+                           aborter: int = -1) -> None:
+        """Controller (or self) reports the speculation died; a
+        conflict loss names the ``aborter`` cpu, every other abort -1."""
         taps = self.taps
         if taps.misspec:
-            taps.misspec.emit(self, reason, line_addr)
+            taps.misspec.emit(self, reason, line_addr, aborter)
         if not self.spec.active:
             return
         self.epoch += 1

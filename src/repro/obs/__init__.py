@@ -17,9 +17,10 @@ reproduction carries a first-class observability layer:
 * :mod:`repro.obs.profile` -- the causal profiling layer: per-lock
   contention profiles (commit rates, abort causes, cycles lost,
   deferral waits) and the who-aborts-whom conflict matrix, built live
-  from the machine taps; :mod:`repro.obs.causal` rebuilds the identical
-  profile post-hoc from a v3 record log (kept out of this namespace to
-  avoid an eager ``repro.record`` import).
+  from the machine taps (each abort's ``misspec`` names its aborter);
+  :mod:`repro.obs.causal` rebuilds the identical profile post-hoc from
+  a v3 record log (kept out of this namespace to avoid an eager
+  ``repro.record`` import).
 * :func:`~repro.obs.collect.default_observers` -- the default path:
   attaches the metrics collector and the lock profiler, and exports
   both after the run (``execute_workload`` and ``record_run``).
@@ -30,14 +31,14 @@ from repro.obs.metrics import (DEPTH_BUCKETS, LATENCY_BUCKETS, RETRY_BUCKETS,
                                openmetrics_from_dict, summarize_metrics)
 from repro.obs.collect import MachineMetrics, default_observers
 from repro.obs.profile import (ABORT_CAUSES, LockProfiler, ProfileBuilder,
-                               TxnTapFolder, cause_of, critical_path,
-                               describe_chain, matrix_canonical_json,
-                               render_folded, render_markdown)
+                               cause_of, critical_path, describe_chain,
+                               matrix_canonical_json, render_folded,
+                               render_markdown)
 
 __all__ = [
     "ABORT_CAUSES", "DEPTH_BUCKETS", "LATENCY_BUCKETS", "RETRY_BUCKETS",
     "Histogram", "LockProfiler", "MetricsRegistry", "MachineMetrics",
-    "ProfileBuilder", "TxnTapFolder", "cause_of", "critical_path",
+    "ProfileBuilder", "cause_of", "critical_path",
     "default_observers", "describe_chain", "matrix_canonical_json",
     "openmetrics_from_dict", "render_folded", "render_markdown",
     "summarize_metrics",

@@ -1,18 +1,18 @@
 """Post-hoc causal profiling from record logs.
 
-A v3 record log carries ``OP_TXN`` records -- normalized transaction
-begin/commit/abort events emitted by
-:class:`~repro.obs.profile.TxnTapFolder`, written in tap order right
-behind the raw ``OP_TAP`` records they fold.  The folder attributes
-aborts by the same rules the live profiler applies at each
+A v3 record log carries ``OP_TXN`` records -- transaction
+begin/commit/abort events the flight recorder writes in tap order
+right behind the raw ``OP_TAP`` records of the same events.  An abort
+record carries the ``misspec`` point's reason, conflicting line and
+aborter, the same payload the live profiler reads at each
 transaction's close, and a begin record carries what the live profiler
 reads off the transaction's checkpoint.  Replaying the records (plus
 the ``defer``/``service`` taps, whose dense request refs pair each
 deferral push with its service) through a fresh
 :class:`~repro.obs.profile.ProfileBuilder` therefore reconstructs the
 live profile exactly: same conflict matrix, same histograms, same
-causal chains, same open transactions.  The integration tests compare the two snapshots'
-canonical JSON byte for byte.  The recorder drops no record, so every
+causal chains, same open transactions.  The integration tests compare
+the two snapshots' canonical JSON byte for byte.  The recorder drops no record, so every
 log folds to its run's whole profile.
 """
 

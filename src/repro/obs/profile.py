@@ -17,12 +17,14 @@ and what each abort **cost**.  The pieces:
   this).  It takes one call per closed transaction, reading the
   transaction's begin off its processor's checkpoint, and shares the
   machine's :class:`DeferralTally` with the metrics collector.
-* :class:`TxnTapFolder` -- normalizes the tap stream into
-  transaction begin/commit/abort events for the flight recorder's
-  ``OP_TXN`` records.  It attributes aborts by the same rules as the
-  live profiler, which is what makes the live conflict matrix and the
-  post-hoc one (:func:`repro.obs.causal.profile_from_log`) byte-for-byte
-  identical.
+
+A transaction's abort is read where the machine states it: the
+processor's ``misspec`` point carries the restart reason, the
+conflicting line and the aborting cpu (-1 for an abort no other cpu
+caused).  The flight recorder writes the same three into its
+``OP_TXN`` abort records, which is what makes the live conflict matrix
+and the post-hoc one (:func:`repro.obs.causal.profile_from_log`)
+byte-for-byte identical.
 
 Abort causes follow the restart-reason vocabulary of
 :mod:`repro.cpu.processor`, bucketed as: ``conflict`` (timestamp-order
@@ -34,7 +36,7 @@ preemption), ``capacity`` (speculative buffering limits) and
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.cpu.isa import line_of
 from repro.obs.metrics import LATENCY_BUCKETS, RETRY_BUCKETS, Histogram
@@ -89,30 +91,6 @@ def _root_of(checkpoint) -> tuple[Optional[int], str, int]:
     elision's lock line and pc, and the attempt number."""
     root = checkpoint.elisions[0]
     return line_of(root.lock_addr), root.pc, checkpoint.attempts
-
-
-def _loss_stash(time: int, args: tuple) -> tuple[int, int, int]:
-    """What a ``loss`` tap tells a later ``misspec``: its time, the
-    conflicting line and the aborting cpu.  A probe forwarded through
-    the directory carries origin=MEMORY (-1), but its timestamp's
-    second component is the champion transaction's cpu."""
-    aborter = args[3] if len(args) > 3 else -1
-    if aborter < 0 and isinstance(args[2], tuple):
-        aborter = args[2][1]
-    return time, args[1], aborter
-
-
-def _attribution(time: int, args: tuple,
-                 stash: Optional[tuple[int, int, int]]
-                 ) -> tuple[Optional[int], int]:
-    """A ``misspec`` tap's conflict line and aborter: the ``loss``
-    stash's when the loss fired in the same cycle, else the misspec's
-    own line and no aborter."""
-    conflict_line = args[1] if len(args) > 1 else 0
-    aborter = -1
-    if stash is not None and stash[0] == time:
-        conflict_line, aborter = stash[1], stash[2]
-    return (conflict_line if conflict_line else None), aborter
 
 
 class _LockStats:
@@ -317,91 +295,6 @@ class ProfileBuilder:
         }
 
 
-class TxnTapFolder:
-    """Folds the raw tap stream into transaction events on ``sink``:
-    the flight recorder's ``OP_TXN`` records.
-
-    The sink implements ``txn_begin(time, cpu, lock_line, pc,
-    attempts)``, ``txn_commit(time, cpu)`` and ``txn_abort(time, cpu,
-    reason, conflict_line, aborter)``.  It also owns ``open``, a
-    mapping keyed by the cpus with an open transaction: ``txn_begin``
-    adds the cpu, ``txn_commit``/``txn_abort`` remove it.  The folder
-    reads that one table to gate commit, loss and misspec taps, so open
-    transactions are tracked once.
-
-    One handler per tap kind (``on_<kind>``).  Folding rules (mirroring
-    the controller/processor wiring):
-
-    * ``txn-begin`` (``enter_speculation``) fires *after* the elision
-      checkpoint is pushed, so the root lock line, elision-site pc and
-      attempt count are read straight off
-      ``machine.processors[cpu].spec.checkpoint``.
-    * an abort is the ``misspec`` tap (``_on_misspeculation``), which
-      carries the restart reason.  A controller-initiated loss fires
-      the ``loss`` tap first (same cycle, same cpu) with the conflicting
-      line and the aborter cpu; the folder stashes those and the
-      ``misspec`` event consumes the stash.  Resource aborts
-      (capacity/wb-overflow/non-silent-pair/deschedule) have no ``loss``
-      stash and no attributable aborter.
-    * a transaction terminated with the run (``terminate()``) never
-      fires ``misspec`` and stays open.
-
-    :class:`LockProfiler` applies the same loss and misspec rules at a
-    transaction's close, so the log folds to the live profile.
-    """
-
-    def __init__(self, sink) -> None:
-        self.sink = sink
-        self._open = sink.open
-        self._processors: list = []
-        #: cpu -> (time, conflict_line, aborter) from the last loss tap.
-        self._loss: dict[int, tuple[int, int, int]] = {}
-        self._handlers: list[tuple[str, Callable]] = []
-
-    def attach(self, machine: "Machine") -> "TxnTapFolder":
-        """Subscribe one handler per consumed kind on ``machine``'s
-        taps."""
-        self._processors = machine.processors
-        self._handlers = [("txn-begin", self.on_txn_begin),
-                          ("txn-commit", self.on_txn_commit),
-                          ("loss", self.on_loss),
-                          ("misspec", self.on_misspec)]
-        for kind, handler in self._handlers:
-            machine.taps.subscribe(handler, kind)
-        return self
-
-    def detach(self, machine: "Machine") -> None:
-        """Unsubscribe the handlers :meth:`attach` subscribed."""
-        machine.taps.unsubscribe(*(fn for _kind, fn in self._handlers))
-
-    def on_txn_begin(self, time: int, cpu: int, kind: str, args: tuple,
-                     obj: object) -> None:
-        checkpoint = self._processors[cpu].spec.checkpoint
-        if checkpoint is not None and checkpoint.elisions:
-            self.sink.txn_begin(time, cpu, *_root_of(checkpoint))
-        else:
-            self.sink.txn_begin(time, cpu, None, "", 1)
-
-    def on_txn_commit(self, time: int, cpu: int, kind: str, args: tuple,
-                      obj: object) -> None:
-        if cpu in self._open:
-            self.sink.txn_commit(time, cpu)
-
-    def on_loss(self, time: int, cpu: int, kind: str, args: tuple,
-                obj: object) -> None:
-        # Pre-call tap: the handler early-returns when not speculating,
-        # mirrored here by the open table.
-        if cpu in self._open:
-            self._loss[cpu] = _loss_stash(time, args)
-
-    def on_misspec(self, time: int, cpu: int, kind: str, args: tuple,
-                   obj: object) -> None:
-        if cpu not in self._open:
-            return
-        self.sink.txn_abort(time, cpu, args[0], *_attribution(
-            time, args, self._loss.pop(cpu, None)))
-
-
 class DeferralTally:
     """One machine's deferrals, tallied once for every observer.
 
@@ -481,9 +374,9 @@ class LockProfiler:
     start time, root lock and pc, attempt number -- is what its
     processor's :class:`~repro.cpu.checkpoint.SpeculationCheckpoint`
     holds from ``txn-begin`` until the transaction closes, so the
-    profiler reads it there on ``txn-commit`` or ``misspec`` (with the
-    folder's ``loss`` attribution) and at :meth:`snapshot` for the
-    transactions still open.  ``terminate`` clears a checkpoint without
+    profiler reads it there on ``txn-commit`` or ``misspec`` (whose
+    payload names the conflicting line and the aborter) and at
+    :meth:`snapshot` for the transactions still open.  ``terminate`` clears a checkpoint without
     a ``misspec``; the processor-initiated ``abort`` tap that precedes
     it hands the profiler the checkpoint, which stays open, as it does
     in the log.  Deferral waits come from the machine's
@@ -494,8 +387,6 @@ class LockProfiler:
         self.builder = ProfileBuilder()
         self._processors: list = []
         self._deferrals: Optional[DeferralTally] = None
-        #: cpu -> (time, conflict_line, aborter) from the last loss tap.
-        self._loss: dict[int, tuple[int, int, int]] = {}
         #: cpu -> the checkpoint of a processor-initiated abort, until
         #: its misspec (never, for a terminated thread).
         self._aborting: dict[int, object] = {}
@@ -505,13 +396,12 @@ class LockProfiler:
         self._deferrals = DeferralTally.of(machine)
         subscribe = machine.taps.subscribe
         subscribe(self.on_txn_commit, "txn-commit")
-        subscribe(self.on_loss, "loss")
         subscribe(self.on_abort, "abort")
         subscribe(self.on_misspec, "misspec")
         return self
 
     # ``obj`` is the processor for txn-commit and misspec, the cache
-    # controller for loss and abort.
+    # controller for abort.
     def on_txn_commit(self, time: int, cpu: int, kind: str, args: tuple,
                       obj: object) -> None:
         checkpoint = obj.spec.checkpoint
@@ -523,11 +413,6 @@ class LockProfiler:
                    time - checkpoint.start_time)
             commits = self.builder.commits
             commits[key] = commits.get(key, 0) + 1
-
-    def on_loss(self, time: int, cpu: int, kind: str, args: tuple,
-                obj: object) -> None:
-        if self._processors[cpu].spec.checkpoint is not None:
-            self._loss[cpu] = _loss_stash(time, args)
 
     def on_abort(self, time: int, cpu: int, kind: str, args: tuple,
                  obj: object) -> None:
@@ -544,8 +429,7 @@ class LockProfiler:
             return
         self.builder.abort(time, cpu, checkpoint.start_time,
                            *_root_of(checkpoint), args[0],
-                           *_attribution(time, args,
-                                         self._loss.pop(cpu, None)))
+                           args[1] or None, args[2])
 
     def snapshot(self) -> dict:
         """The profile of the closed transactions, the ones still open

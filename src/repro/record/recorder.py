@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.harness.runner import RunResult, result_fingerprint
 from repro.harness.spec import FINGERPRINT_VERSION, RunSpec
+from repro.obs.profile import _root_of
 from repro.record.format import (DEFER_DRAIN, DEFER_PUSH, LOG_SCHEMA,
                                  STATE_ABSENT, STATE_NAMES, LogWriter)
 from repro.sim.taps import TAP_KINDS, _line_of_args, _ref_of_args
@@ -50,40 +51,6 @@ _STATE_KINDS = frozenset({"data", "invalidation", "forward", "probe",
 _DEFER_KINDS = frozenset({"defer", "service", "commit", "abort", "loss"})
 
 _STATE_INDEX = {name: index for index, name in enumerate(STATE_NAMES)}
-
-
-class _TxnWriterSink:
-    """Adapts :class:`~repro.obs.profile.TxnTapFolder` events into
-    ``OP_TXN`` records on the recorder's writer.
-
-    Deferrals get no txn records: the raw ``defer``/``service`` taps
-    are already in the log as ``OP_TAP`` records carrying the dense
-    request ref, and the post-hoc fold
-    (:func:`repro.obs.causal.profile_from_log`) rebuilds wait times
-    from those.
-    """
-
-    def __init__(self, recorder: "FlightRecorder"):
-        self._recorder = recorder
-        #: cpu -> begin time of its open transaction (the folder's gate).
-        self.open: dict[int, int] = {}
-
-    def txn_begin(self, time: int, cpu: int, lock_line, pc: str,
-                  attempts: int) -> None:
-        self.open[cpu] = time
-        writer = self._recorder._writer
-        writer.txn_begin(time, cpu, lock_line, writer.intern(pc), attempts)
-
-    def txn_commit(self, time: int, cpu: int) -> None:
-        del self.open[cpu]
-        self._recorder._writer.txn_commit(time, cpu)
-
-    def txn_abort(self, time: int, cpu: int, reason: str, conflict_line,
-                  aborter: int) -> None:
-        del self.open[cpu]
-        writer = self._recorder._writer
-        writer.txn_abort(time, cpu, writer.intern(reason), conflict_line,
-                         aborter)
 
 
 def artifact_dir() -> str:
@@ -123,6 +90,8 @@ class FlightRecorder:
         self._refs: dict[int, int] = {}
         self._line_states: dict[tuple[int, int], tuple[int, int]] = {}
         self._defer_depth: dict[int, int] = {}
+        #: cpus with an open transaction (gates commit and abort).
+        self._open_txns: set[int] = set()
         self._machine: Optional["Machine"] = None
         self._finished = False
 
@@ -132,19 +101,19 @@ class FlightRecorder:
     def attach(self, machine: "Machine") -> "FlightRecorder":
         """Subscribe to the machine's observation seam.  Call before
         ``run_workload``."""
-        from repro.obs.profile import TxnTapFolder
-
         self._machine = machine
         taps = machine.taps
         taps.subscribe(self._on_dispatch, "dispatch")
         taps.subscribe(self.on_tap, *TAP_KINDS)
         taps.subscribe(self.on_tap_post, *(_STATE_KINDS | _DEFER_KINDS),
                        post=True)
-        # The txn folder subscribes *after* the raw-tap writer above,
+        # The txn handlers subscribe *after* the raw-tap writer above,
         # so each OP_TXN record lands right behind the OP_TAP record of
-        # the event it folds -- a deterministic interleaving the
-        # post-hoc profiler relies on.
-        self._folder = TxnTapFolder(_TxnWriterSink(self)).attach(machine)
+        # its event -- a deterministic interleaving the post-hoc
+        # profiler relies on.
+        taps.subscribe(self._on_txn_begin, "txn-begin")
+        taps.subscribe(self._on_txn_commit, "txn-commit")
+        taps.subscribe(self._on_misspec, "misspec")
         # Scheduler switch-in/out/migration events (repro.sched) become
         # OP_SCHED records.  With the scheduler off (the default) the
         # engine is never constructed, the point never fires, and the
@@ -183,6 +152,35 @@ class FlightRecorder:
         self._writer.tap(time, cpu, kind_id, _line_of_args(args, kind),
                          self._ref_id(_ref_of_args(args)))
 
+    # ``OP_TXN`` records.  Deferrals get none: the raw ``defer`` and
+    # ``service`` taps carry the dense request ref the post-hoc fold
+    # (repro.obs.causal) pairs them by.  A transaction terminated with
+    # the run never fires ``misspec`` and stays open.
+    def _on_txn_begin(self, time: int, cpu: int, kind: str, args: tuple,
+                      obj: object) -> None:
+        # Fires after the elision checkpoint is pushed.
+        checkpoint = self._machine.processors[cpu].spec.checkpoint
+        lock_line, pc, attempts = (
+            _root_of(checkpoint) if checkpoint is not None
+            and checkpoint.elisions else (None, "", 1))
+        self._open_txns.add(cpu)
+        writer = self._writer
+        writer.txn_begin(time, cpu, lock_line, writer.intern(pc), attempts)
+
+    def _on_txn_commit(self, time: int, cpu: int, kind: str, args: tuple,
+                       obj: object) -> None:
+        if cpu in self._open_txns:
+            self._open_txns.remove(cpu)
+            self._writer.txn_commit(time, cpu)
+
+    def _on_misspec(self, time: int, cpu: int, kind: str, args: tuple,
+                    obj: object) -> None:
+        if cpu in self._open_txns:
+            self._open_txns.remove(cpu)
+            writer = self._writer
+            writer.txn_abort(time, cpu, writer.intern(args[0]),
+                             args[1] or None, args[2])
+
     def _on_sched(self, time: int, slot: int, kind: str, args: tuple,
                   obj: object) -> None:
         sched_kind, thread = args
@@ -190,11 +188,11 @@ class FlightRecorder:
 
     def on_tap_post(self, time: int, cpu: int, kind: str, args: tuple,
                     obj: object) -> None:
+        # Every post-call point is a cache controller's.
         if kind in _STATE_KINDS:
             line_addr = _line_of_args(args, kind)
-            cache = getattr(obj, "cache", None)
-            if line_addr is not None and cache is not None:
-                line = cache.peek(line_addr)
+            if line_addr is not None:
+                line = obj.cache.peek(line_addr)
                 if line is None:
                     snapshot = (STATE_ABSENT, 0)
                 else:
@@ -207,14 +205,12 @@ class FlightRecorder:
                     self._writer.state(time, cpu, line_addr,
                                        snapshot[0], snapshot[1])
         if kind in _DEFER_KINDS:
-            deferred = getattr(obj, "deferred", None)
-            if deferred is not None:
-                depth = len(deferred)
-                known = self._defer_depth.get(cpu, 0)
-                if depth != known:
-                    self._defer_depth[cpu] = depth
-                    op = DEFER_PUSH if depth > known else DEFER_DRAIN
-                    self._writer.defer_edit(time, cpu, op, depth)
+            depth = len(obj.deferred)
+            known = self._defer_depth.get(cpu, 0)
+            if depth != known:
+                self._defer_depth[cpu] = depth
+                op = DEFER_PUSH if depth > known else DEFER_DRAIN
+                self._writer.defer_edit(time, cpu, op, depth)
 
     # ------------------------------------------------------------------
     # Finish
@@ -233,8 +229,9 @@ class FlightRecorder:
         if sim is not None:
             # Nothing may follow END: a finished recorder observes no more.
             sim.taps.unsubscribe(self._on_dispatch, self.on_tap,
-                                 self.on_tap_post, self._on_sched)
-            self._folder.detach(self._machine)
+                                 self.on_tap_post, self._on_txn_begin,
+                                 self._on_txn_commit, self._on_misspec,
+                                 self._on_sched)
         if isinstance(self._buffer, io.BytesIO):
             return self._buffer.getvalue()
         return b""

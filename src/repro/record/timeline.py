@@ -233,19 +233,10 @@ class Timeline:
         return spans
 
     def who_on_cpu(self, cycle: int) -> dict[int, Optional[int]]:
-        """``slot -> thread`` occupancy at ``cycle``, folded from the
-        OP_SCHED records alone (empty dict for scheduler-off logs) --
+        """``slot -> thread`` occupancy at ``cycle``, the
+        :meth:`state_at` fold's (empty dict for scheduler-off logs) --
         the "who was on-CPU at cycle N" replay query."""
-        on_slot: dict[int, Optional[int]] = {}
-        for record in self.records[:self.index_at(cycle)]:
-            if record.op != "sched":
-                continue
-            if record.label == "switch-in":
-                on_slot[record.cpu] = record.ref
-            elif record.label == "switch-out" \
-                    and on_slot.get(record.cpu) == record.ref:
-                on_slot[record.cpu] = None
-        return on_slot
+        return self.state_at(cycle).on_slot
 
     def sched_spans(self) -> list[tuple[int, int, int, int]]:
         """(slot, thread, on_time, off_time) for every closed slot

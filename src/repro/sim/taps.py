@@ -35,8 +35,7 @@ recorder applies to every tap it logs.  The other points, with their
 ``args``: ``nacked``/``filled`` (request; a live miss was refused,
 was filled, its MSHR still allocated),
 ``restart`` (reason, backoff, streak), ``line-state`` (line) after a
-coherence state change, ``deferred`` (request) once queued,
-``arch-read``/``plain-write`` (addr, value) for a speculative read
+coherence state change, ``arch-read``/``plain-write`` (addr, value) for a speculative read
 served by memory and a non-speculative store, ``write-set`` (write set)
 at commit before the drain, ``sched`` (SCHED_IN/OUT/MIGRATE, thread),
 ``preempt`` (thread, ran, was_speculating), ``migrate`` (thread,
@@ -67,8 +66,8 @@ POST_KINDS = ("forward", "invalidation", "data", "probe", "service",
 
 #: Tap kinds that carry a bare-``int`` cache line at a known position
 #: in ``args`` (every other kind's line rides on a message object's
-#: ``.line`` attribute).  ``loss`` (reason, line, ts, aborter) and
-#: ``misspec`` (reason, line) both carry it second.
+#: ``.line`` attribute).  ``loss`` (reason, line, ts) and ``misspec``
+#: (reason, line, aborter) both carry it second.
 _INT_LINE_POS = {"loss": 1, "misspec": 1}
 
 
@@ -159,7 +158,6 @@ class MachineTaps:
         self.restart = Point("restart")
         # Invariant checks.
         self.line_state = Point("line-state")
-        self.deferred = Point("deferred")
         # Footprint.
         self.arch_read = Point("arch-read")
         self.plain_write = Point("plain-write")

@@ -81,7 +81,7 @@ class Violation:
 
 class MonitorSuite:
     """Invariant monitors subscribed to every cache controller's
-    ``line-state``, ``deferred`` and ``loss`` emit points.
+    ``line-state``, post-``defer`` and ``loss`` emit points.
 
     Attach *before* ``run_workload``::
 
@@ -108,7 +108,7 @@ class MonitorSuite:
     def attach(self) -> "MonitorSuite":
         taps = self.machine.taps
         taps.subscribe(self.on_line_state, "line-state")
-        taps.subscribe(self.on_defer, "deferred")
+        taps.subscribe(self.on_defer, "defer", post=True)
         taps.subscribe(self.on_loss, "loss")
         if self.machine.config.scheme.is_tlr:
             self._schedule_watchdog()
@@ -153,7 +153,8 @@ class MonitorSuite:
                        f"hold valid copies")
 
     # ------------------------------------------------------------------
-    # Point: a controller deferred an incoming request
+    # Point: a controller deferred an incoming request (post-call: the
+    # request is in its deferred queue)
     # ------------------------------------------------------------------
     def on_defer(self, time, cpu, kind, args, controller) -> None:
         request = args[0]

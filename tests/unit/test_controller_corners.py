@@ -220,7 +220,8 @@ class TestHandleProbe:
         if ts is not None:
             ctl.enter_speculation(ts)
         reasons = []
-        ctl.on_misspeculation = lambda reason, line: reasons.append(reason)
+        ctl.on_misspeculation = \
+            lambda reason, line, aborter: reasons.append(reason)
         return machine, ctl, reasons
 
     def miss(self, ctl, line_addr, in_txn=True):

@@ -1,6 +1,6 @@
 """Unit tests for the causal profiling layer (``repro.obs.profile``):
-cause bucketing, the event-folding builder, the tap folder's abort
-attribution, the live profiler's close-time checkpoint reads, the
+cause bucketing, the event-folding builder, the ``misspec`` point's
+abort attribution, the live profiler's close-time checkpoint reads, the
 shared deferral tally, OP_TXN record round-trips, the renderers, and the
 ``MachineMetrics.finalize`` edge cases the profiler wiring leans on."""
 
@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.coherence.messages import MEMORY, BusRequest, ReqKind
+from repro.coherence.states import State
 from repro.cpu.checkpoint import ElisionRecord, SpeculationCheckpoint
 from repro.cpu.isa import line_of
 from repro.harness.config import SyncScheme
@@ -16,13 +18,13 @@ from repro.harness.machine import Machine
 from repro.harness.runner import execute_workload
 from repro.obs import MachineMetrics
 from repro.obs.profile import (ABORT_CAUSES, CAUSE_OF, DeferralTally,
-                               LockProfiler, ProfileBuilder, TxnTapFolder,
-                               cause_of, critical_path, describe_chain,
+                               LockProfiler, ProfileBuilder, cause_of,
+                               critical_path, describe_chain,
                                matrix_canonical_json, render_folded,
                                render_markdown)
 from repro.record.format import (TXN_ABORT, TXN_BEGIN, TXN_COMMIT,
                                  LogWriter, iter_records)
-from repro.sim.taps import MachineTaps, Point
+from repro.sim.taps import MachineTaps
 from repro.workloads.microbench import linked_list, single_counter
 
 from tests.conftest import small_config
@@ -125,101 +127,69 @@ class TestProfileBuilder:
         assert text == '{"1":{"3":1},"2":{"0":1,"1":1}}'
 
 
-class _Sink:
-    """Records every normalized event, in order, and keeps the open
-    table the folder gates on."""
+class TestMisspecNamesItsAborter:
+    """The ``misspec`` point's payload is (reason, line, aborter): the
+    controller names the cpu whose request or probe won where it raises
+    the loss, and -1 for an abort no other cpu caused.  Driven on real
+    machines: cpu 1 speculates (under TLR at timestamp (5, 1)) on an
+    exclusive line it has accessed."""
 
-    def __init__(self):
-        self.events = []
-        self.open = {}
+    LINE = 0x40
 
-    def __getattr__(self, name):
-        if name.startswith("_"):
-            raise AttributeError(name)
+    def speculating(self, config):
+        machine = Machine(config)
+        misspecs = []
+        machine.taps.subscribe(
+            lambda time, cpu, kind, args, obj: misspecs.append(args),
+            "misspec")
+        ctl = machine.controllers[1]
+        ctl.enter_speculation((5, 1) if config.scheme.is_tlr else None)
+        ctl.cache.install(self.LINE, State.EXCLUSIVE).accessed = True
+        return ctl, misspecs
 
-        def record(*args):
-            if name == "txn_begin":
-                self.open[args[1]] = args[0]
-            elif name in ("txn_commit", "txn_abort"):
-                del self.open[args[1]]
-            self.events.append((name,) + args)
-        return record
+    @pytest.mark.parametrize("scheme,ts", [(SyncScheme.TLR, (1, 2)),
+                                           (SyncScheme.SLE, None)])
+    def test_snoop_conflict_lost_names_the_requester(self, scheme, ts):
+        config = small_config(3, scheme)
+        config.spec.single_block_relaxation = False
+        ctl, misspecs = self.speculating(config)
+        ctl.handle_forward(BusRequest(ReqKind.GETX, line=self.LINE,
+                                      requester=2, ts=ts))
+        assert misspecs == [("conflict-lost", self.LINE, 2)]
 
+    def test_memory_origin_probe_names_the_timestamps_cpu(self):
+        ctl, misspecs = self.speculating(
+            small_config(3, SyncScheme.TLR, protocol="directory"))
+        ctl.handle_probe(self.LINE, (1, 0), MEMORY)
+        assert misspecs == [("probe-lost", self.LINE, 0)]
 
-def _machine_stub(lock_addr=0x40, pc="site.a", attempts=3):
-    checkpoint = SpeculationCheckpoint(
-        start_time=0, ts=(0, 0), root_depth=0,
-        elisions=[ElisionRecord(lock_addr=lock_addr, free_value=0,
-                                held_value=1, pc=pc, depth=0)],
-        attempts=attempts)
-    spec = SimpleNamespace(checkpoint=checkpoint)
-    return SimpleNamespace(processors=[SimpleNamespace(spec=spec)] * 8,
-                           taps=MachineTaps())
+    def test_relaxation_revoked_is_unattributed(self):
+        ctl, misspecs = self.speculating(small_config(3, SyncScheme.TLR))
+        # Single-block relaxation defers the earlier request ...
+        ctl.handle_forward(BusRequest(ReqKind.GETX, line=self.LINE,
+                                      requester=2, ts=(1, 2)))
+        assert misspecs == [] and ctl.deferred
+        # ... until the transaction misses on another line.
+        ctl.miss(self.LINE + 0x40, None, True, lambda line: None)
+        assert misspecs == [("relaxation-revoked", self.LINE + 0x40, -1)]
 
-
-class TestTxnTapFolder:
-    def test_begin_reads_checkpoint(self):
-        sink = _Sink()
-        folder = TxnTapFolder(sink).attach(
-            _machine_stub(lock_addr=0x87, pc="x.y", attempts=5))
-        folder.on_txn_begin(10, 2, "txn-begin", ((0, 2),), None)
-        # lock addr 0x87 -> its cache line, pc and attempts verbatim.
-        assert sink.events == [
-            ("txn_begin", 10, 2, line_of(0x87), "x.y", 5)]
-
-    def test_loss_stash_consumed_by_same_cycle_misspec(self):
-        sink = _Sink()
-        folder = TxnTapFolder(sink).attach(_machine_stub())
-        folder.on_txn_begin(0, 1, "txn-begin", ((0, 1),), None)
-        folder.on_loss(50, 1, "loss", ("conflict-lost", 0x48, (0, 3), 3),
-                       None)
-        folder.on_misspec(50, 1, "misspec", ("conflict-lost", 0x48), None)
-        assert sink.events[-1] == \
-            ("txn_abort", 50, 1, "conflict-lost", 0x48, 3)
-
-    def test_stale_loss_stash_is_not_consumed(self):
-        sink = _Sink()
-        folder = TxnTapFolder(sink).attach(_machine_stub())
-        folder.on_txn_begin(0, 1, "txn-begin", ((0, 1),), None)
-        folder.on_loss(50, 1, "loss", ("conflict-lost", 0x48, (0, 3), 3),
-                       None)
-        # The loss handler early-returned (no misspec at t=50); a later
-        # resource abort must not inherit the stale attribution.
-        folder.on_misspec(90, 1, "misspec", ("capacity", 0x10), None)
-        assert sink.events[-1] == ("txn_abort", 90, 1, "capacity",
-                                   0x10, -1)
-
-    def test_memory_origin_probe_attributed_via_timestamp(self):
-        sink = _Sink()
-        folder = TxnTapFolder(sink).attach(_machine_stub())
-        folder.on_txn_begin(0, 2, "txn-begin", ((0, 2),), None)
-        folder.on_loss(7, 2, "loss", ("probe-lost", 0x48, (4, 1), -1),
-                       None)
-        folder.on_misspec(7, 2, "misspec", ("probe-lost", 0x48), None)
-        assert sink.events[-1] == ("txn_abort", 7, 2, "probe-lost",
-                                   0x48, 1)
-
-    def test_events_outside_open_txn_ignored(self):
-        sink = _Sink()
-        folder = TxnTapFolder(sink).attach(_machine_stub())
-        folder.on_txn_commit(1, 0, "txn-commit", (), None)
-        folder.on_loss(2, 0, "loss", ("conflict-lost", 0x48, None), None)
-        folder.on_misspec(3, 0, "misspec", ("terminated", 0), None)
-        assert sink.events == []
-
-    def test_one_handler_per_kind(self):
-        machine = _machine_stub()
-        folder = TxnTapFolder(_Sink()).attach(machine)
-        taps = machine.taps
-        assert list(taps.txn_begin) == [folder.on_txn_begin]
-        assert list(taps.txn_commit) == [folder.on_txn_commit]
-        assert list(taps.loss) == [folder.on_loss]
-        assert list(taps.misspec) == [folder.on_misspec]
-        # Deferrals reach the log as raw defer/service taps.
-        assert not taps.defer and not taps.service
-        folder.detach(machine)
-        assert not any(point for point in vars(taps).values()
-                       if isinstance(point, Point))
+    def test_run_attributes_conflicts_and_not_resource_aborts(self):
+        config = small_config(4, SyncScheme.TLR)
+        config.spec.write_buffer_entries = 2
+        machine = Machine(config)
+        aborters = {}
+        machine.taps.subscribe(
+            lambda time, cpu, kind, args, obj: aborters.setdefault(
+                args[0], set()).add(args[2] if args[2] in (-1, cpu)
+                                    else "other"), "misspec")
+        machine.run_workload(linked_list(4, 64))
+        # The two-entry write buffer overflows and the relaxation is
+        # revoked: nobody caused those.  Every other loss names another
+        # cpu.
+        assert aborters.pop("wb-overflow") == {-1}
+        assert aborters.pop("relaxation-revoked") == {-1}
+        assert "conflict-lost" in aborters
+        assert set().union(*aborters.values()) == {"other"}
 
 
 def _cpus(count=4):
@@ -259,18 +229,16 @@ class TestLockProfilerLive:
         machine = _cpus()
         profiler = LockProfiler().attach(machine)
         taps = machine.taps
-        assert not taps.txn_begin
+        assert not taps.txn_begin and not taps.loss
         assert list(taps.txn_commit) == [profiler.on_txn_commit]
         assert list(taps.misspec) == [profiler.on_misspec]
 
-    def test_loss_stash_consumed_by_same_cycle_misspec(self):
+    def test_misspec_payload_attributes_the_abort(self):
         machine = _cpus()
         profiler = LockProfiler().attach(machine)
         cpu = machine.processors[1]
         _speculate(cpu, start_time=10)
-        profiler.on_loss(50, 1, "loss", ("probe-lost", 0x48, (4, 3), -1),
-                         None)
-        profiler.on_misspec(50, 1, "misspec", ("probe-lost", 0x48), cpu)
+        profiler.on_misspec(50, 1, "misspec", ("probe-lost", 0x48, 3), cpu)
         cpu.spec.checkpoint = None
         snap = profiler.snapshot()
         assert snap["conflicts"] == {"1": {"3": 1}}
@@ -302,7 +270,7 @@ class TestLockProfilerLive:
         cpu = machine.processors[0]
         _speculate(cpu)
         profiler.on_abort(30, 0, "abort", (), None)
-        profiler.on_misspec(30, 0, "misspec", ("wb-overflow", 0), cpu)
+        profiler.on_misspec(30, 0, "misspec", ("wb-overflow", 0, -1), cpu)
         cpu.spec.checkpoint = None
         totals = profiler.snapshot()["totals"]
         assert totals["aborts"] == 1 and totals["unclosed"] == 0

@@ -8,6 +8,8 @@ import zlib
 
 import pytest
 
+from repro.cpu.checkpoint import ElisionRecord, SpeculationCheckpoint
+from repro.cpu.isa import line_of
 from repro.harness.config import SyncScheme, SystemConfig
 from repro.harness.machine import Machine
 from repro.harness.spec import RunSpec
@@ -15,7 +17,8 @@ from repro.obs import LockProfiler, MachineMetrics
 from repro.record import (LOG_SCHEMA, SCHEMA_HISTORY, FlightRecorder,
                           Timeline, export_vcd, first_divergence, load_log,
                           record_run)
-from repro.record.format import (LogFormatError, LogWriter, read_header)
+from repro.record.format import (TXN_ABORT, TXN_BEGIN, LogFormatError,
+                                 LogWriter, read_header)
 from repro.sim.taps import TAP_KINDS, Point
 
 
@@ -317,7 +320,32 @@ class TestWholeHistory:
         recorder.finish("0" * 64)
         with pytest.raises(RuntimeError, match="already finished"):
             recorder.finish("0" * 64)
-        # Nothing may follow END: every point the recorder (and its txn
-        # folder) subscribed to is empty again.
+        # Nothing may follow END: every point the recorder subscribed
+        # to is empty again.
         assert not any(value for value in vars(machine.taps).values()
                        if isinstance(value, Point))
+
+    def test_txn_records_need_an_open_transaction(self):
+        spec = _spec()
+        machine = Machine(spec.config)
+        recorder = FlightRecorder(spec).attach(machine)
+        taps, processor = machine.taps, machine.processors[1]
+        # A commit or a misspec with no transaction open on its cpu
+        # leaves its OP_TAP record and writes no OP_TXN record.
+        taps.txn_commit.emit(processor)
+        taps.misspec.emit(processor, "deschedule", 0, -1)
+        processor.spec.checkpoint = SpeculationCheckpoint(
+            start_time=0, ts=(0, 1), root_depth=0,
+            elisions=[ElisionRecord(lock_addr=0x87, free_value=0,
+                                    held_value=1, pc="x.y", depth=0)],
+            attempts=5)
+        taps.txn_begin.emit(machine.controllers[1], (0, 1))
+        taps.misspec.emit(processor, "probe-lost", 0x48, 3)
+        taps.misspec.emit(processor, "probe-lost", 0x48, 3)
+        records = load_log(recorder.finish("0" * 64)).records
+        assert [r.label for r in records if r.op == "tap"] == [
+            "txn-commit", "misspec", "txn-begin", "misspec", "misspec"]
+        assert [(r.flags, r.cpu, r.line, r.label, r.ref)
+                for r in records if r.op == "txn"] == [
+            (TXN_BEGIN, 1, line_of(0x87), "x.y", 5),
+            (TXN_ABORT, 1, 0x48, "probe-lost", 3)]

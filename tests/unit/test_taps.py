@@ -106,10 +106,10 @@ class TestLineOfArgs:
 
     def test_bare_int_only_from_known_positions(self):
         # _handle_loss(reason, line, ts) / _on_misspeculation(reason,
-        # line) carry the line at position 1.
+        # line, aborter) carry the line at position 1.
         assert _line_of_args(("probe-lost", 0x40, (3, 1)),
                              kind="loss") == 0x40
-        assert _line_of_args(("invalidated", 0x40),
+        assert _line_of_args(("invalidated", 0x40, 2),
                              kind="misspec") == 0x40
         # An int in an unknown hook must not be misread as a line.
         assert _line_of_args((7,), kind="nack") is None
